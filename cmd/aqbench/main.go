@@ -11,10 +11,8 @@
 //	aqbench -exp ablations              # design-choice ablations
 //	aqbench -exp all
 //
-// -exp serve instead benchmarks a running aqserver over HTTP (latency
-// percentiles, cache hits, answering epochs) and is excluded from all:
-//
-//	aqbench -exp serve -server http://127.0.0.1:8321 -city coventry -n 200
+// Serving performance is measured by the repo benchmark (go run
+// ./benchmark), not here.
 package main
 
 import (
@@ -35,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("aqbench: ")
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|table2|fig3|fig4|fig5|ablations|temporal|bank|serve|all (serve needs -server; bank and serve are excluded from all)")
+		exp     = flag.String("exp", "all", "experiment: table1|table2|fig3|fig4|fig5|ablations|temporal|bank|all (bank is excluded from all)")
 		scale   = flag.Float64("scale", 0.15, "city scale for measured experiments (table1 always runs at full scale)")
 		samples = flag.Int("samples", 10, "TODAM start-time samples per hour for measured experiments")
 		models  = flag.String("models", "", "comma-separated model subset (default: all five)")
@@ -43,11 +41,6 @@ func main() {
 		csvFig5 = flag.Bool("fig5csv", false, "emit fig5 as CSV instead of ASCII maps")
 		par     = flag.Int("parallelism", runtime.GOMAXPROCS(0), "worker pool for engine pre-processing and feature stages (results identical; timings change)")
 		debug   = flag.String("debug-addr", "", "optional loopback listener for /metrics and /debug/pprof while experiments run")
-		server  = flag.String("server", "", "aqserver base URL for -exp serve")
-		city    = flag.String("city", "", "tenant to benchmark with -exp serve (empty = server default)")
-		n       = flag.Int("n", 64, "requests to issue with -exp serve")
-		conc    = flag.Int("concurrency", 8, "concurrent clients with -exp serve")
-		unique  = flag.Int("unique", 8, "distinct query seeds with -exp serve; repeats exercise the cache")
 		version = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -64,24 +57,9 @@ func main() {
 		defer dbg.Close()
 		log.Printf("debug endpoints (pprof, metrics) on http://%s", bound)
 	}
-	if *exp == "serve" {
-		// The serve benchmark talks to a live server; it never runs under
-		// -exp all and needs no local suite.
-		if *server == "" {
-			log.Fatal("-exp serve requires -server (a running aqserver base URL)")
-		}
-		err := runServeBench(os.Stdout, serveBenchConfig{
-			Server: *server, City: *city, N: *n, Concurrency: *conc,
-			Unique: *unique, Budget: 0.2,
-		})
-		if err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		return
-	}
 	if *exp == "bank" {
-		// The bank benchmark builds its own engine and needs no suite; like
-		// serve it never runs under -exp all.
+		// The bank benchmark builds its own engine and needs no suite; it
+		// never runs under -exp all.
 		if err := runBankBench(os.Stdout, *scale, *par); err != nil {
 			log.Fatalf("bank: %v", err)
 		}
@@ -134,7 +112,7 @@ func main() {
 	run("temporal", func() error { return s.PrintTemporal(w) })
 	run("extensions", func() error { return s.PrintExtensionComparison(w) })
 	switch *exp {
-	case "table1", "table2", "fig3", "fig4", "fig5", "ablations", "temporal", "extensions", "bank", "serve", "all":
+	case "table1", "table2", "fig3", "fig4", "fig5", "ablations", "temporal", "extensions", "bank", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()

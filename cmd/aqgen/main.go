@@ -16,16 +16,9 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
 	"accessquery/internal/buildinfo"
-	"accessquery/internal/geo"
-	"accessquery/internal/graph"
-	"accessquery/internal/gtfs"
-	"accessquery/internal/hoptree"
-	"accessquery/internal/isochrone"
 	"accessquery/internal/obs"
 	"accessquery/internal/synth"
 )
@@ -38,8 +31,6 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "scale factor in (0, 1]")
 		seed     = flag.Int64("seed", 0, "override the preset's seed (0 keeps it)")
 		out      = flag.String("out", "", "output directory (required)")
-		forest   = flag.Bool("forest", false, "also pre-compute and save the transit-hop forest for the weekday AM peak")
-		par      = flag.Int("parallelism", runtime.GOMAXPROCS(0), "worker pool for isochrone and forest pre-computation (output identical at any setting)")
 		debug    = flag.String("debug-addr", "", "optional loopback listener for /metrics and /debug/pprof during generation")
 		version  = flag.Bool("version", false, "print version and exit")
 	)
@@ -65,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := run(cfg, *out, *forest, *par, os.Stdout); err != nil {
+	if err := run(cfg, *out, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -91,9 +82,8 @@ func presetConfig(name string, scale float64, seed int64) (synth.Config, error) 
 	return cfg, nil
 }
 
-// run generates the city and writes all artifacts to out. workers sizes the
-// pre-computation pool when -forest is set.
-func run(cfg synth.Config, out string, withForest bool, workers int, w io.Writer) error {
+// run generates the city and writes all artifacts to out.
+func run(cfg synth.Config, out string, w io.Writer) error {
 	city, err := synth.Generate(cfg)
 	if err != nil {
 		return err
@@ -129,32 +119,5 @@ func run(cfg synth.Config, out string, withForest bool, workers int, w io.Writer
 	fmt.Fprintf(w, "wrote %s: %d zones, %d stops, %d routes, %d trips, %d road nodes\n",
 		out, len(city.Zones), len(city.Feed.Stops), len(city.Feed.Routes),
 		len(city.Feed.Trips), city.Road.NumNodes())
-	if !withForest {
-		return nil
-	}
-	zonePts := make([]geo.Point, len(city.Zones))
-	zoneNodes := make([]graph.NodeID, len(city.Zones))
-	for i, z := range city.Zones {
-		zonePts[i] = z.Centroid
-		zoneNodes[i] = city.ZoneNode[i]
-	}
-	isos, err := isochrone.ComputeSetParallel(city.Road, zonePts, zoneNodes, isochrone.DefaultTauSeconds, workers)
-	if err != nil {
-		return err
-	}
-	interval := gtfs.Interval{Start: 7 * 3600, End: 9 * 3600, Day: time.Tuesday, Label: "weekday AM peak"}
-	builder, err := hoptree.NewBuilder(city.Feed, interval, zonePts, isos)
-	if err != nil {
-		return err
-	}
-	f, err := hoptree.BuildForestParallel(builder, workers)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(out, "forest_am_peak.gob")
-	if err := f.Save(path); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s: transit-hop forest for %s\n", path, interval.Label)
 	return nil
 }

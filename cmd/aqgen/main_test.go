@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"accessquery/internal/gtfs"
-	"accessquery/internal/hoptree"
-	"accessquery/internal/synth"
 )
 
 func TestPresetConfig(t *testing.T) {
@@ -39,10 +36,10 @@ func TestRunWritesArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run(cfg, dir, true, 2, &out); err != nil {
+	if err := run(cfg, dir, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"config.json", "zones.json", "pois.json", "forest_am_peak.gob"} {
+	for _, name := range []string{"config.json", "zones.json", "pois.json"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing artifact %s: %v", name, err)
 		}
@@ -54,35 +51,5 @@ func TestRunWritesArtifacts(t *testing.T) {
 	}
 	if len(feed.Trips) == 0 {
 		t.Error("GTFS output has no trips")
-	}
-	// The forest loads and covers every zone.
-	f, err := hoptree.Load(filepath.Join(dir, "forest_am_peak.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	city, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Zones() != len(city.Zones) {
-		t.Errorf("forest covers %d zones, city has %d", f.Zones(), len(city.Zones))
-	}
-	if !strings.Contains(out.String(), "transit-hop forest") {
-		t.Error("missing forest log line")
-	}
-}
-
-func TestRunWithoutForest(t *testing.T) {
-	dir := t.TempDir()
-	cfg, err := presetConfig("coventry", 0.05, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run(cfg, dir, false, 1, &out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "forest_am_peak.gob")); err == nil {
-		t.Error("forest written without -forest flag")
 	}
 }

@@ -2,12 +2,9 @@
 //
 // The API is versioned under /v1/ with a consistent resource grammar:
 // plural-noun collections, items nested under them, and verbs as
-// sub-resources (see apiSurface). Unversioned paths from earlier releases
-// remain as deprecated aliases: they serve the same handler but set the
-// shared Deprecation timestamp and Sunset date plus a Link to the
-// successor route, so clients can migrate on their own schedule while
-// operators watch the aq_http_deprecated_requests_total counter drain to
-// zero before the one sunset removes them all.
+// sub-resources (see apiSurface). Nothing else is served: any other path,
+// including the pre-/v1 spellings earlier releases answered, is a 404 in
+// the error envelope below.
 //
 // Every handler goes through the same wrapper: method enforcement (405
 // with an Allow header), Content-Type enforcement for request bodies (415
@@ -76,7 +73,7 @@ type apiRoute struct {
 
 // apiSurface is the versioned resource grammar: collections are plural
 // nouns (/v1/cities, /v1/jobs), items nest under them, and verbs are
-// sub-resources of the item they act on (/v1/cities/{name}/swap).
+// sub-resources of the item they act on (/v1/cities/{name}/scenario).
 var apiSurface = []apiRoute{
 	{"/v1/metrics", []string{http.MethodGet}, []string{"/v1/metrics"},
 		func(s *server) http.HandlerFunc { return s.handleMetrics }},
@@ -87,14 +84,13 @@ var apiSurface = []apiRoute{
 	{"/v1/cities", []string{http.MethodGet}, []string{"/v1/cities"},
 		func(s *server) http.HandlerFunc { return s.handleCities }},
 	// /v1/cities/{name} details one tenant; {name}/snapshots lists/saves
-	// engine snapshots and {id}:activate hot-swaps onto one; {name}/swap
-	// is the deprecated pre-snapshots spelling of activation;
+	// engine snapshots and {id}:activate hot-swaps onto one;
 	// {name}/scenario applies/lists/reverts network deltas. The method
 	// split per sub-resource is enforced in the handler.
 	{"/v1/cities/", []string{http.MethodGet, http.MethodPost, http.MethodDelete},
 		[]string{"/v1/cities/{name}", "/v1/cities/{name}/snapshots",
 			"/v1/cities/{name}/snapshots/{id}", "/v1/cities/{name}/snapshots/{id}:activate",
-			"/v1/cities/{name}/swap", "/v1/cities/{name}/scenario"},
+			"/v1/cities/{name}/scenario"},
 		func(s *server) http.HandlerFunc { return s.handleCityItem }},
 	{"/v1/zones", []string{http.MethodGet}, []string{"/v1/zones"},
 		func(s *server) http.HandlerFunc { return s.handleZones }},
@@ -109,47 +105,19 @@ var apiSurface = []apiRoute{
 		func(s *server) http.HandlerFunc { return s.handleJob }},
 }
 
-// aliasRoutes maps every surviving pre-/v1 path (plus the superseded
-// /v1/city singleton) to its successor pattern in apiSurface. All aliases
-// share one deprecation timestamp and one sunset date below; they are
-// removed together when the sunset passes.
-var aliasRoutes = map[string]string{
-	"/metrics": "/v1/metrics",
-	"/stats":   "/v1/stats",
-	"/city":    "/v1/cities",
-	"/v1/city": "/v1/cities",
-	"/zones":   "/v1/zones",
-	"/journey": "/v1/journey",
-	"/query":   "/v1/query",
-	"/jobs/":   "/v1/jobs/",
-}
-
-const (
-	// aliasDeprecation is when the unversioned paths were deprecated, in
-	// the RFC 9745 @unix-seconds form (2026-08-01T00:00:00Z, the /v1
-	// resource-grammar release).
-	aliasDeprecation = "@1785542400"
-	// aliasSunset is the single removal date for every alias (RFC 8594).
-	aliasSunset = "Mon, 01 Feb 2027 00:00:00 GMT"
-)
-
-// routes wires the versioned API, its deprecated aliases, and the
-// operational endpoints onto one mux.
+// routes wires the liveness probe and the versioned API onto one mux.
+// Every other path falls through to a 404 in the error envelope.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	// /healthz is a liveness probe, deliberately unversioned (infra
-	// convention) and exempt from deprecation.
+	// convention).
 	mux.Handle("/healthz", handle("/healthz", s.handleHealth, http.MethodGet))
-
-	byPattern := make(map[string]http.Handler, len(apiSurface))
 	for _, rt := range apiSurface {
-		h := handle(rt.pattern, rt.handler(s), rt.methods...)
-		mux.Handle(rt.pattern, h)
-		byPattern[rt.pattern] = h
+		mux.Handle(rt.pattern, handle(rt.pattern, rt.handler(s), rt.methods...))
 	}
-	for old, v1 := range aliasRoutes {
-		mux.Handle(old, deprecated(v1, old, byPattern[v1]))
-	}
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, codeNotFound, "no route "+r.URL.Path+"; the API lives under /v1/ (see openapi.yaml)")
+	})
 	return mux
 }
 
@@ -178,31 +146,6 @@ func handle(route string, fn http.HandlerFunc, methods ...string) http.Handler {
 		}
 		fn(sw, r)
 	})
-}
-
-// deprecated marks an alias of a /v1 route: the shared RFC 9745
-// Deprecation timestamp, the shared RFC 8594 Sunset date, a successor
-// Link, and a counter so operators can watch usage drain before sunset.
-func deprecated(v1, old string, h http.Handler) http.Handler {
-	hits := obs.Counter(fmt.Sprintf("aq_http_deprecated_requests_total{route=%q}", old))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Inc()
-		w.Header().Set("Deprecation", aliasDeprecation)
-		w.Header().Set("Sunset", aliasSunset)
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", v1))
-		h.ServeHTTP(w, r)
-	})
-}
-
-// markDeprecated stamps a response from a deprecated in-handler verb with
-// the shared RFC 9745 Deprecation timestamp, RFC 8594 Sunset date, and a
-// successor Link — the same contract the deprecated() wrapper gives
-// whole-route aliases, for verbs that live inside a dispatching handler.
-func markDeprecated(w http.ResponseWriter, route, successor string) {
-	obs.Counter(fmt.Sprintf("aq_http_deprecated_requests_total{route=%q}", route)).Inc()
-	w.Header().Set("Deprecation", aliasDeprecation)
-	w.Header().Set("Sunset", aliasSunset)
-	w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
 }
 
 // jsonBody reports whether the request body is declared as JSON. An absent

@@ -35,7 +35,7 @@ func TestMethodNotAllowed(t *testing.T) {
 		{"/healthz", http.MethodPost, http.MethodGet},
 		{"/v1/metrics", http.MethodPost, http.MethodGet},
 		{"/v1/stats", http.MethodDelete, http.MethodGet},
-		{"/v1/city", http.MethodPost, http.MethodGet},
+		{"/v1/cities", http.MethodPost, http.MethodGet},
 		{"/v1/zones", http.MethodPut, http.MethodGet},
 		{"/v1/journey", http.MethodPost, http.MethodGet},
 		{"/v1/query", http.MethodGet, http.MethodPost},
@@ -92,37 +92,36 @@ func TestUnsupportedMediaType(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliases checks that every unversioned path still works but
-// announces its successor.
-func TestDeprecatedAliases(t *testing.T) {
+// TestRemovedRoutesStayRemoved pins the retired surface: the pre-/v1
+// spellings, the /v1/city singleton and the swap verb answer 404 in the
+// error envelope, with no deprecation headers left behind.
+func TestRemovedRoutesStayRemoved(t *testing.T) {
 	s := testServer(t)
-	aliases := map[string]string{
-		"/metrics": "/v1/metrics",
-		"/stats":   "/v1/stats",
-		"/city":    "/v1/cities",
-		"/zones":   "/v1/zones",
+	cases := []struct{ method, target string }{
+		{http.MethodPost, "/query"},
+		{http.MethodGet, "/stats"},
+		{http.MethodGet, "/metrics"},
+		{http.MethodGet, "/city"},
+		{http.MethodGet, "/v1/city"},
+		{http.MethodGet, "/zones"},
+		{http.MethodGet, "/journey"},
+		{http.MethodGet, "/jobs/x"},
+		{http.MethodPost, "/v1/cities/coventry/swap"},
 	}
-	for old, v1 := range aliases {
-		rec := do(s, http.MethodGet, old, "")
-		if rec.Code != http.StatusOK {
-			t.Errorf("%s: status %d", old, rec.Code)
+	for _, c := range cases {
+		rec := do(s, c.method, c.target, "")
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", c.method, c.target, rec.Code)
 			continue
 		}
-		if got := rec.Header().Get("Deprecation"); got != aliasDeprecation {
-			t.Errorf("%s: Deprecation = %q, want %q", old, got, aliasDeprecation)
+		if env := decodeError(t, rec); env.Error.Code != codeNotFound {
+			t.Errorf("%s %s: error code %q, want %q", c.method, c.target, env.Error.Code, codeNotFound)
 		}
-		if got := rec.Header().Get("Sunset"); got != aliasSunset {
-			t.Errorf("%s: Sunset = %q, want %q", old, got, aliasSunset)
+		for _, h := range []string{"Deprecation", "Sunset", "Link"} {
+			if got := rec.Header().Get(h); got != "" {
+				t.Errorf("%s %s: %s header %q on a removed route", c.method, c.target, h, got)
+			}
 		}
-		link := rec.Header().Get("Link")
-		if !strings.Contains(link, "<"+v1+">") || !strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("%s: Link = %q, want successor-version pointing at %s", old, link, v1)
-		}
-	}
-	// Versioned routes must NOT carry the deprecation headers.
-	rec := do(s, http.MethodGet, "/v1/stats", "")
-	if rec.Header().Get("Deprecation") != "" {
-		t.Error("/v1/stats carries a Deprecation header")
 	}
 }
 

@@ -137,7 +137,7 @@ func TestStatsNoBankBlockWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestBankSurvivesSwapWithFreshSegment: after a hot-swap the segment list
+// TestBankSwapRetiresStatsSegments: after a hot-swap the segment list
 // names only the new epoch — the stats surface is how operators verify
 // the zero-stale-prices invariant in production.
 func TestBankSwapRetiresStatsSegments(t *testing.T) {
@@ -149,7 +149,11 @@ func TestBankSwapRetiresStatsSegments(t *testing.T) {
 	if b.Stats().Entries == 0 {
 		t.Fatal("warm query deposited nothing")
 	}
-	rec := do(s, http.MethodPost, "/v1/cities/coventry/swap", "")
+	s.snapDir = t.TempDir()
+	if rec := do(s, http.MethodPost, "/v1/cities/coventry/snapshots", `{"id": "next"}`); rec.Code != http.StatusCreated {
+		t.Fatalf("save status %d: %s", rec.Code, rec.Body.String())
+	}
+	rec := do(s, http.MethodPost, "/v1/cities/coventry/snapshots/next:activate", "")
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("swap status %d: %s", rec.Code, rec.Body.String())
 	}

@@ -5,8 +5,7 @@
 // TTL, and in-flight deduplication, so identical concurrent queries cost
 // one engine run and overload sheds fast instead of piling up.
 //
-// The API is versioned under /v1/ (see api.go; unversioned paths remain as
-// deprecated aliases):
+// The API is versioned under /v1/ (see api.go):
 //
 //	GET  /healthz                       liveness probe
 //	GET  /v1/metrics                    Prometheus text exposition
@@ -14,7 +13,9 @@
 //	GET  /v1/slo                        per-tenant SLO burn-rate reports
 //	GET  /v1/cities                     tenant list with epochs
 //	GET  /v1/cities/{name}              tenant detail
-//	POST /v1/cities/{name}/swap         hot-swap the tenant's engine (201)
+//	GET  /v1/cities/{name}/snapshots    list saved snapshots (POST saves one, 201)
+//	POST /v1/cities/{name}/snapshots/{id}:activate
+//	                                    hot-swap the tenant onto a snapshot (201)
 //	POST /v1/cities/{name}/scenario     apply a network-delta batch (201)
 //	GET  /v1/cities/{name}/scenario     applied deltas + blast radii
 //	DELETE /v1/cities/{name}/scenario   revert to the pinned baseline
@@ -49,7 +50,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -407,8 +407,7 @@ func (s *server) cityBody(info registry.Info) map[string]interface{} {
 }
 
 // handleCities serves GET /v1/cities — every tenant with its epoch, build
-// provenance, and breaker state — and is the successor of the single-city
-// GET /v1/city.
+// provenance, and breaker state.
 func (s *server) handleCities(w http.ResponseWriter, _ *http.Request) {
 	infos := s.reg.Infos()
 	cities := make([]map[string]interface{}, 0, len(infos))
@@ -424,15 +423,14 @@ func (s *server) handleCities(w http.ResponseWriter, _ *http.Request) {
 // handleCityItem dispatches the /v1/cities/{name} item and its
 // sub-resources: GET {name} (tenant detail including the POI catalogue),
 // GET/POST {name}/snapshots and POST {name}/snapshots/{id}:activate (the
-// snapshot store; see handleSnapshots), POST {name}/swap (deprecated
-// alias of snapshot activation; see handleSwap), and POST/GET/DELETE
+// snapshot store; see handleSnapshots), and POST/GET/DELETE
 // {name}/scenario (network deltas; see handleScenario).
 func (s *server) handleCityItem(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/cities/")
 	name, sub, _ := strings.Cut(rest, "/")
 	if name == "" || (strings.Contains(sub, "/") && !strings.HasPrefix(sub, "snapshots/")) {
 		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"want /v1/cities/{name}, /v1/cities/{name}/snapshots[/{id}:activate], /v1/cities/{name}/swap, or /v1/cities/{name}/scenario")
+			"want /v1/cities/{name}, /v1/cities/{name}/snapshots[/{id}:activate], or /v1/cities/{name}/scenario")
 		return
 	}
 	tn, ok := s.tenantFor(w, name)
@@ -446,17 +444,6 @@ func (s *server) handleCityItem(w http.ResponseWriter, r *http.Request) {
 	switch sub {
 	case "snapshots":
 		s.handleSnapshots(w, r, tn)
-	case "swap":
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
-			return
-		}
-		// The bare swap verb predates the snapshots resource; it keeps
-		// working through the standard deprecation shim until the shared
-		// sunset.
-		markDeprecated(w, "/v1/cities/{name}/swap", "/v1/cities/"+tn.Name+"/snapshots")
-		s.handleSwap(w, r, tn)
 	case "scenario":
 		s.handleScenario(w, r, tn)
 	case "":
@@ -486,48 +473,6 @@ func (s *server) handleCityItem(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, codeNotFound,
 			fmt.Sprintf("no sub-resource %q under /v1/cities/{name}", sub))
 	}
-}
-
-// handleSwap is POST /v1/cities/{name}/swap: install the tenant's next
-// engine epoch with zero downtime. An optional JSON body {"snapshot":
-// "path"} names the snapshot to load; without one, a snapshot-backed
-// tenant re-loads its recorded file and a preset tenant rebuilds from its
-// synth config. A snapshot that fails verification or names another city
-// is refused with 422 bad_snapshot and the current epoch keeps serving.
-func (s *server) handleSwap(w http.ResponseWriter, r *http.Request, tn *registry.Tenant) {
-	var body struct {
-		Snapshot string `json:"snapshot"`
-	}
-	if r.Body != nil {
-		// An empty body is a plain rebuild/reload; anything present must
-		// parse.
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil && !errors.Is(err, io.EOF) {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "bad JSON: "+err.Error())
-			return
-		}
-	}
-	var (
-		info    registry.Info
-		retired *registry.Retired
-		err     error
-	)
-	if body.Snapshot != "" {
-		info, retired, err = tn.SwapSnapshot(body.Snapshot)
-	} else {
-		info, retired, err = tn.Rebuild()
-	}
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, codeBadSnapshot, err.Error())
-		return
-	}
-	out := map[string]interface{}{"city": s.cityBody(info)}
-	if retired != nil {
-		out["retired_epoch"] = retired.Epoch
-	}
-	// The swap created a new engine epoch; point at the tenant that now
-	// serves it.
-	w.Header().Set("Location", "/v1/cities/"+tn.Name)
-	writeJSON(w, http.StatusCreated, out)
 }
 
 // handleScenario serves the /v1/cities/{name}/scenario sub-resource.
@@ -859,7 +804,6 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // /v1/jobs/{id}, which cancels a queued or running job.
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	id = strings.TrimPrefix(id, "/jobs/") // deprecated unversioned alias
 	id, wantTrace := strings.CutSuffix(id, "/trace")
 	var wantProfile bool
 	if !wantTrace {

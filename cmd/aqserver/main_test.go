@@ -91,7 +91,7 @@ func testServer(t *testing.T) *server {
 }
 
 // do routes a request through the full handler stack (method enforcement,
-// content-type checks, metrics, deprecation aliases), as a client would.
+// content-type checks, metrics), as a client would.
 func do(s *server, method, target, body string) *httptest.ResponseRecorder {
 	var req *http.Request
 	if body != "" {
@@ -175,33 +175,6 @@ func TestHandleCities(t *testing.T) {
 	}
 	if env := decodeError(t, rec); env.Error.Code != "unknown_city" {
 		t.Errorf("unknown city error code %q", env.Error.Code)
-	}
-}
-
-// TestHandleCityDeprecatedAlias: the old single-city GET /v1/city stays
-// routable as a deprecated alias of the listing.
-func TestHandleCityDeprecatedAlias(t *testing.T) {
-	s := testServer(t)
-	rec := do(s, http.MethodGet, "/v1/city", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if rec.Header().Get("Deprecation") != aliasDeprecation {
-		t.Error("alias response missing Deprecation header")
-	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, "/v1/cities") {
-		t.Errorf("Link header %q should name /v1/cities", link)
-	}
-	var body struct {
-		Cities []struct {
-			Name string `json:"name"`
-		} `json:"cities"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Cities) != 1 || body.Cities[0].Name != "coventry" {
-		t.Errorf("alias body %+v", body)
 	}
 }
 

@@ -156,15 +156,14 @@ func TestMultiCityRouting(t *testing.T) {
 // flagged epoch_stale.
 func TestSwapEpochStaleCacheHit(t *testing.T) {
 	s, reg := multiCityServer(t, serve.Config{Workers: 2})
-	dir := multiCitySnaps(t)
+	s.snapDir = multiCitySnaps(t)
 
 	first := postQueryResp(t, s, "/v1/query", `{"category": "school", "seed": 41}`)
 	if first.Cache.Hit || first.Cache.Epoch != 1 || first.Cache.EpochStale {
 		t.Fatalf("first run: %+v", first.Cache)
 	}
 
-	rec := do(s, http.MethodPost, "/v1/cities/coventry/swap",
-		fmt.Sprintf(`{"snapshot": %q}`, filepath.Join(dir, "covB.snap")))
+	rec := do(s, http.MethodPost, "/v1/cities/coventry/snapshots/covB:activate", "")
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("swap status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -198,11 +197,11 @@ func TestSwapEpochStaleCacheHit(t *testing.T) {
 
 	// A bad snapshot is refused with 422 and the current epoch keeps
 	// serving.
-	bad := filepath.Join(t.TempDir(), "bad.snap")
-	if err := os.WriteFile(bad, []byte("AQSNAPnot-really"), 0o644); err != nil {
+	s.snapDir = t.TempDir()
+	if err := os.WriteFile(s.snapshotPath("bad"), []byte("AQSNAPnot-really"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec = do(s, http.MethodPost, "/v1/cities/coventry/swap", fmt.Sprintf(`{"snapshot": %q}`, bad))
+	rec = do(s, http.MethodPost, "/v1/cities/coventry/snapshots/bad:activate", "")
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("bad snapshot status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -227,7 +226,7 @@ func TestSwapUnderLoad(t *testing.T) {
 	// Cache disabled: every request must take the engine path so swaps are
 	// continuously raced against real runs.
 	s, reg := multiCityServer(t, serve.Config{Workers: 4, CacheSize: -1, QueueDepth: 256})
-	dir := multiCitySnaps(t)
+	s.snapDir = multiCitySnaps(t)
 	tn, _ := reg.Get("coventry")
 
 	const swaps = 6
@@ -275,11 +274,10 @@ func TestSwapUnderLoad(t *testing.T) {
 		}(g)
 	}
 
-	snaps := []string{filepath.Join(dir, "covB.snap"), filepath.Join(dir, "covA.snap")}
+	snaps := []string{"covB", "covA"}
 	for i := 0; i < swaps; i++ {
 		time.Sleep(50 * time.Millisecond) // let queries race the current epoch
-		rec := do(s, http.MethodPost, "/v1/cities/coventry/swap",
-			fmt.Sprintf(`{"snapshot": %q}`, snaps[i%2]))
+		rec := do(s, http.MethodPost, "/v1/cities/coventry/snapshots/"+snaps[i%2]+":activate", "")
 		if rec.Code != http.StatusCreated {
 			t.Errorf("swap %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}

@@ -5,9 +5,8 @@
 //	POST /v1/cities/{name}/snapshots                → save the current engine (v2 format)
 //	POST /v1/cities/{name}/snapshots/{id}:activate  → hot-swap the tenant onto a snapshot
 //
-// Activation subsumes the older POST {name}/swap flow: the same registry
-// swap runs underneath, with the same 422 bad_snapshot refusal semantics
-// (a snapshot that fails verification never unseats the serving epoch).
+// Activation runs a registry swap: a snapshot that fails verification is
+// refused with 422 bad_snapshot and never unseats the serving epoch.
 package main
 
 import (

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"accessquery/internal/serve"
@@ -118,7 +117,7 @@ func TestSnapshotsAPI(t *testing.T) {
 		t.Fatalf("escape attempt status %d, want 400 or 404", rec.Code)
 	}
 
-	// Activate: the resource-verb successor of POST {name}/swap.
+	// Activate: the hot-swap verb.
 	rec = do(s, http.MethodPost, "/v1/cities/coventry/snapshots/pinned:activate", "")
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("activate status %d: %s", rec.Code, rec.Body.String())
@@ -185,31 +184,5 @@ func TestSnapshotsAPI(t *testing.T) {
 	}
 	if city.Epoch != 2 {
 		t.Fatalf("epoch after refused activation = %d, want 2", city.Epoch)
-	}
-}
-
-// TestSwapDeprecatedHeaders checks the legacy swap verb still works but
-// announces its successor: RFC 9745 Deprecation, RFC 8594 Sunset, and a
-// Link to the snapshots resource on every response.
-func TestSwapDeprecatedHeaders(t *testing.T) {
-	s, _ := multiCityServer(t, serve.Config{Workers: 1})
-	s.snapDir = t.TempDir()
-	rec := do(s, http.MethodPost, "/v1/cities/coventry/snapshots", `{"id":"for-swap"}`)
-	if rec.Code != http.StatusCreated {
-		t.Fatalf("save status %d: %s", rec.Code, rec.Body.String())
-	}
-	path := filepath.Join(s.snapDir, "for-swap.snap")
-	rec = do(s, http.MethodPost, "/v1/cities/coventry/swap", `{"snapshot":"`+path+`"}`)
-	if rec.Code != http.StatusOK && rec.Code != http.StatusCreated {
-		t.Fatalf("swap status %d: %s", rec.Code, rec.Body.String())
-	}
-	if rec.Header().Get("Deprecation") != aliasDeprecation {
-		t.Errorf("Deprecation = %q, want %q", rec.Header().Get("Deprecation"), aliasDeprecation)
-	}
-	if rec.Header().Get("Sunset") != aliasSunset {
-		t.Errorf("Sunset = %q, want %q", rec.Header().Get("Sunset"), aliasSunset)
-	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, "/v1/cities/coventry/snapshots") {
-		t.Errorf("Link = %q, want a successor-version pointer to the snapshots resource", link)
 	}
 }

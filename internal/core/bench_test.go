@@ -115,42 +115,24 @@ func BenchmarkEngineRunWarmBank(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadEngine compares cold-start snapshot decoding across format
-// versions: v1 gob decode (every leaf and node array re-allocated and
-// re-parsed) versus the v2 flat layout (sections checksum-verified and
-// aliased straight out of the mapping). The sub-benchmarks isolate the
-// decode step — city regeneration is identical for both formats and would
-// only dilute the format comparison. The acceptance target for this PR is
-// >=10x for v2-mmap over v1-gob.
+// BenchmarkLoadEngine measures cold-start snapshot decoding: sections are
+// checksum-verified and aliased straight out of the mapping. It isolates
+// the decode step — city regeneration would only dilute it.
 func BenchmarkLoadEngine(b *testing.B) {
 	city := benchCity(b)
 	e, err := NewEngine(city, EngineOptions{Interval: benchInterval(), Parallelism: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
-	v1 := filepath.Join(dir, "v1.snap")
-	v2 := filepath.Join(dir, "v2.snap")
-	if err := e.saveSnapshotV1(v1); err != nil {
+	path := filepath.Join(b.TempDir(), "engine.snap")
+	if err := e.SaveSnapshot(path); err != nil {
 		b.Fatal(err)
 	}
-	if err := e.SaveSnapshot(v2); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name string
-		path string
-	}{
-		{"v1-gob", v1},
-		{"v2-mmap", v2},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := readSnapshot(bc.path); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := readSnapshot(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

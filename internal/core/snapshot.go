@@ -34,35 +34,33 @@ type Snapshot struct {
 	Isochrones *isochrone.Set
 	Forest     *hoptree.Forest
 
-	// Provenance recorded by the v2 format: the city name and engine epoch
-	// that produced the snapshot, and the save time. Zero for v1 files,
-	// which predate them.
+	// Provenance: the city name and engine epoch that produced the
+	// snapshot, and the save time.
 	City        string
 	Epoch       uint64
 	CreatedUnix int64
 }
 
-// Two on-disk formats share the "AQSNAP" magic and a big-endian uint16
-// version at offset 6, so either reader can identify the other's files and
-// refuse them precisely. Version 1 is a 48-byte header (magic, version,
-// payload length, SHA-256) followed by one gob payload; version 2 — the
-// format SaveSnapshot writes — is the flat, mmap-able section layout
-// documented in snapv2.go. Headers exist so a registry asked to hot-swap a
-// snapshot can refuse a truncated copy, a partial write, or a file that is
-// not a snapshot at all with a precise SnapshotError instead of surfacing
-// whatever confusing state a decoder happens to trip over — and keep the
-// old epoch serving.
+// A snapshot file opens with the "AQSNAP" magic and a big-endian uint16
+// format version at offset 6; the rest is the flat, mmap-able section
+// layout documented in snapv2.go. The header exists so a registry asked to
+// hot-swap a snapshot can refuse a truncated copy, a partial write, a file
+// from another build's format, or a file that is not a snapshot at all with
+// a precise SnapshotError instead of surfacing whatever confusing state a
+// decoder happens to trip over — and keep the old epoch serving.
 const (
 	snapshotMagic = "AQSNAP"
 
-	snapshotV1Version   uint16 = 1
-	snapshotV1HeaderLen        = 6 + 2 + 8 + sha256.Size
-
-	// SnapshotVersion is the version SaveSnapshot writes. LoadEngine reads
-	// this and the v1 format; anything else is refused rather than
-	// mis-decoded.
+	// SnapshotVersion is the one format version SaveSnapshot writes and
+	// LoadEngine reads; any other is refused rather than mis-decoded.
 	SnapshotVersion = snapshotV2Version
 )
+
+// unsupportedVersion is the rejection for a well-formed header carrying a
+// format version this build does not read.
+func unsupportedVersion(path string, version uint16) *SnapshotError {
+	return &SnapshotError{Path: path, Reason: fmt.Sprintf("unsupported format version %d (this build reads only version %d; re-save the snapshot with a current build)", version, snapshotV2Version)}
+}
 
 // SnapshotError reports why a snapshot file was rejected before (or while)
 // decoding: wrong magic, unsupported version, truncation, or a checksum
@@ -155,9 +153,9 @@ func (e *Engine) SaveSnapshotEpoch(path string, epoch uint64) error {
 	return file.Close()
 }
 
-// readSnapshot reads and verifies a snapshot file of either format. Every
-// rejection is a *SnapshotError naming the precise reason. The returned
-// source carries the mapping keep-alive for v2 files.
+// readSnapshot reads and verifies a snapshot file. Every rejection is a
+// *SnapshotError naming the precise reason. The returned source carries the
+// mapping keep-alive.
 func readSnapshot(path string) (*Snapshot, *SnapshotSource, error) {
 	m, err := mapSnapshot(path)
 	if err != nil {
@@ -172,75 +170,38 @@ func readSnapshot(path string) (*Snapshot, *SnapshotSource, error) {
 		m.close()
 		return nil, nil, &SnapshotError{Path: path, Reason: "not an accessquery snapshot (bad magic; re-save with a current build)"}
 	}
-	version := binary.BigEndian.Uint16(raw[6:8])
-	switch version {
-	case snapshotV1Version:
-		snap, err := readSnapshotV1(path, raw)
-		var checksum string
-		if len(raw) >= snapshotV1HeaderLen {
-			checksum = hex.EncodeToString(raw[16 : 16+sha256.Size])
-		}
-		m.close() // v1 decodes onto the heap; nothing aliases the file
-		if err != nil {
-			return nil, nil, err
-		}
-		src := &SnapshotSource{
-			Path:      path,
-			Version:   snapshotV1Version,
-			SizeBytes: int64(len(raw)),
-			Checksum:  checksum,
-		}
-		return snap, src, nil
-	case snapshotV2Version:
-		sections, err := parseSnapshotV2(path, raw)
-		if err != nil {
-			m.close()
-			return nil, nil, err
-		}
-		snap, err := snapshotFromSections(path, sections)
-		if err != nil {
-			m.close()
-			return nil, nil, err
-		}
-		tableEnd := snapV2HeaderLen + len(sections)*snapV2EntryLen
-		sum := sha256.Sum256(raw[:tableEnd])
-		src := &SnapshotSource{
-			Path:        path,
-			Version:     snapshotV2Version,
-			SizeBytes:   int64(len(raw)),
-			Checksum:    hex.EncodeToString(sum[:]),
-			MmapBytes:   m.residentBytes(),
-			City:        snap.City,
-			Epoch:       snap.Epoch,
-			CreatedUnix: snap.CreatedUnix,
-			mapping:     m,
-		}
-		return snap, src, nil
-	default:
+	if version := binary.BigEndian.Uint16(raw[6:8]); version != snapshotV2Version {
 		m.close()
-		return nil, nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("unsupported format version %d (this build reads %d and %d)", version, snapshotV1Version, snapshotV2Version)}
+		return nil, nil, unsupportedVersion(path, version)
 	}
-}
-
-// readSnapshotV1 verifies the fixed v1 header — length and checksum — and
-// gob-decodes the payload through the legacy shadow structs.
-func readSnapshotV1(path string, raw []byte) (*Snapshot, error) {
-	if len(raw) < snapshotV1HeaderLen {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: %d bytes is shorter than the %d-byte header", len(raw), snapshotV1HeaderLen)}
+	sections, err := parseSnapshotV2(path, raw)
+	if err != nil {
+		m.close()
+		return nil, nil, err
 	}
-	declared := binary.BigEndian.Uint64(raw[8:16])
-	payload := raw[snapshotV1HeaderLen:]
-	if uint64(len(payload)) != declared {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: header declares %d payload bytes, file has %d", declared, len(payload))}
+	snap, err := snapshotFromSections(path, sections)
+	if err != nil {
+		m.close()
+		return nil, nil, err
 	}
-	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], raw[16:16+sha256.Size]) {
-		return nil, &SnapshotError{Path: path, Reason: "checksum mismatch (corrupt or partially written)"}
+	tableEnd := snapV2HeaderLen + len(sections)*snapV2EntryLen
+	sum := sha256.Sum256(raw[:tableEnd])
+	src := &SnapshotSource{
+		Path:        path,
+		Version:     snapshotV2Version,
+		SizeBytes:   int64(len(raw)),
+		Checksum:    hex.EncodeToString(sum[:]),
+		MmapBytes:   m.residentBytes(),
+		City:        snap.City,
+		Epoch:       snap.Epoch,
+		CreatedUnix: snap.CreatedUnix,
+		mapping:     m,
 	}
-	return decodeSnapshotV1(path, payload)
+	return snap, src, nil
 }
 
 // InspectSnapshot reads just enough of a snapshot file to describe it —
-// header, section table, and (for v2) the small meta section — without
+// header, section table, and the small meta section — without
 // decoding or mapping the numeric payloads. Listing a directory of
 // snapshots stays cheap regardless of their size.
 func InspectSnapshot(path string) (*SnapshotSource, error) {
@@ -261,63 +222,54 @@ func InspectSnapshot(path string) (*SnapshotSource, error) {
 		return nil, &SnapshotError{Path: path, Reason: "not an accessquery snapshot (bad magic; re-save with a current build)"}
 	}
 	version := binary.BigEndian.Uint16(header[6:8])
-	src := &SnapshotSource{Path: path, Version: version, SizeBytes: st.Size()}
-	switch version {
-	case snapshotV1Version:
-		h := make([]byte, snapshotV1HeaderLen)
-		if _, err := f.ReadAt(h, 0); err != nil {
-			return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: %d bytes is shorter than the %d-byte header", st.Size(), snapshotV1HeaderLen)}
-		}
-		src.Checksum = hex.EncodeToString(h[16 : 16+sha256.Size])
-		return src, nil
-	case snapshotV2Version:
-		count := int(binary.BigEndian.Uint32(header[8:12]))
-		if count <= 0 || count > 1<<10 {
-			return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("implausible section count %d", count)}
-		}
-		table := make([]byte, snapV2HeaderLen+count*snapV2EntryLen)
-		if _, err := f.ReadAt(table, 0); err != nil {
-			return nil, &SnapshotError{Path: path, Reason: "truncated: section table is incomplete"}
-		}
-		sum := sha256.Sum256(table)
-		src.Checksum = hex.EncodeToString(sum[:])
-		for i := 0; i < count; i++ {
-			entry := table[snapV2HeaderLen+i*snapV2EntryLen:]
-			if string(bytes.TrimRight(entry[:16], "\x00")) != "meta" {
-				continue
-			}
-			off := binary.BigEndian.Uint64(entry[16:24])
-			length := binary.BigEndian.Uint64(entry[24:32])
-			if length > 1<<24 || int64(off)+int64(length) > st.Size() {
-				return nil, &SnapshotError{Path: path, Reason: "truncated: meta section is out of bounds"}
-			}
-			metaRaw := make([]byte, length)
-			if _, err := f.ReadAt(metaRaw, int64(off)); err != nil {
-				return nil, &SnapshotError{Path: path, Reason: "truncated: meta section is incomplete"}
-			}
-			if s := sha256.Sum256(metaRaw); !bytes.Equal(s[:], entry[32:64]) {
-				return nil, &SnapshotError{Path: path, Reason: `checksum mismatch in section "meta" (corrupt or partially written)`}
-			}
-			var meta snapMetaV2
-			if err := gob.NewDecoder(bytes.NewReader(metaRaw)).Decode(&meta); err != nil {
-				return nil, &SnapshotError{Path: path, Reason: `malformed section "meta"`, Err: err}
-			}
-			src.City = meta.City
-			src.Epoch = meta.Epoch
-			src.CreatedUnix = meta.CreatedUnix
-		}
-		return src, nil
-	default:
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("unsupported format version %d (this build reads %d and %d)", version, snapshotV1Version, snapshotV2Version)}
+	if version != snapshotV2Version {
+		return nil, unsupportedVersion(path, version)
 	}
+	src := &SnapshotSource{Path: path, Version: version, SizeBytes: st.Size()}
+	count := int(binary.BigEndian.Uint32(header[8:12]))
+	if count <= 0 || count > 1<<10 {
+		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("implausible section count %d", count)}
+	}
+	table := make([]byte, snapV2HeaderLen+count*snapV2EntryLen)
+	if _, err := f.ReadAt(table, 0); err != nil {
+		return nil, &SnapshotError{Path: path, Reason: "truncated: section table is incomplete"}
+	}
+	sum := sha256.Sum256(table)
+	src.Checksum = hex.EncodeToString(sum[:])
+	for i := 0; i < count; i++ {
+		entry := table[snapV2HeaderLen+i*snapV2EntryLen:]
+		if string(bytes.TrimRight(entry[:16], "\x00")) != "meta" {
+			continue
+		}
+		off := binary.BigEndian.Uint64(entry[16:24])
+		length := binary.BigEndian.Uint64(entry[24:32])
+		if length > 1<<24 || int64(off)+int64(length) > st.Size() {
+			return nil, &SnapshotError{Path: path, Reason: "truncated: meta section is out of bounds"}
+		}
+		metaRaw := make([]byte, length)
+		if _, err := f.ReadAt(metaRaw, int64(off)); err != nil {
+			return nil, &SnapshotError{Path: path, Reason: "truncated: meta section is incomplete"}
+		}
+		if s := sha256.Sum256(metaRaw); !bytes.Equal(s[:], entry[32:64]) {
+			return nil, &SnapshotError{Path: path, Reason: `checksum mismatch in section "meta" (corrupt or partially written)`}
+		}
+		var meta snapMetaV2
+		if err := gob.NewDecoder(bytes.NewReader(metaRaw)).Decode(&meta); err != nil {
+			return nil, &SnapshotError{Path: path, Reason: `malformed section "meta"`, Err: err}
+		}
+		src.City = meta.City
+		src.Epoch = meta.Epoch
+		src.CreatedUnix = meta.CreatedUnix
+	}
+	return src, nil
 }
 
 // LoadEngine restores an engine from a snapshot: the header and checksums
 // are verified (see SnapshotError), the city is regenerated from its
 // recorded configuration (deterministic in the seed), and the pre-computed
-// structures are installed without recomputation. For v2 snapshots the
-// numeric sections are mmap'd and served in place — pages fault in lazily
-// — instead of being gob-decoded onto the heap.
+// structures are installed without recomputation. The numeric sections are
+// mmap'd and served in place — pages fault in lazily — instead of being
+// decoded onto the heap.
 func LoadEngine(path string) (*Engine, error) {
 	// Chaos-test injection site for snapshot load failures.
 	if err := fault.Check(fault.SiteSnapshot); err != nil {

@@ -1,7 +1,6 @@
 package hoptree
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -302,45 +301,6 @@ func TestForestAndChaining(t *testing.T) {
 	}
 	if f.ReachableInto(hops, -1, 2, &scratch) != 0 {
 		t.Error("invalid start should report zero reachable zones")
-	}
-}
-
-func TestForestSaveLoad(t *testing.T) {
-	w := buildWorld(t)
-	b := newBuilder(t, w)
-	f, err := BuildForest(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "forest.gob")
-	if err := f.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Zones() != f.Zones() {
-		t.Fatalf("zones %d vs %d", got.Zones(), f.Zones())
-	}
-	for z := 0; z < f.Zones(); z++ {
-		a, bTree := f.Outbound(z), got.Outbound(z)
-		if a.Size() != bTree.Size() {
-			t.Errorf("zone %d outbound size %d vs %d", z, a.Size(), bTree.Size())
-		}
-		for i := range a.Leaves {
-			leaf := &a.Leaves[i]
-			gl := bTree.Leaf(int(leaf.Zone))
-			if gl == nil || gl.Visits != leaf.Visits || gl.RouteCount() != leaf.RouteCount() {
-				t.Errorf("zone %d leaf %d corrupted in round trip", z, leaf.Zone)
-			}
-		}
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
-		t.Error("loading missing file should fail")
 	}
 }
 

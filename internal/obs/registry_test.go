@@ -223,9 +223,9 @@ func TestTraceAndSpans(t *testing.T) {
 	h := r.Histogram("aq_span_seconds")
 	tr := NewTrace()
 	ctx := WithTrace(context.Background(), tr)
-	end := StartSpan(ctx, h, "matrix")
+	_, sp := Start(ctx, "matrix", h)
 	time.Sleep(time.Millisecond)
-	d := end()
+	d := sp.End()
 	if d <= 0 {
 		t.Fatalf("span duration %v", d)
 	}
@@ -237,8 +237,8 @@ func TestTraceAndSpans(t *testing.T) {
 		t.Fatalf("histogram count %d, want 1", h.Count())
 	}
 	// Traceless contexts and nil histograms are no-ops, not panics.
-	end = StartSpan(context.Background(), nil, "x")
-	if end() < 0 {
+	_, sp = Start(context.Background(), "x", nil)
+	if sp.End() < 0 {
 		t.Fatal("negative duration")
 	}
 	var nilTrace *Trace

@@ -124,11 +124,3 @@ func (s Span) SetBool(key string, v bool) {
 	sp := &s.tr.spans[s.idx]
 	sp.attrs = append(sp.attrs, BoolAttr(key, v))
 }
-
-// StartSpan is the legacy flat-span API: it begins a named stage and
-// returns a stop function recording into h and the context's trace.
-// Superseded by Start, which supports hierarchy and attributes.
-func StartSpan(ctx context.Context, h *HistogramMetric, name string) func() time.Duration {
-	_, sp := Start(ctx, name, h)
-	return sp.End
-}

@@ -16,6 +16,7 @@ package router
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 
 	"accessquery/internal/fault"
@@ -99,7 +100,16 @@ func New(road *graph.Graph, index *gtfs.Index, stopNode map[gtfs.StopID]graph.No
 		stopsAtNode: make(map[graph.NodeID][]gtfs.StopID, len(stopNode)),
 		opts:        opts.withDefaults(),
 	}
-	for sid, nid := range stopNode {
+	// Stops are welded in StopID order, not map order: the per-node stop
+	// order decides which boarding wins an arrival-time tie, so it must be
+	// the same in every process.
+	sids := make([]gtfs.StopID, 0, len(stopNode))
+	for sid := range stopNode {
+		sids = append(sids, sid)
+	}
+	slices.Sort(sids)
+	for _, sid := range sids {
+		nid := stopNode[sid]
 		r.stopsAtNode[nid] = append(r.stopsAtNode[nid], sid)
 	}
 	r.arenaPool.New = func() interface{} { return new(profileArena) }

@@ -157,82 +157,6 @@ func TestKDTreeDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestGridInsertAndRadius(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	items := randomItems(rng, 500, 6000)
-	g := NewGrid(center, 400)
-	for _, it := range items {
-		g.Insert(it)
-	}
-	if g.Len() != 500 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	for trial := 0; trial < 25; trial++ {
-		q := geo.Offset(center, (rng.Float64()-0.5)*12000, (rng.Float64()-0.5)*12000)
-		r := rng.Float64() * 3000
-		got := g.WithinRadius(q, r)
-		var want int
-		for _, it := range items {
-			if geo.DistanceMeters(q, it.Point) <= r {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("grid WithinRadius = %d, want %d", len(got), want)
-		}
-	}
-}
-
-func TestGridNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	items := randomItems(rng, 200, 9000)
-	g := NewGrid(center, 750)
-	for _, it := range items {
-		g.Insert(it)
-	}
-	for trial := 0; trial < 40; trial++ {
-		q := geo.Offset(center, (rng.Float64()-0.5)*30000, (rng.Float64()-0.5)*30000)
-		got, ok := g.Nearest(q)
-		if !ok {
-			t.Fatal("Nearest reported !ok on non-empty grid")
-		}
-		want := bruteKNN(items, q, 1)[0]
-		if math.Abs(got.Meters-want.Meters) > 1e-6 {
-			t.Fatalf("Nearest = %f (id %d), want %f (id %d)",
-				got.Meters, got.Item.ID, want.Meters, want.Item.ID)
-		}
-	}
-}
-
-func TestGridEmpty(t *testing.T) {
-	g := NewGrid(center, 500)
-	if _, ok := g.Nearest(center); ok {
-		t.Error("Nearest on empty grid should report !ok")
-	}
-	if res := g.WithinRadius(center, 1000); res != nil {
-		t.Errorf("WithinRadius on empty grid = %v", res)
-	}
-}
-
-func TestGridDefaultCellSize(t *testing.T) {
-	g := NewGrid(center, -5)
-	g.Insert(Item{ID: 1, Point: center})
-	if n, ok := g.Nearest(center); !ok || n.Item.ID != 1 {
-		t.Error("grid with defaulted cell size should still work")
-	}
-}
-
-func TestGridFarAwayQuery(t *testing.T) {
-	g := NewGrid(center, 200)
-	g.Insert(Item{ID: 9, Point: center})
-	// Query from ~2000 km away: forces the full-scan fallback path.
-	q := geo.Point{Lat: 40.0, Lon: 10.0}
-	n, ok := g.Nearest(q)
-	if !ok || n.Item.ID != 9 {
-		t.Fatalf("far query: %+v ok=%v", n, ok)
-	}
-}
-
 func BenchmarkKDTreeKNearest(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	items := randomItems(rng, 3000, 15000)
@@ -244,22 +168,5 @@ func BenchmarkKDTreeKNearest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tr.KNearest(queries[i%len(queries)], 1)
-	}
-}
-
-func BenchmarkGridWithinRadius(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	items := randomItems(rng, 3000, 15000)
-	g := NewGrid(center, 500)
-	for _, it := range items {
-		g.Insert(it)
-	}
-	queries := make([]geo.Point, 256)
-	for i := range queries {
-		queries[i] = geo.Offset(center, (rng.Float64()-0.5)*30000, (rng.Float64()-0.5)*30000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.WithinRadius(queries[i%len(queries)], 600)
 	}
 }
