@@ -45,6 +45,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -646,7 +647,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.City = tn.Name
-	if len(core.POIsOf(tn.Engine().City, synth.POICategory(req.Category))) == 0 {
+	if len(tn.Engine().City.POIs[synth.POICategory(req.Category)]) == 0 {
 		writeError(w, http.StatusBadRequest, codeBadRequest,
 			fmt.Sprintf("unknown or empty POI category %q", req.Category))
 		return
@@ -670,8 +671,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	res, err := s.mgr.Wait(r.Context(), job)
-	if err != nil {
+	if _, err := s.mgr.Wait(r.Context(), job); err != nil {
 		status, code := http.StatusInternalServerError, codeInternal
 		switch {
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -685,16 +685,59 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := job.Snapshot()
-	body := resultBody(res, req.IncludeZones)
-	addRobustness(body, res, snap)
+	var explain *core.ExplainReport
 	if r.URL.Query().Get("explain") == "1" {
 		// The job snapshot carries the run's span tree (or, on a cache
 		// hit, the producing run's); fold its execution report in.
-		if rep := core.Explain(snap.Trace); rep != nil {
-			body["explain"] = rep
-		}
+		explain = core.Explain(snap.Trace)
 	}
-	writeJSON(w, http.StatusOK, body)
+	writeAnswer(w, snap, req.IncludeZones, explain)
+}
+
+// writeAnswer writes a /v1/query answer: the blocks that differ per
+// request ("cache" first, as in an encoded map), then the result's
+// encoding, stored with the result and shared by the miss that produced it
+// and every later cache hit.
+func writeAnswer(w http.ResponseWriter, snap serve.Snapshot, includeZones bool, explain *core.ExplainReport) {
+	result := encodedResult(snap, includeZones)
+	blocks := provenance(snap)
+	if explain != nil {
+		blocks = append(blocks, block{"explain", explain})
+	}
+	var buf bytes.Buffer
+	buf.Grow(len(result) + 256)
+	sep := byte('{')
+	for _, bl := range blocks {
+		b, err := json.Marshal(bl.value)
+		if err != nil {
+			olog.Default.Error("encoding response", olog.Err(err))
+			continue
+		}
+		buf.WriteByte(sep)
+		fmt.Fprintf(&buf, "%q:%s", bl.name, b)
+		sep = ','
+	}
+	if len(result) > len("{}") {
+		buf.WriteByte(sep)
+		buf.Write(result[1 : len(result)-1]) // the object's members
+	}
+	buf.WriteString("}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes()) // a client that went away is not an error to report
+}
+
+// encodedResult returns resultBody's JSON object for a done job, encoding
+// it only if no earlier response for the same result has.
+func encodedResult(snap serve.Snapshot, includeZones bool) []byte {
+	return snap.Body.Get(includeZones, func() []byte {
+		b, err := json.Marshal(resultBody(snap.Result, includeZones))
+		if err != nil {
+			olog.Default.Error("encoding result", olog.Err(err))
+			return []byte("{}")
+		}
+		return b
+	})
 }
 
 // writeSubmitError maps admission failures to HTTP codes: a full queue is
@@ -719,13 +762,17 @@ func (s *server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// addRobustness folds the degradation, staleness, and provenance metadata
-// into a query or job response, so reduced fidelity — and which engine
-// epoch computed the answer — is always visible to the client.
-func addRobustness(body map[string]interface{}, res *core.Result, snap serve.Snapshot) {
-	if res != nil && res.Degraded != nil {
-		body["degraded"] = res.Degraded
-	}
+// block is one named member of a response object.
+type block struct {
+	name  string
+	value interface{}
+}
+
+// provenance lists what a query or job response says about how its answer
+// was served, so reduced fidelity, staleness and which engine epoch
+// computed it are always visible to the client: "cache" always, then
+// "degraded" and "stale" when they apply.
+func provenance(snap serve.Snapshot) []block {
 	cache := map[string]interface{}{
 		"hit":  snap.CacheHit,
 		"city": snap.City,
@@ -738,7 +785,10 @@ func addRobustness(body map[string]interface{}, res *core.Result, snap serve.Sna
 		// newer engine since it was computed.
 		cache["epoch_stale"] = true
 	}
-	body["cache"] = cache
+	blocks := []block{{"cache", cache}}
+	if snap.Result != nil && snap.Result.Degraded != nil {
+		blocks = append(blocks, block{"degraded", snap.Result.Degraded})
+	}
 	if snap.Stale {
 		stale := map[string]interface{}{
 			"served_from_expired_cache": true,
@@ -747,8 +797,9 @@ func addRobustness(body map[string]interface{}, res *core.Result, snap serve.Sna
 		if snap.Epoch > 0 {
 			stale["epoch"] = snap.Epoch
 		}
-		body["stale"] = stale
+		blocks = append(blocks, block{"stale", stale})
 	}
+	return blocks
 }
 
 // handleJobs serves GET /v1/jobs: the job listing with optional ?state=
@@ -885,8 +936,10 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		body["error"] = snap.Error
 	}
 	if snap.State == serve.StateDone && snap.Result != nil {
-		body["result"] = resultBody(snap.Result, r.URL.Query().Get("include_zones") == "1")
-		addRobustness(body, snap.Result, snap)
+		body["result"] = json.RawMessage(encodedResult(snap, r.URL.Query().Get("include_zones") == "1"))
+		for _, bl := range provenance(snap) {
+			body[bl.name] = bl.value
+		}
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -900,10 +953,10 @@ func resultBody(res *core.Result, includeZones bool) map[string]interface{} {
 		"spqs":            res.Timing.SPQs,
 		"elapsed_ms":      res.Timing.Total().Milliseconds(),
 	}
-	if res.Matrix != nil {
-		body["matrix_trips"] = res.Matrix.Size()
-		body["matrix_full"] = res.Matrix.FullSize()
-		body["reduction_pct"] = res.Matrix.Reduction()
+	if ms := res.MatrixStats; ms.FullTrips > 0 {
+		body["matrix_trips"] = ms.Trips
+		body["matrix_full"] = ms.FullTrips
+		body["reduction_pct"] = ms.ReductionPct
 	}
 	if includeZones {
 		type zoneOut struct {

@@ -209,6 +209,11 @@ type Labeler struct {
 	Abandoned int64
 	// sleep is swapped by tests to avoid real backoff waits.
 	sleep func(time.Duration)
+	// search is swapped by tests to compare against the exhaustive profile;
+	// nil means Router.ProfileTo.
+	search func(origin graph.NodeID, start gtfs.Seconds, targets []graph.NodeID) (*router.Profile, error)
+	// targets is the per-start-group target buffer, reused across groups.
+	targets []graph.NodeID
 }
 
 const (
@@ -216,13 +221,18 @@ const (
 	retryMaxBackoff  = 50 * time.Millisecond
 )
 
-// profile runs one profile search with the labeler's retry policy:
-// transient failures are re-attempted up to MaxAttempts with capped
-// exponential backoff; anything else fails immediately.
-func (l *Labeler) profile(origin graph.NodeID, start gtfs.Seconds) (*router.Profile, error) {
+// profile runs one profile search, bounded to the nodes in targets, with
+// the labeler's retry policy: transient failures are re-attempted up to
+// MaxAttempts with capped exponential backoff; anything else fails
+// immediately.
+func (l *Labeler) profile(origin graph.NodeID, start gtfs.Seconds, targets []graph.NodeID) (*router.Profile, error) {
+	search := l.search
+	if search == nil {
+		search = l.Router.ProfileTo
+	}
 	backoff := retryBaseBackoff
 	for attempt := 1; ; attempt++ {
-		prof, err := l.Router.ProfileFrom(origin, start)
+		prof, err := search(origin, start, targets)
 		if err == nil || !fault.IsTransient(err) {
 			return prof, err
 		}
@@ -257,11 +267,17 @@ func (l *Labeler) expired() bool {
 // distinct start times rather than the trip count. SPQs still counts every
 // priced trip, matching the paper's workload accounting.
 //
+// The profile is searched only as far as the answer needs: it stops once
+// the POI nodes of the group's trips are settled, whose labels are final
+// by then (see package router), so every journey equals the exhaustive
+// search's.
+//
 // With a Bank attached, each start-time group first drains cached prices;
-// the shared profile search runs only when at least one trip missed, and
-// drained trips count in Drained rather than SPQs. Costs are appended in
-// the same trip order either way, so the zone's aggregates are bit-equal
-// to an unbanked run over the same engine generation.
+// the shared profile search runs only when at least one trip missed — and
+// then only towards the trips that missed — and drained trips count in
+// Drained rather than SPQs. Costs are appended in the same trip order
+// either way, so the zone's aggregates are bit-equal to an unbanked run
+// over the same engine generation.
 func (l *Labeler) LabelZone(zone int) (ZoneMeasure, bool, error) {
 	if zone < 0 || zone >= len(l.ZoneNode) {
 		return ZoneMeasure{}, false, fmt.Errorf("access: zone %d out of range", zone)
@@ -287,25 +303,33 @@ func (l *Labeler) LabelZone(zone int) (ZoneMeasure, bool, error) {
 		trips := byStart[start]
 		var prices []TripPrice
 		var hit []bool
-		needProfile := l.Bank == nil
 		if l.Bank != nil {
 			prices = make([]TripPrice, len(trips))
 			hit = make([]bool, len(trips))
-			for i, tr := range trips {
-				if tr.POI >= 0 && tr.POI < len(l.POINode) {
-					if p, ok := l.Bank.Drain(TripKey{Zone: zone, Dest: l.POINode[tr.POI], Start: start}); ok {
+		}
+		// The search is needed when any trip is left to price, and is
+		// bounded by the POI nodes of exactly those trips.
+		needProfile := false
+		targets := l.targets[:0]
+		for i, tr := range trips {
+			if tr.POI >= 0 && tr.POI < len(l.POINode) {
+				dest := l.POINode[tr.POI]
+				if l.Bank != nil {
+					if p, ok := l.Bank.Drain(TripKey{Zone: zone, Dest: dest, Start: start}); ok {
 						prices[i], hit[i] = p, true
 						l.Drained++
 						continue
 					}
 				}
-				needProfile = true
+				targets = append(targets, dest)
 			}
+			needProfile = true
 		}
+		l.targets = targets
 		var prof *router.Profile
 		if needProfile {
 			var err error
-			prof, err = l.profile(origin, start)
+			prof, err = l.profile(origin, start, targets)
 			if err != nil {
 				return ZoneMeasure{}, false, fmt.Errorf("access: zone %d: %w", zone, err)
 			}
@@ -403,7 +427,14 @@ func (l *Labeler) LabelZonePairs(zone int) ([]PairMeasure, error) {
 		if l.expired() {
 			return nil, fmt.Errorf("access: zone %d: %w", zone, context.DeadlineExceeded)
 		}
-		prof, err := l.profile(origin, start)
+		targets := l.targets[:0]
+		for _, tr := range byStart[start] {
+			if tr.POI >= 0 && tr.POI < len(l.POINode) {
+				targets = append(targets, l.POINode[tr.POI])
+			}
+		}
+		l.targets = targets
+		prof, err := l.profile(origin, start, targets)
 		if err != nil {
 			return nil, fmt.Errorf("access: zone %d: %w", zone, err)
 		}

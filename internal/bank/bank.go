@@ -39,11 +39,15 @@ import (
 	"time"
 
 	"accessquery/internal/access"
+	"accessquery/internal/graph"
+	"accessquery/internal/gtfs"
+	"accessquery/internal/router"
 )
 
 // DefaultCapacity bounds total live entries across all attached segments
-// when Config.Capacity is unset. A priced trip is ~100 bytes, so the
-// default costs on the order of 100 MB fully warm.
+// when Config.Capacity is unset. A priced trip is ~95 bytes all in (a
+// 52-byte slot in the deposit queue plus its entry in the key index), so
+// the default costs on the order of 100 MB fully warm.
 const DefaultCapacity = 1 << 20
 
 // Config tunes a Bank.
@@ -54,7 +58,8 @@ type Config struct {
 	// keeping the drain path cheap).
 	Capacity int
 	// TTL expires entries at drain time; 0 disables expiry. Expired entries
-	// read as misses and are reclaimed by overwrite or eviction.
+	// read as misses and are reclaimed by overwrite or eviction. Entry ages
+	// are kept in whole seconds.
 	TTL time.Duration
 	// Now overrides the clock in tests.
 	Now func() time.Time
@@ -66,9 +71,102 @@ type SegmentKey struct {
 	Epoch uint64 `json:"epoch"`
 }
 
+// tripKey and entry are access.TripKey and access.TripPrice at the width
+// the router produces them: a journey's components are float32 sums in the
+// search labels, so narrowing them back loses nothing, and a bank at
+// capacity holds a million of these. A price that would not survive the
+// round trip (only a foreign depositor can make one) is not stored —
+// Deposit is advisory, Drain exact.
+type tripKey struct {
+	zone, dest, start int32
+}
+
 type entry struct {
-	price access.TripPrice
-	added time.Time
+	depart, arrive                                              int32
+	accessWalk, egressWalk, transferWalk, wait, inVehicle, fare float32
+	boardings                                                   int16
+	reachable                                                   bool
+	// added is the deposit time in seconds since the bank was created.
+	added uint32
+}
+
+// slot is one stored trip.
+type slot struct {
+	key tripKey
+	entry
+}
+
+// slotQueue holds a segment's slots in deposit order, addressed by a
+// sequence number that only grows (and may wrap: positions are differences
+// of sequence numbers, which stay below 2^32). Slots live in fixed-size
+// chunks, so evicting from the front frees memory chunk by chunk and the
+// queue is never more than two chunks larger than what it holds.
+type slotQueue struct {
+	chunks [][]slot
+	base   uint32 // sequence number of chunks[0][0]
+	head   uint32 // oldest live slot
+	next   uint32 // what the next push gets
+}
+
+// queueChunk slots of 52 bytes fill 8 pages to within 16 bytes.
+const queueChunk = 1260
+
+func (q *slotQueue) len() int { return int(q.next - q.head) }
+
+func (q *slotQueue) at(seq uint32) *slot {
+	i := seq - q.base
+	return &q.chunks[i/queueChunk][i%queueChunk]
+}
+
+func (q *slotQueue) push(s slot) uint32 {
+	if int(q.next-q.base) == len(q.chunks)*queueChunk {
+		q.chunks = append(q.chunks, make([]slot, queueChunk))
+	}
+	seq := q.next
+	q.next++
+	*q.at(seq) = s
+	return seq
+}
+
+// pop removes the oldest slot. The queue must not be empty.
+func (q *slotQueue) pop() slot {
+	s := *q.at(q.head)
+	q.head++
+	if q.head-q.base == queueChunk {
+		q.chunks[0] = nil
+		q.chunks = q.chunks[1:]
+		q.base += queueChunk
+	}
+	return s
+}
+
+func packKey(k access.TripKey) tripKey {
+	return tripKey{zone: int32(k.Zone), dest: int32(k.Dest), start: int32(k.Start)}
+}
+
+func (k tripKey) unpack() access.TripKey {
+	return access.TripKey{Zone: int(k.zone), Dest: graph.NodeID(k.dest), Start: gtfs.Seconds(k.start)}
+}
+
+func packPrice(p access.TripPrice, added uint32) entry {
+	j := p.Journey
+	return entry{
+		depart: int32(j.Depart), arrive: int32(j.Arrive),
+		accessWalk: float32(j.AccessWalk), egressWalk: float32(j.EgressWalk),
+		transferWalk: float32(j.TransferWalk), wait: float32(j.Wait),
+		inVehicle: float32(j.InVehicle), fare: float32(j.Fare),
+		boardings: int16(j.Boardings), reachable: p.Reachable, added: added,
+	}
+}
+
+func (e entry) price() access.TripPrice {
+	return access.TripPrice{Reachable: e.reachable, Journey: router.Journey{
+		Depart: gtfs.Seconds(e.depart), Arrive: gtfs.Seconds(e.arrive),
+		AccessWalk: float64(e.accessWalk), EgressWalk: float64(e.egressWalk),
+		TransferWalk: float64(e.transferWalk), Wait: float64(e.wait),
+		InVehicle: float64(e.inVehicle), Fare: float64(e.fare),
+		Boardings: int(e.boardings),
+	}}
 }
 
 // Bank is the shared store. The zero value is not usable; call New.
@@ -76,6 +174,7 @@ type Bank struct {
 	capacity int
 	ttl      time.Duration
 	now      func() time.Time
+	born     time.Time // entry ages count from here
 
 	mu       sync.Mutex
 	segments map[SegmentKey]*Segment
@@ -101,9 +200,18 @@ func New(cfg Config) *Bank {
 		capacity: cfg.Capacity,
 		ttl:      cfg.TTL,
 		now:      cfg.Now,
+		born:     cfg.Now(),
 		segments: make(map[SegmentKey]*Segment),
 		floor:    make(map[string]uint64),
 	}
+}
+
+// age is the current time on the entries' clock.
+func (b *Bank) age() uint32 { return uint32(b.now().Sub(b.born) / time.Second) }
+
+// stale reports whether an entry deposited at added has outlived the TTL.
+func (b *Bank) stale(added, age uint32) bool {
+	return b.ttl > 0 && time.Duration(age-added)*time.Second > b.ttl
 }
 
 // Segment returns the store for one engine generation, creating it on
@@ -117,7 +225,7 @@ func (b *Bank) Segment(city string, epoch uint64) *Segment {
 	if s, ok := b.segments[key]; ok {
 		return s
 	}
-	s := &Segment{bank: b, key: key, entries: make(map[access.TripKey]entry)}
+	s := &Segment{bank: b, key: key, index: make(map[tripKey]uint32)}
 	if epoch < b.floor[city] {
 		s.detached = true
 		return s
@@ -171,14 +279,15 @@ func (b *Bank) CarryForward(city string, from, to uint64) int {
 		return 0
 	}
 	dst := b.Segment(city, to)
-	now := b.now()
+	age := b.age()
 	src.mu.RLock()
-	deps := make([]access.TripDeposit, 0, len(src.entries))
-	for k, e := range src.entries {
-		if b.ttl > 0 && now.Sub(e.added) > b.ttl {
+	deps := make([]access.TripDeposit, 0, src.slots.len())
+	for seq := src.slots.head; seq != src.slots.next; seq++ {
+		sl := src.slots.at(seq)
+		if b.stale(sl.added, age) {
 			continue
 		}
-		deps = append(deps, access.TripDeposit{Key: k, Price: e.price})
+		deps = append(deps, access.TripDeposit{Key: sl.key.unpack(), Price: sl.price()})
 	}
 	src.mu.RUnlock()
 	n := dst.deposit(deps, true)
@@ -264,8 +373,10 @@ type Segment struct {
 
 	mu       sync.RWMutex
 	detached bool
-	entries  map[access.TripKey]entry
-	fifo     []access.TripKey // insertion order; each live key exactly once
+	// slots are the entries, oldest first; index finds a key's slot by its
+	// sequence number. Every live key is in both exactly once.
+	slots slotQueue
+	index map[tripKey]uint32
 }
 
 // Key returns the segment's {city, epoch} identity.
@@ -274,10 +385,14 @@ func (s *Segment) Key() SegmentKey { return s.key }
 // Drain implements access.TripBank.
 func (s *Segment) Drain(k access.TripKey) (access.TripPrice, bool) {
 	b := s.bank
+	var e entry
 	s.mu.RLock()
-	e, ok := s.entries[k]
+	seq, ok := s.index[packKey(k)]
+	if ok {
+		e = s.slots.at(seq).entry
+	}
 	s.mu.RUnlock()
-	if ok && b.ttl > 0 && b.now().Sub(e.added) > b.ttl {
+	if ok && b.ttl > 0 && b.stale(e.added, b.age()) {
 		b.expired.Add(1)
 		mExpired.Add(1)
 		ok = false
@@ -289,7 +404,7 @@ func (s *Segment) Drain(k access.TripKey) (access.TripPrice, bool) {
 	}
 	b.hits.Add(1)
 	mHits.Add(1)
-	return e.price, true
+	return e.price(), true
 }
 
 // Deposit implements access.TripBank. Deposits into a detached segment
@@ -304,7 +419,7 @@ func (s *Segment) deposit(deps []access.TripDeposit, seeding bool) int {
 		return 0
 	}
 	b := s.bank
-	now := b.now()
+	age := b.age()
 	added := 0
 	s.mu.Lock()
 	if s.detached {
@@ -312,11 +427,16 @@ func (s *Segment) deposit(deps []access.TripDeposit, seeding bool) int {
 		return 0
 	}
 	for _, d := range deps {
-		if _, exists := s.entries[d.Key]; !exists {
-			s.fifo = append(s.fifo, d.Key)
-			added++
+		k, e := packKey(d.Key), packPrice(d.Price, age)
+		if k.unpack() != d.Key || e.price() != d.Price {
+			continue // would not drain as deposited
 		}
-		s.entries[d.Key] = entry{price: d.Price, added: now}
+		if seq, exists := s.index[k]; exists {
+			s.slots.at(seq).entry = e // refreshed in place: it keeps its age in the queue
+			continue
+		}
+		s.index[k] = s.slots.push(slot{key: k, entry: e})
+		added++
 	}
 	s.mu.Unlock()
 	if added > 0 {
@@ -340,7 +460,7 @@ func (s *Segment) detach() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.detached = true
-	return len(s.entries)
+	return s.slots.len()
 }
 
 // evictOldest drops up to max entries in insertion order and returns how
@@ -349,13 +469,9 @@ func (s *Segment) evictOldest(max int64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for int64(n) < max && len(s.fifo) > 0 {
-		k := s.fifo[0]
-		s.fifo = s.fifo[1:]
-		if _, ok := s.entries[k]; ok {
-			delete(s.entries, k)
-			n++
-		}
+	for int64(n) < max && s.slots.len() > 0 {
+		delete(s.index, s.slots.pop().key)
+		n++
 	}
 	return n
 }
@@ -363,5 +479,5 @@ func (s *Segment) evictOldest(max int64) int {
 func (s *Segment) len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.entries)
+	return s.slots.len()
 }

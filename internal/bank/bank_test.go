@@ -214,3 +214,69 @@ func TestBankStatsSegmentOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestBankKeepsRouterPricesExactly: entries are stored at the width the
+// router produces (float32 components), so such a price drains exactly as
+// deposited, and a price that would not survive the narrowing is not
+// stored at all rather than returned altered.
+func TestBankKeepsRouterPricesExactly(t *testing.T) {
+	b := New(Config{})
+	seg := b.Segment("coventry", 1)
+	exact := access.TripPrice{Reachable: true, Journey: router.Journey{
+		Depart: 7 * 3600, Arrive: 7*3600 + 1754,
+		AccessWalk: float64(float32(312.5)), EgressWalk: 97, TransferWalk: 41,
+		Wait: 263, InVehicle: 1041, Boardings: 2, Fare: float64(float32(4.2)),
+	}}
+	unreachable := access.TripPrice{}
+	inexact := exact
+	inexact.Journey.Fare = 0.1 // not a float32
+	seg.Deposit([]access.TripDeposit{
+		{Key: key(3, 40, 7*3600), Price: exact},
+		{Key: key(3, 41, 7*3600), Price: unreachable},
+		{Key: key(3, 42, 7*3600), Price: inexact},
+	})
+	if p, ok := seg.Drain(key(3, 40, 7*3600)); !ok || p != exact {
+		t.Errorf("drained %+v, %v; deposited %+v", p, ok, exact)
+	}
+	if p, ok := seg.Drain(key(3, 41, 7*3600)); !ok || p != unreachable {
+		t.Errorf("negative result drained as %+v, %v", p, ok)
+	}
+	if p, ok := seg.Drain(key(3, 42, 7*3600)); ok {
+		t.Errorf("a price that cannot be stored exactly drained as %+v", p)
+	}
+	if st := b.Stats(); st.Entries != 2 {
+		t.Errorf("entries = %d, want 2", st.Entries)
+	}
+}
+
+// TestBankEvictsAcrossQueueChunks: FIFO eviction keeps exactly the newest
+// capacity entries when the queue spans, and frees, several chunks, and an
+// overwrite keeps a key's place in the queue.
+func TestBankEvictsAcrossQueueChunks(t *testing.T) {
+	const capacity, total = queueChunk + 7, 3*queueChunk + 11
+	b := New(Config{Capacity: capacity})
+	seg := b.Segment("coventry", 1)
+	for z := 0; z < total; z += 100 {
+		var deps []access.TripDeposit
+		for i := z; i < z+100 && i < total; i++ {
+			deps = append(deps, dep(i, gtfs.Seconds(i)))
+		}
+		seg.Deposit(deps)
+		// Re-depositing the oldest survivor must not make it young again.
+		if oldest := z + len(deps) - capacity; oldest >= 0 {
+			seg.Deposit([]access.TripDeposit{dep(oldest, gtfs.Seconds(oldest))})
+		}
+	}
+	if st := b.Stats(); st.Entries != capacity || st.Segments[0].Entries != capacity {
+		t.Fatalf("entries = %d (segment %d), want %d", st.Entries, st.Segments[0].Entries, capacity)
+	}
+	for i := 0; i < total; i++ {
+		p, ok := seg.Drain(key(i, 1, 0))
+		if want := i >= total-capacity; ok != want || (ok && p.Journey.Arrive != gtfs.Seconds(i)) {
+			t.Fatalf("zone %d: drained %+v, %v; want present=%v", i, p, ok, want)
+		}
+	}
+	if n := len(seg.slots.chunks); n > 3 {
+		t.Errorf("%d chunks held for %d entries", n, capacity)
+	}
+}

@@ -232,9 +232,9 @@ func zonePointsOf(city *synth.City) []geo.Point {
 // Forest exposes the transit-hop forest (for persistence and inspection).
 func (e *Engine) Forest() *hoptree.Forest { return e.forest }
 
-// WarmFeatureCaches populates the extractor's lazy caches (per-origin hop
-// maps and reach fractions, per-destination inbound KD-trees) for every
-// zone across a worker pool, moving first-query cache misses into startup.
+// WarmFeatureCaches populates the extractor's per-origin lazy caches (hop
+// maps and reach fractions) for every zone across a worker pool, moving
+// those first-query cache misses into startup.
 // Cached values are deterministic, so warming never changes query results.
 func (e *Engine) WarmFeatureCaches(workers int) {
 	e.extractor.Warm(par.Workers(workers))
@@ -392,7 +392,12 @@ type Result struct {
 	// Fairness is Jain's index over valid zones' MAC.
 	Fairness float64
 	Timing   Timing
-	Matrix   *todam.Matrix
+	// Matrix is the sampled TODAM the run priced (megabytes at city scale).
+	// Engine runs return it to library callers; the serving layer drops it
+	// before it retains a result and keeps MatrixStats.
+	Matrix *todam.Matrix
+	// MatrixStats summarizes Matrix and stays valid without it.
+	MatrixStats MatrixStats
 	// Degraded is non-nil when the run climbed the degradation ladder
 	// instead of failing under deadline or fault pressure; it reports which
 	// rungs fired and why. Successful retries alone do not mark a result
@@ -405,6 +410,21 @@ type Result struct {
 	// produced them across hot-swaps.
 	City  string `json:"city,omitempty"`
 	Epoch uint64 `json:"epoch,omitempty"`
+}
+
+// MatrixStats are the sizes of a run's sampled TODAM that responses report.
+type MatrixStats struct {
+	// Trips is the number of sampled trips, FullTrips the size of the
+	// unsampled matrix, ReductionPct the saving between them in percent.
+	Trips        int64
+	FullTrips    int64
+	ReductionPct float64
+}
+
+// setMatrix attaches the run's matrix and its summary.
+func (r *Result) setMatrix(m *todam.Matrix) {
+	r.Matrix = m
+	r.MatrixStats = MatrixStats{Trips: m.Size(), FullTrips: m.FullSize(), ReductionPct: m.Reduction()}
 }
 
 // Run answers a dynamic access query with semi-supervised regression.
@@ -526,7 +546,7 @@ func (e *Engine) runContext(ctx context.Context, q Query) (*Result, error) {
 	sp.SetInt("zones", int64(nz))
 	sp.SetInt("pois", int64(len(q.POIs)))
 	sp.SetInt("samples_per_hour", int64(q.SamplesPerHour))
-	res.Matrix = m
+	res.setMatrix(m)
 	res.Timing.Matrix = sp.End()
 
 	// 2. Sample L by budget and strategy.
@@ -1179,7 +1199,7 @@ func (e *Engine) GroundTruthContext(ctx context.Context, q Query) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	res.Matrix = m
+	res.setMatrix(m)
 	res.Timing.Matrix = time.Since(t0)
 	t0 = time.Now()
 	all := make([]int, nz)

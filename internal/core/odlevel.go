@@ -43,7 +43,7 @@ func (e *Engine) RunOD(q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Matrix = m
+	res.setMatrix(m)
 	res.Timing.Matrix = time.Since(t0)
 
 	nl := int(float64(nz)*q.Budget + 0.5)

@@ -7,6 +7,12 @@
 // vectors are aggregated to the origin level with the attractiveness
 // weights α, mirroring the gravity-based access measures.
 //
+// A pair vector is a pure function of the engine generation (forest, zone
+// centroids, isochrones) and of (origin zone, destination point,
+// destination zone) — not of the query's seed, budget, model or cost — so
+// the extractor keeps every row it has computed for as long as it lives
+// (see pairColumn) and a query pays only for rows no earlier query touched.
+//
 // Every lazy cache is a dense slice addressed by the zone index (the same
 // index the forest and isochrone set use), and the hot path has Into
 // variants writing into caller scratch, so a warm extractor serves feature
@@ -56,9 +62,10 @@ func Names() []string {
 }
 
 // Scratch holds the per-goroutine buffers the Into variants write through:
-// the reach BFS frontier, one pair vector for origin aggregation, and the
-// interchange list. A Scratch must not be shared between concurrent calls;
-// pool or stack one per worker. The zero value is ready to use.
+// the reach BFS frontier, the pair vector a table miss is computed into,
+// and the interchange list. A Scratch must not be shared between
+// concurrent calls; pool or stack one per worker. The zero value is ready
+// to use.
 type Scratch struct {
 	reach hoptree.ReachScratch
 	pair  []float64
@@ -93,8 +100,15 @@ type Extractor struct {
 	// a dense slice indexed by zone; the nil / negative entry is the
 	// not-yet-computed sentinel.
 	mu sync.RWMutex
-	// ibTrees caches a KD-tree over the inbound leaves per destination zone.
-	ibTrees []*spatial.KDTree
+	// connects caches the interchange test per destination zone:
+	// connects[dest].row[z] reports whether zone z connects to dest's
+	// inbound tree — its nearest inbound leaf (1-NN) is z itself or a zone
+	// whose walking isochrone overlaps z's. The test depends on (z, dest)
+	// only, never on the origin whose outbound leaf z is, so one row serves
+	// every origin. Not under mu: each row is filled exactly once, and the
+	// feature workers of a query, which all meet a new destination at the
+	// same moment, wait for the one filling it instead of each computing it.
+	connects []connectRow
 	// reachFrac caches the h-hop reachable fraction per origin (-1 =
 	// uncached).
 	reachFrac []float64
@@ -102,6 +116,11 @@ type Extractor struct {
 	// hop count to z, -1 when unreachable within Hops; a nil row is
 	// uncached.
 	hopsTo [][]int32
+	// pairs is the pair-vector table: one column per destination ever
+	// asked for, holding that destination's row for every origin zone.
+	// The map is guarded by mu; a column's rows publish themselves (see
+	// pairColumn).
+	pairs map[pairDest]*pairColumn
 
 	// cacheHits/cacheMisses count lazy-cache outcomes for this extractor,
 	// alongside the process-wide metrics. Engine runs snapshot them around a
@@ -152,18 +171,81 @@ func NewExtractor(forest *hoptree.Forest, zones []geo.Point, isos *isochrone.Set
 		zones:     zones,
 		isos:      isos,
 		Hops:      hops,
-		ibTrees:   make([]*spatial.KDTree, len(zones)),
+		connects:  make([]connectRow, len(zones)),
 		reachFrac: reachFrac,
 		hopsTo:    make([][]int32, len(zones)),
+		pairs:     make(map[pairDest]*pairColumn),
 	}, nil
 }
 
-// Warm populates every lazy cache — per-origin hop rows and reach
-// fractions, per-destination inbound KD-trees — across a worker pool,
-// shifting the first query's cache-miss cost into the offline phase. The
-// cached values are deterministic, so warming never changes any feature
-// vector; it only moves when the work happens. Safe to call concurrently
-// with queries.
+// pairDest identifies a destination by content. POI indices are positions
+// in one query's POI list and shift when a scenario adds or removes a POI;
+// the point and its zone are what the vector is computed from.
+type pairDest struct {
+	pt   geo.Point
+	zone int
+}
+
+// maxPairColumns bounds the table for callers that keep inventing
+// destinations (a library user passing fresh POIs per query): past it, rows
+// for new destinations are computed and not kept. A served city has a few
+// hundred POIs in all; the table is zones x destinations x Dim x 8 bytes,
+// i.e. 38 KB per destination at 253 zones and 0.5 MB at Birmingham's 3,217.
+const maxPairColumns = 4096
+
+// pairColumn holds one destination's rows, origin-major, in one block.
+// state[origin] moves rowEmpty -> rowWriting -> rowReady: the goroutine
+// that wins the first transition fills the row and then publishes it, a
+// reader uses the row only after loading rowReady, and a goroutine that
+// loses the race keeps the (identical) vector it computed itself. Rows are
+// never rewritten, so the first stored value wins as in the other caches.
+type pairColumn struct {
+	state []atomic.Uint32
+	rows  []float64 // len(zones) * Dim
+}
+
+const (
+	rowEmpty uint32 = iota
+	rowWriting
+	rowReady
+)
+
+func (c *pairColumn) row(origin int) []float64 {
+	return c.rows[origin*Dim : (origin+1)*Dim : (origin+1)*Dim]
+}
+
+// columnFor returns the destination's column, creating it on first use; nil
+// once the table is full.
+func (e *Extractor) columnFor(d pairDest) *pairColumn {
+	e.mu.RLock()
+	c := e.pairs[d]
+	e.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if c = e.pairs[d]; c == nil && len(e.pairs) < maxPairColumns {
+		c = e.newPairColumn()
+		e.pairs[d] = c
+	}
+	return c
+}
+
+func (e *Extractor) newPairColumn() *pairColumn {
+	return &pairColumn{
+		state: make([]atomic.Uint32, len(e.zones)),
+		rows:  make([]float64, len(e.zones)*Dim),
+	}
+}
+
+// Warm populates the per-origin lazy caches — hop rows and reach
+// fractions — across a worker pool, shifting that part of the first
+// query's cache-miss cost into the offline phase. (The per-destination
+// rows and the pair table fill on first use: which zones are destinations
+// is the queries' business.) The cached values are deterministic, so
+// warming never changes any feature vector; it only moves when the work
+// happens. Safe to call concurrently with queries.
 func (e *Extractor) Warm(workers int) {
 	// Each cache accessor takes the write lock only for its own key, so
 	// warming in parallel contends briefly per entry rather than serializing
@@ -171,7 +253,6 @@ func (e *Extractor) Warm(workers int) {
 	_ = par.For(workers, len(e.zones), func(zone int) error {
 		s := scratchPool.Get().(*Scratch)
 		e.reachFraction(zone, s) // also fills hopsTo[zone]
-		e.ibTreeFor(zone)
 		scratchPool.Put(s)
 		return nil
 	})
@@ -204,17 +285,66 @@ func (e *Extractor) PairVectorInto(dst []float64, origin int, dest geo.Point, de
 	if len(dst) != Dim {
 		return fmt.Errorf("features: dst length %d, want %d", len(dst), Dim)
 	}
+	row, hit, err := e.pairRow(origin, dest, destZone, s)
+	if err != nil {
+		return err
+	}
+	if hit {
+		e.countPairRows(1, 0)
+	} else {
+		e.countPairRows(0, 1)
+	}
+	copy(dst, row)
+	return nil
+}
+
+// pairRow returns the vector for (origin zone, destination point) from the
+// pair table, computing and storing it on first use; hit reports which.
+// The returned row must not be modified; a computed row aliases s.pair and
+// is valid until the next call on the same scratch. The caller counts the
+// lookup (countPairRows), once per row or once per batch of rows.
+func (e *Extractor) pairRow(origin int, dest geo.Point, destZone int, s *Scratch) (row []float64, hit bool, err error) {
 	if origin < 0 || origin >= len(e.zones) {
-		return fmt.Errorf("features: origin %d out of range", origin)
+		return nil, false, fmt.Errorf("features: origin %d out of range", origin)
 	}
 	if destZone < 0 || destZone >= len(e.zones) {
-		return fmt.Errorf("features: destination zone %d out of range", destZone)
+		return nil, false, fmt.Errorf("features: destination zone %d out of range", destZone)
 	}
 	if s == nil {
-		return fmt.Errorf("features: nil scratch")
+		return nil, false, fmt.Errorf("features: nil scratch")
 	}
-	mPairVectors.Inc()
-	v := dst
+	col := e.columnFor(pairDest{pt: dest, zone: destZone})
+	if col != nil && col.state[origin].Load() == rowReady {
+		return col.row(origin), true, nil
+	}
+	if s.pair == nil {
+		s.pair = make([]float64, Dim)
+	}
+	e.computePair(s.pair, origin, dest, destZone, s)
+	if col != nil && col.state[origin].CompareAndSwap(rowEmpty, rowWriting) {
+		copy(col.row(origin), s.pair)
+		col.state[origin].Store(rowReady)
+	}
+	return s.pair, false, nil
+}
+
+// countPairRows records pair-table lookups: every lookup is a pair vector
+// served, and a hit or a miss of the lazy caches.
+func (e *Extractor) countPairRows(hits, misses int64) {
+	mPairVectors.Add(hits + misses)
+	if hits > 0 {
+		e.cacheHits.Add(hits)
+		mCacheHits.Add(hits)
+	}
+	if misses > 0 {
+		e.cacheMisses.Add(misses)
+		mCacheMisses.Add(misses)
+	}
+}
+
+// computePair evaluates the pair vector into v (length Dim) from the
+// forest, the isochrones and the sub-structure caches.
+func (e *Extractor) computePair(v []float64, origin int, dest geo.Point, destZone int, s *Scratch) {
 	for i := range v {
 		v[i] = 0
 	}
@@ -281,7 +411,6 @@ func (e *Extractor) PairVectorInto(dst []float64, origin int, dest geo.Point, de
 	// radius. Walk-only pairs have zero cost variance (ACSD 0), and this
 	// continuous signal lets the models separate them from marginal ones.
 	v[18] = (e.walkRadiusMeters() - odDist) / e.walkRadiusMeters()
-	return nil
 }
 
 func (e *Extractor) hopsFor(origin int, s *Scratch) []int32 {
@@ -347,59 +476,64 @@ func (e *Extractor) closestLeaf(t *hoptree.Tree, p geo.Point) (*hoptree.Leaf, fl
 }
 
 // interchanges identifies the outbound leaves that connect to the inbound
-// tree of destZone: for each outbound leaf, the nearest inbound leaf is
-// found with a 1-NN query and the pair is tested for walking-isochrone
-// overlap (Section IV-B1). The returned slice aliases s.inter and is valid
-// until the next call on the same scratch.
+// tree of destZone (Section IV-B1), in leaf order. The returned slice
+// aliases s.inter and is valid until the next call on the same scratch.
 func (e *Extractor) interchanges(ob *hoptree.Tree, destZone int, s *Scratch) []int32 {
 	out := s.inter[:0]
-	defer func() { s.inter = out }()
-	ibTree := e.ibTreeFor(destZone)
-	if ibTree == nil || ibTree.Len() == 0 {
-		return nil
-	}
+	connects := e.connectsFor(destZone)
 	for i := range ob.Leaves {
-		zone := int(ob.Leaves[i].Zone)
-		nb, ok := ibTree.Nearest(e.zones[zone])
-		if !ok {
-			continue
-		}
-		isoA := e.isos.For(zone)
-		isoB := e.isos.For(nb.Item.ID)
-		if isoA == nil || isoB == nil {
-			continue
-		}
-		if zone == nb.Item.ID || isoA.Intersects(isoB) {
-			out = append(out, int32(zone))
+		if zone := ob.Leaves[i].Zone; connects[zone] {
+			out = append(out, zone)
 		}
 	}
+	s.inter = out
 	return out
 }
 
-func (e *Extractor) ibTreeFor(destZone int) *spatial.KDTree {
-	e.mu.RLock()
-	t := e.ibTrees[destZone]
-	e.mu.RUnlock()
-	if t != nil {
+// connectRow is one lazily filled row of Extractor.connects. once makes
+// the fill happen once; row is published atomically so SeedFrom can ask a
+// live extractor whether a row is there without joining the fill.
+type connectRow struct {
+	once sync.Once
+	row  atomic.Pointer[[]bool]
+}
+
+// connectsFor returns destZone's row of the interchange test: for each
+// zone, the nearest inbound leaf of destZone is found with a 1-NN query
+// and the pair is tested for walking-isochrone overlap.
+func (e *Extractor) connectsFor(destZone int) []bool {
+	c := &e.connects[destZone]
+	hit := true
+	c.once.Do(func() {
+		hit = false
+		ib := e.forest.Inbound(destZone)
+		items := make([]spatial.Item, 0, ib.Size())
+		for i := range ib.Leaves {
+			zone := int(ib.Leaves[i].Zone)
+			items = append(items, spatial.Item{ID: zone, Point: e.zones[zone]})
+		}
+		ibTree := spatial.NewKDTree(items)
+		row := make([]bool, len(e.zones))
+		for zone := range row {
+			nb, ok := ibTree.Nearest(e.zones[zone])
+			if !ok {
+				continue
+			}
+			isoA := e.isos.For(zone)
+			isoB := e.isos.For(nb.Item.ID)
+			if isoA == nil || isoB == nil {
+				continue
+			}
+			row[zone] = zone == nb.Item.ID || isoA.Intersects(isoB)
+		}
+		c.row.Store(&row)
+	})
+	if hit {
 		e.cacheHit()
-		return t
-	}
-	e.cacheMiss()
-	ib := e.forest.Inbound(destZone)
-	items := make([]spatial.Item, 0, ib.Size())
-	for i := range ib.Leaves {
-		zone := int(ib.Leaves[i].Zone)
-		items = append(items, spatial.Item{ID: zone, Point: e.zones[zone]})
-	}
-	t = spatial.NewKDTree(items)
-	e.mu.Lock()
-	if prev := e.ibTrees[destZone]; prev != nil {
-		t = prev
 	} else {
-		e.ibTrees[destZone] = t
+		e.cacheMiss()
 	}
-	e.mu.Unlock()
-	return t
+	return *c.row.Load()
 }
 
 // hiFreqApproach returns the minimum distance to dest over the top-k
@@ -469,24 +603,32 @@ func (e *Extractor) OriginVectorInto(dst []float64, s *Scratch, origin int, row 
 	if s == nil {
 		return fmt.Errorf("features: nil scratch")
 	}
-	if s.pair == nil {
-		s.pair = make([]float64, Dim)
-	}
 	for j := range dst {
 		dst[j] = 0
 	}
 	var wsum float64
+	// Lookups are tallied here and counted once per origin: two feature
+	// workers bumping shared counters per pair would cost more than the
+	// table read they count.
+	var hits, misses int64
+	defer func() { e.countPairRows(hits, misses) }()
 	for _, pt := range row {
 		if pt.POI < 0 || pt.POI >= len(poiPts) || pt.POI >= len(poiZone) {
 			return fmt.Errorf("features: POI %d out of range", pt.POI)
 		}
-		if err := e.PairVectorInto(s.pair, origin, poiPts[pt.POI], poiZone[pt.POI], s); err != nil {
+		pair, hit, err := e.pairRow(origin, poiPts[pt.POI], poiZone[pt.POI], s)
+		if err != nil {
 			return err
+		}
+		if hit {
+			hits++
+		} else {
+			misses++
 		}
 		w := pt.Alpha
 		wsum += w
 		for j := range dst {
-			dst[j] += w * s.pair[j]
+			dst[j] += w * pair[j]
 		}
 	}
 	if wsum == 0 {

@@ -383,19 +383,25 @@ func (ix *Index) DeparturesBetween(stop StopID, from, to Seconds) []Departure {
 // NextDepartures returns up to limit departures from stop at or after t,
 // ordered by departure time.
 func (ix *Index) NextDepartures(stop StopID, t Seconds, limit int) []Departure {
+	return ix.AppendNextDepartures(nil, stop, t, limit)
+}
+
+// AppendNextDepartures is NextDepartures appending to dst, so a caller that
+// asks once per settled stop (the router's search loop) reuses one buffer
+// instead of allocating a slice per call.
+func (ix *Index) AppendNextDepartures(dst []Departure, stop StopID, t Seconds, limit int) []Departure {
 	d := ix.deps[stop]
 	lo := sort.Search(len(d), func(i int) bool { return d[i].dep >= t })
-	var out []Departure
-	for i := lo; i < len(d) && len(out) < limit; i++ {
+	for i := lo; i < len(d) && i-lo < limit; i++ {
 		tr := &ix.trips[d[i].trip]
-		out = append(out, Departure{
+		dst = append(dst, Departure{
 			TripID:    tr.ID,
 			RouteID:   tr.RouteID,
 			Departure: d[i].dep,
 			StopIndex: d[i].seq,
 		})
 	}
-	return out
+	return dst
 }
 
 // Trip returns the operating trip with the given ID (materialized run IDs

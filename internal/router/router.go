@@ -11,10 +11,16 @@
 // is ridden forward, relaxing every downstream stop. A single one-to-many
 // Profile call therefore prices a zone against every POI at once, which is
 // how the TODAM labeling loop amortizes its SPQ workload.
+//
+// The search is label-setting: nodes are settled in non-decreasing arrival
+// order, every relaxation out of a settled node arrives no earlier than that
+// node was settled, and a label is replaced only by a strictly earlier
+// arrival. A settled label is therefore final, which is what lets ProfileTo
+// stop as soon as the last of its targets is settled and still return, for
+// every target, the journey the exhaustive ProfileFrom returns.
 package router
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
 	"sync"
@@ -79,12 +85,13 @@ type Router struct {
 }
 
 // profileArena is the per-search allocation unit: the full label array
-// (one label per road node) plus the frontier heap. Pooling it makes a
-// steady-state profile search allocation-free apart from the Profile
-// handle itself.
+// (one label per road node), the frontier heap and the departures buffer
+// relaxBoardings fills once per settled stop. With it pooled, the Profile
+// handle is the only allocation of a steady-state search.
 type profileArena struct {
 	labels []label
 	q      pq
+	deps   []gtfs.Departure
 }
 
 // New builds a router over a road graph, a schedule index for the service
@@ -156,6 +163,10 @@ type label struct {
 	fare         float32
 	settled      bool
 	reached      bool
+	// target marks a node a bounded search was asked for. The mark belongs
+	// to the node, not to the path that reached it: improve keeps it when
+	// it replaces the label.
+	target bool
 }
 
 // journeyFrom converts a final label into a Journey. Walking after the last
@@ -175,10 +186,12 @@ func journeyFrom(depart gtfs.Seconds, l label) Journey {
 	return j
 }
 
-// Profile computes earliest-arrival labels from the origin road node at the
-// given start time to every reachable road node within MaxJourney. The
-// result is indexed by node ID; entries with Reached()==false were not
-// reached.
+// Profile holds the earliest-arrival labels of one search from an origin
+// road node at a start time, indexed by node ID; entries with
+// Reached()==false were not reached within MaxJourney. A ProfileFrom
+// profile is final at every node. A ProfileTo profile is final at its
+// targets only: the search stopped once they were settled, so other nodes
+// may hold a tentative label or none.
 type Profile struct {
 	depart gtfs.Seconds
 	labels []label
@@ -223,6 +236,12 @@ type pqItem struct {
 	arrive gtfs.Seconds
 }
 
+// pq is the frontier: a binary min-heap on arrive. The search loop uses
+// push and pop, which are container/heap's Push and Pop written out over
+// the concrete element type — the same comparisons in the same order, so
+// equal arrival times pop in the same sequence — without boxing every item
+// through interface{}. The heap.Interface methods remain for RouteDetailed
+// (legs.go) and as the reference the heap test compares against.
 type pq []pqItem
 
 func (q pq) Len() int            { return len(q) }
@@ -237,10 +256,72 @@ func (q *pq) Pop() interface{} {
 	return x
 }
 
-// ProfileFrom runs the one-to-many search from origin at time depart.
+// push adds it and sifts it up.
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	*q = h
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].arrive < h[i].arrive) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop removes and returns the earliest item: the root is swapped to the
+// end, the new root sifted down over the remaining n items.
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].arrive < h[j].arrive {
+			j = j2
+		}
+		if !(h[j].arrive < h[i].arrive) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
+
+// ProfileFrom runs the one-to-many search from origin at time depart until
+// the frontier is exhausted.
 func (r *Router) ProfileFrom(origin graph.NodeID, depart gtfs.Seconds) (*Profile, error) {
-	if origin < 0 || int(origin) >= r.road.NumNodes() {
+	return r.search(origin, depart, nil, false)
+}
+
+// ProfileTo runs the same search but stops as soon as every node in targets
+// is settled. For each target, Journey and Reached equal ProfileFrom's (see
+// the package comment); a target that cannot be reached lets the search run
+// to exhaustion, exactly as ProfileFrom does. Duplicate targets count once;
+// with no targets nothing is searched.
+func (r *Router) ProfileTo(origin graph.NodeID, depart gtfs.Seconds, targets []graph.NodeID) (*Profile, error) {
+	return r.search(origin, depart, targets, true)
+}
+
+// search is the one label-setting loop behind ProfileFrom, ProfileTo and
+// Route. bounded says whether targets limits it.
+func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []graph.NodeID, bounded bool) (*Profile, error) {
+	n := r.road.NumNodes()
+	if origin < 0 || int(origin) >= n {
 		return nil, fmt.Errorf("router: invalid origin node %d", origin)
+	}
+	for _, t := range targets {
+		if t < 0 || int(t) >= n {
+			return nil, fmt.Errorf("router: invalid target node %d", t)
+		}
 	}
 	// Chaos-test injection site: one SPQ is the unit of labeling work, so a
 	// fault here models a stalled or failed shortest-path backend. No-op
@@ -256,7 +337,6 @@ func (r *Router) ProfileFrom(origin graph.NodeID, depart gtfs.Seconds) (*Profile
 		mRelaxations.Add(relaxed)
 		mImprovements.Add(improved)
 	}()
-	n := r.road.NumNodes()
 	ar := r.arenaPool.Get().(*profileArena)
 	if cap(ar.labels) >= n {
 		ar.labels = ar.labels[:n]
@@ -266,16 +346,29 @@ func (r *Router) ProfileFrom(origin graph.NodeID, depart gtfs.Seconds) (*Profile
 	}
 	labels := ar.labels
 	labels[origin] = label{arrive: depart, reached: true}
+	// unsettled counts the distinct target nodes not settled yet.
+	unsettled := 0
+	for _, t := range targets {
+		if !labels[t].target {
+			labels[t].target = true
+			unsettled++
+		}
+	}
 	ar.q = append(ar.q[:0], pqItem{node: origin, arrive: depart})
 	q := ar.q
 	deadline := depart + r.opts.MaxJourney
-	for q.Len() > 0 {
-		cur := heap.Pop(&q).(pqItem)
+	for len(q) > 0 && !(bounded && unsettled == 0) {
+		cur := q.pop()
 		l := &labels[cur.node]
 		if cur.arrive > l.arrive || l.settled {
 			continue
 		}
 		l.settled = true
+		if l.target { // marks exist only in a bounded search
+			if unsettled--; unsettled == 0 {
+				break // every target's label is final; the rest is not asked for
+			}
+		}
 		curLabel := *l // copy: relaxations below must not read mutated state
 
 		// Walking relaxations.
@@ -289,7 +382,6 @@ func (r *Router) ProfileFrom(origin graph.NodeID, depart gtfs.Seconds) (*Profile
 			}
 			nl := curLabel
 			nl.arrive = na
-			nl.settled = false
 			if curLabel.boardings == 0 {
 				nl.accessWalk += float32(wsec)
 			} else {
@@ -304,7 +396,7 @@ func (r *Router) ProfileFrom(origin graph.NodeID, depart gtfs.Seconds) (*Profile
 		// Transit relaxations: board upcoming departures at stops welded to
 		// this node.
 		for _, sid := range r.stopsAtNode[cur.node] {
-			r.relaxBoardings(labels, &q, sid, curLabel, deadline, &relaxed, &improved)
+			r.relaxBoardings(ar, &q, sid, curLabel, deadline, &relaxed, &improved)
 		}
 	}
 	ar.q = q[:0]
@@ -314,10 +406,11 @@ func (r *Router) ProfileFrom(origin graph.NodeID, depart gtfs.Seconds) (*Profile
 // relaxBoardings boards the next departures from stop and rides them
 // forward, tallying relaxation attempts and improvements into the caller's
 // counters.
-func (r *Router) relaxBoardings(labels []label, q *pq, sid gtfs.StopID, from label, deadline gtfs.Seconds, relaxed, improved *int64) {
+func (r *Router) relaxBoardings(ar *profileArena, q *pq, sid gtfs.StopID, from label, deadline gtfs.Seconds, relaxed, improved *int64) {
+	labels := ar.labels
 	earliest := from.arrive + r.opts.BoardSlack
-	deps := r.index.NextDepartures(sid, earliest, r.opts.MaxDeparturesPerStop)
-	for _, dep := range deps {
+	ar.deps = r.index.AppendNextDepartures(ar.deps[:0], sid, earliest, r.opts.MaxDeparturesPerStop)
+	for _, dep := range ar.deps {
 		waitHere := dep.Departure - from.arrive
 		if waitHere > r.opts.MaxWait {
 			break // departures are ordered; all later ones wait longer
@@ -347,7 +440,6 @@ func (r *Router) relaxBoardings(labels []label, q *pq, sid gtfs.StopID, from lab
 			nl := boarded
 			nl.arrive = st.Arrival
 			nl.inVehicle += float32(st.Arrival - boardDep)
-			nl.settled = false
 			*relaxed++
 			if improve(labels, node, nl, q) {
 				*improved++
@@ -357,15 +449,16 @@ func (r *Router) relaxBoardings(labels []label, q *pq, sid gtfs.StopID, from lab
 }
 
 // improve updates the label for node when nl arrives earlier, reporting
-// whether the label changed.
+// whether the label changed. nl is a copy of the settled label it was
+// relaxed from; the per-node flags are reset to this node's.
 func improve(labels []label, node graph.NodeID, nl label, q *pq) bool {
 	cur := &labels[node]
 	if cur.reached && nl.arrive >= cur.arrive {
 		return false
 	}
-	nl.reached = true
+	nl.reached, nl.settled, nl.target = true, false, cur.target
 	*cur = nl
-	heap.Push(q, pqItem{node: node, arrive: nl.arrive})
+	q.push(pqItem{node: node, arrive: nl.arrive})
 	return true
 }
 
@@ -375,10 +468,7 @@ func (r *Router) Route(origin, dest graph.NodeID, depart gtfs.Seconds) (Journey,
 	if dest < 0 || int(dest) >= r.road.NumNodes() {
 		return Journey{}, false, fmt.Errorf("router: invalid destination node %d", dest)
 	}
-	// One-to-many with an early exit would save little because transit
-	// relaxations jump around the city; reuse ProfileFrom for simplicity and
-	// identical semantics.
-	p, err := r.ProfileFrom(origin, depart)
+	p, err := r.ProfileTo(origin, depart, []graph.NodeID{dest})
 	if err != nil {
 		return Journey{}, false, err
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"accessquery/internal/core"
@@ -24,12 +25,46 @@ type resultCache struct {
 	now   func() time.Time
 }
 
-type cacheEntry struct {
-	key string
+// answer is what one successful run leaves behind. The cache entry and
+// every job the run (or a later hit on the entry) answers share one.
+type answer struct {
 	res *core.Result
 	// trace is the producing run's span tree, kept with the result so
 	// cache-hit jobs can still answer trace and explain requests.
-	trace   *obs.TraceSummary
+	trace *obs.TraceSummary
+	// body memoises the result's wire encoding across those jobs.
+	body *EncodedBody
+}
+
+// EncodedBody memoises the encoded form of one result, per include_zones
+// value, for whichever layer writes responses: the first response that
+// needs a form encodes it, every later one — the miss that produced the
+// result, and each hit on its cache entry — writes the same bytes.
+type EncodedBody struct {
+	forms [2]atomic.Pointer[[]byte]
+}
+
+// Get returns the stored encoding for includeZones, calling encode to fill
+// it on first use. Concurrent first uses may both encode; one result is
+// kept. The returned bytes must not be modified.
+func (b *EncodedBody) Get(includeZones bool, encode func() []byte) []byte {
+	form := &b.forms[0]
+	if includeZones {
+		form = &b.forms[1]
+	}
+	if p := form.Load(); p != nil {
+		return *p
+	}
+	enc := encode()
+	if form.CompareAndSwap(nil, &enc) {
+		return enc
+	}
+	return *form.Load()
+}
+
+type cacheEntry struct {
+	key     string
+	ans     answer
 	stored  time.Time
 	expires time.Time // zero when ttl <= 0
 }
@@ -47,50 +82,50 @@ func newResultCache(capacity int, ttl time.Duration, now func() time.Time) *resu
 	}
 }
 
-// get returns the cached result and the producing run's trace for key,
-// promoting the entry to most recently used. Expired entries are misses
-// here but are retained (until LRU eviction) so getStale can serve them
-// while the circuit breaker is open.
-func (c *resultCache) get(key string) (*core.Result, *obs.TraceSummary, bool) {
+// get returns the cached answer for key, promoting the entry to most
+// recently used. Expired entries are misses here but are retained (until
+// LRU eviction) so getStale can serve them while the circuit breaker is
+// open.
+func (c *resultCache) get(key string) (answer, bool) {
 	if c.cap <= 0 {
-		return nil, nil, false
+		return answer{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, nil, false
+		return answer{}, false
 	}
 	ent := el.Value.(*cacheEntry)
 	if !ent.expires.IsZero() && c.now().After(ent.expires) {
-		return nil, nil, false
+		return answer{}, false
 	}
 	c.ll.MoveToFront(el)
-	return ent.res, ent.trace, true
+	return ent.ans, true
 }
 
 // getStale returns the entry for key regardless of expiry, with its age
 // since it was stored. This is the circuit breaker's degraded read path: a
 // stale answer with honest staleness metadata beats no answer while the
 // engine is failing.
-func (c *resultCache) getStale(key string) (*core.Result, *obs.TraceSummary, time.Duration, bool) {
+func (c *resultCache) getStale(key string) (answer, time.Duration, bool) {
 	if c.cap <= 0 {
-		return nil, nil, 0, false
+		return answer{}, 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, nil, 0, false
+		return answer{}, 0, false
 	}
 	ent := el.Value.(*cacheEntry)
 	c.ll.MoveToFront(el)
-	return ent.res, ent.trace, c.now().Sub(ent.stored), true
+	return ent.ans, c.now().Sub(ent.stored), true
 }
 
-// put stores res (and the trace of the run that produced it) under key,
-// evicting the least recently used entry when over capacity.
-func (c *resultCache) put(key string, res *core.Result, trace *obs.TraceSummary) {
+// put stores a run's answer under key, evicting the least recently used
+// entry when over capacity.
+func (c *resultCache) put(key string, ans answer) {
 	if c.cap <= 0 {
 		return
 	}
@@ -103,14 +138,13 @@ func (c *resultCache) put(key string, res *core.Result, trace *obs.TraceSummary)
 	}
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		ent.res = res
-		ent.trace = trace
+		ent.ans = ans
 		ent.stored = stored
 		ent.expires = expires
 		c.ll.MoveToFront(el)
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, res: res, trace: trace, stored: stored, expires: expires})
+	el := c.ll.PushFront(&cacheEntry{key: key, ans: ans, stored: stored, expires: expires})
 	c.items[key] = el
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()

@@ -32,22 +32,22 @@ func newFakeClock() *fakeClock {
 	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
 }
 
-func resultN(n int) *core.Result { return &core.Result{Fairness: float64(n)} }
+func resultN(n int) answer { return answer{res: &core.Result{Fairness: float64(n)}} }
 
 func TestCachePutGet(t *testing.T) {
 	c := newResultCache(4, 0, nil)
-	if _, _, ok := c.get("a"); ok {
+	if _, ok := c.get("a"); ok {
 		t.Error("hit on empty cache")
 	}
-	c.put("a", resultN(1), nil)
-	got, _, ok := c.get("a")
-	if !ok || got.Fairness != 1 {
+	c.put("a", resultN(1))
+	got, ok := c.get("a")
+	if !ok || got.res.Fairness != 1 {
 		t.Fatalf("get = %v, %v", got, ok)
 	}
 	// Overwrite keeps one entry.
-	c.put("a", resultN(2), nil)
-	if got, _, _ := c.get("a"); got.Fairness != 2 {
-		t.Errorf("overwrite not visible: %v", got.Fairness)
+	c.put("a", resultN(2))
+	if got, _ := c.get("a"); got.res.Fairness != 2 {
+		t.Errorf("overwrite not visible: %v", got.res.Fairness)
 	}
 	if c.len() != 1 {
 		t.Errorf("len = %d", c.len())
@@ -56,17 +56,17 @@ func TestCachePutGet(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2, 0, nil)
-	c.put("a", resultN(1), nil)
-	c.put("b", resultN(2), nil)
+	c.put("a", resultN(1))
+	c.put("b", resultN(2))
 	c.get("a") // promote a; b is now least recently used
-	c.put("c", resultN(3), nil)
-	if _, _, ok := c.get("b"); ok {
+	c.put("c", resultN(3))
+	if _, ok := c.get("b"); ok {
 		t.Error("LRU entry b survived eviction")
 	}
-	if _, _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a"); !ok {
 		t.Error("recently-used entry a evicted")
 	}
-	if _, _, ok := c.get("c"); !ok {
+	if _, ok := c.get("c"); !ok {
 		t.Error("new entry c missing")
 	}
 }
@@ -74,34 +74,34 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheTTL(t *testing.T) {
 	clock := newFakeClock()
 	c := newResultCache(4, time.Minute, clock.now)
-	c.put("a", resultN(1), nil)
+	c.put("a", resultN(1))
 	clock.advance(59 * time.Second)
-	if _, _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a"); !ok {
 		t.Error("entry expired before TTL")
 	}
 	clock.advance(2 * time.Second)
-	if _, _, ok := c.get("a"); ok {
+	if _, ok := c.get("a"); ok {
 		t.Error("entry served after TTL")
 	}
 	// Expired entries stay resident (until LRU eviction) so the circuit
 	// breaker can serve them stale, with an honest age.
-	if _, _, age, ok := c.getStale("a"); !ok {
+	if _, age, ok := c.getStale("a"); !ok {
 		t.Error("expired entry gone from the stale path")
 	} else if age != 61*time.Second {
 		t.Errorf("stale age = %v, want 61s", age)
 	}
 	// Re-put restarts the clock.
-	c.put("a", resultN(2), nil)
+	c.put("a", resultN(2))
 	clock.advance(30 * time.Second)
-	if _, _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a"); !ok {
 		t.Error("refreshed entry expired early")
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
 	c := newResultCache(-1, 0, nil)
-	c.put("a", resultN(1), nil)
-	if _, _, ok := c.get("a"); ok {
+	c.put("a", resultN(1))
+	if _, ok := c.get("a"); ok {
 		t.Error("disabled cache returned a hit")
 	}
 }
@@ -114,7 +114,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", i%16)
-				c.put(k, resultN(i), nil)
+				c.put(k, resultN(i))
 				c.get(k)
 			}
 		}(g)

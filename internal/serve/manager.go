@@ -52,7 +52,8 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker stays open before it
 	// goes half-open and lets a single probe query through; default 15s.
 	BreakerCooldown time.Duration
-	// JobRetention keeps finished jobs pollable; default 10m.
+	// JobRetention keeps finished jobs pollable; default 10m. At most
+	// maxFinishedJobs are kept whatever the retention.
 	JobRetention time.Duration
 	// Tenants is how many city tenants share this manager. It sizes the
 	// async fair-share shed: each tenant's async submissions are shed once
@@ -206,7 +207,7 @@ type Job struct {
 
 	mu         sync.Mutex
 	state      State
-	res        *core.Result
+	ans        answer // the run's answer once done; a failed job keeps only its run's trace
 	err        error
 	cacheHit   bool
 	dedup      bool
@@ -214,9 +215,10 @@ type Job struct {
 	staleFor   time.Duration // how far past freshness the stale answer is
 	epochStale bool          // cached answer predates the city's current engine epoch
 	created    time.Time
-	finished   time.Time
 	stages     []obs.Stage
-	trace      *obs.TraceSummary
+	// retired is set once the job is in the manager's finished queue;
+	// guarded by Manager.mu, not mu.
+	retired bool
 
 	done chan struct{}
 }
@@ -226,7 +228,9 @@ type Job struct {
 // answered the job (queue wait, the engine's Table II stages, and the
 // end-to-end query span); it is empty for cache hits, which ran nothing.
 // Trace is the full span tree of the run that answered the job; a cache
-// hit carries the trace of the run that produced the cached result.
+// hit carries the trace of the run that produced the cached result, and a
+// failed job its own run's. Body memoises the result's wire encoding; it is
+// non-nil exactly when Result is.
 type Snapshot struct {
 	ID           string            `json:"id"`
 	Fingerprint  string            `json:"fingerprint"`
@@ -243,6 +247,7 @@ type Snapshot struct {
 	Stages       []obs.Stage       `json:"stages,omitempty"`
 	Trace        *obs.TraceSummary `json:"-"`
 	Result       *core.Result      `json:"-"`
+	Body         *EncodedBody      `json:"-"`
 }
 
 // Done is closed when the job reaches a terminal state.
@@ -264,16 +269,17 @@ func (j *Job) Snapshot() Snapshot {
 		StaleFor:     j.staleFor,
 		Created:      j.created,
 		Stages:       j.stages,
-		Trace:        j.trace,
-		Result:       j.res,
+		Trace:        j.ans.trace,
+		Result:       j.ans.res,
+		Body:         j.ans.body,
 	}
-	if j.res != nil {
+	if res := j.ans.res; res != nil {
 		// The epoch (and, for cache hits, the producing run's city) comes
 		// from the result the runner stamped, so a cached answer reports the
 		// epoch that computed it — not the one currently serving.
-		s.Epoch = j.res.Epoch
-		if j.res.City != "" {
-			s.City = j.res.City
+		s.Epoch = res.Epoch
+		if res.City != "" {
+			s.City = res.City
 		}
 	}
 	if j.err != nil {
@@ -282,10 +288,11 @@ func (j *Job) Snapshot() Snapshot {
 	return s
 }
 
-// complete moves the job to a terminal state. It is idempotent: Cancel and
-// a finishing flight can race to complete the same job, and whichever gets
-// there first wins.
-func (j *Job) complete(res *core.Result, err error, at time.Time, stages []obs.Stage, trace *obs.TraceSummary) {
+// complete moves the job to a terminal state: done with ans when err is
+// nil, failed or cancelled otherwise (ans then carries at most the failed
+// run's trace). It is idempotent: Cancel and a finishing flight can race to
+// complete the same job, and whichever gets there first wins.
+func (j *Job) complete(ans answer, err error, stages []obs.Stage) {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
@@ -300,11 +307,9 @@ func (j *Job) complete(res *core.Result, err error, at time.Time, stages []obs.S
 		j.err = err
 	default:
 		j.state = StateDone
-		j.res = res
 	}
-	j.finished = at
+	j.ans = ans
 	j.stages = stages
-	j.trace = trace
 	j.mu.Unlock()
 	close(j.done)
 }
@@ -315,7 +320,7 @@ func (j *Job) complete(res *core.Result, err error, at time.Time, stages []obs.S
 func (j *Job) Result() (*core.Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.res, j.err
+	return j.ans.res, j.err
 }
 
 func (j *Job) setState(s State) {
@@ -419,6 +424,9 @@ type Manager struct {
 	flights map[string]*flight
 	jobs    map[string]*Job
 	nextID  uint64
+	// finished lists the terminal jobs still in jobs, oldest first; see
+	// retireLocked.
+	finished []finishedJob
 
 	// Per-tenant admission state (circuit breaker + queued-flight counts),
 	// guarded by mu and keyed by the canonical city name ("" for
@@ -502,10 +510,10 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 	m.pruneLocked(now)
 	ts := m.tenantLocked(req.City)
 
-	if res, trace, ok := m.cache.get(fp); ok {
+	if ans, ok := m.cache.get(fp); ok {
 		job := m.newJobLocked(req.City, fp, now)
 		job.cacheHit = true
-		job.epochStale = m.epochStale(res)
+		job.epochStale = m.epochStale(ans.res)
 		m.jobs[job.ID] = job
 		m.cacheHits.Add(1)
 		mCacheHits.Inc()
@@ -520,7 +528,8 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 		m.cfg.SLO.Record(req.City, 0, false)
 		// The cached entry carries the producing run's trace, so a
 		// cache-hit job still answers trace and explain requests.
-		job.complete(res, nil, now, nil, trace)
+		job.complete(ans, nil, nil)
+		m.retireLocked(job, now)
 		return job, nil
 	}
 	mCacheMisses.Inc()
@@ -543,12 +552,12 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 	if open, canProbe := m.breakerStateLocked(ts, now); open {
 		// Degraded read path: an expired cache entry with honest staleness
 		// metadata beats bouncing the client while the engine recovers.
-		if res, trace, age, ok := m.cache.getStale(fp); ok {
+		if ans, age, ok := m.cache.getStale(fp); ok {
 			job := m.newJobLocked(req.City, fp, now)
 			job.cacheHit = true
 			job.stale = true
 			job.staleFor = age
-			job.epochStale = m.epochStale(res)
+			job.epochStale = m.epochStale(ans.res)
 			m.jobs[job.ID] = job
 			m.staleServed.Add(1)
 			ts.staleServed++
@@ -563,7 +572,8 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 			// burn rate through the failures that tripped it.
 			m.cfg.Accountant.RecordCacheHit(req.City)
 			m.cfg.SLO.Record(req.City, 0, false)
-			job.complete(res, nil, now, nil, trace)
+			job.complete(ans, nil, nil)
+			m.retireLocked(job, now)
 			return job, nil
 		}
 		if !canProbe {
@@ -756,16 +766,15 @@ func (m *Manager) Do(ctx context.Context, req Request) (*core.Result, error) {
 // for jobs already in a terminal state.
 func (m *Manager) Cancel(id string) error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	job, ok := m.jobs[id]
 	if !ok {
-		m.mu.Unlock()
 		return ErrUnknownJob
 	}
 	job.mu.Lock()
 	terminal := job.state.terminal()
 	job.mu.Unlock()
 	if terminal {
-		m.mu.Unlock()
 		return ErrNotCancellable
 	}
 	if fl, ok := m.flights[job.Fingerprint]; ok {
@@ -786,16 +795,14 @@ func (m *Manager) Cancel(id string) error {
 			delete(m.flights, fl.fp)
 		}
 	}
-	m.mu.Unlock()
-
-	now := m.cfg.now()
-	job.complete(nil, ErrCancelled, now, nil, nil)
-	// complete is idempotent: if the flight finished in the window after we
-	// released the lock, the job kept its real outcome and was never
-	// cancelled.
+	// complete is idempotent: a finished flight completes its jobs outside
+	// m.mu, so if it got to this one first the job kept its real outcome
+	// and was never cancelled.
+	job.complete(answer{}, ErrCancelled, nil)
 	if s := job.Snapshot(); s.State != StateCancelled {
 		return ErrNotCancellable
 	}
+	m.retireLocked(job, m.cfg.now())
 	m.cancelled.Add(1)
 	mCancelled.Inc()
 	return nil
@@ -1026,10 +1033,16 @@ func (m *Manager) runFlight(fl *flight) {
 	ts := m.tenantLocked(fl.req.City)
 	m.recordOutcomeLocked(ts, cm, fl, err, now)
 	m.maybeBurnTripLocked(ts, cm, fl.req.City, now)
-	if err == nil && res.Degraded == nil {
-		// Degraded answers are honest but not canonical: caching one would
-		// keep serving reduced fidelity after the pressure has passed.
-		m.cache.put(fl.fp, res, sum)
+	// A failed run leaves only its trace behind.
+	ans := answer{trace: sum}
+	if err == nil {
+		ans.res, ans.body = res, new(EncodedBody)
+		if res.Degraded == nil {
+			// Degraded answers are honest but not canonical: caching one
+			// would keep serving reduced fidelity after the pressure has
+			// passed.
+			m.cache.put(fl.fp, ans)
+		}
 	}
 	jobs := fl.jobs
 	fl.jobs = nil
@@ -1037,6 +1050,11 @@ func (m *Manager) runFlight(fl *flight) {
 		ts.failed += int64(len(jobs))
 	} else {
 		ts.completed += int64(len(jobs))
+	}
+	// Queued as finished here, under the lock, a moment before they are
+	// completed below: nothing can drop them from the queue that soon.
+	for _, j := range jobs {
+		m.retireLocked(j, now)
 	}
 	m.mu.Unlock()
 
@@ -1055,7 +1073,7 @@ func (m *Manager) runFlight(fl *flight) {
 			mCompleted.Inc()
 			cm.completed.Inc()
 		}
-		j.complete(res, err, now, stages, sum)
+		j.complete(ans, err, stages)
 	}
 }
 
@@ -1235,16 +1253,46 @@ func (m *Manager) observeRun(d time.Duration) {
 	}
 }
 
-// pruneLocked drops finished jobs past the retention window. Callers hold
-// m.mu.
+// maxFinishedJobs caps how many finished jobs stay pollable, whatever
+// JobRetention says: retention alone lets job memory grow with the request
+// rate (a cache-hit stream finishes thousands of jobs a second). A constant
+// rather than a setting: it only has to outlast the gap between a
+// submission and its poll, and 8,192 jobs is seconds of that even at a
+// hit-only peak rate and the whole retention window at any engine-bound
+// rate.
+const maxFinishedJobs = 8192
+
+// finishedJob is one entry of the finish-ordered queue of terminal jobs.
+type finishedJob struct {
+	id string
+	at time.Time
+}
+
+// retireLocked appends a job that has reached (or is about to be given) a
+// terminal state to the finished queue, once, and drops the oldest finished
+// jobs beyond maxFinishedJobs. Callers hold m.mu.
+func (m *Manager) retireLocked(j *Job, at time.Time) {
+	if j.retired {
+		return
+	}
+	j.retired = true
+	m.finished = append(m.finished, finishedJob{id: j.ID, at: at})
+	for len(m.finished) > maxFinishedJobs {
+		m.dropOldestLocked()
+	}
+}
+
+func (m *Manager) dropOldestLocked() {
+	delete(m.jobs, m.finished[0].id)
+	m.finished = m.finished[1:]
+}
+
+// pruneLocked drops jobs that finished — done, failed or cancelled — before
+// the retention window. The queue is in finish order, so the work is
+// proportional to what expires, not to what is retained. Callers hold m.mu.
 func (m *Manager) pruneLocked(now time.Time) {
 	cutoff := now.Add(-m.cfg.JobRetention)
-	for id, j := range m.jobs {
-		j.mu.Lock()
-		expired := (j.state == StateDone || j.state == StateFailed) && j.finished.Before(cutoff)
-		j.mu.Unlock()
-		if expired {
-			delete(m.jobs, id)
-		}
+	for len(m.finished) > 0 && m.finished[0].at.Before(cutoff) {
+		m.dropOldestLocked()
 	}
 }

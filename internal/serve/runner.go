@@ -130,5 +130,12 @@ func runOnEngine(ctx context.Context, engine *core.Engine, req Request, cfg Runn
 	q.Workers = cfg.LabelWorkers
 	q.Parallelism = cfg.Parallelism
 	q.Bank = seg
-	return engine.RunContext(ctx, q)
+	res, err := engine.RunContext(ctx, q)
+	if res != nil {
+		// What the manager retains — cache entries and finished jobs, for
+		// minutes — must stay small: responses read MatrixStats, nothing
+		// downstream reads the sampled matrix itself.
+		res.Matrix = nil
+	}
+	return res, err
 }

@@ -69,7 +69,9 @@ sleep 2
 
 # 3. Close a route under live traffic. 201, a Location header, and a
 # strictly-partial blast radius: some hop trees rebuilt, fewer than the
-# city total, incrementally faster than the measured full prep.
+# city total; some zones touched, fewer than all. That is what makes the
+# apply incremental, and it is deterministic; the two timings are printed
+# for information only (on this tiny city both round to a few ms).
 CODE=$(curl -s -o "$WORKDIR/apply.json" -w '%{http_code}' -X POST \
     -H 'Content-Type: application/json' \
     -d '{"mutations": [{"kind": "close_route", "route": "RT_X1"}]}' \
@@ -87,9 +89,9 @@ delta = body["delta"]
 assert delta["id"] == 1 and delta["epoch"] == 2, delta
 br = delta["blast_radius"]
 assert 0 < br["hop_trees_rebuilt"] < br["hop_trees_total"], br
-assert br["zones_touched"] > 0 and br["stops_affected"] > 0, br
+assert 0 < br["zones_touched"] < body["city"]["zones"], (br, body["city"]["zones"])
+assert br["stops_affected"] > 0, br
 assert br["router_rebuilt"], br
-assert br["rebuild_ms"] < br["est_full_rebuild_ms"], br
 zt, tr, tt = br["zones_touched"], br["hop_trees_rebuilt"], br["hop_trees_total"]
 rm, fm = br["rebuild_ms"], br["est_full_rebuild_ms"]
 print(f"scenario apply ok: epoch 2, {zt} zones touched, {tr}/{tt} trees rebuilt, rebuild {rm}ms vs full {fm}ms")

@@ -29,8 +29,11 @@ go build -o "$WORKDIR/aqquery" ./cmd/aqquery
 "$WORKDIR/aqquery" -city coventry -scale 0.07 -save "$WORKDIR/covB.snap" 2>/dev/null
 "$WORKDIR/aqquery" -city birmingham -scale 0.05 -save "$WORKDIR/bham.snap" 2>/dev/null
 
+# The result cache is sized so that step 5's few seconds of fresh-seed
+# traffic (hundreds of distinct queries on these tiny cities) cannot evict
+# the entry step 4 seeds and step 6 expects to find stale.
 "$WORKDIR/aqserver" -cities "coventry=$WORKDIR/covA.snap,birmingham=$WORKDIR/bham.snap" \
-    -snapshot-dir "$WORKDIR" -addr "$ADDR" -workers 4 >"$WORKDIR/server.log" 2>&1 &
+    -snapshot-dir "$WORKDIR" -addr "$ADDR" -workers 4 -cache-size 4096 >"$WORKDIR/server.log" 2>&1 &
 SERVER_PID=$!
 
 for i in $(seq 1 60); do
