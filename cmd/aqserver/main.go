@@ -108,7 +108,6 @@ func main() {
 		breakerCD    = flag.Duration("breaker-cooldown", 15*time.Second, "how long a tripped breaker stays open before probing the engine again")
 		faultSpec    = flag.String("fault-spec", "", "deterministic fault injection for chaos runs, e.g. \"seed=42;spq:fail=0.05\" (never set in production)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
-		labelWorkers = flag.Int("label-workers", 0, "goroutines labeling zones inside one engine run (0 = serial)")
 		parallelism  = flag.Int("parallelism", runtime.GOMAXPROCS(0), "worker pool for offline pre-processing and each query's feature stage (results identical at any setting)")
 		bankEnable   = flag.Bool("bank", true, "share priced trips across queries through the epoch-keyed label bank")
 		bankCap      = flag.Int("bank-capacity", bank.DefaultCapacity, "label-bank entry capacity across all tenants (oldest segment evicts first)")
@@ -223,7 +222,7 @@ func main() {
 		SLO:                sloEng,
 		BurnTripThreshold:  *sloBurnTrip,
 		Captures:           captures,
-	}, serve.RunnerConfig{LabelWorkers: *labelWorkers, Parallelism: *parallelism, Bank: bk})
+	}, serve.RunnerConfig{Parallelism: *parallelism, Bank: bk})
 	s.snapDir = *snapshotDir
 
 	if captures != nil {

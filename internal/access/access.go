@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"accessquery/internal/fault"
@@ -186,9 +185,10 @@ type Labeler struct {
 	// passed, labeling returns context.DeadlineExceeded so overshoot is
 	// bounded by roughly one profile search.
 	Deadline time.Time
-	// Bank, when non-nil, is the cross-query priced-trip store: LabelZone
-	// drains it before spending SPQ budget and buffers what it prices into
-	// PendingDeposits. A nil bank reproduces the unbanked code path exactly.
+	// Bank, when non-nil, is the cross-query priced-trip store: labeling
+	// (LabelZone and LabelZonePairs alike) drains it before spending SPQ
+	// budget and buffers what it prices into PendingDeposits. A nil bank
+	// reproduces the unbanked code path exactly.
 	Bank TripBank
 	// SPQs counts shortest-path-query-equivalents performed (one per priced
 	// trip), for the Table II accounting. Trips satisfied from the bank are
@@ -196,8 +196,8 @@ type Labeler struct {
 	SPQs    int64
 	Drained int64
 	// PendingDeposits buffers priced trips awaiting a clean run. A zone's
-	// deposits are appended only when its LabelZone completes without error,
-	// so a deadline that fires mid-zone discards that zone's partial drain.
+	// deposits stay only when the zone completes without error, so a
+	// deadline that fires mid-zone discards that zone's partial drain.
 	// The engine flushes the buffer to the bank only after the whole
 	// labeling stage finished at full fidelity.
 	PendingDeposits []TripDeposit
@@ -212,8 +212,18 @@ type Labeler struct {
 	// search is swapped by tests to compare against the exhaustive profile;
 	// nil means Router.ProfileTo.
 	search func(origin graph.NodeID, start gtfs.Seconds, targets []graph.NodeID) (*router.Profile, error)
-	// targets is the per-start-group target buffer, reused across groups.
+	// trips, targets and drains are scratch reused across zones and start
+	// groups: the zone's start-ordered trips, the group's target nodes, and
+	// the group's bank answers (bank attached only).
+	trips   todam.TripBuf
 	targets []graph.NodeID
+	drains  []drain
+}
+
+// drain is one trip's bank lookup within a start group.
+type drain struct {
+	price TripPrice
+	hit   bool
 }
 
 const (
@@ -279,103 +289,17 @@ func (l *Labeler) expired() bool {
 // either way, so the zone's aggregates are bit-equal to an unbanked run
 // over the same engine generation.
 func (l *Labeler) LabelZone(zone int) (ZoneMeasure, bool, error) {
-	if zone < 0 || zone >= len(l.ZoneNode) {
-		return ZoneMeasure{}, false, fmt.Errorf("access: zone %d out of range", zone)
-	}
-	origin := l.ZoneNode[zone]
-	// Group trips by start time.
-	byStart := make(map[gtfs.Seconds][]todam.Trip)
-	l.Matrix.EachTrip(zone, func(tr todam.Trip) {
-		byStart[tr.Start] = append(byStart[tr.Start], tr)
-	})
-	starts := make([]gtfs.Seconds, 0, len(byStart))
-	for s := range byStart {
-		starts = append(starts, s)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	var costs []float64
 	var walkOnly int
-	var pending []TripDeposit
-	for _, start := range starts {
-		if l.expired() {
-			return ZoneMeasure{}, false, fmt.Errorf("access: zone %d: %w", zone, context.DeadlineExceeded)
+	err := l.priceZone(zone, func(_ todam.Trip, j router.Journey) {
+		costs = append(costs, l.price(j))
+		if j.WalkOnly() {
+			walkOnly++
 		}
-		trips := byStart[start]
-		var prices []TripPrice
-		var hit []bool
-		if l.Bank != nil {
-			prices = make([]TripPrice, len(trips))
-			hit = make([]bool, len(trips))
-		}
-		// The search is needed when any trip is left to price, and is
-		// bounded by the POI nodes of exactly those trips.
-		needProfile := false
-		targets := l.targets[:0]
-		for i, tr := range trips {
-			if tr.POI >= 0 && tr.POI < len(l.POINode) {
-				dest := l.POINode[tr.POI]
-				if l.Bank != nil {
-					if p, ok := l.Bank.Drain(TripKey{Zone: zone, Dest: dest, Start: start}); ok {
-						prices[i], hit[i] = p, true
-						l.Drained++
-						continue
-					}
-				}
-				targets = append(targets, dest)
-			}
-			needProfile = true
-		}
-		l.targets = targets
-		var prof *router.Profile
-		if needProfile {
-			var err error
-			prof, err = l.profile(origin, start, targets)
-			if err != nil {
-				return ZoneMeasure{}, false, fmt.Errorf("access: zone %d: %w", zone, err)
-			}
-		}
-		// Journeys are copied out below, so the profile's label arena can go
-		// back to the router pool as soon as this start group is priced.
-		for i, tr := range trips {
-			if hit != nil && hit[i] {
-				p := prices[i]
-				if !p.Reachable {
-					continue
-				}
-				costs = append(costs, l.price(p.Journey))
-				if p.Journey.WalkOnly() {
-					walkOnly++
-				}
-				continue
-			}
-			l.SPQs++
-			if tr.POI < 0 || tr.POI >= len(l.POINode) {
-				continue
-			}
-			dest := l.POINode[tr.POI]
-			j, ok := prof.Journey(dest)
-			if l.Bank != nil {
-				dep := TripPrice{Reachable: ok}
-				if ok {
-					dep.Journey = j
-				}
-				pending = append(pending, TripDeposit{Key: TripKey{Zone: zone, Dest: dest, Start: start}, Price: dep})
-			}
-			if !ok {
-				continue
-			}
-			costs = append(costs, l.price(j))
-			if j.WalkOnly() {
-				walkOnly++
-			}
-		}
-		if prof != nil {
-			prof.Release()
-		}
+	})
+	if err != nil {
+		return ZoneMeasure{}, false, err
 	}
-	// The zone completed cleanly; its priced trips (including negative
-	// results) are now deposit candidates.
-	l.PendingDeposits = append(l.PendingDeposits, pending...)
 	if len(costs) == 0 {
 		return ZoneMeasure{Zone: zone}, false, nil
 	}
@@ -407,65 +331,121 @@ type PairMeasure struct {
 }
 
 // LabelZonePairs prices a zone's trips like LabelZone but aggregates to
-// the (zone, POI) pair level instead of the zone level.
+// the (zone, POI) pair level instead of the zone level, in POI order.
 func (l *Labeler) LabelZonePairs(zone int) ([]PairMeasure, error) {
+	agg := make([]PairMeasure, len(l.POINode))
+	err := l.priceZone(zone, func(tr todam.Trip, j router.Journey) {
+		pm := &agg[tr.POI]
+		pm.POI, pm.Alpha = tr.POI, tr.Alpha
+		pm.Mean += l.price(j)
+		pm.Trips++
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []PairMeasure
+	for _, pm := range agg {
+		if pm.Trips > 0 {
+			pm.Mean /= float64(pm.Trips)
+			out = append(out, pm)
+		}
+	}
+	return out, nil
+}
+
+// priceZone is the labeling loop behind LabelZone and LabelZonePairs. It
+// prices every sampled trip of zone, one start-time group at a time, and
+// calls fold with each reachable trip and its journey in trip order:
+// ascending start time, then matrix row order.
+//
+// Per group it checks the deadline, drains the bank, searches one profile
+// towards the POI nodes of the trips left to price (retrying transient
+// failures), counts an SPQ per trip it did not drain, buffers a deposit per
+// priced trip, and releases the profile once the journeys are copied out.
+// The zone's deposits stay in PendingDeposits only if the whole zone
+// completes, so a deadline that fires mid-zone discards its partial drain.
+func (l *Labeler) priceZone(zone int, fold func(todam.Trip, router.Journey)) error {
 	if zone < 0 || zone >= len(l.ZoneNode) {
-		return nil, fmt.Errorf("access: zone %d out of range", zone)
+		return fmt.Errorf("access: zone %d out of range", zone)
 	}
 	origin := l.ZoneNode[zone]
-	byStart := make(map[gtfs.Seconds][]todam.Trip)
-	l.Matrix.EachTrip(zone, func(tr todam.Trip) {
-		byStart[tr.Start] = append(byStart[tr.Start], tr)
-	})
-	starts := make([]gtfs.Seconds, 0, len(byStart))
-	for s := range byStart {
-		starts = append(starts, s)
+	mark := len(l.PendingDeposits)
+	fail := func(err error) error {
+		l.PendingDeposits = l.PendingDeposits[:mark]
+		return fmt.Errorf("access: zone %d: %w", zone, err)
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	agg := make(map[int]*PairMeasure)
-	for _, start := range starts {
-		if l.expired() {
-			return nil, fmt.Errorf("access: zone %d: %w", zone, context.DeadlineExceeded)
+	trips := l.Matrix.TripsByStart(zone, &l.trips)
+	for len(trips) > 0 {
+		start := trips[0].Start
+		n := 1
+		for n < len(trips) && trips[n].Start == start {
+			n++
 		}
-		targets := l.targets[:0]
-		for _, tr := range byStart[start] {
+		group := trips[:n]
+		trips = trips[n:]
+		if l.expired() {
+			return fail(context.DeadlineExceeded)
+		}
+		// The search is needed when any trip is left to price, and is
+		// bounded by the POI nodes of exactly those trips.
+		needProfile := false
+		targets, drains := l.targets[:0], l.drains[:0]
+		for _, tr := range group {
+			var d drain
 			if tr.POI >= 0 && tr.POI < len(l.POINode) {
-				targets = append(targets, l.POINode[tr.POI])
+				dest := l.POINode[tr.POI]
+				if l.Bank != nil {
+					d.price, d.hit = l.Bank.Drain(TripKey{Zone: zone, Dest: dest, Start: start})
+				}
+				if !d.hit {
+					targets = append(targets, dest)
+				}
+			}
+			if d.hit {
+				l.Drained++
+			} else {
+				needProfile = true
+			}
+			if l.Bank != nil {
+				drains = append(drains, d)
 			}
 		}
-		l.targets = targets
-		prof, err := l.profile(origin, start, targets)
-		if err != nil {
-			return nil, fmt.Errorf("access: zone %d: %w", zone, err)
+		l.targets, l.drains = targets, drains
+		var prof *router.Profile
+		if needProfile {
+			var err error
+			if prof, err = l.profile(origin, start, targets); err != nil {
+				return fail(err)
+			}
 		}
-		for _, tr := range byStart[start] {
+		for i, tr := range group {
+			if l.Bank != nil && drains[i].hit {
+				if p := drains[i].price; p.Reachable {
+					fold(tr, p.Journey)
+				}
+				continue
+			}
 			l.SPQs++
 			if tr.POI < 0 || tr.POI >= len(l.POINode) {
 				continue
 			}
-			j, ok := prof.Journey(l.POINode[tr.POI])
-			if !ok {
-				continue
+			dest := l.POINode[tr.POI]
+			j, ok := prof.Journey(dest)
+			if l.Bank != nil {
+				l.PendingDeposits = append(l.PendingDeposits, TripDeposit{
+					Key:   TripKey{Zone: zone, Dest: dest, Start: start},
+					Price: TripPrice{Journey: j, Reachable: ok},
+				})
 			}
-			pm := agg[tr.POI]
-			if pm == nil {
-				pm = &PairMeasure{POI: tr.POI, Alpha: tr.Alpha}
-				agg[tr.POI] = pm
+			if ok {
+				fold(tr, j)
 			}
-			pm.Mean += l.price(j)
-			pm.Trips++
 		}
-		prof.Release()
-	}
-	out := make([]PairMeasure, 0, len(agg))
-	for _, pm := range agg {
-		if pm.Trips > 0 {
-			pm.Mean /= float64(pm.Trips)
-			out = append(out, *pm)
+		if prof != nil {
+			prof.Release()
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].POI < out[j].POI })
-	return out, nil
+	return nil
 }
 
 func (l *Labeler) price(j router.Journey) float64 {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accessquery/internal/access"
@@ -826,163 +825,94 @@ type labelOutcome struct {
 	truncated int
 }
 
-// newLabeler builds one labeler with the engine's retry policy and the
-// labeling-stage deadline.
-func (e *Engine) newLabeler(q Query, m *todam.Matrix, poiNodes []graph.NodeID, stopBy time.Time) *access.Labeler {
-	return &access.Labeler{
-		Router: e.router, Matrix: m, ZoneNode: e.City.ZoneNode,
-		POINode: poiNodes, Cost: q.Cost, Params: q.CostParams,
-		MaxAttempts: spqMaxAttempts, Deadline: stopBy, Bank: q.Bank,
-	}
-}
+// errLabelingStopped halts labeling's dispatch once the truncation deadline
+// has passed; labelZones never returns it.
+var errLabelingStopped = errors.New("core: labeling truncated")
 
-// labelZones prices the given zones, optionally in parallel. Output is
-// deterministic regardless of worker count. Labeling dominates online
-// query cost, so ctx and the stopBy truncation deadline are checked
-// between zones: a cancelled query stops within one zone's worth of SPQs.
+// labelZones prices the given zones on q.Workers goroutines and folds the
+// outcome in zone order. Every zone gets its own labeler and an
+// index-addressed slot, so measures, counters and bank deposits are the
+// same at any worker count. Labeling dominates online query cost, so ctx
+// and the stopBy truncation deadline are checked before every zone: a
+// cancelled query stops within one zone's worth of SPQs per worker.
 //
 // Pressure is absorbed rather than escalated: a zone whose SPQs keep
 // failing transiently after retries is skipped and counted in failed, and
 // zones not priced before stopBy (or the ctx deadline) are counted in
 // truncated with a nil error — the caller degrades the run instead of
-// failing it. Only non-transient errors and plain cancellation propagate.
+// failing it. Only non-transient errors and plain cancellation propagate;
+// a non-transient error is the first in zone order.
 //
 // The SPQ count is reported even on the error paths: the queries priced
 // before a failure or cancellation were real router work, and callers feed
 // the count into aq_engine_spqs_total either way.
 func (e *Engine) labelZones(ctx context.Context, q Query, m *todam.Matrix, poiNodes []graph.NodeID, zones []int, stopBy time.Time) (labelOutcome, error) {
-	if q.Workers <= 1 {
-		return e.labelZonesSerial(ctx, q, m, poiNodes, zones, stopBy)
+	type slot struct {
+		l   *access.Labeler // nil for a zone never started
+		m   access.ZoneMeasure
+		ok  bool
+		err error
 	}
-	return e.labelZonesParallel(ctx, q, m, poiNodes, zones, stopBy, q.Workers)
-}
-
-func (e *Engine) labelZonesSerial(ctx context.Context, q Query, m *todam.Matrix, poiNodes []graph.NodeID, zones []int, stopBy time.Time) (labelOutcome, error) {
-	labeler := e.newLabeler(q, m, poiNodes, stopBy)
-	lo := labelOutcome{measures: make([]*access.ZoneMeasure, len(zones))}
-	flush := func() {
-		lo.spqs = labeler.SPQs
-		lo.retries = labeler.Retries
-		lo.abandoned = labeler.Abandoned
-		lo.drained = labeler.Drained
-		lo.deposits = labeler.PendingDeposits
-	}
-	for i, zone := range zones {
+	slots := make([]slot, len(zones))
+	err := par.ForContext(ctx, q.Workers, len(zones), func(i int) error {
 		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				lo.truncated += len(zones) - i
-				break
-			}
-			flush()
-			return lo, err
+			return err
 		}
 		if !stopBy.IsZero() && time.Now().After(stopBy) {
-			lo.truncated += len(zones) - i
-			break
+			return errLabelingStopped
 		}
-		zm, ok, err := labeler.LabelZone(zone)
+		s := &slots[i]
+		s.l = &access.Labeler{
+			Router: e.router, Matrix: m, ZoneNode: e.City.ZoneNode,
+			POINode: poiNodes, Cost: q.Cost, Params: q.CostParams,
+			MaxAttempts: spqMaxAttempts, Deadline: stopBy, Bank: q.Bank,
+		}
+		s.m, s.ok, s.err = s.l.LabelZone(zones[i])
 		switch {
-		case err == nil:
-			if ok {
-				measure := zm
-				lo.measures[i] = &measure
-			}
-		case errors.Is(err, context.DeadlineExceeded):
+		case errors.Is(s.err, context.DeadlineExceeded):
 			// The labeler's own deadline fired mid-zone: this zone and the
 			// rest are lost to truncation.
-			lo.truncated += len(zones) - i
-			flush()
-			return lo, nil
-		case fault.IsTransient(err):
-			lo.failed++
+			return errLabelingStopped
+		case s.err == nil || fault.IsTransient(s.err):
+			return nil
 		default:
-			flush()
-			return lo, err
+			return s.err
+		}
+	})
+	lo := labelOutcome{measures: make([]*access.ZoneMeasure, len(zones))}
+	var hard error
+	for i := range slots {
+		s := &slots[i]
+		if s.l == nil {
+			lo.truncated++
+			continue
+		}
+		lo.spqs += s.l.SPQs
+		lo.retries += s.l.Retries
+		lo.abandoned += s.l.Abandoned
+		lo.drained += s.l.Drained
+		lo.deposits = append(lo.deposits, s.l.PendingDeposits...) // empty unless the zone completed
+		switch {
+		case s.err == nil:
+			if s.ok {
+				lo.measures[i] = &s.m
+			}
+		case errors.Is(s.err, context.DeadlineExceeded):
+			lo.truncated++
+		case fault.IsTransient(s.err):
+			lo.failed++
+		case hard == nil:
+			hard = s.err
 		}
 	}
-	flush()
-	return lo, nil
-}
-
-func (e *Engine) labelZonesParallel(ctx context.Context, q Query, m *todam.Matrix, poiNodes []graph.NodeID, zones []int, stopBy time.Time, workers int) (labelOutcome, error) {
-	lo := labelOutcome{measures: make([]*access.ZoneMeasure, len(zones))}
-	jobs := make(chan int)
-	errs := make(chan error, workers)
-	var failed, truncated atomic.Int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			labeler := e.newLabeler(q, m, poiNodes, stopBy)
-			// Fold this worker's counters in even when it exits on an error,
-			// so the error paths below still see the accumulated counts
-			// after wg.Wait.
-			defer func() {
-				mu.Lock()
-				lo.spqs += labeler.SPQs
-				lo.retries += labeler.Retries
-				lo.abandoned += labeler.Abandoned
-				lo.drained += labeler.Drained
-				lo.deposits = append(lo.deposits, labeler.PendingDeposits...)
-				mu.Unlock()
-			}()
-			for i := range jobs {
-				zm, ok, err := labeler.LabelZone(zones[i])
-				switch {
-				case err == nil:
-					if ok {
-						measure := zm
-						lo.measures[i] = &measure
-					}
-				case errors.Is(err, context.DeadlineExceeded):
-					truncated.Add(1)
-				case fault.IsTransient(err):
-					failed.Add(1)
-				default:
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	// finish folds the atomics once the workers have drained; valid only
-	// after wg.Wait.
-	finish := func(err error) (labelOutcome, error) {
-		lo.failed = int(failed.Load())
-		lo.truncated += int(truncated.Load())
+	switch {
+	case hard != nil:
+		return lo, hard
+	case err == nil, errors.Is(err, errLabelingStopped), errors.Is(err, context.DeadlineExceeded):
+		return lo, nil
+	default:
 		return lo, err
 	}
-	for i := range zones {
-		if !stopBy.IsZero() && time.Now().After(stopBy) {
-			lo.truncated += len(zones) - i
-			break
-		}
-		select {
-		case err := <-errs:
-			close(jobs)
-			wg.Wait()
-			return finish(err)
-		case <-ctx.Done():
-			close(jobs)
-			wg.Wait()
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				lo.truncated += len(zones) - i
-				return finish(nil)
-			}
-			return finish(ctx.Err())
-		case jobs <- i:
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return finish(err)
-	default:
-	}
-	return finish(nil)
 }
 
 // trainDiag carries the training-stage diagnostics a trace's "training"

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"accessquery/internal/bank"
 	"accessquery/internal/gtfs"
 	"accessquery/internal/synth"
 )
@@ -218,6 +219,52 @@ func TestGroundTruthContextCancellation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Errorf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestParallelLabelingDepositsInZoneOrder: with a bank attached — warmed
+// on every third zone, so start groups mix drained and priced trips —
+// labeling at 1 and 4 workers yields deep-equal measures, counters and
+// deposits, the deposits in zone order whichever worker priced them.
+func TestParallelLabelingDepositsInZoneOrder(t *testing.T) {
+	e := equalityEngine(t, 2)
+	q := Query{
+		POIs:           POIsOf(e.City, synth.POISchool),
+		Budget:         0.2,
+		SamplesPerHour: 8,
+		Seed:           9,
+	}.withDefaults()
+	m, poiNodes, _, err := e.buildMatrix(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Bank = bank.New(bank.Config{}).Segment(e.City.Name, 1)
+	var all, warm []int
+	for z := range e.zonePts {
+		all = append(all, z)
+		if z%3 == 0 {
+			warm = append(warm, z)
+		}
+	}
+	lo, err := e.labelZones(context.Background(), q, m, poiNodes, warm, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Bank.Deposit(lo.deposits)
+	var runs [2]labelOutcome
+	for i, workers := range []int{1, 4} {
+		qq := q
+		qq.Workers = workers
+		if runs[i], err = e.labelZones(context.Background(), qq, m, poiNodes, all, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs[0].drained == 0 || runs[0].spqs == 0 || len(runs[0].deposits) == 0 {
+		t.Fatalf("vacuous run: drained %d, spqs %d, deposits %d", runs[0].drained, runs[0].spqs, len(runs[0].deposits))
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("labeling at 4 workers differs from 1 worker (deposits in order: %v)",
+			reflect.DeepEqual(runs[0].deposits, runs[1].deposits))
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package graph implements the road-network graph G(N, E) from the paper's
 // preliminaries: an undirected weighted graph over geographic nodes, with
-// Dijkstra shortest paths (binary heap), bounded single-source exploration
-// (the primitive behind walking isochrones), and connected-component
-// analysis.
+// Dijkstra single-source distances (binary heap), bounded single-source
+// exploration (the primitive behind walking isochrones), and
+// connected-component analysis.
 //
 // Edge weights are traversal times in seconds at a reference walking speed;
 // the router layers transit on top of this graph.
@@ -10,7 +10,6 @@ package graph
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"math"
 
@@ -118,9 +117,6 @@ func (g *Graph) Degree(id NodeID) int {
 	return len(g.adj[id])
 }
 
-// ErrNoPath is returned when no path exists between the requested endpoints.
-var ErrNoPath = errors.New("graph: no path")
-
 // pqItem is a priority-queue entry for Dijkstra.
 type pqItem struct {
 	node NodeID
@@ -139,54 +135,6 @@ func (q *pq) Pop() interface{} {
 	x := old[n-1]
 	*q = old[:n-1]
 	return x
-}
-
-// ShortestPath returns the minimum travel time in seconds from src to dst and
-// the node sequence of one optimal path. It returns ErrNoPath when dst is
-// unreachable.
-func (g *Graph) ShortestPath(src, dst NodeID) (float64, []NodeID, error) {
-	if !g.has(src) || !g.has(dst) {
-		return 0, nil, fmt.Errorf("graph: invalid endpoints (%d,%d)", src, dst)
-	}
-	if src == dst {
-		return 0, []NodeID{src}, nil
-	}
-	dist := make([]float64, len(g.nodes))
-	prev := make([]NodeID, len(g.nodes))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = InvalidNode
-	}
-	dist[src] = 0
-	q := pq{{node: src}}
-	for q.Len() > 0 {
-		cur := heap.Pop(&q).(pqItem)
-		if cur.dist > dist[cur.node] {
-			continue // stale entry
-		}
-		if cur.node == dst {
-			break
-		}
-		for _, e := range g.adj[cur.node] {
-			if nd := cur.dist + e.seconds; nd < dist[e.to] {
-				dist[e.to] = nd
-				prev[e.to] = cur.node
-				heap.Push(&q, pqItem{node: e.to, dist: nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return 0, nil, ErrNoPath
-	}
-	// Reconstruct.
-	var path []NodeID
-	for at := dst; at != InvalidNode; at = prev[at] {
-		path = append(path, at)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return dist[dst], path, nil
 }
 
 // Explore runs single-source Dijkstra from src, bounded by maxSeconds, and

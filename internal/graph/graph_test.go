@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,23 +55,22 @@ func TestAddEdgeValidation(t *testing.T) {
 
 func TestShortestPathLine(t *testing.T) {
 	g, ids := line(t, 10, 30)
-	d, path, err := g.ShortestPath(ids[0], ids[9])
+	dist, err := g.AllDistances(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != 270 {
-		t.Errorf("distance = %v, want 270", d)
-	}
-	if len(path) != 10 || path[0] != ids[0] || path[9] != ids[9] {
-		t.Errorf("bad path %v", path)
+	for i, id := range ids {
+		if want := float64(30 * i); dist[id] != want {
+			t.Errorf("distance to node %d = %v, want %v", i, dist[id], want)
+		}
 	}
 }
 
 func TestShortestPathSameNode(t *testing.T) {
 	g, ids := line(t, 3, 10)
-	d, path, err := g.ShortestPath(ids[1], ids[1])
-	if err != nil || d != 0 || len(path) != 1 {
-		t.Errorf("self path: d=%v path=%v err=%v", d, path, err)
+	dist, err := g.AllDistances(ids[1])
+	if err != nil || dist[ids[1]] != 0 {
+		t.Errorf("self distance: %v err=%v", dist, err)
 	}
 }
 
@@ -80,19 +78,21 @@ func TestShortestPathNoPath(t *testing.T) {
 	g := New(2)
 	a := g.AddNode(origin)
 	b := g.AddNode(geo.Offset(origin, 1000, 0))
-	_, _, err := g.ShortestPath(a, b)
-	if !errors.Is(err, ErrNoPath) {
-		t.Errorf("err = %v, want ErrNoPath", err)
+	dist, err := g.AllDistances(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(dist[b], 1) {
+		t.Errorf("distance to a disconnected node = %v, want +Inf", dist[b])
 	}
 }
 
 func TestShortestPathInvalidEndpoints(t *testing.T) {
-	g, ids := line(t, 3, 10)
-	if _, _, err := g.ShortestPath(ids[0], 99); err == nil {
-		t.Error("want error for invalid dst")
-	}
-	if _, _, err := g.ShortestPath(-2, ids[0]); err == nil {
-		t.Error("want error for invalid src")
+	g, _ := line(t, 3, 10)
+	for _, src := range []NodeID{99, -2} {
+		if _, err := g.AllDistances(src); err == nil {
+			t.Errorf("want error for invalid source %d", src)
+		}
 	}
 }
 
@@ -110,15 +110,12 @@ func TestShortestPathPrefersCheaperRoute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, path, err := g.ShortestPath(a, b)
+	dist, err := g.AllDistances(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != 60 {
-		t.Errorf("d = %v, want 60", d)
-	}
-	if len(path) != 3 || path[1] != c {
-		t.Errorf("path %v should pass through c", path)
+	if dist[b] != 60 || dist[c] != 30 {
+		t.Errorf("d(b) = %v, d(c) = %v; want 60 via c, and 30", dist[b], dist[c])
 	}
 }
 
@@ -303,7 +300,7 @@ func TestNodeAccessors(t *testing.T) {
 	}
 }
 
-func BenchmarkShortestPathGrid(b *testing.B) {
+func BenchmarkAllDistancesGrid(b *testing.B) {
 	// 50x50 grid graph.
 	const side = 50
 	g := New(side * side)
@@ -325,8 +322,7 @@ func BenchmarkShortestPathGrid(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := g.ShortestPath(ids[0], ids[side*side-1])
-		if err != nil {
+		if _, err := g.AllDistances(ids[0]); err != nil {
 			b.Fatal(err)
 		}
 	}

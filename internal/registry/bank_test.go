@@ -50,7 +50,7 @@ func TestBankSwapRetiresSegments(t *testing.T) {
 		t.Fatal("warm deposit did not land")
 	}
 
-	if _, _, err := tn.Rebuild(); err != nil {
+	if _, _, err := tn.SwapSnapshot(""); err != nil {
 		t.Fatal(err)
 	}
 	st := b.Stats()

@@ -156,8 +156,8 @@ type Retired struct {
 	Drained <-chan struct{}
 }
 
-// Tenant is one named city: an epoch-aware engine provider plus the
-// recorded source that rebuilds it.
+// Tenant is one named city: an epoch-aware engine provider plus, for a
+// snapshot-backed tenant, the file it reloads from.
 type Tenant struct {
 	Name string
 
@@ -167,9 +167,8 @@ type Tenant struct {
 	// swapMu serializes swaps (and the builds behind them); it is never
 	// held while queries run.
 	swapMu    sync.Mutex
-	preset    *synth.Config // non-nil for preset-built tenants
-	path      string        // non-empty for snapshot-backed tenants
-	fileSize  int64         // snapshot file identity at last load, for ReloadChanged
+	path      string // non-empty for snapshot-backed tenants
+	fileSize  int64  // snapshot file identity at last load, for ReloadChanged
 	fileMtime time.Time
 
 	nextEpoch atomic.Uint64
@@ -307,23 +306,6 @@ func (t *Tenant) install(e *core.Engine, source string, seedBank bool) *Retired 
 	return retired
 }
 
-// SwapEngine installs an already-built engine as the tenant's next epoch.
-// It is the primitive under SwapSnapshot and Rebuild, and the hook a
-// future delta API uses ("build successor engine, swap").
-func (t *Tenant) SwapEngine(e *core.Engine, source string) (Info, *Retired, error) {
-	if e == nil {
-		return Info{}, nil, fmt.Errorf("registry: nil engine for %s", t.Name)
-	}
-	if name := e.City.Name; !cityMatches(name, t.Name) {
-		return Info{}, nil, fmt.Errorf("registry: engine is for city %q, tenant is %q", name, t.Name)
-	}
-	t.swapMu.Lock()
-	defer t.swapMu.Unlock()
-	retired := t.install(e, source, false)
-	t.clearScenario()
-	return t.Info(), retired, nil
-}
-
 // SwapSnapshot loads the snapshot at path and installs it as the tenant's
 // next epoch. A snapshot that fails verification (see core.SnapshotError)
 // or names a different city is refused and the current epoch keeps
@@ -352,24 +334,6 @@ func (t *Tenant) SwapSnapshot(path string) (Info, *Retired, error) {
 	t.path = path
 	t.recordFileIdentity(path)
 	retired := t.install(e, "snapshot:"+path, false)
-	t.clearScenario()
-	return t.Info(), retired, nil
-}
-
-// Rebuild re-creates the tenant's engine from its recorded source — the
-// synth preset for preset tenants, the snapshot path for snapshot tenants —
-// and installs it as the next epoch.
-func (t *Tenant) Rebuild() (Info, *Retired, error) {
-	if t.preset == nil {
-		return t.SwapSnapshot("")
-	}
-	t.swapMu.Lock()
-	defer t.swapMu.Unlock()
-	e, err := t.reg.buildPreset(*t.preset)
-	if err != nil {
-		return Info{}, nil, fmt.Errorf("registry: rebuilding %s (epoch %d keeps serving): %w", t.Name, t.Epoch(), err)
-	}
-	retired := t.install(e, t.cur.Load().source, false)
 	t.clearScenario()
 	return t.Info(), retired, nil
 }
@@ -441,7 +405,6 @@ func Open(specs []TenantSpec, opts Options) (*Registry, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.preset = &cfg
 			e, err = r.buildPreset(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("registry: building %s: %w", name, err)

@@ -137,6 +137,17 @@ func TestOpenRejectsWrongCitySnapshot(t *testing.T) {
 	}
 }
 
+// swapEngine installs an already-built engine as the tenant's next epoch
+// the way SwapSnapshot does once it has loaded and checked a file, so the
+// generation machinery can be driven without writing snapshots.
+func swapEngine(tn *Tenant, e *core.Engine, source string) (Info, *Retired) {
+	tn.swapMu.Lock()
+	defer tn.swapMu.Unlock()
+	retired := tn.install(e, source, false)
+	tn.clearScenario()
+	return tn.Info(), retired
+}
+
 func TestSwapEngineBumpsEpochAndDrains(t *testing.T) {
 	a, b := sharedEngines(t)
 	r := openTwoTenants(t)
@@ -145,10 +156,7 @@ func TestSwapEngineBumpsEpochAndDrains(t *testing.T) {
 	// Hold a reference across the swap: the old generation must survive
 	// until it is released.
 	oldEngine, oldEpoch, release := tn.Acquire()
-	info, retired, err := tn.SwapEngine(b, "test:b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	info, retired := swapEngine(tn, b, "test:b")
 	if info.Epoch != oldEpoch+1 {
 		t.Errorf("epoch %d, want %d", info.Epoch, oldEpoch+1)
 	}
@@ -177,12 +185,10 @@ func TestSwapEngineBumpsEpochAndDrains(t *testing.T) {
 		t.Errorf("swaps %d, want 1", got)
 	}
 	// Restore generation A for other tests sharing the registry engines.
-	if _, _, err := tn.SwapEngine(a, "test:a"); err != nil {
-		t.Fatal(err)
-	}
+	swapEngine(tn, a, "test:a")
 }
 
-func TestSwapEngineRejectsWrongCity(t *testing.T) {
+func TestSwapSnapshotRejectsWrongCity(t *testing.T) {
 	r := openTwoTenants(t)
 	tn, _ := r.Get("coventry")
 	city, err := synth.Generate(synth.Scaled(synth.Birmingham(), 0.04))
@@ -193,9 +199,13 @@ func TestSwapEngineRejectsWrongCity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "bham.snap")
+	if err := bham.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
 	before := tn.Epoch()
-	if _, _, err := tn.SwapEngine(bham, "test:wrong"); err == nil {
-		t.Error("swapping a birmingham engine into the coventry tenant must fail")
+	if _, _, err := tn.SwapSnapshot(path); err == nil {
+		t.Error("swapping a birmingham snapshot into the coventry tenant must fail")
 	}
 	if tn.Epoch() != before {
 		t.Error("refused swap must not bump the epoch")
@@ -312,14 +322,9 @@ func TestAcquireSwapRace(t *testing.T) {
 		if i%2 == 0 {
 			next = b
 		}
-		// SwapEngine validates, installs, and returns the displaced handle;
-		// record the installed pair before acquirers can see the epoch? They
-		// may see it first — store the pair optimistically by peeking the
-		// next epoch under the same serialization SwapEngine uses.
-		info, retired, err := tn.SwapEngine(next, "test:hammer")
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Acquirers may see the new epoch before it is recorded here; a pair
+		// not recorded yet is skipped by their check, never misjudged.
+		info, retired := swapEngine(tn, next, "test:hammer")
 		installed.Store(info.Epoch, next)
 		if retired != nil {
 			retirees = append(retirees, retired)
@@ -362,9 +367,7 @@ func TestInstallBillsBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn, _ := r.Get("coventry")
-	if _, _, err := tn.SwapEngine(b, "test"); err != nil {
-		t.Fatal(err)
-	}
+	swapEngine(tn, b, "test")
 	snap := acct.Snapshot()
 	if len(snap) != 1 || snap[0].City != "coventry" {
 		t.Fatalf("snapshot = %+v, want coventry only", snap)

@@ -56,7 +56,7 @@ func TestApplyScenarioStacksAndReverts(t *testing.T) {
 	}
 }
 
-// TestNonScenarioSwapClearsScenario: a rebuild/snapshot swap invalidates
+// TestNonScenarioSwapClearsScenario: a snapshot swap invalidates
 // the pinned baseline, so the scenario state must be discarded.
 func TestNonScenarioSwapClearsScenario(t *testing.T) {
 	r := openTwoTenants(t)
@@ -67,7 +67,7 @@ func TestNonScenarioSwapClearsScenario(t *testing.T) {
 	if !tn.Scenario().Active {
 		t.Fatal("scenario should be active")
 	}
-	if _, _, err := tn.Rebuild(); err != nil {
+	if _, _, err := tn.SwapSnapshot(""); err != nil {
 		t.Fatal(err)
 	}
 	if st := tn.Scenario(); st.Active {

@@ -120,6 +120,29 @@ func TestProfileToInvalidTarget(t *testing.T) {
 	}
 }
 
+// TestProfileNegativeNode: graph.InvalidNode — what the engine welds a POI
+// with no road node to — reads as unreached on a live profile and on a
+// released one, instead of indexing labels[-1].
+func TestProfileNegativeNode(t *testing.T) {
+	s := buildScenario(t)
+	r := newRouter(t, s)
+	p, err := r.ProfileFrom(s.nodes[0], 8*3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, released := range []bool{false, true} {
+		if released {
+			p.Release()
+		}
+		if p.Reached(graph.InvalidNode) {
+			t.Errorf("released=%v: InvalidNode reported reached", released)
+		}
+		if j, ok := p.Journey(graph.InvalidNode); ok || j != (Journey{}) {
+			t.Errorf("released=%v: Journey(InvalidNode) = %+v, %v", released, j, ok)
+		}
+	}
+}
+
 // TestHeapPopsLikeContainerHeap drives the hand-written push/pop and
 // container/heap's Push/Pop over the same element type through identical
 // scripts with few distinct arrival times: the pop sequences — including
@@ -128,7 +151,8 @@ func TestProfileToInvalidTarget(t *testing.T) {
 func TestHeapPopsLikeContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for script := 0; script < 1000; script++ {
-		var mine, ref pq
+		var mine pq
+		var ref refPQ
 		steps := 1 + rng.Intn(200)
 		distinct := 1 + rng.Intn(6)
 		for step := 0; step < steps; step++ {

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"container/heap"
 	"fmt"
 
 	"accessquery/internal/graph"
@@ -56,121 +55,35 @@ type incomingLeg struct {
 
 // RouteDetailed answers a single query like Route but also reconstructs
 // the itinerary's legs. Consecutive walking edges are merged into one walk
-// leg.
+// leg. It is the search ProfileTo runs, with dest as the one target and
+// predecessor recording on, so it is an SPQ like any other: counted in the
+// router metrics and subject to fault injection.
 func (r *Router) RouteDetailed(origin, dest graph.NodeID, depart gtfs.Seconds) (Journey, []Leg, bool, error) {
-	if origin < 0 || int(origin) >= r.road.NumNodes() {
-		return Journey{}, nil, false, fmt.Errorf("router: invalid origin node %d", origin)
-	}
 	if dest < 0 || int(dest) >= r.road.NumNodes() {
 		return Journey{}, nil, false, fmt.Errorf("router: invalid destination node %d", dest)
 	}
-	n := r.road.NumNodes()
-	labels := make([]label, n)
-	incoming := make([]incomingLeg, n)
-	for i := range incoming {
-		incoming[i].parent = graph.InvalidNode
+	p, err := r.search(origin, depart, []graph.NodeID{dest}, true, true)
+	if err != nil {
+		return Journey{}, nil, false, err
 	}
-	labels[origin] = label{arrive: depart, reached: true}
-	q := pq{{node: origin, arrive: depart}}
-	deadline := depart + r.opts.MaxJourney
-	improveTracked := func(node graph.NodeID, nl label, in incomingLeg) {
-		cur := &labels[node]
-		if cur.reached && nl.arrive >= cur.arrive {
-			return
-		}
-		nl.reached = true
-		*cur = nl
-		incoming[node] = in
-		heap.Push(&q, pqItem{node: node, arrive: nl.arrive})
-	}
-	for q.Len() > 0 {
-		cur := heap.Pop(&q).(pqItem)
-		l := &labels[cur.node]
-		if cur.arrive > l.arrive || l.settled {
-			continue
-		}
-		l.settled = true
-		curLabel := *l
-		curNode := cur.node
-
-		r.road.Neighbors(curNode, func(to graph.NodeID, seconds float64) {
-			wsec := gtfs.Seconds(seconds + 0.5)
-			na := curLabel.arrive + wsec
-			if na > deadline {
-				return
-			}
-			nl := curLabel
-			nl.arrive = na
-			nl.settled = false
-			if curLabel.boardings == 0 {
-				nl.accessWalk += float32(wsec)
-			} else {
-				nl.egressWalk += float32(wsec)
-			}
-			improveTracked(to, nl, incomingLeg{
-				parent: curNode, mode: LegWalk, depart: curLabel.arrive,
-			})
-		})
-
-		for _, sid := range r.stopsAtNode[curNode] {
-			earliest := curLabel.arrive + r.opts.BoardSlack
-			deps := r.index.NextDepartures(sid, earliest, r.opts.MaxDeparturesPerStop)
-			for _, dep := range deps {
-				waitHere := dep.Departure - curLabel.arrive
-				if waitHere > r.opts.MaxWait {
-					break
-				}
-				trip, ok := r.index.Trip(dep.TripID)
-				if !ok {
-					continue
-				}
-				route, _ := r.index.Feed().Route(trip.RouteID)
-				boarded := curLabel
-				boarded.wait += float32(waitHere)
-				boarded.boardings++
-				boarded.fare += float32(route.FareFlat)
-				boarded.transferWalk += boarded.egressWalk
-				boarded.egressWalk = 0
-				boardDep := dep.Departure
-				for si := dep.StopIndex + 1; si < len(trip.StopTimes); si++ {
-					st := trip.StopTimes[si]
-					if st.Arrival > deadline {
-						break
-					}
-					node, ok := r.stopNode[st.StopID]
-					if !ok {
-						continue
-					}
-					nl := boarded
-					nl.arrive = st.Arrival
-					nl.inVehicle += float32(st.Arrival - boardDep)
-					nl.settled = false
-					improveTracked(node, nl, incomingLeg{
-						parent: curNode, mode: LegRide, depart: boardDep,
-						route: trip.RouteID, trip: trip.ID,
-						board: sid, alight: st.StopID,
-					})
-				}
-			}
-		}
-	}
-	if !labels[dest].reached {
+	defer p.Release()
+	j, ok := p.Journey(dest)
+	if !ok {
 		return Journey{}, nil, false, nil
 	}
-	legs := reconstruct(incoming, labels, origin, dest)
-	return journeyFrom(depart, labels[dest]), legs, true, nil
+	return j, reconstruct(p.arena.incoming, p.labels, origin, dest), true, nil
 }
 
 // reconstruct walks the parent chain from dest to origin, emitting legs in
-// forward order with consecutive walks merged.
+// forward order with consecutive walks merged. The chain is final once
+// dest is settled: a node's parent was settled before the node was relaxed
+// out of it, and a settled label — with the leg recorded beside it — never
+// changes again.
 func reconstruct(incoming []incomingLeg, labels []label, origin, dest graph.NodeID) []Leg {
 	var rev []Leg
 	at := dest
 	for at != origin {
 		in := incoming[at]
-		if in.parent == graph.InvalidNode {
-			break // origin or disconnected bookkeeping; stop defensively
-		}
 		leg := Leg{
 			Mode: in.mode, From: in.parent, To: at,
 			Depart: in.depart, Arrive: labels[at].arrive,

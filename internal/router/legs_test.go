@@ -1,10 +1,204 @@
 package router
 
 import (
+	"container/heap"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"accessquery/internal/graph"
 	"accessquery/internal/gtfs"
 )
+
+// refPQ is the frontier with container/heap's interface: the heap the
+// reference loop below runs on, and the one the hand-written push/pop are
+// checked against.
+type refPQ []pqItem
+
+func (q refPQ) Len() int            { return len(q) }
+func (q refPQ) Less(i, j int) bool  { return q[i].arrive < q[j].arrive }
+func (q refPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *refPQ) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
+func (q *refPQ) Pop() interface{} {
+	old := *q
+	n := len(old)
+	x := old[n-1]
+	*q = old[:n-1]
+	return x
+}
+
+// routeDetailedReference is the itinerary search as a loop of its own —
+// container/heap, two fresh n-sized arrays, no target bound — kept as the
+// reference RouteDetailed must equal.
+func routeDetailedReference(r *Router, origin, dest graph.NodeID, depart gtfs.Seconds) (Journey, []Leg, bool, error) {
+	if origin < 0 || int(origin) >= r.road.NumNodes() {
+		return Journey{}, nil, false, fmt.Errorf("router: invalid origin node %d", origin)
+	}
+	if dest < 0 || int(dest) >= r.road.NumNodes() {
+		return Journey{}, nil, false, fmt.Errorf("router: invalid destination node %d", dest)
+	}
+	n := r.road.NumNodes()
+	labels := make([]label, n)
+	incoming := make([]incomingLeg, n)
+	for i := range incoming {
+		incoming[i].parent = graph.InvalidNode
+	}
+	labels[origin] = label{arrive: depart, reached: true}
+	q := refPQ{{node: origin, arrive: depart}}
+	deadline := depart + r.opts.MaxJourney
+	improveTracked := func(node graph.NodeID, nl label, in incomingLeg) {
+		cur := &labels[node]
+		if cur.reached && nl.arrive >= cur.arrive {
+			return
+		}
+		nl.reached = true
+		*cur = nl
+		incoming[node] = in
+		heap.Push(&q, pqItem{node: node, arrive: nl.arrive})
+	}
+	for q.Len() > 0 {
+		cur := heap.Pop(&q).(pqItem)
+		l := &labels[cur.node]
+		if cur.arrive > l.arrive || l.settled {
+			continue
+		}
+		l.settled = true
+		curLabel := *l
+		curNode := cur.node
+
+		r.road.Neighbors(curNode, func(to graph.NodeID, seconds float64) {
+			wsec := gtfs.Seconds(seconds + 0.5)
+			na := curLabel.arrive + wsec
+			if na > deadline {
+				return
+			}
+			nl := curLabel
+			nl.arrive = na
+			nl.settled = false
+			if curLabel.boardings == 0 {
+				nl.accessWalk += float32(wsec)
+			} else {
+				nl.egressWalk += float32(wsec)
+			}
+			improveTracked(to, nl, incomingLeg{
+				parent: curNode, mode: LegWalk, depart: curLabel.arrive,
+			})
+		})
+
+		for _, sid := range r.stopsAtNode[curNode] {
+			earliest := curLabel.arrive + r.opts.BoardSlack
+			deps := r.index.NextDepartures(sid, earliest, r.opts.MaxDeparturesPerStop)
+			for _, dep := range deps {
+				waitHere := dep.Departure - curLabel.arrive
+				if waitHere > r.opts.MaxWait {
+					break
+				}
+				trip, ok := r.index.Trip(dep.TripID)
+				if !ok {
+					continue
+				}
+				route, _ := r.index.Feed().Route(trip.RouteID)
+				boarded := curLabel
+				boarded.wait += float32(waitHere)
+				boarded.boardings++
+				boarded.fare += float32(route.FareFlat)
+				boarded.transferWalk += boarded.egressWalk
+				boarded.egressWalk = 0
+				boardDep := dep.Departure
+				for si := dep.StopIndex + 1; si < len(trip.StopTimes); si++ {
+					st := trip.StopTimes[si]
+					if st.Arrival > deadline {
+						break
+					}
+					node, ok := r.stopNode[st.StopID]
+					if !ok {
+						continue
+					}
+					nl := boarded
+					nl.arrive = st.Arrival
+					nl.inVehicle += float32(st.Arrival - boardDep)
+					nl.settled = false
+					improveTracked(node, nl, incomingLeg{
+						parent: curNode, mode: LegRide, depart: boardDep,
+						route: trip.RouteID, trip: trip.ID,
+						board: sid, alight: st.StopID,
+					})
+				}
+			}
+		}
+	}
+	if !labels[dest].reached {
+		return Journey{}, nil, false, nil
+	}
+	legs := reconstruct(incoming, labels, origin, dest)
+	return journeyFrom(depart, labels[dest]), legs, true, nil
+}
+
+// sameAsReference asserts RouteDetailed equals the reference loop on the
+// journey (all nine fields), reachability and legs, and returns the
+// journey and ok.
+func sameAsReference(t *testing.T, r *Router, o, d graph.NodeID, depart gtfs.Seconds) (Journey, bool) {
+	t.Helper()
+	wantJ, wantLegs, wantOK, err := routeDetailedReference(r, o, d, depart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJ, gotLegs, gotOK, err := r.RouteDetailed(o, d, depart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotJ != wantJ || gotOK != wantOK || !reflect.DeepEqual(gotLegs, wantLegs) {
+		t.Fatalf("%d->%d at %v: RouteDetailed %+v %v %+v; reference %+v %v %+v",
+			o, d, depart, gotJ, gotOK, gotLegs, wantJ, wantOK, wantLegs)
+	}
+	return gotJ, gotOK
+}
+
+// TestRouteDetailedMatchesReference: the itinerary search that is ProfileTo
+// plus predecessor recording returns exactly what the old stand-alone loop
+// did — on city pairs at three departures under the default and a
+// 20-minute horizon (which supplies unreachable pairs), with origin =
+// destination among them, and on every pair of the hand-wired scenario.
+func TestRouteDetailedMatchesReference(t *testing.T) {
+	c, def := cityWorld(t)
+	short, err := New(def.road, def.index, c.StopNode, Options{MaxJourney: 1200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawSelf, sawUnreachable, sawRide := false, false, false
+	for _, r := range []*Router{def, short} {
+		for i := 0; i < 30; i++ {
+			o := c.ZoneNode[(i*13)%len(c.Zones)]
+			d := c.ZoneNode[(i*29+3)%len(c.Zones)]
+			if i == 0 {
+				d = o
+			}
+			for _, depart := range []gtfs.Seconds{7*3600 + 13, 8 * 3600, 21*3600 + 30*60} {
+				j, ok := sameAsReference(t, r, o, d, depart)
+				sawSelf = sawSelf || o == d
+				sawUnreachable = sawUnreachable || !ok
+				sawRide = sawRide || j.Boardings > 0
+			}
+		}
+	}
+	if !sawSelf || !sawUnreachable || !sawRide {
+		t.Fatalf("cases not covered: self %v, unreachable %v, transit %v", sawSelf, sawUnreachable, sawRide)
+	}
+	s := buildScenario(t)
+	for _, opts := range []Options{{}, {MaxJourney: 900}, {MaxWait: 120, BoardSlack: 90}} {
+		r, err := New(s.road, s.index, s.stopNode, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range s.nodes {
+			for _, d := range s.nodes {
+				for _, depart := range []gtfs.Seconds{6*3600 + 50*60, 7*3600 + 8*60 + 30, 8*3600 + 59*60, 22 * 3600} {
+					sameAsReference(t, r, o, d, depart)
+				}
+			}
+		}
+	}
+}
 
 func TestRouteDetailedWalkOnly(t *testing.T) {
 	s := buildScenario(t)
@@ -126,8 +320,8 @@ func TestRouteDetailedCityConsistency(t *testing.T) {
 		if !okD {
 			continue
 		}
-		if jd.Arrive != jp.Arrive {
-			t.Errorf("pair %d: detailed arrive %v != plain %v", i, jd.Arrive, jp.Arrive)
+		if jd != jp {
+			t.Errorf("pair %d: detailed journey %+v != plain %+v", i, jd, jp)
 		}
 		rides := 0
 		for _, leg := range legs {

@@ -17,7 +17,8 @@
 // node was settled, and a label is replaced only by a strictly earlier
 // arrival. A settled label is therefore final, which is what lets ProfileTo
 // stop as soon as the last of its targets is settled and still return, for
-// every target, the journey the exhaustive ProfileFrom returns.
+// every target, the journey the exhaustive ProfileFrom returns. RouteDetailed
+// is the same search with predecessor recording switched on.
 package router
 
 import (
@@ -85,13 +86,15 @@ type Router struct {
 }
 
 // profileArena is the per-search allocation unit: the full label array
-// (one label per road node), the frontier heap and the departures buffer
-// relaxBoardings fills once per settled stop. With it pooled, the Profile
-// handle is the only allocation of a steady-state search.
+// (one label per road node), the frontier heap, the departures buffer
+// relaxBoardings fills once per settled stop, and the predecessor array an
+// itinerary search records into. With it pooled, the Profile handle is the
+// only allocation of a steady-state search.
 type profileArena struct {
-	labels []label
-	q      pq
-	deps   []gtfs.Departure
+	labels   []label
+	q        pq
+	deps     []gtfs.Departure
+	incoming []incomingLeg
 }
 
 // New builds a router over a road graph, a schedule index for the service
@@ -216,9 +219,10 @@ func (p *Profile) Release() {
 	r.arenaPool.Put(ar)
 }
 
-// Reached reports whether node was reached.
+// Reached reports whether node was reached. A node outside the road graph,
+// graph.InvalidNode included, never is.
 func (p *Profile) Reached(node graph.NodeID) bool {
-	return int(node) < len(p.labels) && p.labels[node].reached
+	return node >= 0 && int(node) < len(p.labels) && p.labels[node].reached
 }
 
 // Journey returns the journey to node. ok is false when the node was not
@@ -236,25 +240,13 @@ type pqItem struct {
 	arrive gtfs.Seconds
 }
 
-// pq is the frontier: a binary min-heap on arrive. The search loop uses
-// push and pop, which are container/heap's Push and Pop written out over
-// the concrete element type — the same comparisons in the same order, so
-// equal arrival times pop in the same sequence — without boxing every item
-// through interface{}. The heap.Interface methods remain for RouteDetailed
-// (legs.go) and as the reference the heap test compares against.
+// pq is the frontier: a binary min-heap on arrive. push and pop are
+// container/heap's Push and Pop written out over the concrete element
+// type — the same comparisons in the same order, so equal arrival times
+// pop in the same sequence, which is how the search breaks ties — without
+// boxing every item through interface{}. The heap test checks them
+// against container/heap.
 type pq []pqItem
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].arrive < q[j].arrive }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
-}
 
 // push adds it and sifts it up.
 func (q *pq) push(it pqItem) {
@@ -299,7 +291,7 @@ func (q *pq) pop() pqItem {
 // ProfileFrom runs the one-to-many search from origin at time depart until
 // the frontier is exhausted.
 func (r *Router) ProfileFrom(origin graph.NodeID, depart gtfs.Seconds) (*Profile, error) {
-	return r.search(origin, depart, nil, false)
+	return r.search(origin, depart, nil, false, false)
 }
 
 // ProfileTo runs the same search but stops as soon as every node in targets
@@ -308,12 +300,16 @@ func (r *Router) ProfileFrom(origin graph.NodeID, depart gtfs.Seconds) (*Profile
 // to exhaustion, exactly as ProfileFrom does. Duplicate targets count once;
 // with no targets nothing is searched.
 func (r *Router) ProfileTo(origin graph.NodeID, depart gtfs.Seconds, targets []graph.NodeID) (*Profile, error) {
-	return r.search(origin, depart, targets, true)
+	return r.search(origin, depart, targets, true, false)
 }
 
-// search is the one label-setting loop behind ProfileFrom, ProfileTo and
-// Route. bounded says whether targets limits it.
-func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []graph.NodeID, bounded bool) (*Profile, error) {
+// search is the one label-setting loop behind ProfileFrom, ProfileTo, Route
+// and RouteDetailed. bounded says whether targets limits it. record says
+// whether it notes, per node, the leg its current label arrived by, in the
+// arena's incoming array for RouteDetailed. A record is written only beside
+// an improvement, so recording changes nothing the search relaxes, settles
+// or counts.
+func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []graph.NodeID, bounded, record bool) (*Profile, error) {
 	n := r.road.NumNodes()
 	if origin < 0 || int(origin) >= n {
 		return nil, fmt.Errorf("router: invalid origin node %d", origin)
@@ -346,6 +342,17 @@ func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []grap
 	}
 	labels := ar.labels
 	labels[origin] = label{arrive: depart, reached: true}
+	// incoming stays nil unless recording. It is not cleared: every reached
+	// node but the origin was improved, so written, in this search, and
+	// reconstruct reads no other entry.
+	var incoming []incomingLeg
+	if record {
+		if cap(ar.incoming) < n {
+			ar.incoming = make([]incomingLeg, n)
+		}
+		ar.incoming = ar.incoming[:n]
+		incoming = ar.incoming
+	}
 	// unsettled counts the distinct target nodes not settled yet.
 	unsettled := 0
 	for _, t := range targets {
@@ -390,23 +397,27 @@ func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []grap
 			relaxed++
 			if improve(labels, to, nl, &q) {
 				improved++
+				if incoming != nil {
+					incoming[to] = incomingLeg{parent: cur.node, mode: LegWalk, depart: curLabel.arrive}
+				}
 			}
 		})
 
 		// Transit relaxations: board upcoming departures at stops welded to
 		// this node.
 		for _, sid := range r.stopsAtNode[cur.node] {
-			r.relaxBoardings(ar, &q, sid, curLabel, deadline, &relaxed, &improved)
+			r.relaxBoardings(ar, &q, incoming, cur.node, sid, curLabel, deadline, &relaxed, &improved)
 		}
 	}
 	ar.q = q[:0]
 	return &Profile{depart: depart, labels: labels, arena: ar, router: r}, nil
 }
 
-// relaxBoardings boards the next departures from stop and rides them
-// forward, tallying relaxation attempts and improvements into the caller's
-// counters.
-func (r *Router) relaxBoardings(ar *profileArena, q *pq, sid gtfs.StopID, from label, deadline gtfs.Seconds, relaxed, improved *int64) {
+// relaxBoardings boards the next departures from stop sid, welded to node
+// at, and rides them forward, tallying relaxation attempts and improvements
+// into the caller's counters and, when incoming is non-nil, recording the
+// ride leg of every label it improves.
+func (r *Router) relaxBoardings(ar *profileArena, q *pq, incoming []incomingLeg, at graph.NodeID, sid gtfs.StopID, from label, deadline gtfs.Seconds, relaxed, improved *int64) {
 	labels := ar.labels
 	earliest := from.arrive + r.opts.BoardSlack
 	ar.deps = r.index.AppendNextDepartures(ar.deps[:0], sid, earliest, r.opts.MaxDeparturesPerStop)
@@ -443,6 +454,13 @@ func (r *Router) relaxBoardings(ar *profileArena, q *pq, sid gtfs.StopID, from l
 			*relaxed++
 			if improve(labels, node, nl, q) {
 				*improved++
+				if incoming != nil {
+					incoming[node] = incomingLeg{
+						parent: at, mode: LegRide, depart: boardDep,
+						route: trip.RouteID, trip: trip.ID,
+						board: sid, alight: st.StopID,
+					}
+				}
 			}
 		}
 	}

@@ -14,13 +14,12 @@ import (
 	"accessquery/internal/synth"
 )
 
-// RunnerConfig tunes how EngineRunner maps requests onto engine runs. The
-// knobs control only resource use — results are identical at any setting,
-// which is why neither participates in request fingerprints.
+// RunnerConfig tunes how EngineRunner maps requests onto engine runs. Its
+// fields control only resource use — results are identical at any
+// setting, which is why none participates in request fingerprints.
+// Labeling inside a served run is serial: the manager's worker pool
+// already runs queries side by side.
 type RunnerConfig struct {
-	// LabelWorkers parallelizes the labeling SPQs inside one engine run;
-	// 0 or 1 labels serially.
-	LabelWorkers int
 	// Parallelism fans the per-zone feature stage of each run across a
 	// worker pool; 0 defaults to runtime.GOMAXPROCS(0). Use a negative
 	// value to force the serial path.
@@ -28,7 +27,7 @@ type RunnerConfig struct {
 	// Bank, when non-nil, shares priced trips across queries. Each run
 	// drains from and deposits into the segment keyed by the exact
 	// {city, epoch} it acquired, so a hot-swap can never serve another
-	// generation's prices. Result-neutral like the knobs above: banked
+	// generation's prices. Result-neutral like Parallelism: banked
 	// runs re-derive every cost from the cached journeys.
 	Bank *bank.Bank
 }
@@ -127,7 +126,6 @@ func runOnEngine(ctx context.Context, engine *core.Engine, req Request, cfg Runn
 	// flagged via epoch staleness, not keyed away.
 	q := req.Query(pois)
 	q.POIWeights = core.POIWeightsOf(engine.City, synth.POICategory(req.Category))
-	q.Workers = cfg.LabelWorkers
 	q.Parallelism = cfg.Parallelism
 	q.Bank = seg
 	res, err := engine.RunContext(ctx, q)

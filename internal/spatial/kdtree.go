@@ -1,14 +1,13 @@
-// Package spatial provides in-memory spatial indexes over geographic points:
-// a static k-d tree for k-nearest-neighbour queries and a uniform grid for
-// radius queries. Both index opaque integer IDs supplied by the caller.
+// Package spatial provides a static in-memory k-d tree over geographic
+// points, indexing opaque integer IDs supplied by the caller, with two
+// queries: the nearest item (1-NN) and every item within a radius.
 //
-// The k-NN search is the primitive behind the paper's interchange
+// The 1-NN query is the primitive behind the paper's interchange
 // identification (Section IV-B1): for each leaf of an outbound transit-hop
 // tree a 1-NN query is made against the leaves of an inbound tree.
 package spatial
 
 import (
-	"container/heap"
 	"math"
 	"slices"
 	"sort"
@@ -89,30 +88,15 @@ func coord(p geo.Point, axis uint8) float64 {
 // Len returns the number of indexed items.
 func (t *KDTree) Len() int { return len(t.nodes) }
 
-// Neighbor is a k-NN result: the indexed item and its distance in meters.
+// Neighbor is a query result: the indexed item and its distance in meters.
 type Neighbor struct {
 	Item   Item
 	Meters float64
 }
 
-// maxHeap over neighbor distances, used to keep the best k during search.
-type nnHeap []Neighbor
-
-func (h nnHeap) Len() int            { return len(h) }
-func (h nnHeap) Less(i, j int) bool  { return h[i].Meters > h[j].Meters }
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Nearest returns the single nearest item to q, or ok=false when the tree is
-// empty. Unlike KNearest it carries the best candidate on the stack, so hot
-// loops (one 1-NN probe per hop-tree leaf) never allocate.
+// empty. It carries the best candidate on the stack, so hot loops (one 1-NN
+// probe per hop-tree leaf) never allocate.
 func (t *KDTree) Nearest(q geo.Point) (Neighbor, bool) {
 	if t.root < 0 {
 		return Neighbor{}, false
@@ -136,49 +120,11 @@ func (t *KDTree) search1(idx int, q geo.Point, best *Neighbor) {
 		near, far = far, near
 	}
 	t.search1(near, q, best)
+	// Prune: only descend the far side if the splitting plane is closer than
+	// the best distance so far, using a lower bound on the plane's distance
+	// in meters so the prune never discards a true neighbour.
 	if math.Abs(diff)*t.minMetersPerDegree(n.axis, q) < best.Meters {
 		t.search1(far, q, best)
-	}
-}
-
-// KNearest returns up to k nearest items to q ordered by ascending distance.
-func (t *KDTree) KNearest(q geo.Point, k int) []Neighbor {
-	if k <= 0 || t.root < 0 {
-		return nil
-	}
-	h := make(nnHeap, 0, k+1)
-	t.search(t.root, q, k, &h)
-	// Heap holds up to k results in max-first order; sort ascending.
-	out := make([]Neighbor, len(h))
-	copy(out, h)
-	sort.Slice(out, func(i, j int) bool { return out[i].Meters < out[j].Meters })
-	return out
-}
-
-func (t *KDTree) search(idx int, q geo.Point, k int, h *nnHeap) {
-	if idx < 0 {
-		return
-	}
-	n := &t.nodes[idx]
-	d := geo.DistanceMeters(q, n.item.Point)
-	if len(*h) < k {
-		heap.Push(h, Neighbor{Item: n.item, Meters: d})
-	} else if d < (*h)[0].Meters {
-		(*h)[0] = Neighbor{Item: n.item, Meters: d}
-		heap.Fix(h, 0)
-	}
-	diff := coord(q, n.axis) - coord(n.item.Point, n.axis)
-	near, far := n.left, n.right
-	if diff > 0 {
-		near, far = far, near
-	}
-	t.search(near, q, k, h)
-	// Prune: only descend the far side if the splitting plane is closer than
-	// the current kth-best distance, using a lower bound on the plane's
-	// distance in meters so the prune never discards a true neighbour.
-	planeMeters := math.Abs(diff) * t.minMetersPerDegree(n.axis, q)
-	if len(*h) < k || planeMeters < (*h)[0].Meters {
-		t.search(far, q, k, h)
 	}
 }
 
@@ -205,20 +151,11 @@ func (t *KDTree) minMetersPerDegree(axis uint8, q geo.Point) float64 {
 // WithinRadius returns all items within radiusMeters of q, ordered by
 // ascending distance.
 func (t *KDTree) WithinRadius(q geo.Point, radiusMeters float64) []Neighbor {
-	return t.AppendWithinRadius(nil, q, radiusMeters)
-}
-
-// AppendWithinRadius appends the items within radiusMeters of q to dst and
-// returns the extended slice, with the appended region ordered by ascending
-// distance. Callers that reuse dst across queries (pass dst[:0]) amortize
-// the result allocation to zero.
-func (t *KDTree) AppendWithinRadius(dst []Neighbor, q geo.Point, radiusMeters float64) []Neighbor {
 	if t.root < 0 || radiusMeters < 0 {
-		return dst
+		return nil
 	}
-	start := len(dst)
-	dst = t.collectWithin(t.root, dst, q, radiusMeters)
-	slices.SortFunc(dst[start:], func(a, b Neighbor) int {
+	dst := t.collectWithin(t.root, nil, q, radiusMeters)
+	slices.SortFunc(dst, func(a, b Neighbor) int {
 		switch {
 		case a.Meters < b.Meters:
 			return -1

@@ -3,7 +3,6 @@ package spatial
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"accessquery/internal/geo"
@@ -23,17 +22,13 @@ func randomItems(rng *rand.Rand, n int, spread float64) []Item {
 	return items
 }
 
-// bruteKNN is the reference k-NN implementation tests compare against.
-func bruteKNN(items []Item, q geo.Point, k int) []Neighbor {
-	all := make([]Neighbor, len(items))
-	for i, it := range items {
-		all[i] = Neighbor{Item: it, Meters: geo.DistanceMeters(q, it.Point)}
+// bruteNearest is the reference 1-NN distance tests compare against.
+func bruteNearest(items []Item, q geo.Point) float64 {
+	best := math.Inf(1)
+	for _, it := range items {
+		best = math.Min(best, geo.DistanceMeters(q, it.Point))
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Meters < all[j].Meters })
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
+	return best
 }
 
 func TestKDTreeEmpty(t *testing.T) {
@@ -43,9 +38,6 @@ func TestKDTreeEmpty(t *testing.T) {
 	}
 	if _, ok := tr.Nearest(center); ok {
 		t.Error("Nearest on empty tree should report !ok")
-	}
-	if res := tr.KNearest(center, 5); res != nil {
-		t.Errorf("KNearest on empty tree = %v", res)
 	}
 	if res := tr.WithinRadius(center, 100); res != nil {
 		t.Errorf("WithinRadius on empty tree = %v", res)
@@ -72,43 +64,17 @@ func TestKDTreeMatchesBruteForce(t *testing.T) {
 		tr := NewKDTree(items)
 		for qi := 0; qi < 20; qi++ {
 			q := geo.Offset(center, (rng.Float64()-0.5)*25000, (rng.Float64()-0.5)*25000)
-			k := 1 + rng.Intn(8)
-			got := tr.KNearest(q, k)
-			want := bruteKNN(items, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("result size %d, want %d", len(got), len(want))
+			got, ok := tr.Nearest(q)
+			if !ok {
+				t.Fatal("Nearest on a non-empty tree reported !ok")
 			}
-			for i := range got {
-				if math.Abs(got[i].Meters-want[i].Meters) > 1e-6 {
-					t.Fatalf("trial %d: kth distance %f, want %f", trial, got[i].Meters, want[i].Meters)
-				}
+			if want := bruteNearest(items, q); math.Abs(got.Meters-want) > 1e-6 {
+				t.Fatalf("trial %d: nearest distance %f, want %f", trial, got.Meters, want)
+			}
+			if d := geo.DistanceMeters(q, items[got.Item.ID].Point); d != got.Meters {
+				t.Fatalf("trial %d: item %d is %f m away, reported %f", trial, got.Item.ID, d, got.Meters)
 			}
 		}
-	}
-}
-
-func TestKDTreeKLargerThanN(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	items := randomItems(rng, 5, 1000)
-	tr := NewKDTree(items)
-	got := tr.KNearest(center, 50)
-	if len(got) != 5 {
-		t.Errorf("got %d results, want 5", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Meters < got[i-1].Meters {
-			t.Error("results not sorted by distance")
-		}
-	}
-}
-
-func TestKDTreeKZeroOrNegative(t *testing.T) {
-	tr := NewKDTree(randomItems(rand.New(rand.NewSource(4)), 10, 1000))
-	if res := tr.KNearest(center, 0); res != nil {
-		t.Errorf("k=0 returned %v", res)
-	}
-	if res := tr.KNearest(center, -3); res != nil {
-		t.Errorf("k=-3 returned %v", res)
 	}
 }
 
@@ -146,18 +112,16 @@ func TestKDTreeDuplicatePoints(t *testing.T) {
 		{ID: 4, Point: geo.Offset(center, 500, 0)},
 	}
 	tr := NewKDTree(items)
-	got := tr.KNearest(center, 3)
-	if len(got) != 3 {
-		t.Fatalf("got %d", len(got))
+	got, ok := tr.Nearest(center)
+	if !ok || got.Meters != 0 || got.Item.ID == 4 {
+		t.Errorf("Nearest = %+v, %v; want one of the three coincident items at 0 m", got, ok)
 	}
-	for _, nb := range got {
-		if nb.Meters != 0 {
-			t.Errorf("expected zero distance, got %f (id %d)", nb.Meters, nb.Item.ID)
-		}
+	if n := len(tr.WithinRadius(center, 0)); n != 3 {
+		t.Errorf("WithinRadius(0) found %d coincident items, want 3", n)
 	}
 }
 
-func BenchmarkKDTreeKNearest(b *testing.B) {
+func BenchmarkKDTreeNearest(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	items := randomItems(rng, 3000, 15000)
 	tr := NewKDTree(items)
@@ -167,6 +131,6 @@ func BenchmarkKDTreeKNearest(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tr.KNearest(queries[i%len(queries)], 1)
+		_, _ = tr.Nearest(queries[i%len(queries)])
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"accessquery/internal/geo"
@@ -321,6 +322,58 @@ func (m *Matrix) EachTrip(zone int, fn func(Trip)) {
 			fn(Trip{Zone: zone, POI: pt.POI, Start: m.StartTimes[ti], Alpha: pt.Alpha})
 		}
 	}
+}
+
+// TripBuf is caller-owned scratch for TripsByStart. Reused, it stops
+// allocating once it has grown to the largest zone it has served. The zero
+// value is ready to use; a buffer serves one goroutine at a time.
+type TripBuf struct {
+	trips []Trip
+	next  []int32 // per start index: the next output slot of its bucket
+}
+
+// TripsByStart returns the zone's sampled trips in ascending start order,
+// trips with equal start times in EachTrip's order: EachTrip followed by a
+// stable sort on Start. It sorts nothing. Trips are bucketed by start
+// index, and an index whose time equals its predecessor's shares the
+// predecessor's bucket (StartTimes is sorted, so equal times are
+// adjacent). The result lives in buf and is valid until buf's next use.
+func (m *Matrix) TripsByStart(zone int, buf *TripBuf) []Trip {
+	row := m.Row(zone)
+	next := slices.Grow(buf.next[:0], len(m.StartTimes))[:len(m.StartTimes)]
+	clear(next)
+	n := 0
+	for _, pt := range row {
+		for _, ti := range pt.Times {
+			next[m.bucket(ti)]++
+			n++
+		}
+	}
+	// Counts become each bucket's first output slot.
+	var slot int32
+	for b, c := range next {
+		next[b] = slot
+		slot += c
+	}
+	trips := slices.Grow(buf.trips[:0], n)[:n]
+	for _, pt := range row {
+		for _, ti := range pt.Times {
+			b := m.bucket(ti)
+			trips[next[b]] = Trip{Zone: zone, POI: pt.POI, Start: m.StartTimes[ti], Alpha: pt.Alpha}
+			next[b]++
+		}
+	}
+	buf.trips, buf.next = trips, next
+	return trips
+}
+
+// bucket returns the first start index whose time equals StartTimes[ti].
+func (m *Matrix) bucket(ti uint16) int {
+	b := int(ti)
+	for b > 0 && m.StartTimes[b-1] == m.StartTimes[ti] {
+		b--
+	}
+	return b
 }
 
 // MeanAssociatedPOIs averages AssociatedPOIs over all zones.

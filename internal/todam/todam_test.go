@@ -1,7 +1,10 @@
 package todam
 
 import (
+	"cmp"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -283,6 +286,42 @@ func TestEachTrip(t *testing.T) {
 	})
 	if n != m.ZoneTripCount(3) {
 		t.Errorf("EachTrip visited %d, want %d", n, m.ZoneTripCount(3))
+	}
+}
+
+// TestTripsByStartIsStableSortOfEachTrip: for every zone of a built matrix
+// (one row emptied, plus both out-of-range neighbours) and of a matrix whose
+// start times repeat, the start-ordered iteration equals EachTrip followed
+// by a stable sort on Start; a warmed buffer allocates nothing.
+func TestTripsByStartIsStableSortOfEachTrip(t *testing.T) {
+	built := buildSmall(t)
+	built.Rows[7] = nil
+	repeated := &Matrix{
+		StartTimes: []gtfs.Seconds{100, 100, 200, 300, 300, 300},
+		Rows: [][]PairTrips{{
+			{POI: 0, Alpha: 0.5, Times: []uint16{1, 3, 5}},
+			{POI: 1, Alpha: 1, Times: []uint16{0, 2, 4}},
+			{POI: 2, Alpha: 0.2, Times: []uint16{0, 5}},
+		}},
+	}
+	var buf TripBuf
+	for _, m := range []*Matrix{built, repeated} {
+		for zone := -1; zone <= len(m.Rows); zone++ {
+			var want []Trip
+			m.EachTrip(zone, func(tr Trip) { want = append(want, tr) })
+			slices.SortStableFunc(want, func(a, b Trip) int { return cmp.Compare(a.Start, b.Start) })
+			got := m.TripsByStart(zone, &buf)
+			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("zone %d: TripsByStart = %+v, want %+v", zone, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for zone := range built.Rows {
+			built.TripsByStart(zone, &buf)
+		}
+	}); allocs != 0 {
+		t.Errorf("warmed TripsByStart: %.1f allocs per pass, want 0", allocs)
 	}
 }
 

@@ -109,7 +109,25 @@ print(f"flight recorder ok: {len(traces)} trace(s) retained, "
       f"{body['evicted']} evicted, {body['dropped_spans']} spans dropped")
 EOF
 
-# 4. The 1ms slow-query threshold must have produced a structured log line.
+# 4. One detailed journey: /v1/journey runs the same bounded search as
+# labeling, with predecessor recording on. Its legs must be contiguous in
+# time, end at the journey's arrival, and ride once per boarding.
+curl -sf "$BASE/v1/journey?from=13&to=32&depart=08:00:00" >"$WORKDIR/journey.json"
+python3 - "$WORKDIR/journey.json" <<'EOF'
+import json, sys
+j = json.load(open(sys.argv[1]))
+legs = j.get("legs") or []
+assert legs, f"journey has no legs: {j}"
+assert legs[0]["depart"] >= j["depart"], "first leg departs before the journey"
+for prev, leg in zip(legs, legs[1:]):
+    assert leg["depart"] >= prev["arrive"], f"legs not contiguous: {prev} then {leg}"
+assert legs[-1]["arrive"] == j["arrive"], f"last leg arrives {legs[-1]['arrive']}, journey {j['arrive']}"
+rides = sum(1 for leg in legs if leg["mode"] == "ride")
+assert rides == j["boardings"], f"{rides} ride legs but {j['boardings']} boardings"
+print(f"journey ok: {len(legs)} legs, {rides} rides, {j['depart']} -> {j['arrive']}")
+EOF
+
+# 5. The 1ms slow-query threshold must have produced a structured log line.
 grep -q '"msg":"slow query"' "$WORKDIR/server.log" || {
     echo "FAIL: no slow-query log line in server output" >&2
     cat "$WORKDIR/server.log" >&2
