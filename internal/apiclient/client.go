@@ -244,17 +244,6 @@ func (c *Client) SLO(ctx context.Context) (*SLOReport, error) {
 	return &out, nil
 }
 
-// JobProfile fetches the slow-query capture linked to a job as raw JSON
-// (the capture shape belongs to the server). A job with no capture is a
-// not_found *APIError.
-func (c *Client) JobProfile(ctx context.Context, jobID string) (json.RawMessage, error) {
-	var out json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+jobID+"/profile", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // decodeError maps a non-2xx response onto *APIError, tolerating bodies
 // that are not the JSON envelope.
 func decodeError(resp *http.Response) error {

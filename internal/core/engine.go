@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -443,14 +444,15 @@ func (e *Engine) Run(q Query) (*Result, error) {
 // allocates nothing extra.
 func (e *Engine) RunContext(ctx context.Context, q Query) (*Result, error) {
 	mQueries.Inc()
-	qd := q.withDefaults()
+	r := e.newRun(q)
+	defer r.release()
 	ctx, sp := obs.Start(ctx, "query", mQuerySeconds)
-	sp.SetString("model", string(qd.Model))
-	sp.SetString("cost", qd.Cost.String())
+	sp.SetString("model", string(r.q.Model))
+	sp.SetString("cost", r.q.Cost.String())
 	sp.SetInt("zones", int64(len(e.zonePts)))
-	sp.SetInt("pois", int64(len(q.POIs)))
-	sp.SetFloat("budget", qd.Budget)
-	res, err := e.runContext(ctx, qd)
+	sp.SetInt("pois", int64(len(r.q.POIs)))
+	sp.SetFloat("budget", r.q.Budget)
+	res, err := r.answer(ctx)
 	if err != nil {
 		sp.SetString("error", err.Error())
 	}
@@ -464,8 +466,6 @@ func (e *Engine) RunContext(ctx context.Context, q Query) (*Result, error) {
 	sp.End()
 	if err != nil {
 		mQueryErrors.Inc()
-	} else {
-		mSPQs.Add(res.Timing.SPQs)
 	}
 	return res, err
 }
@@ -484,99 +484,225 @@ const (
 	trainingMinSharePct = 25
 )
 
-func (e *Engine) runContext(ctx context.Context, q Query) (*Result, error) {
-	q = q.withDefaults()
-	if len(q.POIs) == 0 {
-		return nil, fmt.Errorf("core: query has no POIs")
-	}
-	if q.Budget <= 0 || q.Budget > 1 {
-		return nil, fmt.Errorf("core: budget %f outside (0, 1]", q.Budget)
-	}
-	// An unknown model is a caller mistake, not infrastructure trouble; it
-	// must fail fast here rather than be absorbed by the OLS fallback rung.
-	switch q.Model {
-	case ModelOLS, ModelMLP, ModelMT, ModelCOREG, ModelGNN, ModelKRR, ModelLapRLS:
-	default:
-		return nil, fmt.Errorf("core: unknown model %q", q.Model)
-	}
+// run is one query's pass through the pipeline of Fig. 1: matrix → sample
+// → label → features → train → finish. Each stage is one method that opens
+// one span (finish opens none) and sets its own Timing field, if it has
+// one; the entry points (RunContext, GroundTruthContext, RunOD,
+// FeatureCosts) are compositions of the stages they need. Records are
+// pooled so a warm server reuses the feature arena across queries.
+type run struct {
+	e   *Engine
+	q   Query // defaulted
+	res *Result
+
+	// matrix stage: the sampled TODAM and the POI welds.
+	m        *todam.Matrix
+	poiNodes []graph.NodeID
+	poiZones []int
+
+	// zones is the set L to label, ascending; od labels it at pair level.
+	zones []int
+	od    bool
+	// label stage: the outcome, the zones it labeled (ascending) and their
+	// summed walk-only shares.
+	lo        labelOutcome
+	labeled   []int
+	walkShare float64
+
+	// Deadline split (zero without a ctx deadline): labeling is truncated
+	// at stopBy; the tail up to deadline is reserved for features and
+	// training.
+	deadline, stopBy time.Time
+	dlTotal          time.Duration
+	// deg collects the fired degradation rungs; modelUsed is the model the
+	// train stage actually fitted.
+	deg       *DegradedReport
+	modelUsed ModelKind
+
+	// features stage: one flat backing array holds every zone's feature
+	// vector and vecs the row headers over it (pooled with the record), then
+	// the rows partitioned into labeled (x, y) and unlabeled (xu) sets.
+	flat      []float64
+	vecs      [][]float64
+	x, y, xu  [][]float64
+	unlabeled []int
+}
+
+var runPool = sync.Pool{New: func() interface{} { return new(run) }}
+
+// newRun takes a record from the pool for q with its defaults applied and
+// an empty result sized to the engine's zones.
+func (e *Engine) newRun(q Query) *run {
+	r := runPool.Get().(*run)
 	nz := len(e.zonePts)
-	res := &Result{
+	r.e, r.q = e, q.withDefaults()
+	r.res = &Result{
 		MAC:     make([]float64, nz),
 		ACSD:    make([]float64, nz),
 		Valid:   make([]bool, nz),
 		Labeled: make([]bool, nz),
 	}
+	return r
+}
 
-	// Deadline pressure: labeling — the dominant cost — gets the head of
-	// the budget and is truncated at stopBy; the tail is reserved for
-	// features and training. With no deadline both times stay zero and the
-	// ladder never fires.
-	var deadline, stopBy time.Time
-	var dlTotal time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		deadline = dl
-		dlTotal = time.Until(dl)
-		stopBy = time.Now().Add(dlTotal * labelingDeadlineShare / 100)
-	}
-	var deg *DegradedReport
-	degrade := func(r DegradationRung, reason string) {
-		if deg == nil {
-			deg = &DegradedReport{BudgetRequested: q.Budget, ModelRequested: string(q.Model)}
-		}
-		if !deg.Has(r) {
-			degradedCounter(r, e.City.Name).Inc()
-		}
-		deg.fire(r, reason)
-	}
+// release returns the record to the pool, keeping only the feature arena.
+// Nothing the caller holds references it: training copies rows into
+// matrices (mat.FromRows) and the result owns its own slices.
+func (r *run) release() {
+	*r = run{flat: r.flat, vecs: r.vecs}
+	runPool.Put(r)
+}
 
-	// 1. Gravity TODAM.
-	if err := ctx.Err(); err != nil {
+// validate rejects a query no stage can answer. An unknown model is a
+// caller mistake, not infrastructure trouble; it must fail fast here rather
+// than be absorbed by the OLS fallback rung.
+func (r *run) validate() error {
+	q := r.q
+	if len(q.POIs) == 0 {
+		return fmt.Errorf("core: query has no POIs")
+	}
+	if q.Budget <= 0 || q.Budget > 1 {
+		return fmt.Errorf("core: budget %f outside (0, 1]", q.Budget)
+	}
+	switch q.Model {
+	case ModelOLS, ModelMLP, ModelMT, ModelCOREG, ModelGNN, ModelKRR, ModelLapRLS:
+		return nil
+	}
+	return fmt.Errorf("core: unknown model %q", q.Model)
+}
+
+// answer runs every stage under the degradation ladder: labeling losses
+// shrink the budget, a short tail or a failed fit falls back to OLS, and a
+// deadline that expires before training yields the labeled zones alone.
+func (r *run) answer(ctx context.Context) (*Result, error) {
+	if err := r.validate(); err != nil {
 		return nil, err
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		r.deadline = dl
+		r.dlTotal = time.Until(dl)
+		r.stopBy = time.Now().Add(r.dlTotal * labelingDeadlineShare / 100)
+	}
+	if err := r.matrix(ctx); err != nil {
+		return nil, err
+	}
+	if err := r.sample(ctx); err != nil {
+		return nil, err
+	}
+	if err := r.label(ctx); err != nil {
+		return nil, err
+	}
+	if r.lo.failed > 0 || r.lo.truncated > 0 {
+		r.degrade(RungBudget, fmt.Sprintf("labeled %d of %d budgeted zones (%d failed after retries, %d truncated at the deadline)",
+			len(r.labeled), len(r.zones), r.lo.failed, r.lo.truncated))
+	}
+	if len(r.labeled) < 2 {
+		if r.deg != nil {
+			return r.partial(fmt.Sprintf("only %d zones labeled under pressure; skipping inference for the remaining %d",
+				len(r.labeled), len(r.e.zonePts)-len(r.labeled))), nil
+		}
+		return nil, fmt.Errorf("core: only %d labelable zones at budget %.3f; raise the budget", len(r.labeled), r.q.Budget)
+	}
+	if err := ctx.Err(); err != nil {
+		return r.interrupted(err, "deadline expired before feature generation")
+	}
+	if err := r.features(ctx); err != nil {
+		return r.interrupted(err, "deadline expired during feature generation")
+	}
+	if err := ctx.Err(); err != nil {
+		return r.interrupted(err, "deadline expired before training")
+	}
+	if err := r.train(ctx); err != nil {
+		return nil, err
+	}
+	return r.finish(), nil
+}
+
+// degrade fires a ladder rung, counting it once per run.
+func (r *run) degrade(rung DegradationRung, reason string) {
+	if r.deg == nil {
+		r.deg = &DegradedReport{BudgetRequested: r.q.Budget, ModelRequested: string(r.q.Model)}
+	}
+	if !r.deg.Has(rung) {
+		degradedCounter(rung, r.e.City.Name).Inc()
+	}
+	r.deg.fire(rung, reason)
+}
+
+// partial finalizes a labeled-only result in place of an error.
+func (r *run) partial(reason string) *Result {
+	r.degrade(RungPartial, reason)
+	return r.finish()
+}
+
+// interrupted answers a run stopped by ctx: a passed deadline yields the
+// partial result, any other error fails the run.
+func (r *run) interrupted(err error, reason string) (*Result, error) {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return r.partial(reason), nil
+	}
+	return nil, err
+}
+
+// matrix builds the gravity TODAM (step 1).
+func (r *run) matrix(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	_, sp := obs.Start(ctx, "matrix", stageMatrix)
-	m, poiNodes, poiZones, err := e.buildMatrix(q)
+	m, poiNodes, poiZones, err := r.e.buildMatrix(r.q)
 	if err != nil {
 		sp.End()
-		return nil, err
+		return err
 	}
 	sp.SetInt("trips", m.Size())
 	sp.SetInt("full_trips", m.FullSize())
 	sp.SetFloat("reduction_pct", m.Reduction())
-	sp.SetInt("zones", int64(nz))
-	sp.SetInt("pois", int64(len(q.POIs)))
-	sp.SetInt("samples_per_hour", int64(q.SamplesPerHour))
-	res.setMatrix(m)
-	res.Timing.Matrix = sp.End()
+	sp.SetInt("zones", int64(len(r.e.zonePts)))
+	sp.SetInt("pois", int64(len(r.q.POIs)))
+	sp.SetInt("samples_per_hour", int64(r.q.SamplesPerHour))
+	r.m, r.poiNodes, r.poiZones = m, poiNodes, poiZones
+	r.res.setMatrix(m)
+	r.res.Timing.Matrix = sp.End()
+	return nil
+}
 
-	// 2. Sample L by budget and strategy.
-	_, sp = obs.Start(ctx, "sampling", stageSampling)
-	nl := int(float64(nz)*q.Budget + 0.5)
+// sample draws the labeled set L of ⌊β·|Z|⌉ zones (at least 2) by the
+// query's strategy (step 2).
+func (r *run) sample(ctx context.Context) error {
+	_, sp := obs.Start(ctx, "sampling", stageSampling)
+	defer sp.End()
+	nz := len(r.e.zonePts)
+	nl := int(float64(nz)*r.q.Budget + 0.5)
 	if nl < 2 {
 		nl = 2
 	}
 	if nl > nz {
 		nl = nz
 	}
-	strategy := q.Sampling
+	strategy := r.q.Sampling
 	if strategy == "" {
 		strategy = SampleRandom
 	}
-	sp.SetFloat("budget", q.Budget)
+	sp.SetFloat("budget", r.q.Budget)
 	sp.SetString("strategy", string(strategy))
 	sp.SetInt("requested", int64(nl))
-	sp.SetInt("seed", q.Seed)
-	labeledSet, err := sampleZones(q.Sampling, e.zonePts, nl, q.Seed)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.End()
+	sp.SetInt("seed", r.q.Seed)
+	var err error
+	r.zones, err = sampleZones(r.q.Sampling, r.e.zonePts, nl, r.q.Seed)
+	return err
+}
 
-	// 3. Label L.
-	_, sp = obs.Start(ctx, "labeling", stageLabeling)
-	lo, err := e.labelZones(ctx, q, m, poiNodes, labeledSet, stopBy)
+// label prices the zones of L by SPQs (step 3), feeds the SPQ counters —
+// on the error path too, since the SPQs priced before a failure were real
+// router work — and records the labeled zones' measures in the result. The
+// bank receives the priced trips only after a full-fidelity stage.
+func (r *run) label(ctx context.Context) error {
+	_, sp := obs.Start(ctx, "labeling", stageLabeling)
+	lo, err := r.labelZones(ctx)
 	sp.SetInt("spqs", lo.spqs)
-	sp.SetInt("workers", int64(q.Workers))
+	sp.SetInt("workers", int64(r.q.Workers))
+	mSPQs.Add(lo.spqs)
 	if lo.retries > 0 {
 		sp.SetInt("spq_retries", lo.retries)
 		mSPQRetries.Add(lo.retries)
@@ -585,20 +711,15 @@ func (e *Engine) runContext(ctx context.Context, q Query) (*Result, error) {
 		sp.SetInt("spq_abandoned", lo.abandoned)
 		mSPQAbandoned.Add(lo.abandoned)
 	}
-	res.Timing.SPQRetries = lo.retries
-	res.Timing.SPQAbandoned = lo.abandoned
+	t := &r.res.Timing
+	t.SPQs, t.SPQRetries, t.SPQAbandoned, t.BankDrained = lo.spqs, lo.retries, lo.abandoned, lo.drained
 	if err != nil {
 		sp.End()
-		// The SPQs priced before the failure were real router work; count
-		// them so aq_engine_spqs_total reflects errored runs too. (The
-		// success path is counted once in RunContext.)
-		mSPQs.Add(lo.spqs)
-		return nil, err
+		return err
 	}
-	var xRows, yRows [][]float64
-	var walkShareSum float64
-	var labeledOK []int
-	for i, zone := range labeledSet {
+	r.lo = lo
+	res := r.res
+	for i, zone := range r.zones {
 		zm := lo.measures[i]
 		if zm == nil {
 			continue
@@ -607,27 +728,26 @@ func (e *Engine) runContext(ctx context.Context, q Query) (*Result, error) {
 		res.ACSD[zone] = zm.ACSD
 		res.Valid[zone] = true
 		res.Labeled[zone] = true
-		walkShareSum += zm.WalkOnlyShare
-		labeledOK = append(labeledOK, zone)
-		yRows = append(yRows, []float64{zm.MAC, zm.ACSD})
+		r.walkShare += zm.WalkOnlyShare
+		r.labeled = append(r.labeled, zone)
 	}
-	sp.SetInt("labeled_zones", int64(len(labeledOK)))
+	sp.SetInt("labeled_zones", int64(len(r.labeled)))
 	if lo.failed > 0 {
 		sp.SetInt("failed_zones", int64(lo.failed))
 	}
 	if lo.truncated > 0 {
 		sp.SetInt("truncated_zones", int64(lo.truncated))
 	}
-	if len(labeledOK) > 0 {
-		sp.SetFloat("walk_only_share", walkShareSum/float64(len(labeledOK)))
+	if len(r.labeled) > 0 {
+		sp.SetFloat("walk_only_share", r.walkShare/float64(len(r.labeled)))
 	}
-	if q.Bank != nil {
+	if r.q.Bank != nil {
 		// Deposit only after a full-fidelity stage: a degraded run (failed
 		// or truncated zones) may have been shaped by faults or deadline
 		// pressure, and nothing it priced is allowed to outlive it.
 		var deposited int64
 		if lo.failed == 0 && lo.truncated == 0 {
-			q.Bank.Deposit(lo.deposits)
+			r.q.Bank.Deposit(lo.deposits)
 			deposited = int64(len(lo.deposits))
 		}
 		sp.SetBool("bank", true)
@@ -635,64 +755,23 @@ func (e *Engine) runContext(ctx context.Context, q Query) (*Result, error) {
 		sp.SetInt("bank_deposited", deposited)
 	}
 	res.Timing.Labeling = sp.End()
-	res.Timing.SPQs = lo.spqs
-	res.Timing.BankDrained = lo.drained
+	return nil
+}
 
-	if lo.failed > 0 || lo.truncated > 0 {
-		degrade(RungBudget, fmt.Sprintf("labeled %d of %d budgeted zones (%d failed after retries, %d truncated at the deadline)",
-			len(labeledOK), len(labeledSet), lo.failed, lo.truncated))
+// features generates every zone's origin-level vector (step 4), fanned
+// across the query's worker pool. Vectors land in an index-addressed arena
+// and are partitioned into labeled/unlabeled rows in ascending zone order
+// afterwards, so the matrices are bit-identical to a serial loop's
+// regardless of worker scheduling.
+func (r *run) features(ctx context.Context) error {
+	_, sp := obs.Start(ctx, "features", stageFeatures)
+	e, nz, dim := r.e, len(r.e.zonePts), features.Dim
+	r.flat = slices.Grow(r.flat[:0], nz*dim)[:nz*dim]
+	r.vecs = slices.Grow(r.vecs[:0], nz)[:nz]
+	for z := range r.vecs {
+		r.vecs[z] = r.flat[z*dim : (z+1)*dim : (z+1)*dim]
 	}
-	// finishDegraded stamps the report's accounting once the labeled set is
-	// final; partial finalizes a labeled-only result in place of an error.
-	finishDegraded := func(modelUsed string) {
-		deg.BudgetEffective = float64(len(labeledOK)) / float64(nz)
-		deg.ZonesFailed = lo.failed
-		deg.ZonesTruncated = lo.truncated
-		deg.SPQRetries = lo.retries
-		deg.SPQAbandoned = lo.abandoned
-		deg.ModelUsed = modelUsed
-		res.Degraded = deg
-	}
-	partial := func(reason string) *Result {
-		degrade(RungPartial, reason)
-		finishDegraded("")
-		if len(labeledOK) > 0 {
-			res.WalkOnlyShare = walkShareSum / float64(len(labeledOK))
-		}
-		e.finishMeasures(res)
-		return res
-	}
-
-	if len(labeledOK) < 2 {
-		if deg != nil {
-			return partial(fmt.Sprintf("only %d zones labeled under pressure; skipping inference for the remaining %d",
-				len(labeledOK), nz-len(labeledOK))), nil
-		}
-		return nil, fmt.Errorf("core: only %d labelable zones at budget %.3f; raise the budget", len(labeledOK), q.Budget)
-	}
-	res.WalkOnlyShare = walkShareSum / float64(len(labeledOK))
-	if err := ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return partial("deadline expired before feature generation"), nil
-		}
-		return nil, err
-	}
-
-	// 4. Features for every zone at the origin level, fanned across the
-	// query's worker pool. Vectors land in an index-addressed slice and are
-	// partitioned into labeled/unlabeled rows in ascending zone order
-	// afterwards, so the matrices are bit-identical to the serial loop's
-	// regardless of worker scheduling. (labeledSet is sorted, so yRows —
-	// appended in labeledSet order above — stay row-aligned with xRows.)
-	_, sp = obs.Start(ctx, "features", stageFeatures)
-	scratch := getQueryScratch(nz)
-	defer scratch.release()
-	isLabeled := scratch.isLabeled
-	for _, z := range labeledOK {
-		isLabeled[z] = true
-	}
-	vecs := scratch.vecs
-	fw := q.Parallelism
+	fw := r.q.Parallelism
 	if fw == 0 {
 		fw = e.parallelism
 	}
@@ -704,111 +783,141 @@ func (e *Engine) runContext(ctx context.Context, q Query) (*Result, error) {
 	sp.SetInt("parallelism", int64(fw))
 	if err := par.ForContext(ctx, fw, nz, func(zone int) error {
 		fs := features.GetScratch()
-		err := e.extractor.OriginVectorInto(vecs[zone], fs, zone, m.Row(zone), q.POIs, poiZones)
+		err := e.extractor.OriginVectorInto(r.vecs[zone], fs, zone, r.m.Row(zone), r.q.POIs, r.poiZones)
 		features.PutScratch(fs)
 		return err
 	}); err != nil {
 		sp.End()
-		if errors.Is(err, context.DeadlineExceeded) {
-			return partial("deadline expired during feature generation"), nil
-		}
-		return nil, err
+		return err
 	}
 	hits1, misses1 := e.extractor.CacheStats()
 	sp.SetInt("cache_hits", hits1-hits0)
 	sp.SetInt("cache_misses", misses1-misses0)
-	var unlabeled []int
-	var xuRows [][]float64
-	for zone := 0; zone < nz; zone++ {
-		if isLabeled[zone] {
-			xRows = append(xRows, vecs[zone])
+	for zone, v := range r.vecs {
+		if r.res.Labeled[zone] {
+			r.x = append(r.x, v)
+			r.y = append(r.y, []float64{r.res.MAC[zone], r.res.ACSD[zone]})
 		} else {
-			unlabeled = append(unlabeled, zone)
-			xuRows = append(xuRows, vecs[zone])
+			r.unlabeled = append(r.unlabeled, zone)
+			r.xu = append(r.xu, v)
 		}
 	}
-	res.Timing.Features = sp.End()
+	r.res.Timing.Features = sp.End()
+	return nil
+}
 
-	// 5. Train and infer. Under deadline pressure an iterative model is not
-	// worth starting with only the tail of the budget left: fall back to
-	// OLS, whose closed-form fit is effectively instant.
-	if err := ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return partial("deadline expired before training"), nil
-		}
-		return nil, err
-	}
-	modelUsed := q.Model
-	if !deadline.IsZero() && modelUsed != ModelOLS {
-		if remaining := time.Until(deadline); remaining < dlTotal*trainingMinSharePct/100 {
-			degrade(RungModelFallback, fmt.Sprintf("%s of the %s deadline remained at training; fitting OLS instead of %s",
-				remaining.Round(time.Millisecond), dlTotal.Round(time.Millisecond), q.Model))
-			modelUsed = ModelOLS
+// train fits the model and infers the unlabeled zones (step 5). Under
+// deadline pressure an iterative model is not worth starting with only the
+// tail of the budget left: it falls back to OLS, whose closed-form fit is
+// effectively instant, as it does when the configured model fails.
+func (r *run) train(ctx context.Context) error {
+	q := r.q
+	if !r.deadline.IsZero() && q.Model != ModelOLS {
+		if remaining := time.Until(r.deadline); remaining < r.dlTotal*trainingMinSharePct/100 {
+			r.degrade(RungModelFallback, fmt.Sprintf("%s of the %s deadline remained at training; fitting OLS instead of %s",
+				remaining.Round(time.Millisecond), r.dlTotal.Round(time.Millisecond), q.Model))
+			q.Model = ModelOLS
 		}
 	}
-	_, sp = obs.Start(ctx, "training", stageTraining)
-	sp.SetString("model", string(modelUsed))
-	sp.SetInt("labeled_rows", int64(len(xRows)))
-	sp.SetInt("unlabeled_rows", int64(len(xuRows)))
-	qm := q
-	qm.Model = modelUsed
-	preds, diag, err := e.trainPredict(qm, labeledOK, unlabeled, xRows, yRows, xuRows)
-	if err != nil && modelUsed != ModelOLS {
+	_, sp := obs.Start(ctx, "training", stageTraining)
+	sp.SetString("model", string(q.Model))
+	sp.SetInt("labeled_rows", int64(len(r.x)))
+	sp.SetInt("unlabeled_rows", int64(len(r.xu)))
+	preds, diag, err := r.e.trainPredict(q, r.labeled, r.unlabeled, r.x, r.y, r.xu)
+	if err != nil && q.Model != ModelOLS {
 		// The configured model failed; one rung down, OLS answers the query
 		// rather than failing it.
-		degrade(RungModelFallback, fmt.Sprintf("%s failed (%v); refitting with OLS", modelUsed, err))
-		modelUsed = ModelOLS
-		qm.Model = ModelOLS
+		r.degrade(RungModelFallback, fmt.Sprintf("%s failed (%v); refitting with OLS", q.Model, err))
+		q.Model = ModelOLS
 		sp.SetString("model", string(ModelOLS))
-		preds, diag, err = e.trainPredict(qm, labeledOK, unlabeled, xRows, yRows, xuRows)
+		preds, diag, err = r.e.trainPredict(q, r.labeled, r.unlabeled, r.x, r.y, r.xu)
 	}
 	if err != nil {
 		sp.End()
-		return nil, err
+		return err
 	}
-	if diag != nil {
-		if diag.hasInfo {
-			sp.SetInt("iterations", int64(diag.info.Iterations))
-			sp.SetBool("converged", diag.info.Converged)
-			if diag.info.InitialLoss != 0 || diag.info.FinalLoss != 0 {
-				sp.SetFloat("initial_loss", diag.info.InitialLoss)
-				sp.SetFloat("final_loss", diag.info.FinalLoss)
-			}
-		}
-		if diag.hasFit {
-			sp.SetFloat("rmse_mac", diag.rmse[0])
-			sp.SetFloat("rmse_acsd", diag.rmse[1])
-			sp.SetFloat("r2_mac", diag.r2[0])
-			sp.SetFloat("r2_acsd", diag.r2[1])
+	if diag.hasInfo {
+		sp.SetInt("iterations", int64(diag.info.Iterations))
+		sp.SetBool("converged", diag.info.Converged)
+		if diag.info.InitialLoss != 0 || diag.info.FinalLoss != 0 {
+			sp.SetFloat("initial_loss", diag.info.InitialLoss)
+			sp.SetFloat("final_loss", diag.info.FinalLoss)
 		}
 	}
-	for r, zone := range unlabeled {
-		mac := preds.At(r, 0)
-		acsd := preds.At(r, 1)
+	if diag.hasFit {
+		sp.SetFloat("rmse_mac", diag.rmse[0])
+		sp.SetFloat("rmse_acsd", diag.rmse[1])
+		sp.SetFloat("r2_mac", diag.r2[0])
+		sp.SetFloat("r2_acsd", diag.r2[1])
+	}
+	for i, zone := range r.unlabeled {
+		mac := preds.At(i, 0)
+		acsd := preds.At(i, 1)
 		if mac < 0 {
 			mac = 0
 		}
 		if acsd < 0 {
 			acsd = 0
 		}
-		res.MAC[zone] = mac
-		res.ACSD[zone] = acsd
-		res.Valid[zone] = true
+		r.res.MAC[zone] = mac
+		r.res.ACSD[zone] = acsd
+		r.res.Valid[zone] = true
 	}
-	res.Timing.Training = sp.End()
+	r.modelUsed = q.Model
+	r.res.Timing.Training = sp.End()
+	return nil
+}
 
-	if deg != nil {
-		finishDegraded(string(modelUsed))
+// finish computes the labeled zones' walk-only share, stamps the
+// degradation report's accounting once the labeled set is final, and
+// folds the measures into classes and fairness.
+func (r *run) finish() *Result {
+	res := r.res
+	if n := len(r.labeled); n > 0 {
+		res.WalkOnlyShare = r.walkShare / float64(n)
 	}
-	e.finishMeasures(res)
-	return res, nil
+	if d := r.deg; d != nil {
+		d.BudgetEffective = float64(len(r.labeled)) / float64(len(r.e.zonePts))
+		d.ZonesFailed = r.lo.failed
+		d.ZonesTruncated = r.lo.truncated
+		d.SPQRetries = r.lo.retries
+		d.SPQAbandoned = r.lo.abandoned
+		d.ModelUsed = string(r.modelUsed)
+		res.Degraded = d
+	}
+	r.e.finishMeasures(res)
+	return res
+}
+
+// finishMeasures computes classes and fairness over valid zones.
+func (e *Engine) finishMeasures(res *Result) {
+	var mac, acsd []float64
+	var idx []int
+	for i, ok := range res.Valid {
+		if ok {
+			mac = append(mac, res.MAC[i])
+			acsd = append(acsd, res.ACSD[i])
+			idx = append(idx, i)
+		}
+	}
+	res.Classes = make([]access.Class, len(res.MAC))
+	classes, err := access.Classify(mac, acsd)
+	if err == nil {
+		for k, i := range idx {
+			res.Classes[i] = classes[k]
+		}
+	}
+	res.Fairness = access.JainIndex(mac)
 }
 
 // labelOutcome carries labeling's per-zone measures (nil where the zone
 // had no reachable trips or was lost to pressure) plus the run's SPQ and
 // pressure accounting.
 type labelOutcome struct {
-	measures  []*access.ZoneMeasure
+	measures []*access.ZoneMeasure
+	// pairs holds each measured zone's pair-level aggregates at OD
+	// granularity; nil otherwise.
+	pairs     [][]access.PairMeasure
 	spqs      int64
 	retries   int64
 	abandoned int64
@@ -829,32 +938,35 @@ type labelOutcome struct {
 // has passed; labelZones never returns it.
 var errLabelingStopped = errors.New("core: labeling truncated")
 
-// labelZones prices the given zones on q.Workers goroutines and folds the
-// outcome in zone order. Every zone gets its own labeler and an
-// index-addressed slot, so measures, counters and bank deposits are the
-// same at any worker count. Labeling dominates online query cost, so ctx
-// and the stopBy truncation deadline are checked before every zone: a
-// cancelled query stops within one zone's worth of SPQs per worker.
+// labelZones prices r.zones on q.Workers goroutines and folds the outcome
+// in zone order. Every zone gets its own labeler and an index-addressed
+// slot, so measures, counters and bank deposits are the same at any worker
+// count. Labeling dominates online query cost, so ctx and the stopBy
+// truncation deadline are checked before every zone: a cancelled query
+// stops within one zone's worth of SPQs per worker. At OD granularity each
+// zone is labeled with the LabelZonePairs fold and its measure aggregated
+// from the pairs.
 //
 // Pressure is absorbed rather than escalated: a zone whose SPQs keep
 // failing transiently after retries is skipped and counted in failed, and
 // zones not priced before stopBy (or the ctx deadline) are counted in
-// truncated with a nil error — the caller degrades the run instead of
-// failing it. Only non-transient errors and plain cancellation propagate;
-// a non-transient error is the first in zone order.
+// truncated with a nil error — the caller decides what the loss costs.
+// Only non-transient errors and plain cancellation propagate; a
+// non-transient error is the first in zone order.
 //
 // The SPQ count is reported even on the error paths: the queries priced
-// before a failure or cancellation were real router work, and callers feed
-// the count into aq_engine_spqs_total either way.
-func (e *Engine) labelZones(ctx context.Context, q Query, m *todam.Matrix, poiNodes []graph.NodeID, zones []int, stopBy time.Time) (labelOutcome, error) {
+// before a failure or cancellation were real router work.
+func (r *run) labelZones(ctx context.Context) (labelOutcome, error) {
+	e, q, stopBy := r.e, r.q, r.stopBy
 	type slot struct {
-		l   *access.Labeler // nil for a zone never started
-		m   access.ZoneMeasure
-		ok  bool
-		err error
+		l     *access.Labeler // nil for a zone never started
+		m     access.ZoneMeasure
+		pairs []access.PairMeasure
+		ok    bool
+		err   error
 	}
-	slots := make([]slot, len(zones))
-	err := par.ForContext(ctx, q.Workers, len(zones), func(i int) error {
+	slots := make([]slot, len(r.zones))
+	err := par.ForContext(ctx, q.Workers, len(r.zones), func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -863,11 +975,16 @@ func (e *Engine) labelZones(ctx context.Context, q Query, m *todam.Matrix, poiNo
 		}
 		s := &slots[i]
 		s.l = &access.Labeler{
-			Router: e.router, Matrix: m, ZoneNode: e.City.ZoneNode,
-			POINode: poiNodes, Cost: q.Cost, Params: q.CostParams,
+			Router: e.router, Matrix: r.m, ZoneNode: e.City.ZoneNode,
+			POINode: r.poiNodes, Cost: q.Cost, Params: q.CostParams,
 			MaxAttempts: spqMaxAttempts, Deadline: stopBy, Bank: q.Bank,
 		}
-		s.m, s.ok, s.err = s.l.LabelZone(zones[i])
+		if r.od {
+			s.pairs, s.err = s.l.LabelZonePairs(r.zones[i])
+			s.m, s.ok = pairZoneMeasure(s.pairs)
+		} else {
+			s.m, s.ok, s.err = s.l.LabelZone(r.zones[i])
+		}
 		switch {
 		case errors.Is(s.err, context.DeadlineExceeded):
 			// The labeler's own deadline fired mid-zone: this zone and the
@@ -879,7 +996,10 @@ func (e *Engine) labelZones(ctx context.Context, q Query, m *todam.Matrix, poiNo
 			return s.err
 		}
 	})
-	lo := labelOutcome{measures: make([]*access.ZoneMeasure, len(zones))}
+	lo := labelOutcome{measures: make([]*access.ZoneMeasure, len(r.zones))}
+	if r.od {
+		lo.pairs = make([][]access.PairMeasure, len(r.zones))
+	}
 	var hard error
 	for i := range slots {
 		s := &slots[i]
@@ -896,6 +1016,9 @@ func (e *Engine) labelZones(ctx context.Context, q Query, m *todam.Matrix, poiNo
 		case s.err == nil:
 			if s.ok {
 				lo.measures[i] = &s.m
+				if r.od {
+					lo.pairs[i] = s.pairs
+				}
 			}
 		case errors.Is(s.err, context.DeadlineExceeded):
 			lo.truncated++
@@ -1078,27 +1201,6 @@ func (e *Engine) adjacency() (*ml.SparseAdj, error) {
 	return adj, nil
 }
 
-// finishMeasures computes classes and fairness over valid zones.
-func (e *Engine) finishMeasures(res *Result) {
-	var mac, acsd []float64
-	var idx []int
-	for i, ok := range res.Valid {
-		if ok {
-			mac = append(mac, res.MAC[i])
-			acsd = append(acsd, res.ACSD[i])
-			idx = append(idx, i)
-		}
-	}
-	res.Classes = make([]access.Class, len(res.MAC))
-	classes, err := access.Classify(mac, acsd)
-	if err == nil {
-		for k, i := range idx {
-			res.Classes[i] = classes[k]
-		}
-	}
-	res.Fairness = access.JainIndex(mac)
-}
-
 // GroundTruth labels every zone — the naive full-TODAM approach — and is
 // both the Table II baseline and the evaluation reference for Figs. 3-4.
 func (e *Engine) GroundTruth(q Query) (*Result, error) {
@@ -1110,65 +1212,29 @@ func (e *Engine) GroundTruth(q Query) (*Result, error) {
 // by far — aborts between zones when ctx is cancelled, so a timed-out or
 // abandoned baseline run stops burning CPU instead of finishing anyway.
 func (e *Engine) GroundTruthContext(ctx context.Context, q Query) (*Result, error) {
-	q = q.withDefaults()
-	if len(q.POIs) == 0 {
-		return nil, fmt.Errorf("core: query has no POIs")
-	}
-	if err := ctx.Err(); err != nil {
+	r := e.newRun(q)
+	defer r.release()
+	r.q.Budget = 1 // every zone is labeled, whatever budget the query names
+	if err := r.validate(); err != nil {
 		return nil, err
 	}
-	nz := len(e.zonePts)
-	res := &Result{
-		MAC:     make([]float64, nz),
-		ACSD:    make([]float64, nz),
-		Valid:   make([]bool, nz),
-		Labeled: make([]bool, nz),
-	}
-	t0 := time.Now()
-	m, poiNodes, _, err := e.buildMatrix(q)
-	if err != nil {
+	if err := r.matrix(ctx); err != nil {
 		return nil, err
 	}
-	res.setMatrix(m)
-	res.Timing.Matrix = time.Since(t0)
-	t0 = time.Now()
-	all := make([]int, nz)
-	for i := range all {
-		all[i] = i
+	r.zones = make([]int, len(e.zonePts))
+	for i := range r.zones {
+		r.zones[i] = i
 	}
-	lo, err := e.labelZones(ctx, q, m, poiNodes, all, time.Time{})
-	if err == nil && lo.truncated > 0 {
+	if err := r.label(ctx); err != nil {
+		return nil, err
+	}
+	if r.lo.truncated > 0 {
 		// With no stopBy, truncation can only mean the ctx deadline fired.
 		// A partial ground truth would silently bias evaluations, so the
 		// baseline keeps its all-or-nothing contract and errors instead.
-		err = ctx.Err()
+		return nil, ctx.Err()
 	}
-	if err != nil {
-		mSPQs.Add(lo.spqs)
-		return nil, err
-	}
-	var walkShareSum float64
-	var okCount int
-	for zone, zm := range lo.measures {
-		if zm == nil {
-			continue
-		}
-		res.MAC[zone] = zm.MAC
-		res.ACSD[zone] = zm.ACSD
-		res.Valid[zone] = true
-		res.Labeled[zone] = true
-		walkShareSum += zm.WalkOnlyShare
-		okCount++
-	}
-	res.Timing.Labeling = time.Since(t0)
-	res.Timing.SPQs = lo.spqs
-	res.Timing.SPQRetries = lo.retries
-	res.Timing.SPQAbandoned = lo.abandoned
-	if okCount > 0 {
-		res.WalkOnlyShare = walkShareSum / float64(okCount)
-	}
-	e.finishMeasures(res)
-	return res, nil
+	return r.finish(), nil
 }
 
 // FeatureCosts measures feature-generation time at the two aggregation
@@ -1177,25 +1243,25 @@ func (e *Engine) GroundTruthContext(ctx context.Context, q Query) (*Result, erro
 // vector per pair with positive attractiveness). It returns both durations
 // and the OD row count.
 func (e *Engine) FeatureCosts(q Query) (originLevel, odLevel time.Duration, odRows int, err error) {
-	q = q.withDefaults()
-	if len(q.POIs) == 0 {
-		return 0, 0, 0, fmt.Errorf("core: query has no POIs")
+	r := e.newRun(q)
+	defer r.release()
+	if err := r.validate(); err != nil {
+		return 0, 0, 0, err
 	}
-	m, _, poiZones, err := e.buildMatrix(q)
-	if err != nil {
+	if err := r.matrix(context.Background()); err != nil {
 		return 0, 0, 0, err
 	}
 	t0 := time.Now()
-	for zone := 0; zone < len(e.zonePts); zone++ {
-		if _, err := e.extractor.OriginVector(zone, m.Row(zone), q.POIs, poiZones); err != nil {
+	for zone := range e.zonePts {
+		if _, err := e.extractor.OriginVector(zone, r.m.Row(zone), r.q.POIs, r.poiZones); err != nil {
 			return 0, 0, 0, err
 		}
 	}
 	originLevel = time.Since(t0)
 	t0 = time.Now()
-	for zone := 0; zone < len(e.zonePts); zone++ {
-		for _, pt := range m.Row(zone) {
-			if _, err := e.extractor.PairVector(zone, q.POIs[pt.POI], poiZones[pt.POI]); err != nil {
+	for zone := range e.zonePts {
+		for _, pt := range r.m.Row(zone) {
+			if _, err := e.extractor.PairVector(zone, r.q.POIs[pt.POI], r.poiZones[pt.POI]); err != nil {
 				return 0, 0, 0, err
 			}
 			odRows++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -21,97 +22,59 @@ import (
 // omits within-pair temporal variance and therefore under-estimates ACSD.
 // The GNN is zone-transductive and is not supported at this granularity.
 func (e *Engine) RunOD(q Query) (*Result, error) {
-	q = q.withDefaults()
-	if len(q.POIs) == 0 {
-		return nil, fmt.Errorf("core: query has no POIs")
+	r := e.newRun(q)
+	defer r.release()
+	if err := r.validate(); err != nil {
+		return nil, err
 	}
-	if q.Budget <= 0 || q.Budget > 1 {
-		return nil, fmt.Errorf("core: budget %f outside (0, 1]", q.Budget)
-	}
-	if q.Model == ModelGNN {
+	if r.q.Model == ModelGNN {
 		return nil, fmt.Errorf("core: GNN is zone-transductive and unsupported at OD granularity")
 	}
-	nz := len(e.zonePts)
-	res := &Result{
-		MAC:     make([]float64, nz),
-		ACSD:    make([]float64, nz),
-		Valid:   make([]bool, nz),
-		Labeled: make([]bool, nz),
+	r.od = true
+	ctx := context.Background()
+	if err := r.matrix(ctx); err != nil {
+		return nil, err
 	}
+	if err := r.sample(ctx); err != nil {
+		return nil, err
+	}
+	if err := r.label(ctx); err != nil {
+		return nil, err
+	}
+	if r.lo.failed > 0 || r.lo.truncated > 0 {
+		return nil, fmt.Errorf("core: OD labeling lost %d zones to SPQ faults and %d to truncation", r.lo.failed, r.lo.truncated)
+	}
+
+	// Features for the labeled zones' pairs, then the unlabeled zones'.
 	t0 := time.Now()
-	m, poiNodes, poiZones, err := e.buildMatrix(q)
-	if err != nil {
-		return nil, err
-	}
-	res.setMatrix(m)
-	res.Timing.Matrix = time.Since(t0)
-
-	nl := int(float64(nz)*q.Budget + 0.5)
-	if nl < 2 {
-		nl = 2
-	}
-	if nl > nz {
-		nl = nz
-	}
-	labeledSet, err := sampleZones(q.Sampling, e.zonePts, nl, q.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	// Label at pair level.
-	t0 = time.Now()
-	labeler := &access.Labeler{
-		Router: e.router, Matrix: m, ZoneNode: e.City.ZoneNode,
-		POINode: poiNodes, Cost: q.Cost, Params: q.CostParams,
-	}
 	var xRows, yRows [][]float64
-	isLabeled := make([]bool, nz)
-	for _, zone := range labeledSet {
-		pairs, err := labeler.LabelZonePairs(zone)
-		if err != nil {
-			return nil, err
-		}
-		if len(pairs) == 0 {
-			continue
-		}
-		isLabeled[zone] = true
-		// Record the exact zone measures for labeled zones.
-		var macSum, wsum float64
-		for _, pm := range pairs {
-			v, err := e.extractor.PairVector(zone, q.POIs[pm.POI], poiZones[pm.POI])
+	for i, zone := range r.zones {
+		for _, pm := range r.lo.pairs[i] {
+			v, err := e.extractor.PairVector(zone, r.q.POIs[pm.POI], r.poiZones[pm.POI])
 			if err != nil {
 				return nil, err
 			}
 			xRows = append(xRows, v)
 			yRows = append(yRows, []float64{pm.Mean})
-			macSum += pm.Alpha * pm.Mean
-			wsum += pm.Alpha
 		}
-		res.Valid[zone] = true
-		res.Labeled[zone] = true
-		res.MAC[zone] = macSum / wsum
-		res.ACSD[zone] = weightedStd(pairs, res.MAC[zone])
 	}
-	res.Timing.Labeling = time.Since(t0)
-	res.Timing.SPQs = labeler.SPQs
 	if len(xRows) < 2 {
-		return nil, fmt.Errorf("core: only %d labelable pairs at budget %.3f", len(xRows), q.Budget)
+		return nil, fmt.Errorf("core: only %d labelable pairs at budget %.3f", len(xRows), r.q.Budget)
 	}
-
-	// Features for unlabeled zones' pairs.
-	t0 = time.Now()
 	type pairRef struct {
 		zone  int
 		alpha float64
 	}
 	var xuRows [][]float64
 	var refs []pairRef
+	res := r.res
+	nz := len(e.zonePts)
 	for zone := 0; zone < nz; zone++ {
-		if isLabeled[zone] {
+		if res.Labeled[zone] {
 			continue
 		}
-		for _, pt := range m.Row(zone) {
-			v, err := e.extractor.PairVector(zone, q.POIs[pt.POI], poiZones[pt.POI])
+		for _, pt := range r.m.Row(zone) {
+			v, err := e.extractor.PairVector(zone, r.q.POIs[pt.POI], r.poiZones[pt.POI])
 			if err != nil {
 				return nil, err
 			}
@@ -124,53 +87,62 @@ func (e *Engine) RunOD(q Query) (*Result, error) {
 	// Train and infer pair costs.
 	t0 = time.Now()
 	if len(xuRows) > 0 {
-		preds, _, err := e.trainPredict(q, nil, nil, xRows, yRows, xuRows)
+		preds, _, err := e.trainPredict(r.q, nil, nil, xRows, yRows, xuRows)
 		if err != nil {
 			return nil, err
 		}
-		// Aggregate predictions per zone.
-		macSum := make([]float64, nz)
-		wsum := make([]float64, nz)
-		perZone := make(map[int][]struct{ w, v float64 })
-		for r, ref := range refs {
-			v := preds.At(r, 0)
+		// Aggregate predictions per zone: the α-weighted mean, then the
+		// α-weighted dispersion around it.
+		pred := func(i int) float64 {
+			v := preds.At(i, 0)
 			if v < 0 {
 				v = 0
 			}
-			macSum[ref.zone] += ref.alpha * v
+			return v
+		}
+		macSum := make([]float64, nz)
+		wsum := make([]float64, nz)
+		varSum := make([]float64, nz)
+		for i, ref := range refs {
+			macSum[ref.zone] += ref.alpha * pred(i)
 			wsum[ref.zone] += ref.alpha
-			perZone[ref.zone] = append(perZone[ref.zone], struct{ w, v float64 }{ref.alpha, v})
+		}
+		for i, ref := range refs {
+			d := pred(i) - macSum[ref.zone]/wsum[ref.zone]
+			varSum[ref.zone] += ref.alpha * d * d
 		}
 		for zone := 0; zone < nz; zone++ {
-			if isLabeled[zone] || wsum[zone] == 0 {
+			if res.Labeled[zone] || wsum[zone] == 0 {
 				continue
 			}
-			mac := macSum[zone] / wsum[zone]
-			res.MAC[zone] = mac
-			var varSum float64
-			for _, pv := range perZone[zone] {
-				varSum += pv.w * (pv.v - mac) * (pv.v - mac)
-			}
-			res.ACSD[zone] = math.Sqrt(varSum / wsum[zone])
+			res.MAC[zone] = macSum[zone] / wsum[zone]
+			res.ACSD[zone] = math.Sqrt(varSum[zone] / wsum[zone])
 			res.Valid[zone] = true
 		}
 	}
 	res.Timing.Training = time.Since(t0)
-
-	e.finishMeasures(res)
-	return res, nil
+	return r.finish(), nil
 }
 
-// weightedStd computes the α-weighted dispersion of pair means around the
-// zone MAC.
-func weightedStd(pairs []access.PairMeasure, mac float64) float64 {
-	var varSum, wsum float64
+// pairZoneMeasure aggregates a labeled zone's pair measures to the zone:
+// MAC is the α-weighted mean of pair means and ACSD their α-weighted
+// dispersion around it. A zone with no priced pair reports ok=false.
+func pairZoneMeasure(pairs []access.PairMeasure) (m access.ZoneMeasure, ok bool) {
+	var macSum, wsum float64
 	for _, pm := range pairs {
-		varSum += pm.Alpha * (pm.Mean - mac) * (pm.Mean - mac)
+		macSum += pm.Alpha * pm.Mean
 		wsum += pm.Alpha
 	}
-	if wsum == 0 {
-		return 0
+	if len(pairs) == 0 {
+		return m, false
 	}
-	return math.Sqrt(varSum / wsum)
+	m.MAC = macSum / wsum
+	var varSum float64
+	for _, pm := range pairs {
+		varSum += pm.Alpha * (pm.Mean - m.MAC) * (pm.Mean - m.MAC)
+	}
+	if wsum != 0 {
+		m.ACSD = math.Sqrt(varSum / wsum)
+	}
+	return m, true
 }

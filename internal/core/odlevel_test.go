@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"accessquery/internal/fault"
 	"accessquery/internal/metrics"
 )
 
@@ -115,5 +117,26 @@ func TestRunODCorrelatesWithGroundTruth(t *testing.T) {
 	}
 	if r < 0.5 {
 		t.Errorf("OD-level MAC correlation = %f, want > 0.5", r)
+	}
+}
+
+// TestRunODFailsOnLostZones: OD labeling retries transient SPQ failures
+// like the zone-level run, but a zone still lost after its retries fails
+// the run instead of degrading it.
+func TestRunODFailsOnLostZones(t *testing.T) {
+	e := engine(t)
+	spec, err := fault.ParseSpec("seed=11;spq:fail=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.New(spec)
+	prev := fault.Enable(inj)
+	_, err = e.RunOD(vaxQuery(e, ModelOLS, 0.3))
+	fault.Enable(prev)
+	if err == nil || !strings.Contains(err.Error(), "lost") {
+		t.Fatalf("err = %v, want a lost-zones error", err)
+	}
+	if inj.Counts()[fault.SiteSPQ] == 0 {
+		t.Fatal("no faults injected")
 	}
 }

@@ -228,17 +228,17 @@ func TestGroundTruthContextCancellation(t *testing.T) {
 // deposits, the deposits in zone order whichever worker priced them.
 func TestParallelLabelingDepositsInZoneOrder(t *testing.T) {
 	e := equalityEngine(t, 2)
-	q := Query{
+	r := e.newRun(Query{
 		POIs:           POIsOf(e.City, synth.POISchool),
 		Budget:         0.2,
 		SamplesPerHour: 8,
 		Seed:           9,
-	}.withDefaults()
-	m, poiNodes, _, err := e.buildMatrix(q)
-	if err != nil {
+	})
+	ctx := context.Background()
+	if err := r.matrix(ctx); err != nil {
 		t.Fatal(err)
 	}
-	q.Bank = bank.New(bank.Config{}).Segment(e.City.Name, 1)
+	r.q.Bank = bank.New(bank.Config{}).Segment(e.City.Name, 1)
 	var all, warm []int
 	for z := range e.zonePts {
 		all = append(all, z)
@@ -246,16 +246,17 @@ func TestParallelLabelingDepositsInZoneOrder(t *testing.T) {
 			warm = append(warm, z)
 		}
 	}
-	lo, err := e.labelZones(context.Background(), q, m, poiNodes, warm, time.Time{})
+	r.zones = warm
+	lo, err := r.labelZones(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Bank.Deposit(lo.deposits)
+	r.q.Bank.Deposit(lo.deposits)
 	var runs [2]labelOutcome
+	r.zones = all
 	for i, workers := range []int{1, 4} {
-		qq := q
-		qq.Workers = workers
-		if runs[i], err = e.labelZones(context.Background(), qq, m, poiNodes, all, time.Time{}); err != nil {
+		r.q.Workers = workers
+		if runs[i], err = r.labelZones(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,29 +274,26 @@ func TestParallelLabelingDepositsInZoneOrder(t *testing.T) {
 // the old hardcoded zero.
 func TestLabelZonesReportsSPQsOnError(t *testing.T) {
 	e := equalityEngine(t, 1)
-	q := Query{
+	r := e.newRun(Query{
 		POIs:           POIsOf(e.City, synth.POISchool),
 		Budget:         0.2,
 		SamplesPerHour: 8,
 		Seed:           5,
-	}
-	q = q.withDefaults()
-	m, poiNodes, _, err := e.buildMatrix(q)
-	if err != nil {
+	})
+	ctx := context.Background()
+	if err := r.matrix(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Every valid zone first, then one out-of-range zone to force the
 	// error after real SPQ work has happened.
-	zones := make([]int, 0, len(e.zonePts)/2+1)
 	for z := 0; z < len(e.zonePts)/2; z++ {
-		zones = append(zones, z)
+		r.zones = append(r.zones, z)
 	}
-	zones = append(zones, len(e.City.ZoneNode)) // out of range -> error
+	r.zones = append(r.zones, len(e.City.ZoneNode)) // out of range -> error
 
 	for name, workers := range map[string]int{"serial": 1, "parallel": 4} {
-		qq := q
-		qq.Workers = workers
-		lo, err := e.labelZones(context.Background(), qq, m, poiNodes, zones, time.Time{})
+		r.q.Workers = workers
+		lo, err := r.labelZones(ctx)
 		if err == nil {
 			t.Fatalf("%s: expected error from out-of-range zone", name)
 		}

@@ -46,13 +46,6 @@ func (s *Suite) Temporal() ([]TemporalCell, error) {
 	return cells, err
 }
 
-// TemporalCube returns the multi-interval TODAM cube backing the sweep —
-// the full three-dimensional matrix a transport agency maintains.
-func (s *Suite) TemporalCube() (*todam.Cube, error) {
-	_, cube, err := s.temporalWithCube()
-	return cube, err
-}
-
 func (s *Suite) temporalWithCube() ([]TemporalCell, *todam.Cube, error) {
 	cfg := s.CityConfigs()[1]
 	city, err := s.City(cfg)

@@ -77,15 +77,6 @@ func Offset(p Point, dx, dy float64) Point {
 	return Point{Lat: p.Lat + dLat, Lon: p.Lon + dLon}
 }
 
-// Bearing returns the initial bearing from a to b in radians, measured
-// clockwise from north, using the planar approximation.
-func Bearing(a, b Point) float64 {
-	const d2r = math.Pi / 180
-	x := (b.Lon - a.Lon) * d2r * math.Cos((a.Lat+b.Lat)/2*d2r)
-	y := (b.Lat - a.Lat) * d2r
-	return math.Atan2(x, y)
-}
-
 // Rect is an axis-aligned bounding box in degrees.
 type Rect struct {
 	MinLat, MinLon, MaxLat, MaxLon float64
@@ -173,26 +164,6 @@ func (pg Polygon) Contains(p Point) bool {
 		j = i
 	}
 	return inside
-}
-
-// AreaSquareMeters returns the polygon's area using the shoelace formula in
-// the local equirectangular projection centered at the polygon's bounds.
-func (pg Polygon) AreaSquareMeters() float64 {
-	if len(pg.Ring) < 3 {
-		return 0
-	}
-	c := pg.Bounds().Center()
-	const d2r = math.Pi / 180
-	cosLat := math.Cos(c.Lat * d2r)
-	x := func(p Point) float64 { return (p.Lon - c.Lon) * d2r * cosLat * EarthRadiusMeters }
-	y := func(p Point) float64 { return (p.Lat - c.Lat) * d2r * EarthRadiusMeters }
-	var sum float64
-	n := len(pg.Ring)
-	for i := 0; i < n; i++ {
-		p, q := pg.Ring[i], pg.Ring[(i+1)%n]
-		sum += x(p)*y(q) - x(q)*y(p)
-	}
-	return math.Abs(sum) / 2
 }
 
 // Intersects reports whether two polygons overlap. It tests bounding boxes,

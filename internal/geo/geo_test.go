@@ -89,17 +89,6 @@ func TestOffsetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBearing(t *testing.T) {
-	north := Offset(birmingham, 0, 1000)
-	east := Offset(birmingham, 1000, 0)
-	if b := Bearing(birmingham, north); math.Abs(b) > 0.01 {
-		t.Errorf("bearing to north = %v, want ~0", b)
-	}
-	if b := Bearing(birmingham, east); math.Abs(b-math.Pi/2) > 0.01 {
-		t.Errorf("bearing to east = %v, want ~pi/2", b)
-	}
-}
-
 func TestRectContainsAndExtend(t *testing.T) {
 	pts := []Point{{1, 1}, {3, 4}, {-2, 0}}
 	r := NewRect(pts)
@@ -175,19 +164,6 @@ func TestPolygonDegenerate(t *testing.T) {
 	}
 	if (Polygon{Ring: []Point{{0, 0}, {1, 1}}}).Valid() {
 		t.Error("two-point polygon is invalid")
-	}
-}
-
-func TestPolygonArea(t *testing.T) {
-	// 1 km x 1 km square near Birmingham.
-	a := birmingham
-	b := Offset(a, 1000, 0)
-	c := Offset(a, 1000, 1000)
-	d := Offset(a, 0, 1000)
-	sq := Polygon{Ring: []Point{a, b, c, d}}
-	area := sq.AreaSquareMeters()
-	if math.Abs(area-1e6) > 0.02*1e6 {
-		t.Errorf("area = %.0f, want ~1e6", area)
 	}
 }
 

@@ -109,14 +109,6 @@ func (g *Graph) Neighbors(id NodeID, fn func(to NodeID, seconds float64)) {
 	}
 }
 
-// Degree returns the number of edges incident to id.
-func (g *Graph) Degree(id NodeID) int {
-	if !g.has(id) {
-		return 0
-	}
-	return len(g.adj[id])
-}
-
 // pqItem is a priority-queue entry for Dijkstra.
 type pqItem struct {
 	node NodeID

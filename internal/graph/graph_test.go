@@ -264,14 +264,8 @@ func TestNearestNode(t *testing.T) {
 	}
 }
 
-func TestNeighborsAndDegree(t *testing.T) {
+func TestNeighbors(t *testing.T) {
 	g, ids := line(t, 3, 5)
-	if d := g.Degree(ids[1]); d != 2 {
-		t.Errorf("degree = %d, want 2", d)
-	}
-	if d := g.Degree(99); d != 0 {
-		t.Errorf("degree of invalid = %d", d)
-	}
 	var seen int
 	g.Neighbors(ids[1], func(to NodeID, s float64) {
 		seen++

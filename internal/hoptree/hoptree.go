@@ -107,15 +107,6 @@ func (t *Tree) Leaf(zone int) *Leaf {
 // Size returns the number of leaves.
 func (t *Tree) Size() int { return len(t.Leaves) }
 
-// ZoneIDs returns the sorted leaf zone indices.
-func (t *Tree) ZoneIDs() []int {
-	out := make([]int, len(t.Leaves))
-	for i := range t.Leaves {
-		out[i] = int(t.Leaves[i].Zone)
-	}
-	return out
-}
-
 // visit is one vehicle call at a stop.
 type visit struct {
 	trip      int // index into dayTrips

@@ -127,7 +127,7 @@ func TestOutboundTree(t *testing.T) {
 	}
 	// From zone 0, one hop reaches zones 1 and 2 via route R.
 	if ob.Size() != 2 {
-		t.Fatalf("outbound size = %d, want 2 (leaves %v)", ob.Size(), ob.ZoneIDs())
+		t.Fatalf("outbound size = %d, want 2 (leaves %v)", ob.Size(), ob.Leaves)
 	}
 	l1 := ob.Leaf(1)
 	if l1 == nil {
@@ -163,7 +163,7 @@ func TestInboundTree(t *testing.T) {
 	}
 	// Zone 2 is reachable from zones 0 and 1 (upstream stops).
 	if ib.Size() != 2 {
-		t.Fatalf("inbound size = %d, want 2 (leaves %v)", ib.Size(), ib.ZoneIDs())
+		t.Fatalf("inbound size = %d, want 2 (leaves %v)", ib.Size(), ib.Leaves)
 	}
 	l0 := ib.Leaf(0)
 	if l0 == nil {
@@ -187,7 +187,7 @@ func TestInboundOfFirstStopIsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ib.Size() != 0 {
-		t.Errorf("inbound tree of zone 0 should be empty, got %v", ib.ZoneIDs())
+		t.Errorf("inbound tree of zone 0 should be empty, got %v", ib.Leaves)
 	}
 	// Symmetrically, outbound from the terminal zone is empty.
 	ob, err := b.Outbound(2)
@@ -195,7 +195,7 @@ func TestInboundOfFirstStopIsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ob.Size() != 0 {
-		t.Errorf("outbound tree of zone 2 should be empty, got %v", ob.ZoneIDs())
+		t.Errorf("outbound tree of zone 2 should be empty, got %v", ob.Leaves)
 	}
 }
 
@@ -252,7 +252,7 @@ func TestWeekdayFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ob.Size() != 0 {
-		t.Errorf("Sunday tree should be empty, got %v", ob.ZoneIDs())
+		t.Errorf("Sunday tree should be empty, got %v", ob.Leaves)
 	}
 }
 

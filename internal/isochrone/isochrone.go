@@ -98,17 +98,6 @@ func (iso *Isochrone) Intersects(other *Isochrone) bool {
 	return iso.Hull.Intersects(other.Hull)
 }
 
-// WalkSeconds returns the walking time to a road node inside the walkshed;
-// ok is false when the node is beyond τ. Lookup is a binary search over the
-// sorted node array.
-func (iso *Isochrone) WalkSeconds(node graph.NodeID) (float64, bool) {
-	i := sort.Search(len(iso.NodeIDs), func(i int) bool { return iso.NodeIDs[i] >= node })
-	if i < len(iso.NodeIDs) && iso.NodeIDs[i] == node {
-		return iso.NodeSeconds[i], true
-	}
-	return 0, false
-}
-
 // NumNodes returns how many road nodes the walkshed reaches.
 func (iso *Isochrone) NumNodes() int { return len(iso.NodeIDs) }
 

@@ -49,9 +49,6 @@ func TestComputeBasic(t *testing.T) {
 	if iso.NumNodes() == 0 {
 		t.Fatal("empty walkshed")
 	}
-	if s, ok := iso.WalkSeconds(center); !ok || s != 0 {
-		t.Errorf("origin walk time = %v ok=%v", s, ok)
-	}
 	for _, sec := range iso.NodeSeconds {
 		if sec > 600 {
 			t.Errorf("node beyond tau: %f", sec)

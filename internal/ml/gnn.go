@@ -68,15 +68,6 @@ func NewGaussianAdjacency(points []geo.Point, sigmaMeters, threshold float64) (*
 // N returns the node count.
 func (a *SparseAdj) N() int { return a.n }
 
-// NNZ returns the stored non-zero count (including self-loops).
-func (a *SparseAdj) NNZ() int {
-	var n int
-	for _, c := range a.cols {
-		n += len(c)
-	}
-	return n
-}
-
 // Mul returns Â·x for a dense x with N rows.
 func (a *SparseAdj) Mul(x *mat.Dense) (*mat.Dense, error) {
 	if x.Rows() != a.n {

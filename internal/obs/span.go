@@ -23,12 +23,6 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, spanCtxKey{}, spanRef{tr: t, idx: -1})
 }
 
-// TraceFrom returns the trace carried by ctx, or nil.
-func TraceFrom(ctx context.Context) *Trace {
-	ref, _ := ctx.Value(spanCtxKey{}).(spanRef)
-	return ref.tr
-}
-
 // Span is a handle to one started span. It is a value type so the
 // disabled path — no trace on the context — allocates nothing: the handle
 // then carries only the start time and the optional histogram, and every

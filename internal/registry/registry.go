@@ -320,32 +320,39 @@ func (t *Tenant) SwapSnapshot(path string) (Info, *Retired, error) {
 	if path == "" {
 		return Info{}, nil, fmt.Errorf("registry: tenant %s is preset-built and no snapshot path was given", t.Name)
 	}
-	e, err := core.LoadEngine(path)
+	e, err := t.loadSnapshot(path)
 	if err != nil {
 		return Info{}, nil, fmt.Errorf("registry: refusing swap for %s (epoch %d keeps serving): %w", t.Name, t.Epoch(), err)
 	}
-	if name := e.City.Name; !cityMatches(name, t.Name) {
-		return Info{}, nil, fmt.Errorf("registry: refusing swap for %s: snapshot %s is for city %q", t.Name, path, name)
-	}
-	if t.reg.opts.WarmCaches {
-		e.WarmFeatureCaches(t.reg.opts.Parallelism)
-	}
-	// Adopt the path so subsequent SIGHUP reloads track the new file.
-	t.path = path
-	t.recordFileIdentity(path)
 	retired := t.install(e, "snapshot:"+path, false)
 	t.clearScenario()
 	return t.Info(), retired, nil
 }
 
-// recordFileIdentity remembers the snapshot file's size and mtime so
-// ReloadChanged can detect replacement. Called with swapMu held.
-func (t *Tenant) recordFileIdentity(path string) {
+// loadSnapshot restores an engine from the snapshot at path for this
+// tenant: it loads and verifies the file, refuses a snapshot of another
+// city, warms the feature caches when configured, and adopts the path and
+// file identity so later reloads track the new file. Called with swapMu
+// held, or by Open before the tenant is published.
+func (t *Tenant) loadSnapshot(path string) (*core.Engine, error) {
+	e, err := core.LoadEngine(path)
+	if err != nil {
+		return nil, err
+	}
+	if cn := e.City.Name; !cityMatches(cn, t.Name) {
+		return nil, fmt.Errorf("snapshot %s is for city %q, not %q", path, cn, t.Name)
+	}
+	if t.reg.opts.WarmCaches {
+		e.WarmFeatureCaches(t.reg.opts.Parallelism)
+	}
+	// The file's size and mtime let ReloadChanged detect replacement.
+	t.path = path
 	if fi, err := os.Stat(path); err == nil {
 		t.fileSize, t.fileMtime = fi.Size(), fi.ModTime()
 	} else {
 		t.fileSize, t.fileMtime = 0, time.Time{}
 	}
+	return e, nil
 }
 
 // fileChanged reports whether the snapshot file differs from the identity
@@ -387,18 +394,9 @@ func Open(specs []TenantSpec, opts Options) (*Registry, error) {
 		)
 		if spec.Path != "" {
 			var err error
-			e, err = core.LoadEngine(spec.Path)
-			if err != nil {
+			if e, err = t.loadSnapshot(spec.Path); err != nil {
 				return nil, fmt.Errorf("registry: loading %s: %w", name, err)
 			}
-			if cn := e.City.Name; !cityMatches(cn, name) {
-				return nil, fmt.Errorf("registry: snapshot %s is for city %q, not %q", spec.Path, cn, name)
-			}
-			if opts.WarmCaches {
-				e.WarmFeatureCaches(opts.Parallelism)
-			}
-			t.path = spec.Path
-			t.recordFileIdentity(spec.Path)
 			source = "snapshot:" + spec.Path
 		} else {
 			cfg, err := presetConfig(name, opts.Scale)

@@ -511,26 +511,7 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 	ts := m.tenantLocked(req.City)
 
 	if ans, ok := m.cache.get(fp); ok {
-		job := m.newJobLocked(req.City, fp, now)
-		job.cacheHit = true
-		job.epochStale = m.epochStale(ans.res)
-		m.jobs[job.ID] = job
-		m.cacheHits.Add(1)
-		mCacheHits.Inc()
-		cm.submitted.Inc()
-		cm.cacheHits.Inc()
-		if job.epochStale {
-			mEpochStale.Inc()
-		}
-		// A cache hit is a served query: it bills (as free) and counts as a
-		// fast success toward the tenant's SLO.
-		m.cfg.Accountant.RecordCacheHit(req.City)
-		m.cfg.SLO.Record(req.City, 0, false)
-		// The cached entry carries the producing run's trace, so a
-		// cache-hit job still answers trace and explain requests.
-		job.complete(ans, nil, nil)
-		m.retireLocked(job, now)
-		return job, nil
+		return m.answerCachedLocked(req.City, fp, now, ts, cm, ans, false, 0), nil
 	}
 	mCacheMisses.Inc()
 	if fl, ok := m.flights[fp]; ok {
@@ -553,28 +534,7 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 		// Degraded read path: an expired cache entry with honest staleness
 		// metadata beats bouncing the client while the engine recovers.
 		if ans, age, ok := m.cache.getStale(fp); ok {
-			job := m.newJobLocked(req.City, fp, now)
-			job.cacheHit = true
-			job.stale = true
-			job.staleFor = age
-			job.epochStale = m.epochStale(ans.res)
-			m.jobs[job.ID] = job
-			m.staleServed.Add(1)
-			ts.staleServed++
-			mStaleServed.Inc()
-			cm.submitted.Inc()
-			cm.staleServed.Inc()
-			if job.epochStale {
-				mEpochStale.Inc()
-			}
-			// Stale serving keeps the tenant answering, so availability-wise
-			// it is a success — the open breaker is already visible in the
-			// burn rate through the failures that tripped it.
-			m.cfg.Accountant.RecordCacheHit(req.City)
-			m.cfg.SLO.Record(req.City, 0, false)
-			job.complete(ans, nil, nil)
-			m.retireLocked(job, now)
-			return job, nil
+			return m.answerCachedLocked(req.City, fp, now, ts, cm, ans, true, age), nil
 		}
 		if !canProbe {
 			m.rejected.Add(1)
@@ -631,6 +591,42 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 	m.jobs[job.ID] = job
 	cm.submitted.Inc()
 	return job, nil
+}
+
+// answerCachedLocked completes a submission from the result cache: a
+// fresh hit, or — while the tenant's breaker is open — an expired entry
+// served stale with its age. Either way it is a served query: it bills (as
+// free) and counts as a fast success toward the tenant's SLO. Stale serving
+// keeps the tenant answering, so availability-wise it is a success too —
+// the open breaker is already visible in the burn rate through the
+// failures that tripped it. The cached entry carries the producing run's
+// trace, so the job still answers trace and explain requests.
+func (m *Manager) answerCachedLocked(city, fp string, now time.Time, ts *tenantState, cm *cityMetrics, ans answer, stale bool, age time.Duration) *Job {
+	job := m.newJobLocked(city, fp, now)
+	job.cacheHit = true
+	job.stale = stale
+	job.staleFor = age
+	job.epochStale = m.epochStale(ans.res)
+	m.jobs[job.ID] = job
+	cm.submitted.Inc()
+	if stale {
+		m.staleServed.Add(1)
+		ts.staleServed++
+		mStaleServed.Inc()
+		cm.staleServed.Inc()
+	} else {
+		m.cacheHits.Add(1)
+		mCacheHits.Inc()
+		cm.cacheHits.Inc()
+	}
+	if job.epochStale {
+		mEpochStale.Inc()
+	}
+	m.cfg.Accountant.RecordCacheHit(city)
+	m.cfg.SLO.Record(city, 0, false)
+	job.complete(ans, nil, nil)
+	m.retireLocked(job, now)
+	return job
 }
 
 // epochStale reports whether a cached result was computed by an engine

@@ -49,16 +49,6 @@ func (c *Cube) Matrix(i int) *Matrix {
 	return c.Matrices[i]
 }
 
-// ByLabel returns the matrix whose interval carries the label, or nil.
-func (c *Cube) ByLabel(label string) *Matrix {
-	for i, iv := range c.Intervals {
-		if iv.Label == label {
-			return c.Matrices[i]
-		}
-	}
-	return nil
-}
-
 // Size returns the total sampled trips across all intervals.
 func (c *Cube) Size() int64 {
 	var n int64

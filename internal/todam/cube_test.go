@@ -72,12 +72,6 @@ func TestCubeLookups(t *testing.T) {
 	if c.Matrix(-1) != nil || c.Matrix(2) != nil {
 		t.Error("out-of-range lookups should be nil")
 	}
-	if c.ByLabel("AM peak") != c.Matrices[0] {
-		t.Error("label lookup failed")
-	}
-	if c.ByLabel("midnight") != nil {
-		t.Error("unknown label should be nil")
-	}
 }
 
 func TestBuildCubeValidation(t *testing.T) {
