@@ -36,8 +36,9 @@
 // open, and -fault-spec enables deterministic fault injection for chaos
 // testing.
 //
-// With -debug-addr set, a second loopback listener serves /metrics and
-// /debug/pprof/ so a loaded server can be profiled without redeploying.
+// With -debug-addr set, a second loopback listener serves /metrics,
+// /debug/pprof/ and /debug/captures so a loaded server can be profiled
+// without redeploying.
 //
 // Example query body:
 //
@@ -83,12 +84,12 @@ var logger = olog.Default.With(olog.F("component", "aqserver"))
 type server struct {
 	reg      *registry.Registry
 	mgr      *serve.Manager
-	bank     *bank.Bank          // nil when -bank=false
-	acct     *account.Accountant // nil when -cost-accounting=false
-	slo      *slo.Engine         // nil when -slo is off
-	sloTrip  float64             // -slo-burn-trip, echoed in /v1/slo
-	captures *capture.Store      // nil when -captures=0
-	snapDir  string              // -snapshot-dir, the /v1 snapshots store
+	bank     *bank.Bank // nil when -bank=false
+	acct     *account.Accountant
+	slo      *slo.Engine    // nil when -slo is off
+	sloTrip  float64        // -slo-burn-trip, echoed in /v1/slo
+	captures *capture.Store // nil when -captures=0
+	snapDir  string         // -snapshot-dir, the /v1 snapshots store
 }
 
 func main() {
@@ -97,7 +98,7 @@ func main() {
 		citiesSpec   = flag.String("cities", "", "comma-separated city tenants, each a preset name or name=snapshot.snap (e.g. \"coventry,birmingham=bham.snap\"); the first is the default city")
 		scale        = flag.Float64("scale", 0.25, "city scale factor")
 		addr         = flag.String("addr", "127.0.0.1:8321", "listen address")
-		debugAddr    = flag.String("debug-addr", "", "optional loopback listener for /metrics, /debug/pprof, and /debug/traces (e.g. 127.0.0.1:8322)")
+		debugAddr    = flag.String("debug-addr", "", "optional loopback listener for /metrics, /debug/pprof, and /debug/captures (e.g. 127.0.0.1:8322)")
 		workers      = flag.Int("workers", 2, "concurrent engine runs (serving worker pool)")
 		queueDepth   = flag.Int("queue", 32, "admission queue depth; beyond it queries get 429")
 		cacheSize    = flag.Int("cache-size", 64, "result-cache entries (negative disables)")
@@ -121,7 +122,6 @@ func main() {
 		captureDir   = flag.String("capture-dir", "", "mirror captures to this directory as <id>.json files")
 		snapshotDir  = flag.String("snapshot-dir", "snapshots", "directory the /v1/cities/{name}/snapshots resource lists, saves to, and activates from")
 		captureCPU   = flag.Duration("capture-cpu", 0, "record a CPU profile of this duration after each capture trigger, single-flight (0 disables)")
-		costEnable   = flag.Bool("cost-accounting", true, "attribute wall-clock, CPU, and allocation cost per tenant (aq_cost_* metrics and the stats cost block)")
 		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		version      = flag.Bool("version", false, "print version and exit")
 	)
@@ -160,10 +160,7 @@ func main() {
 		logger.Info("label bank enabled",
 			olog.F("capacity", *bankCap), olog.F("ttl", bankTTL.String()))
 	}
-	var acct *account.Accountant
-	if *costEnable {
-		acct = account.New()
-	}
+	acct := account.New()
 	sloParsed, err := slo.ParseSpec(*sloSpec)
 	if err != nil {
 		logger.Fatal("bad -slo", olog.Err(err))
@@ -225,11 +222,12 @@ func main() {
 	}, serve.RunnerConfig{Parallelism: *parallelism, Bank: bk})
 	s.snapDir = *snapshotDir
 
-	if captures != nil {
-		obs.RegisterDebug("/debug/captures", capture.Handler(captures))
-	}
 	if *debugAddr != "" {
-		dbg, bound, err := obs.StartDebugServer(*debugAddr)
+		var capturesPage http.Handler
+		if captures != nil {
+			capturesPage = capture.Handler(captures)
+		}
+		dbg, bound, err := obs.StartDebugServer(*debugAddr, capturesPage)
 		if err != nil {
 			logger.Fatal("debug listener", olog.Err(err))
 		}

@@ -1,93 +1,33 @@
 // Package account attributes serving cost to the tenant that incurred
-// it. Wall-clock comes from the serving layer's span tree; CPU-seconds
-// and heap-allocation deltas are sampled from runtime/metrics around each
-// engine run; and the city-keyed pipeline counters (SPQs priced, bank
-// drains, cache hits) ride along. Everything rolls up into a per-city
-// TenantCost snapshot (the `cost` block in /v1/stats) and `aq_cost_*`
-// series in the process-wide registry, so an operator can answer "which
-// tenant is burning the CPU" before deciding what to shard.
-//
-// CPU and allocation deltas are process-wide counters read before and
-// after a run, so with concurrent workers a run's delta includes work its
-// neighbors did in the same window. Each JobCost therefore carries a
-// Shared flag: unshared samples are exact, shared ones are upper bounds.
-// Aggregated over many runs the attribution converges on the true split,
-// which is what capacity decisions need; per-run numbers are diagnostic.
+// it. Every figure is one the serving layer measured for that query
+// alone: wall-clock, per-stage time and queue wait from the run's span
+// tree, SPQs priced and label-bank drains from its result, cache hits,
+// and engine build time from the registry. Everything rolls up into a
+// per-city TenantCost snapshot (the `cost` block in /v1/stats) and
+// `aq_cost_*` series in the process-wide registry, so an operator can
+// answer "which tenant is spending the engine's time" before deciding
+// what to shard. Process-wide CPU and heap belong to pprof, not here: they
+// cannot be split between concurrent tenants.
 //
 // A nil *Accountant disables everything: every method is nil-safe and the
-// disabled path performs no allocation, no sampling, and no locking, so
-// embedders pay nothing when accounting is off.
+// disabled path performs no allocation and no locking, so embedders pay
+// nothing when accounting is off.
 package account
 
 import (
 	"fmt"
-	"runtime/metrics"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accessquery/internal/obs"
 )
 
-// runtime/metrics samples read around each run. User + GC CPU approximates
-// "CPU this process spent computing", which is the attributable share;
-// idle and scavenger classes are deliberately excluded.
-const (
-	metricCPUUser = "/cpu/classes/user:cpu-seconds"
-	metricCPUGC   = "/cpu/classes/gc/total:cpu-seconds"
-	metricAllocs  = "/gc/heap/allocs:bytes"
-	sampleCount   = 3
-)
-
-// Usage is a point-in-time reading of the process resource counters the
-// accountant bills from.
-type Usage struct {
-	CPUSeconds float64
-	AllocBytes uint64
-}
-
-// ReadUsage samples the process counters now.
-func ReadUsage() Usage {
-	var s [sampleCount]metrics.Sample
-	s[0].Name = metricCPUUser
-	s[1].Name = metricCPUGC
-	s[2].Name = metricAllocs
-	metrics.Read(s[:])
-	var u Usage
-	if s[0].Value.Kind() == metrics.KindFloat64 {
-		u.CPUSeconds += s[0].Value.Float64()
-	}
-	if s[1].Value.Kind() == metrics.KindFloat64 {
-		u.CPUSeconds += s[1].Value.Float64()
-	}
-	if s[2].Value.Kind() == metrics.KindUint64 {
-		u.AllocBytes = s[2].Value.Uint64()
-	}
-	return u
-}
-
-// Sample brackets one engine run: Begin captures the starting counters,
-// Bill the ending ones. The zero Sample (from a nil accountant) is inert.
-type Sample struct {
-	start Usage
-	solo  bool
-	on    bool
-}
-
-// JobCost is the resource bill of one engine run. Shared marks deltas
-// whose sampling window overlapped another run on a sibling worker, making
-// CPUSeconds and AllocBytes upper bounds rather than exact.
-type JobCost struct {
-	WallSeconds float64 `json:"wall_seconds"`
-	CPUSeconds  float64 `json:"cpu_seconds"`
-	AllocBytes  int64   `json:"alloc_bytes"`
-	Shared      bool    `json:"shared,omitempty"`
-}
-
-// Bill carries the per-run facts the serving layer already knows and wants
-// attributed alongside the sampled deltas.
+// Bill carries what the serving layer knows about one served query: an
+// engine run's wall time, queue wait, stages and pipeline counters, or
+// just the fact that the cache answered it.
 type Bill struct {
+	CacheHit    bool
 	Wall        time.Duration
 	QueueWait   time.Duration
 	Stages      []obs.Stage
@@ -103,10 +43,7 @@ type TenantCost struct {
 	Failures         int64              `json:"failures"`
 	CacheHits        int64              `json:"cache_hits"`
 	WallSeconds      float64            `json:"wall_seconds"`
-	CPUSeconds       float64            `json:"cpu_seconds"`
-	AllocBytes       int64              `json:"alloc_bytes"`
 	QueueWaitSeconds float64            `json:"queue_wait_seconds"`
-	SharedSamples    int64              `json:"shared_samples,omitempty"`
 	SPQs             int64              `json:"spqs,omitempty"`
 	BankDrained      int64              `json:"bank_drained,omitempty"`
 	Builds           int64              `json:"builds,omitempty"`
@@ -117,9 +54,8 @@ type TenantCost struct {
 // Accountant accumulates per-tenant cost. Create with New; a nil
 // Accountant is a valid, zero-cost disabled accountant.
 type Accountant struct {
-	mu       sync.Mutex
-	tenants  map[string]*TenantCost
-	inflight atomic.Int64
+	mu      sync.Mutex
+	tenants map[string]*TenantCost
 }
 
 // New returns an empty accountant.
@@ -127,85 +63,47 @@ func New() *Accountant {
 	return &Accountant{tenants: make(map[string]*TenantCost)}
 }
 
-// Begin samples the process counters before a run. On a nil accountant it
-// returns an inert Sample and performs no work.
-func (a *Accountant) Begin() Sample {
+// Bill attributes one served query to city: a cache hit counts as such,
+// anything else as an engine run with its wall, queue and stage time.
+func (a *Accountant) Bill(city string, b Bill) {
 	if a == nil {
-		return Sample{}
+		return
 	}
-	n := a.inflight.Add(1)
-	return Sample{start: ReadUsage(), solo: n == 1, on: true}
-}
-
-// Bill closes the sample, attributes the run to city, and returns the
-// run's cost. Inert samples (nil accountant) bill nothing.
-func (a *Accountant) Bill(city string, s Sample, b Bill) JobCost {
-	if a == nil || !s.on {
-		return JobCost{}
-	}
-	end := ReadUsage()
-	if a.inflight.Add(-1) > 0 {
-		s.solo = false
-	}
-	jc := JobCost{
-		WallSeconds: b.Wall.Seconds(),
-		CPUSeconds:  end.CPUSeconds - s.start.CPUSeconds,
-		AllocBytes:  int64(end.AllocBytes - s.start.AllocBytes),
-		Shared:      !s.solo,
-	}
-	if jc.CPUSeconds < 0 {
-		jc.CPUSeconds = 0
-	}
-	if jc.AllocBytes < 0 {
-		jc.AllocBytes = 0
-	}
-
 	a.mu.Lock()
 	tc := a.tenantLocked(city)
-	tc.Jobs++
-	if b.Failed {
-		tc.Failures++
-	}
-	tc.WallSeconds += jc.WallSeconds
-	tc.CPUSeconds += jc.CPUSeconds
-	tc.AllocBytes += jc.AllocBytes
-	tc.QueueWaitSeconds += b.QueueWait.Seconds()
-	if jc.Shared {
-		tc.SharedSamples++
-	}
-	tc.SPQs += b.SPQs
-	tc.BankDrained += b.BankDrained
-	for _, st := range b.Stages {
-		tc.StageSeconds[st.Name] += st.Seconds
+	if b.CacheHit {
+		tc.CacheHits++
+	} else {
+		tc.Jobs++
+		if b.Failed {
+			tc.Failures++
+		}
+		tc.WallSeconds += b.Wall.Seconds()
+		tc.QueueWaitSeconds += b.QueueWait.Seconds()
+		tc.SPQs += b.SPQs
+		tc.BankDrained += b.BankDrained
+		for _, st := range b.Stages {
+			tc.StageSeconds[st.Name] += st.Seconds
+		}
 	}
 	a.mu.Unlock()
 
 	cm := costMetricsFor(city)
+	if b.CacheHit {
+		cm.cacheHits.Inc()
+		return
+	}
 	cm.jobs.Inc()
 	if b.Failed {
 		cm.failures.Inc()
 	}
 	cm.wallMicros.Add(b.Wall.Microseconds())
-	cm.cpuMicros.Add(int64(jc.CPUSeconds * 1e6))
-	cm.allocBytes.Add(jc.AllocBytes)
 	cm.queueMicros.Add(b.QueueWait.Microseconds())
 	cm.spqs.Add(b.SPQs)
 	cm.bankDrained.Add(b.BankDrained)
 	for _, st := range b.Stages {
 		cm.stage(st.Name).Add(int64(st.Seconds * 1e6))
 	}
-	return jc
-}
-
-// RecordCacheHit counts a submission answered without an engine run.
-func (a *Accountant) RecordCacheHit(city string) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.tenantLocked(city).CacheHits++
-	a.mu.Unlock()
-	costMetricsFor(city).cacheHits.Inc()
 }
 
 // RecordBuild bills an engine (re)build — snapshot load, scenario rebuild,
@@ -266,8 +164,6 @@ type costMetrics struct {
 	failures    *obs.CounterMetric
 	cacheHits   *obs.CounterMetric
 	wallMicros  *obs.CounterMetric
-	cpuMicros   *obs.CounterMetric
-	allocBytes  *obs.CounterMetric
 	queueMicros *obs.CounterMetric
 	spqs        *obs.CounterMetric
 	bankDrained *obs.CounterMetric
@@ -309,8 +205,6 @@ func costMetricsFor(city string) *costMetrics {
 		failures:    obs.Counter(fmt.Sprintf("aq_cost_failures_total{city=%q}", city)),
 		cacheHits:   obs.Counter(fmt.Sprintf("aq_cost_cache_hits_total{city=%q}", city)),
 		wallMicros:  obs.Counter(fmt.Sprintf("aq_cost_wall_micros_total{city=%q}", city)),
-		cpuMicros:   obs.Counter(fmt.Sprintf("aq_cost_cpu_micros_total{city=%q}", city)),
-		allocBytes:  obs.Counter(fmt.Sprintf("aq_cost_alloc_bytes_total{city=%q}", city)),
 		queueMicros: obs.Counter(fmt.Sprintf("aq_cost_queue_wait_micros_total{city=%q}", city)),
 		spqs:        obs.Counter(fmt.Sprintf("aq_cost_spqs_total{city=%q}", city)),
 		bankDrained: obs.Counter(fmt.Sprintf("aq_cost_bank_drained_total{city=%q}", city)),
@@ -327,8 +221,6 @@ func init() {
 	obs.Default.SetHelp("aq_cost_failures_total", "Billed engine runs that finished with an error, by tenant.")
 	obs.Default.SetHelp("aq_cost_cache_hits_total", "Submissions answered without an engine run, by tenant.")
 	obs.Default.SetHelp("aq_cost_wall_micros_total", "Wall-clock microseconds of engine runs, by tenant.")
-	obs.Default.SetHelp("aq_cost_cpu_micros_total", "Sampled CPU microseconds (user+GC) attributed to engine runs, by tenant.")
-	obs.Default.SetHelp("aq_cost_alloc_bytes_total", "Sampled heap bytes allocated during engine runs, by tenant.")
 	obs.Default.SetHelp("aq_cost_queue_wait_micros_total", "Microseconds billed runs waited in the admission queue, by tenant.")
 	obs.Default.SetHelp("aq_cost_spqs_total", "Shortest-path queries priced during billed runs, by tenant.")
 	obs.Default.SetHelp("aq_cost_bank_drained_total", "Trips answered from the SPQ label bank during billed runs, by tenant.")

@@ -1,9 +1,9 @@
 // Package capture is the serving layer's automatic flight recorder for
 // degraded queries. When a query crosses the slow-query threshold or
 // exhausts its deadline, the manager triggers a capture: the run's full
-// span tree, its sampled resource cost, a goroutine dump taken at the
-// moment of the trigger, and (optionally, single-flight) a short CPU
-// profile of the immediately following window. Captures land in a bounded
+// span tree, a goroutine dump taken at the moment of the trigger, and
+// (optionally, single-flight) a short CPU profile of the immediately
+// following window. Captures land in a bounded
 // in-memory store — optionally mirrored to disk — linked to the jobs they
 // answered, so a production slowdown is diagnosable from
 // GET /v1/jobs/{id}/profile without reproducing it.
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"accessquery/internal/obs"
-	"accessquery/internal/obs/account"
 )
 
 // Reason says why a capture was triggered.
@@ -73,7 +72,6 @@ type Info struct {
 	Elapsed     time.Duration
 	Err         error
 	Trace       *obs.TraceSummary
-	Cost        *account.JobCost
 }
 
 // Capture is one stored slow-query record, JSON-ready.
@@ -88,7 +86,6 @@ type Capture struct {
 	ElapsedSeconds   float64           `json:"elapsed_seconds"`
 	ThresholdSeconds float64           `json:"threshold_seconds,omitempty"`
 	Error            string            `json:"error,omitempty"`
-	Cost             *account.JobCost  `json:"cost,omitempty"`
 	NumGoroutines    int               `json:"num_goroutines"`
 	GoroutineBytes   int               `json:"goroutine_bytes"`
 	Goroutines       string            `json:"goroutines,omitempty"`
@@ -172,7 +169,6 @@ func (s *Store) Trigger(info Info) string {
 		Fingerprint:      info.Fingerprint,
 		ElapsedSeconds:   info.Elapsed.Seconds(),
 		ThresholdSeconds: info.Threshold.Seconds(),
-		Cost:             info.Cost,
 		NumGoroutines:    runtime.NumGoroutine(),
 		GoroutineBytes:   n,
 		Goroutines:       string(buf[:n]),
@@ -280,21 +276,6 @@ func (s *Store) ByJob(id string) (Capture, bool) {
 		return Capture{}, false
 	}
 	return *c, true
-}
-
-// Get returns a capture by its own ID.
-func (s *Store) Get(id string) (Capture, bool) {
-	if s == nil {
-		return Capture{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.caps {
-		if c.ID == id {
-			return *c, true
-		}
-	}
-	return Capture{}, false
 }
 
 // List returns listing-weight copies (no dump bodies), newest first.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"accessquery/internal/obs"
-	"accessquery/internal/obs/account"
 )
 
 func testTrace() *obs.TraceSummary {
@@ -32,7 +31,6 @@ func TestTriggerStoresEvidence(t *testing.T) {
 		Threshold:   100 * time.Millisecond,
 		Elapsed:     250 * time.Millisecond,
 		Trace:       testTrace(),
-		Cost:        &account.JobCost{WallSeconds: 0.25, CPUSeconds: 0.2},
 	})
 	if id == "" {
 		t.Fatal("Trigger returned empty ID")
@@ -50,11 +48,11 @@ func TestTriggerStoresEvidence(t *testing.T) {
 	if c.NumGoroutines < 1 || !strings.Contains(c.Goroutines, "goroutine") {
 		t.Errorf("goroutine dump missing: n=%d len=%d", c.NumGoroutines, len(c.Goroutines))
 	}
-	if c.Cost == nil || c.Cost.CPUSeconds != 0.2 {
-		t.Errorf("cost not carried: %+v", c.Cost)
+	if c.ElapsedSeconds != 0.25 || c.ThresholdSeconds != 0.1 {
+		t.Errorf("elapsed/threshold = %g/%g, want 0.25/0.1", c.ElapsedSeconds, c.ThresholdSeconds)
 	}
-	if _, ok := s.Get(id); !ok {
-		t.Error("Get by capture ID failed")
+	if first, ok := s.ByJob("j00000001"); !ok || first.ID != id {
+		t.Error("capture not linked to its first job")
 	}
 	if _, ok := s.ByJob("j-unknown"); ok {
 		t.Error("unknown job returned a capture")
@@ -80,7 +78,7 @@ func TestEvictionByCount(t *testing.T) {
 	if _, ok := s.ByJob("a"); ok {
 		t.Error("evicted capture still linked to its job")
 	}
-	if _, ok := s.Get(ids[4]); !ok {
+	if c, ok := s.ByJob("e"); !ok || c.ID != ids[4] {
 		t.Error("newest capture missing")
 	}
 	list := s.List()
@@ -143,10 +141,10 @@ func TestCPUProfileAttaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := s.Trigger(Info{Reason: ReasonDeadline})
+	s.Trigger(Info{JobIDs: []string{"j1"}, Reason: ReasonDeadline})
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if c, ok := s.Get(id); ok && c.CPUProfileBase64 != "" {
+		if c, ok := s.ByJob("j1"); ok && c.CPUProfileBase64 != "" {
 			if c.CPUProfileBytes == 0 {
 				t.Error("profile attached without a size")
 			}

@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
 
@@ -18,78 +16,28 @@ func MetricsHandler(r *Registry) http.Handler {
 	})
 }
 
-// TracesHandler returns an http.Handler that renders r's retained traces,
-// newest first, under a header reporting what the page does NOT show:
-// traces aged out of the ring and spans dropped at the per-trace bound.
-func TracesHandler(r *TraceRing) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		snap := r.Snapshot()
-		body := struct {
-			Retained     int             `json:"retained"`
-			Evicted      uint64          `json:"evicted"`
-			DroppedSpans int64           `json:"dropped_spans"`
-			Traces       []*TraceSummary `json:"traces"`
-		}{Retained: len(snap), Evicted: r.Evicted(), DroppedSpans: r.DroppedSpans(), Traces: snap}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(body)
-	})
-}
-
-// debugExtras are handlers subsystems register onto future DebugMux
-// instances. The obs package sits below the subsystems that want debug
-// pages (the capture store, for one), so the dependency is inverted: they
-// call RegisterDebug at wiring time, and every DebugMux built afterwards
-// mounts them.
-var (
-	debugExtrasMu sync.Mutex
-	debugExtras   = make(map[string]http.Handler)
-)
-
-// RegisterDebug mounts handler at path on every DebugMux created after
-// the call. Re-registering a path replaces its handler.
-func RegisterDebug(path string, handler http.Handler) {
-	debugExtrasMu.Lock()
-	debugExtras[path] = handler
-	debugExtrasMu.Unlock()
-}
-
-// DebugMux returns a mux exposing the Default registry at /metrics, the
-// last completed traces at /debug/traces, and the runtime profiler under
-// /debug/pprof/ — the surface a -debug-addr listener serves so a loaded
-// server can be profiled and its recent queries inspected without
-// redeploying.
-func DebugMux() *http.ServeMux {
+// StartDebugServer binds addr and, in a background goroutine, serves the
+// Default registry at /metrics, the runtime profiler under /debug/pprof/,
+// and captures at /debug/captures when that handler is non-nil. It
+// returns the bound address (useful with a ":0" addr) and a
+// shutdown-capable server. Debug listeners are opt-in and should bind
+// loopback: pprof and metrics are operator surfaces, not public API.
+func StartDebugServer(addr string, captures http.Handler) (*http.Server, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(Default))
-	mux.Handle("/debug/traces", TracesHandler(Traces))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	debugExtrasMu.Lock()
-	for path, h := range debugExtras {
-		mux.Handle(path, h)
+	if captures != nil {
+		mux.Handle("/debug/captures", captures)
 	}
-	debugExtrasMu.Unlock()
-	return mux
-}
-
-// StartDebugServer binds addr and serves DebugMux on it in a background
-// goroutine, returning the bound address (useful with a ":0" addr) and a
-// shutdown-capable server. Debug listeners are opt-in and should bind
-// loopback: pprof and metrics are operator surfaces, not public API.
-func StartDebugServer(addr string) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	srv := &http.Server{
-		Handler:           DebugMux(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String(), nil
 }

@@ -2,7 +2,6 @@ package olog
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -10,7 +9,7 @@ import (
 // log is threshold-gated, so a burn event — every query suddenly slow —
 // would turn it into a log storm exactly when the operator needs the log
 // readable; a per-tenant Limiter keeps a few exemplar lines per second
-// and counts the rest as suppressed instead of writing them.
+// and drops the rest; the caller counts what it drops.
 //
 // A nil *Limiter allows everything, so callers can thread an optional
 // limiter without branching.
@@ -21,8 +20,7 @@ type Limiter struct {
 	tokens float64
 	last   time.Time
 
-	suppressed atomic.Int64
-	now        func() time.Time
+	now func() time.Time
 }
 
 // NewLimiter returns a limiter admitting perSec lines per second with
@@ -38,7 +36,7 @@ func NewLimiter(perSec float64, burst int) *Limiter {
 }
 
 // Allow reports whether the caller may emit a line now, consuming a token
-// if so. Denied calls are counted as suppressed.
+// if so.
 func (l *Limiter) Allow() bool {
 	if l == nil {
 		return true
@@ -60,14 +58,5 @@ func (l *Limiter) Allow() bool {
 		return true
 	}
 	l.mu.Unlock()
-	l.suppressed.Add(1)
 	return false
-}
-
-// Suppressed reports how many lines this limiter has denied.
-func (l *Limiter) Suppressed() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.suppressed.Load()
 }

@@ -250,7 +250,7 @@ func TestTraceAndSpans(t *testing.T) {
 
 func TestDebugServer(t *testing.T) {
 	Counter("aq_debug_test_total").Inc()
-	srv, addr, err := StartDebugServer("127.0.0.1:0")
+	srv, addr, err := StartDebugServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,5 +282,40 @@ func TestDebugServer(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline status %d", resp.StatusCode)
+	}
+}
+
+// A debug page owned by a higher layer (the capture store) must be mounted
+// on the debug server when its handler is passed in, and only then — the
+// inversion that lets obs serve it without importing that layer.
+func TestRegisterDebug(t *testing.T) {
+	called := false
+	captures := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { called = true })
+	srv, addr, err := StartDebugServer("127.0.0.1:0", captures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	resp, err := http.Get("http://" + addr + "/debug/captures")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if !called {
+		t.Error("captures handler was not invoked")
+	}
+
+	bare, bareAddr, err := StartDebugServer("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Shutdown(context.Background())
+	resp, err = http.Get("http://" + bareAddr + "/debug/captures")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/captures without a handler: status %d, want 404", resp.StatusCode)
 	}
 }

@@ -272,10 +272,14 @@ func (e *Engine) tenantLocked(city string) *tenantSLO {
 	if !ok {
 		t = &tenantSLO{obj: e.spec.For(city), slots: make([]slot, numBuckets)}
 		e.tenants[city] = t
+		// The gauges capture their own copy of the name: capturing the
+		// parameter would move it to the heap on every call, not just
+		// this first one.
+		name := city
 		for _, w := range windows {
 			w := w
-			name := fmt.Sprintf("aq_slo_burn_rate{city=%q,window=%q}", city, w.name)
-			obs.Default.GaugeFunc(name, func() float64 { return e.BurnRate(city, w.dur) })
+			series := fmt.Sprintf("aq_slo_burn_rate{city=%q,window=%q}", name, w.name)
+			obs.Default.GaugeFunc(series, func() float64 { return e.BurnRate(name, w.dur) })
 		}
 	}
 	return t
@@ -338,11 +342,6 @@ func (e *Engine) BurnRate(city string, window time.Duration) float64 {
 // sustained burn fires quickly.
 func (e *Engine) FastBurn(city string) float64 {
 	return min(e.BurnRate(city, 5*time.Minute), e.BurnRate(city, time.Hour))
-}
-
-// SlowBurn is the ticket signal: both the 1h and 6h windows burning.
-func (e *Engine) SlowBurn(city string) float64 {
-	return min(e.BurnRate(city, time.Hour), e.BurnRate(city, 6*time.Hour))
 }
 
 // WindowReport is one evaluation window of a tenant's SLO report.

@@ -124,8 +124,8 @@ func TestBurnRateWindowsAge(t *testing.T) {
 	if got := e.FastBurn("x"); got != 0 {
 		t.Errorf("fast burn after 10m = %g, want 0", got)
 	}
-	if got := e.SlowBurn("x"); got != 100 {
-		t.Errorf("slow burn after 10m = %g, want 100", got)
+	if r, _ := e.Report("x"); r.SlowBurn != 100 {
+		t.Errorf("slow burn after 10m = %g, want 100", r.SlowBurn)
 	}
 	// Seven hours later everything has aged out.
 	*now = now.Add(7 * time.Hour)

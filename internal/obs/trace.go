@@ -125,16 +125,6 @@ func (t *Trace) Record(name string, d time.Duration) {
 	t.record(name, -1, time.Now().Add(-d), d, nil)
 }
 
-// RecordAttrs is Record with span attributes — used for measured-elsewhere
-// phases that carry data, like the serving layer's per-run cost summary
-// (cpu_seconds, alloc_bytes) recorded after the run finishes.
-func (t *Trace) RecordAttrs(name string, d time.Duration, attrs ...Attr) {
-	if t == nil {
-		return
-	}
-	t.record(name, -1, time.Now().Add(-d), d, attrs)
-}
-
 func clampNanos(d time.Duration) int64 {
 	ns := d.Nanoseconds()
 	if ns <= 0 {
@@ -216,8 +206,7 @@ func (n *SpanNode) Find(name string) *SpanNode {
 
 // TraceSummary is the immutable, JSON-ready form of a completed trace: the
 // span tree plus trace-level bounds. It is what job snapshots, the
-// /v1/jobs/{id}/trace endpoint, ?explain=1 reports, and the /debug/traces
-// ring buffer carry.
+// /v1/jobs/{id}/trace endpoint, ?explain=1 reports and captures carry.
 type TraceSummary struct {
 	TraceID string    `json:"trace_id"`
 	Start   time.Time `json:"start"`

@@ -200,42 +200,6 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	}
 }
 
-// TestTraceRingEviction checks the flight-recorder ring: newest-first
-// snapshots, oldest-first eviction, and the eviction counter.
-func TestTraceRingEviction(t *testing.T) {
-	r := NewTraceRing(3)
-	if r.Len() != 0 || r.Evicted() != 0 {
-		t.Fatalf("empty ring: Len=%d Evicted=%d", r.Len(), r.Evicted())
-	}
-	for i := 1; i <= 5; i++ {
-		r.Add(&TraceSummary{TraceID: fmt.Sprintf("t%d", i)})
-	}
-	if r.Len() != 3 {
-		t.Errorf("Len = %d, want 3", r.Len())
-	}
-	if r.Evicted() != 2 {
-		t.Errorf("Evicted = %d, want 2", r.Evicted())
-	}
-	snap := r.Snapshot()
-	ids := make([]string, len(snap))
-	for i, s := range snap {
-		ids[i] = s.TraceID
-	}
-	want := []string{"t5", "t4", "t3"}
-	if len(ids) != len(want) {
-		t.Fatalf("snapshot = %v, want %v", ids, want)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("snapshot = %v, want %v (newest first)", ids, want)
-		}
-	}
-	r.Add(nil) // ignored
-	if r.Len() != 3 || r.Evicted() != 2 {
-		t.Errorf("nil Add changed ring: Len=%d Evicted=%d", r.Len(), r.Evicted())
-	}
-}
-
 // TestTraceIDsUnique guards the ID scheme against collisions within a
 // process.
 func TestTraceIDsUnique(t *testing.T) {

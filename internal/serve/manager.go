@@ -80,9 +80,9 @@ type Config struct {
 	// Logger receives the manager's structured log lines (currently the
 	// slow-query log); default olog.Default.
 	Logger *olog.Logger
-	// Accountant, when non-nil, bills every engine run's wall/CPU/alloc
-	// cost (and cache hits) to the city that incurred it. Nil disables
-	// cost accounting at zero per-query overhead.
+	// Accountant, when non-nil, bills every engine run's wall, queue and
+	// stage time (and every cache hit) to the city that incurred it. Nil
+	// disables cost accounting at zero per-query overhead.
 	Accountant *account.Accountant
 	// SLO, when non-nil, folds every run outcome into the per-tenant
 	// multi-window burn-rate engine. Nil disables SLO evaluation at zero
@@ -96,8 +96,8 @@ type Config struct {
 	// 14.4. Zero disables burn tripping.
 	BurnTripThreshold float64
 	// Captures, when non-nil, receives an automatic capture (span tree,
-	// resource deltas, goroutine dump) whenever a run crosses
-	// SlowQueryThreshold or exhausts its deadline. Nil disables capture.
+	// goroutine dump) whenever a run crosses SlowQueryThreshold or
+	// exhausts its deadline. Nil disables capture.
 	Captures *capture.Store
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -350,9 +350,9 @@ type flight struct {
 	probe bool
 }
 
-// tenantState is one city's slice of the manager's admission machinery:
-// its circuit breaker and its share of the queue. All fields are guarded
-// by Manager.mu.
+// tenantState is one city's slice of the manager: its circuit breaker,
+// its share of the queue, and its event counts — the one count store that
+// Stats sums and TenantStats reads. All fields are guarded by Manager.mu.
 type tenantState struct {
 	// Breaker: open while openUntil is non-zero. Before the cooldown
 	// passes every submission for this city is served stale or rejected;
@@ -364,12 +364,12 @@ type tenantState struct {
 	// queued counts this city's distinct flights currently in the
 	// admission queue, for the async fair-share shed.
 	queued int
-	// Per-tenant counters mirrored into TenantStats.
-	trips       int64
-	staleServed int64
-	shedAsync   int64
-	failed      int64
-	completed   int64
+	// Event counts since startup.
+	submitted, cacheHits, dedups, rejected, shedAsync int64
+	completed, failed, cancelled, staleServed, trips  int64
+
+	m       *cityMetrics  // the city's labeled aq_serve_* series
+	slowLog *olog.Limiter // slow-query-log token bucket; nil when unlimited
 }
 
 // tenantLocked returns (creating on first use) the named city's admission
@@ -377,7 +377,10 @@ type tenantState struct {
 func (m *Manager) tenantLocked(city string) *tenantState {
 	ts, ok := m.tenants[city]
 	if !ok {
-		ts = &tenantState{}
+		ts = &tenantState{m: metricsFor(city)}
+		if m.cfg.SlowLogPerSec >= 0 {
+			ts.slowLog = olog.NewLimiter(m.cfg.SlowLogPerSec, m.cfg.SlowLogBurst)
+		}
 		m.tenants[city] = ts
 	}
 	return ts
@@ -428,30 +431,17 @@ type Manager struct {
 	// retireLocked.
 	finished []finishedJob
 
-	// Per-tenant admission state (circuit breaker + queued-flight counts),
-	// guarded by mu and keyed by the canonical city name ("" for
-	// single-tenant managers). One city's failing engine trips only its own
-	// breaker; the other tenants keep running.
+	// Per-tenant state (breaker, queue share, counts), guarded by mu and
+	// keyed by the canonical city name ("" for single-tenant managers). One
+	// city's failing engine trips only its own breaker; the other tenants
+	// keep running.
 	tenants map[string]*tenantState
-
-	// Per-tenant slow-query-log limiters, created on first slow query.
-	slowLogMu sync.Mutex
-	slowLog   map[string]*olog.Limiter
 
 	queue    chan *flight
 	wg       sync.WaitGroup
 	rootCtx  context.Context
 	rootStop context.CancelFunc
 
-	submitted   atomic.Int64
-	cacheHits   atomic.Int64
-	dedups      atomic.Int64
-	rejected    atomic.Int64
-	shedAsync   atomic.Int64
-	completed   atomic.Int64
-	failed      atomic.Int64
-	cancelled   atomic.Int64
-	staleServed atomic.Int64
 	avgRunNanos atomic.Int64 // EWMA of engine-run durations, for Retry-After
 }
 
@@ -465,7 +455,6 @@ func NewManager(run RunFunc, cfg Config) *Manager {
 		cache:    newResultCache(cfg.CacheSize, cfg.CacheTTL, cfg.now),
 		flights:  make(map[string]*flight),
 		tenants:  make(map[string]*tenantState),
-		slowLog:  make(map[string]*olog.Limiter),
 		jobs:     make(map[string]*Job),
 		queue:    make(chan *flight, cfg.QueueDepth),
 		rootCtx:  ctx,
@@ -499,11 +488,20 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	fp := req.Fingerprint()
-	now := m.cfg.now()
-	cm := metricsFor(req.City)
-
+	var hit outcome
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	job, err := m.admitLocked(req, fp, async, m.cfg.now(), &hit)
+	m.mu.Unlock()
+	if hit.jobs != nil {
+		m.observe(&hit)
+	}
+	return job, err
+}
+
+// admitLocked decides one submission: a dedup onto a running flight, a
+// new flight, a rejection, or a cache answer, whose outcome it leaves in
+// hit for the caller to observe once m.mu is released. Callers hold m.mu.
+func (m *Manager) admitLocked(req Request, fp string, async bool, now time.Time, hit *outcome) (*Job, error) {
 	if m.closed {
 		return nil, ErrShutdown
 	}
@@ -511,11 +509,11 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 	ts := m.tenantLocked(req.City)
 
 	if ans, ok := m.cache.get(fp); ok {
-		return m.answerCachedLocked(req.City, fp, now, ts, cm, ans, false, 0), nil
+		return m.answerCachedLocked(hit, ts, req.City, fp, now, ans, false, 0), nil
 	}
 	mCacheMisses.Inc()
 	if fl, ok := m.flights[fp]; ok {
-		job := m.newJobLocked(req.City, fp, now)
+		job := m.newJobLocked(ts, req.City, fp, now)
 		job.dedup = true
 		if fl.started {
 			// The worker already set the attached jobs running; a late
@@ -524,9 +522,8 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 		}
 		fl.jobs = append(fl.jobs, job)
 		m.jobs[job.ID] = job
-		m.dedups.Add(1)
+		ts.dedups++
 		mDedups.Inc()
-		cm.submitted.Inc()
 		return job, nil
 	}
 	probe := false
@@ -534,10 +531,10 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 		// Degraded read path: an expired cache entry with honest staleness
 		// metadata beats bouncing the client while the engine recovers.
 		if ans, age, ok := m.cache.getStale(fp); ok {
-			return m.answerCachedLocked(req.City, fp, now, ts, cm, ans, true, age), nil
+			return m.answerCachedLocked(hit, ts, req.City, fp, now, ans, true, age), nil
 		}
 		if !canProbe {
-			m.rejected.Add(1)
+			ts.rejected++
 			mBreakerRejected.Inc()
 			return nil, ErrBreakerOpen
 		}
@@ -558,12 +555,11 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 		fairShare = 1
 	}
 	if async && !probe && (len(m.queue) >= shedAt || ts.queued >= fairShare) {
-		m.rejected.Add(1)
-		m.shedAsync.Add(1)
+		ts.rejected++
 		ts.shedAsync++
 		mRejected.Inc()
 		mShedAsync.Inc()
-		cm.shedAsync.Inc()
+		ts.m.shedAsync.Inc()
 		return nil, ErrQueueFull
 	}
 	// Admission decision before consuming a job ID or counting the
@@ -574,9 +570,9 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 	case m.queue <- fl:
 		mQueueDepth.Inc()
 		ts.queued++
-		cm.queued.Inc()
+		ts.m.queued.Inc()
 	default:
-		m.rejected.Add(1)
+		ts.rejected++
 		mRejected.Inc()
 		return nil, ErrQueueFull
 	}
@@ -585,47 +581,34 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 	}
 	// A worker may already have dequeued fl, but it blocks on m.mu before
 	// touching fl.jobs, so attaching here is safe.
-	job := m.newJobLocked(req.City, fp, now)
+	job := m.newJobLocked(ts, req.City, fp, now)
 	fl.jobs = []*Job{job}
 	m.flights[fp] = fl
 	m.jobs[job.ID] = job
-	cm.submitted.Inc()
 	return job, nil
 }
 
-// answerCachedLocked completes a submission from the result cache: a
+// answerCachedLocked admits a submission the result cache answers: a
 // fresh hit, or — while the tenant's breaker is open — an expired entry
-// served stale with its age. Either way it is a served query: it bills (as
-// free) and counts as a fast success toward the tenant's SLO. Stale serving
-// keeps the tenant answering, so availability-wise it is a success too —
-// the open breaker is already visible in the burn rate through the
-// failures that tripped it. The cached entry carries the producing run's
-// trace, so the job still answers trace and explain requests.
-func (m *Manager) answerCachedLocked(city, fp string, now time.Time, ts *tenantState, cm *cityMetrics, ans answer, stale bool, age time.Duration) *Job {
-	job := m.newJobLocked(city, fp, now)
+// served stale with its age. It fills in the hit's outcome, which the
+// caller observes once m.mu is released. The cached entry carries the
+// producing run's trace, so the job still answers trace and explain
+// requests. Callers hold m.mu.
+func (m *Manager) answerCachedLocked(hit *outcome, ts *tenantState, city, fp string, now time.Time, ans answer, stale bool, age time.Duration) *Job {
+	job := m.newJobLocked(ts, city, fp, now)
 	job.cacheHit = true
 	job.stale = stale
 	job.staleFor = age
 	job.epochStale = m.epochStale(ans.res)
 	m.jobs[job.ID] = job
-	cm.submitted.Inc()
-	if stale {
-		m.staleServed.Add(1)
-		ts.staleServed++
-		mStaleServed.Inc()
-		cm.staleServed.Inc()
-	} else {
-		m.cacheHits.Add(1)
-		mCacheHits.Inc()
-		cm.cacheHits.Inc()
-	}
 	if job.epochStale {
 		mEpochStale.Inc()
 	}
-	m.cfg.Accountant.RecordCacheHit(city)
-	m.cfg.SLO.Record(city, 0, false)
-	job.complete(ans, nil, nil)
 	m.retireLocked(job, now)
+	*hit = outcome{kind: hitFresh, city: city, fp: fp, jobs: []*Job{job}, ans: ans}
+	if stale {
+		hit.kind = hitStale
+	}
 	return job
 }
 
@@ -665,47 +648,66 @@ func (m *Manager) anyBreakerOpenLocked(now time.Time) bool {
 	return false
 }
 
-// recordOutcomeLocked feeds one finished flight into its tenant's breaker
-// state machine. Cancellations and shutdown are neutral — they say nothing
-// about engine health. Callers hold m.mu.
-func (m *Manager) recordOutcomeLocked(ts *tenantState, cm *cityMetrics, fl *flight, err error, now time.Time) {
+// breakerLocked feeds one finished run into its tenant's circuit breaker.
+// A success closes it; a failure counts toward tripping it (a failed probe
+// re-trips it at once); a neutral outcome leaves it alone, so a cancelled
+// probe leaves it half-open. With burn tripping armed, a fast SLO burn at
+// or over the threshold trips it too, without waiting for consecutive
+// hard failures. Callers hold m.mu and have recorded the run in the SLO.
+func (m *Manager) breakerLocked(ts *tenantState, o *outcome, now time.Time) {
 	if m.cfg.BreakerThreshold < 0 {
 		return
 	}
-	if fl.probe {
+	if o.probe {
 		ts.probing = false
 	}
-	switch {
-	case err == nil:
+	switch o.class {
+	case classOK:
 		ts.consecFails = 0
 		if !ts.openUntil.IsZero() {
 			ts.openUntil = time.Time{}
-			cm.breakerOpen.Set(0)
+			ts.m.breakerOpen.Set(0)
 			if !m.anyBreakerOpenLocked(now) {
 				mBreakerOpen.Set(0)
 			}
 		}
-	case errors.Is(err, ErrCancelled), errors.Is(err, context.Canceled), errors.Is(err, ErrShutdown):
-		// Neutral: a cancelled probe returns the breaker to half-open (the
-		// cooldown is already past), so the next submission probes again.
-	default:
+	case classFailed:
 		ts.consecFails++
-		if fl.probe || (ts.consecFails >= m.cfg.BreakerThreshold && ts.openUntil.IsZero()) {
-			ts.openUntil = now.Add(m.cfg.BreakerCooldown)
-			ts.trips++
-			mBreakerTrips.Inc()
-			mBreakerOpen.Set(1)
-			cm.breakerTrips.Inc()
-			cm.breakerOpen.Set(1)
+		if o.probe || (ts.consecFails >= m.cfg.BreakerThreshold && ts.openUntil.IsZero()) {
+			m.tripLocked(ts, now)
 		}
 	}
+	if m.cfg.SLO == nil || m.cfg.BurnTripThreshold <= 0 || !ts.openUntil.IsZero() || ts.probing {
+		return
+	}
+	if fb := m.cfg.SLO.FastBurn(o.city); fb >= m.cfg.BurnTripThreshold {
+		m.tripLocked(ts, now)
+		mBurnTrips.Inc()
+		ts.m.burnTrips.Inc()
+		m.cfg.Logger.Warn("slo burn trip",
+			olog.F("city", o.city),
+			olog.F("fast_burn", fb),
+			olog.F("threshold", m.cfg.BurnTripThreshold),
+			olog.F("cooldown_seconds", m.cfg.BreakerCooldown.Seconds()))
+	}
+}
+
+// tripLocked opens a tenant's breaker for the cooldown. Callers hold m.mu.
+func (m *Manager) tripLocked(ts *tenantState, now time.Time) {
+	ts.openUntil = now.Add(m.cfg.BreakerCooldown)
+	ts.trips++
+	mBreakerTrips.Inc()
+	mBreakerOpen.Set(1)
+	ts.m.breakerTrips.Inc()
+	ts.m.breakerOpen.Set(1)
 }
 
 // newJobLocked allocates the next job ID and counts the submission. Callers
 // hold m.mu and must only call it once admission has succeeded.
-func (m *Manager) newJobLocked(city, fp string, now time.Time) *Job {
-	m.submitted.Add(1)
+func (m *Manager) newJobLocked(ts *tenantState, city, fp string, now time.Time) *Job {
+	ts.submitted++
 	mSubmitted.Inc()
+	ts.m.submitted.Inc()
 	m.nextID++
 	return &Job{
 		ID:          fmt.Sprintf("j%08d", m.nextID),
@@ -759,7 +761,7 @@ func (m *Manager) Do(ctx context.Context, req Request) (*core.Result, error) {
 // job on a flight takes the flight with it: a queued flight is skipped by
 // the worker, a running one has its context cancelled so the engine stops
 // mid-loop. Returns ErrUnknownJob for unknown IDs and ErrNotCancellable
-// for jobs already in a terminal state.
+// for jobs already terminal or answered from the cache.
 func (m *Manager) Cancel(id string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -768,7 +770,7 @@ func (m *Manager) Cancel(id string) error {
 		return ErrUnknownJob
 	}
 	job.mu.Lock()
-	terminal := job.state.terminal()
+	terminal := job.state.terminal() || job.cacheHit
 	job.mu.Unlock()
 	if terminal {
 		return ErrNotCancellable
@@ -799,7 +801,7 @@ func (m *Manager) Cancel(id string) error {
 		return ErrNotCancellable
 	}
 	m.retireLocked(job, m.cfg.now())
-	m.cancelled.Add(1)
+	m.tenantLocked(job.City).cancelled++
 	mCancelled.Inc()
 	return nil
 }
@@ -863,25 +865,24 @@ func (m *Manager) RetryAfter() time.Duration {
 	return d
 }
 
-// Stats returns event counters, the breaker state, and the current queue
-// length.
+// Stats returns the event counts summed over every tenant, whether any
+// tenant's breaker is open, and the current queue length.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
-	open := m.anyBreakerOpenLocked(m.cfg.now())
-	m.mu.Unlock()
-	return Stats{
-		Submitted:    m.submitted.Load(),
-		CacheHits:    m.cacheHits.Load(),
-		Deduplicated: m.dedups.Load(),
-		Rejected:     m.rejected.Load(),
-		ShedAsync:    m.shedAsync.Load(),
-		Completed:    m.completed.Load(),
-		Failed:       m.failed.Load(),
-		Cancelled:    m.cancelled.Load(),
-		StaleServed:  m.staleServed.Load(),
-		BreakerOpen:  open,
-		QueueLen:     len(m.queue),
+	defer m.mu.Unlock()
+	st := Stats{BreakerOpen: m.anyBreakerOpenLocked(m.cfg.now()), QueueLen: len(m.queue)}
+	for _, ts := range m.tenants {
+		st.Submitted += ts.submitted
+		st.CacheHits += ts.cacheHits
+		st.Deduplicated += ts.dedups
+		st.Rejected += ts.rejected
+		st.ShedAsync += ts.shedAsync
+		st.Completed += ts.completed
+		st.Failed += ts.failed
+		st.Cancelled += ts.cancelled
+		st.StaleServed += ts.staleServed
 	}
+	return st
 }
 
 // TenantStats returns the per-city admission view — breaker state, queue
@@ -950,10 +951,10 @@ func (m *Manager) worker() {
 // attached to it.
 func (m *Manager) runFlight(fl *flight) {
 	mQueueDepth.Dec()
-	cm := metricsFor(fl.req.City)
 	m.mu.Lock()
-	m.tenantLocked(fl.req.City).queued--
-	cm.queued.Dec()
+	ts := m.tenantLocked(fl.req.City)
+	ts.queued--
+	ts.m.queued.Dec()
 	if fl.cancelled {
 		// Every attached job was cancelled while this flight sat in the
 		// queue; Cancel already removed it from the flight table.
@@ -978,40 +979,14 @@ func (m *Manager) runFlight(fl *flight) {
 	wait := start.Sub(fl.enqueued)
 	mQueueWait.ObserveDuration(wait)
 	// The trace rides the run context so the engine's stage spans land in
-	// it; every job attached to this flight shares the breakdown. The
-	// resource sample brackets exactly the engine run, so the CPU/alloc
-	// deltas billed to this city exclude queue wait and bookkeeping.
+	// it; every job attached to this flight shares the breakdown.
 	tr := obs.NewTrace()
-	smp := m.cfg.Accountant.Begin()
 	res, err := m.safeRun(ctx, fl.req, tr, wait)
 	elapsed := m.cfg.now().Sub(start)
-	m.observeRun(elapsed)
+	m.noteRunTime(elapsed)
 	mRunSeconds.ObserveDuration(elapsed)
-	stages := tr.Stages()
-	// Cancellations and shutdown say nothing about engine health or the
-	// tenant's SLO; real failures and successes both count.
-	neutral := err != nil && (errors.Is(err, ErrCancelled) || errors.Is(err, context.Canceled) || errors.Is(err, ErrShutdown))
-	var cost *account.JobCost
-	if m.cfg.Accountant != nil {
-		bill := account.Bill{Wall: elapsed, QueueWait: wait, Stages: stages, Failed: err != nil && !neutral}
-		if res != nil {
-			bill.SPQs = res.Timing.SPQs
-			bill.BankDrained = res.Timing.BankDrained
-		}
-		jc := m.cfg.Accountant.Bill(fl.req.City, smp, bill)
-		cost = &jc
-		// The bill lands in the span tree too, so explain reports and
-		// captures carry the run's resource cost alongside its timings.
-		tr.RecordAttrs("cost", 0,
-			obs.FloatAttr("cpu_seconds", jc.CPUSeconds),
-			obs.IntAttr("alloc_bytes", jc.AllocBytes),
-			obs.BoolAttr("shared", jc.Shared))
-	}
-	sum := tr.Summary()
-	obs.Traces.Add(sum)
-	if !neutral {
-		m.cfg.SLO.Record(fl.req.City, elapsed, err != nil)
-	}
+	// A failed run leaves only its trace behind.
+	ans := answer{trace: tr.Summary()}
 
 	now := m.cfg.now()
 	m.mu.Lock()
@@ -1023,14 +998,11 @@ func (m *Manager) runFlight(fl *flight) {
 	if m.flights[fl.fp] == fl {
 		delete(m.flights, fl.fp)
 	}
+	// A flight whose last job was cancelled ends cancelled, whatever the
+	// engine returned: the outcome is classified from this final error.
 	if fl.cancelled && err == nil && ctx.Err() != nil {
 		err = fmt.Errorf("%w: run aborted", ErrCancelled)
 	}
-	ts := m.tenantLocked(fl.req.City)
-	m.recordOutcomeLocked(ts, cm, fl, err, now)
-	m.maybeBurnTripLocked(ts, cm, fl.req.City, now)
-	// A failed run leaves only its trace behind.
-	ans := answer{trace: sum}
 	if err == nil {
 		ans.res, ans.body = res, new(EncodedBody)
 		if res.Degraded == nil {
@@ -1042,35 +1014,22 @@ func (m *Manager) runFlight(fl *flight) {
 	}
 	jobs := fl.jobs
 	fl.jobs = nil
-	if err != nil {
-		ts.failed += int64(len(jobs))
-	} else {
-		ts.completed += int64(len(jobs))
-	}
 	// Queued as finished here, under the lock, a moment before they are
-	// completed below: nothing can drop them from the queue that soon.
+	// completed: nothing can drop them from the queue that soon.
 	for _, j := range jobs {
 		m.retireLocked(j, now)
 	}
 	m.mu.Unlock()
 
-	// Capture before completing the jobs, so a poller that sees a job
-	// finish can immediately fetch its profile.
-	captureID := m.maybeCapture(ctx, fl, jobs, elapsed, sum, cost, err)
-	m.maybeLogSlow(fl.req.City, fl.fp, elapsed, sum, stages, captureID, err)
-
-	for _, j := range jobs {
-		if err != nil {
-			m.failed.Add(1)
-			mFailed.Inc()
-			cm.failed.Inc()
-		} else {
-			m.completed.Add(1)
-			mCompleted.Inc()
-			cm.completed.Inc()
-		}
-		j.complete(ans, err, stages)
+	o := outcome{
+		kind: ranEngine, city: fl.req.City, fp: fl.fp, jobs: jobs, ans: ans, err: err, class: classify(err),
+		probe: fl.probe, wait: wait, elapsed: elapsed, stages: tr.Stages(),
+		deadline: errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded),
 	}
+	if res != nil {
+		o.spqs, o.bankDrained = res.Timing.SPQs, res.Timing.BankDrained
+	}
+	m.observe(&o)
 }
 
 // effectiveTimeout computes one run's deadline: JobTimeout, tightened by
@@ -1086,114 +1045,153 @@ func (m *Manager) effectiveTimeout(req Request) time.Duration {
 	return d
 }
 
-// maybeBurnTripLocked trips a tenant's breaker when its fast burn rate
-// crosses the configured threshold: sustained SLO burn then routes that
-// city through the breaker's existing stale-serving and half-open-probe
-// machinery instead of waiting for consecutive hard failures. Callers
-// hold m.mu.
-func (m *Manager) maybeBurnTripLocked(ts *tenantState, cm *cityMetrics, city string, now time.Time) {
-	if m.cfg.SLO == nil || m.cfg.BurnTripThreshold <= 0 || m.cfg.BreakerThreshold < 0 {
-		return
-	}
-	if !ts.openUntil.IsZero() || ts.probing {
-		return // already open; let the probe cycle decide recovery
-	}
-	if fb := m.cfg.SLO.FastBurn(city); fb >= m.cfg.BurnTripThreshold {
-		ts.openUntil = now.Add(m.cfg.BreakerCooldown)
-		ts.trips++
-		mBreakerTrips.Inc()
-		mBurnTrips.Inc()
-		mBreakerOpen.Set(1)
-		cm.breakerTrips.Inc()
-		cm.burnTrips.Inc()
-		cm.breakerOpen.Set(1)
-		m.cfg.Logger.Warn("slo burn trip",
-			olog.F("city", city),
-			olog.F("fast_burn", fb),
-			olog.F("threshold", m.cfg.BurnTripThreshold),
-			olog.F("cooldown_seconds", m.cfg.BreakerCooldown.Seconds()))
-	}
-}
+// outcomeKind says how a served query was answered.
+type outcomeKind uint8
 
-// maybeCapture triggers the slow-query capture store for a run that
-// exhausted its deadline or crossed the slow-query threshold, linking the
-// capture to every job the run answered. Returns the capture ID, or "".
-func (m *Manager) maybeCapture(ctx context.Context, fl *flight, jobs []*Job, elapsed time.Duration, sum *obs.TraceSummary, cost *account.JobCost, err error) string {
-	if m.cfg.Captures == nil {
-		return ""
-	}
-	var reason capture.Reason
+const (
+	hitFresh  outcomeKind = iota + 1 // a fresh result-cache entry
+	hitStale                         // an expired entry, served while the breaker is open
+	ranEngine                        // an engine run (one flight, every job attached to it)
+)
+
+// outcomeClass is what an outcome says about the tenant's health. A run is
+// classified once, from its final error. Hits, stale ones too, are
+// classOK: stale serving keeps the tenant answering, and the open breaker
+// already shows in the burn rate through the failures that tripped it.
+type outcomeClass uint8
+
+const (
+	classOK      outcomeClass = iota
+	classFailed               // a real engine failure: burns the SLO, counts toward the breaker
+	classNeutral              // cancelled or shut down: says nothing about engine health
+)
+
+func classify(err error) outcomeClass {
 	switch {
-	case errors.Is(err, context.DeadlineExceeded) || (ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded)):
-		reason = capture.ReasonDeadline
-	case m.cfg.SlowQueryThreshold > 0 && elapsed >= m.cfg.SlowQueryThreshold:
-		reason = capture.ReasonSlowQuery
-	default:
-		return ""
+	case err == nil:
+		return classOK
+	case errors.Is(err, ErrCancelled), errors.Is(err, context.Canceled), errors.Is(err, ErrShutdown):
+		return classNeutral
 	}
-	ids := make([]string, len(jobs))
-	for i, j := range jobs {
-		ids[i] = j.ID
-	}
-	return m.cfg.Captures.Trigger(capture.Info{
-		JobIDs:      ids,
-		City:        fl.req.City,
-		Fingerprint: fl.fp,
-		Reason:      reason,
-		Threshold:   m.cfg.SlowQueryThreshold,
-		Elapsed:     elapsed,
-		Err:         err,
-		Trace:       sum,
-		Cost:        cost,
+	return classFailed
+}
+
+// outcome is the one record of a served query, built once its error is
+// final: by answerCachedLocked for a cache answer and by runFlight for an
+// engine run. observe feeds every outlet from it.
+type outcome struct {
+	kind     outcomeKind
+	city     string
+	fp       string
+	jobs     []*Job // the jobs it answers
+	ans      answer // result and body on success; for a run, always its trace
+	err      error
+	class    outcomeClass
+	probe    bool // the run was the breaker's half-open probe
+	deadline bool // the run exhausted its deadline, even if it still answered degraded
+
+	wait, elapsed     time.Duration
+	stages            []obs.Stage
+	spqs, bankDrained int64
+}
+
+// observe feeds one outcome to every outlet, then completes its jobs:
+// the cost bill and the SLO; under m.mu the event counts and, for an
+// engine run, the breaker (which reads the SLO just recorded); then, for a
+// run, the dropped-span count, a capture and the slow-query log. Callers
+// do not hold m.mu.
+func (m *Manager) observe(o *outcome) {
+	// Jobs complete last on every path, after their counts and capture.
+	defer func() {
+		for _, j := range o.jobs {
+			j.complete(o.ans, o.err, o.stages)
+		}
+	}()
+	run := o.kind == ranEngine
+	m.cfg.Accountant.Bill(o.city, account.Bill{
+		CacheHit: !run, Wall: o.elapsed, QueueWait: o.wait, Stages: o.stages,
+		SPQs: o.spqs, BankDrained: o.bankDrained, Failed: o.class == classFailed,
 	})
-}
-
-// slowLogLimiter returns city's slow-query-log token bucket, creating it
-// on first use. Negative SlowLogPerSec disables limiting (nil limiter).
-func (m *Manager) slowLogLimiter(city string) *olog.Limiter {
-	if m.cfg.SlowLogPerSec < 0 {
-		return nil
+	if o.class != classNeutral {
+		m.cfg.SLO.Record(o.city, o.elapsed, o.class == classFailed)
 	}
-	m.slowLogMu.Lock()
-	defer m.slowLogMu.Unlock()
-	l, ok := m.slowLog[city]
-	if !ok {
-		l = olog.NewLimiter(m.cfg.SlowLogPerSec, m.cfg.SlowLogBurst)
-		m.slowLog[city] = l
-	}
-	return l
-}
 
-// maybeLogSlow emits the threshold-gated structured slow-query log line:
-// trace ID, fingerprint, total time, and the per-stage breakdown. Lines
-// beyond the tenant's rate limit are counted, not written — a burn event
-// keeps exemplars without becoming a log storm.
-func (m *Manager) maybeLogSlow(city, fp string, elapsed time.Duration, sum *obs.TraceSummary, stages []obs.Stage, captureID string, err error) {
-	if m.cfg.SlowQueryThreshold <= 0 || elapsed < m.cfg.SlowQueryThreshold {
+	m.mu.Lock()
+	ts := m.tenantLocked(o.city)
+	switch o.kind {
+	case hitFresh:
+		ts.cacheHits++
+		mCacheHits.Inc()
+		ts.m.cacheHits.Inc()
+	case hitStale:
+		ts.staleServed++
+		mStaleServed.Inc()
+		ts.m.staleServed.Inc()
+	case ranEngine:
+		n := int64(len(o.jobs))
+		if o.err != nil {
+			ts.failed += n
+			mFailed.Add(n)
+			ts.m.failed.Add(n)
+		} else {
+			ts.completed += n
+			mCompleted.Add(n)
+			ts.m.completed.Add(n)
+		}
+		m.breakerLocked(ts, o, m.cfg.now())
+	}
+	m.mu.Unlock()
+	if !run {
 		return
 	}
-	if !m.slowLogLimiter(city).Allow() {
+
+	mDroppedSpans.Add(o.ans.trace.DroppedSpans)
+	slow := m.cfg.SlowQueryThreshold > 0 && o.elapsed >= m.cfg.SlowQueryThreshold
+	var captureID string
+	if m.cfg.Captures != nil && (o.deadline || slow) {
+		reason := capture.ReasonSlowQuery
+		if o.deadline {
+			reason = capture.ReasonDeadline
+		}
+		ids := make([]string, len(o.jobs))
+		for i, j := range o.jobs {
+			ids[i] = j.ID
+		}
+		captureID = m.cfg.Captures.Trigger(capture.Info{
+			JobIDs: ids, City: o.city, Fingerprint: o.fp, Reason: reason,
+			Threshold: m.cfg.SlowQueryThreshold, Elapsed: o.elapsed,
+			Err: o.err, Trace: o.ans.trace,
+		})
+	}
+	if !slow {
+		return
+	}
+	// The slow-query line: trace ID, fingerprint, total time, the capture
+	// (if any) and the per-stage breakdown. Lines beyond the tenant's rate
+	// limit are counted, not written: a burn event keeps exemplars
+	// without becoming a log storm.
+	if !ts.slowLog.Allow() {
 		mLogSuppressed.Inc()
-		metricsFor(city).logSuppressed.Inc()
+		ts.m.logSuppressed.Inc()
 		return
 	}
 	fields := []olog.Field{
-		olog.F("trace_id", sum.TraceID),
-		olog.F("fingerprint", fp),
-		olog.F("seconds", elapsed.Seconds()),
+		olog.F("trace_id", o.ans.trace.TraceID),
+		olog.F("fingerprint", o.fp),
+		olog.F("seconds", o.elapsed.Seconds()),
 		olog.F("threshold_seconds", m.cfg.SlowQueryThreshold.Seconds()),
 	}
-	if city != "" {
-		fields = append(fields, olog.F("city", city))
+	if o.city != "" {
+		fields = append(fields, olog.F("city", o.city))
 	}
 	if captureID != "" {
 		fields = append(fields, olog.F("capture_id", captureID))
 	}
-	for _, st := range stages {
+	for _, st := range o.stages {
 		fields = append(fields, olog.F("stage_"+st.Name+"_seconds", st.Seconds))
 	}
-	if err != nil {
-		fields = append(fields, olog.Err(err))
+	if o.err != nil {
+		fields = append(fields, olog.Err(o.err))
 	}
 	m.cfg.Logger.Warn("slow query", fields...)
 }
@@ -1233,9 +1231,9 @@ func (m *Manager) safeRun(ctx context.Context, req Request, tr *obs.Trace, wait 
 	return res, err
 }
 
-// observeRun folds one run duration into the EWMA behind RetryAfter. The
+// noteRunTime folds one run duration into the EWMA behind RetryAfter. The
 // CAS loop keeps concurrent worker completions from losing updates.
-func (m *Manager) observeRun(d time.Duration) {
+func (m *Manager) noteRunTime(d time.Duration) {
 	const alpha = 0.3
 	for {
 		prev := m.avgRunNanos.Load()

@@ -31,6 +31,7 @@ var (
 	mBurnTrips       = obs.Counter("aq_serve_burn_trips_total")
 
 	mLogSuppressed = obs.Counter("aq_log_suppressed_total")
+	mDroppedSpans  = obs.Counter("aq_trace_dropped_spans_total")
 
 	mQueueWait  = obs.Histogram("aq_serve_queue_wait_seconds")
 	mRunSeconds = obs.Histogram("aq_serve_run_seconds")
@@ -108,6 +109,7 @@ func init() {
 	obs.Default.SetHelp("aq_serve_breaker_open", "1 while the circuit breaker refuses new engine runs, else 0.")
 	obs.Default.SetHelp("aq_serve_burn_trips_total", "Circuit-breaker trips caused by the SLO fast-burn signal crossing the burn-trip threshold.")
 	obs.Default.SetHelp("aq_log_suppressed_total", "Slow-query log lines suppressed by the per-tenant log rate limit.")
+	obs.Default.SetHelp("aq_trace_dropped_spans_total", "Spans dropped at the per-trace capacity bound, summed over engine runs.")
 	obs.Default.SetHelp("aq_serve_queue_wait_seconds", "Time a distinct query waited between admission and a worker picking it up.")
 	obs.Default.SetHelp("aq_serve_run_seconds", "Engine run duration per deduplicated flight.")
 	obs.Default.SetHelp("aq_serve_queue_depth", "Distinct queries currently waiting in the admission queue.")

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"accessquery/internal/core"
+	"accessquery/internal/obs"
 	"accessquery/internal/obs/account"
 	"accessquery/internal/obs/capture"
 	"accessquery/internal/obs/olog"
@@ -73,8 +75,10 @@ func TestBurnBelowThresholdNoTrip(t *testing.T) {
 
 // TestSlowQueryLogRateLimited runs a burst of slow queries through a
 // tight per-tenant log budget: the first line lands, the rest are counted
-// as suppressed instead of written.
+// in aq_log_suppressed_total instead of written.
 func TestSlowQueryLogRateLimited(t *testing.T) {
+	suppressed := metricsFor("").logSuppressed
+	before := suppressed.Value()
 	var buf bytes.Buffer
 	stub := &stubEngine{delay: 2 * time.Millisecond}
 	m := newTestManager(t, stub, Config{
@@ -92,14 +96,14 @@ func TestSlowQueryLogRateLimited(t *testing.T) {
 	if got := strings.Count(buf.String(), "slow query"); got != 1 {
 		t.Errorf("slow-query lines = %d, want 1 (rate-limited)\n%s", got, buf.String())
 	}
-	if got := m.slowLogLimiter("").Suppressed(); got != 3 {
-		t.Errorf("suppressed = %d, want 3", got)
+	if got := suppressed.Value() - before; got != 3 {
+		t.Errorf("aq_log_suppressed_total{city=\"default\"} rose by %d, want 3", got)
 	}
 }
 
 // TestSlowQueryCapture drives a run over the slow-query threshold and
 // checks the full evidence chain: the capture is linked to the job, tagged
-// with the tenant and trace, and carries the billed resource cost.
+// with the tenant and trace, and carries the run's elapsed time.
 func TestSlowQueryCapture(t *testing.T) {
 	store, err := capture.NewStore(capture.Config{})
 	if err != nil {
@@ -132,8 +136,8 @@ func TestSlowQueryCapture(t *testing.T) {
 	if c.City != "coventry" || c.TraceID == "" {
 		t.Errorf("capture = city %q trace %q", c.City, c.TraceID)
 	}
-	if c.Cost == nil || c.Cost.WallSeconds <= 0 {
-		t.Errorf("capture cost = %+v, want billed wall time", c.Cost)
+	if c.ElapsedSeconds <= 0 {
+		t.Errorf("capture elapsed = %g, want > 0", c.ElapsedSeconds)
 	}
 
 	snap := acct.Snapshot()
@@ -198,24 +202,88 @@ func TestAccountantBillsRunsAndCacheHits(t *testing.T) {
 	}
 }
 
-// TestDisabledObservabilityHooksZeroAlloc mirrors exactly the hook calls
-// runFlight makes when cost accounting, SLO tracking, and capture are all
-// disabled, and asserts the disabled path allocates nothing per query.
+// observeAllocs measures m.observe itself — the path every served query
+// takes — for one engine-run outcome and one cache-hit outcome.
+func observeAllocs(m *Manager) (run, hit float64) {
+	tr := obs.NewTrace()
+	tr.Record("matrix", time.Millisecond)
+	ran := outcome{
+		kind: ranEngine, city: "coventry", fp: "fp", ans: answer{trace: tr.Summary()},
+		elapsed: time.Millisecond, stages: tr.Stages(), spqs: 10, bankDrained: 3,
+	}
+	hitO := outcome{kind: hitFresh, city: "coventry", fp: "fp"}
+	run = testing.AllocsPerRun(200, func() { m.observe(&ran) })
+	hit = testing.AllocsPerRun(200, func() { m.observe(&hitO) })
+	return run, hit
+}
+
+// TestDisabledObservabilityHooksZeroAlloc runs m.observe with every outlet
+// off — no accountant, no SLO engine, no capture store, no slow-query
+// threshold — and asserts a served query pays nothing for observation.
 func TestDisabledObservabilityHooksZeroAlloc(t *testing.T) {
-	var (
-		acct  *account.Accountant
-		eng   *slo.Engine
-		store *capture.Store
-	)
-	allocs := testing.AllocsPerRun(200, func() {
-		smp := acct.Begin()
-		_ = smp
-		eng.Record("coventry", time.Millisecond, false)
-		_ = eng.FastBurn("coventry")
-		acct.RecordCacheHit("coventry")
-		_ = store.Trigger(capture.Info{})
+	m := newTestManager(t, &stubEngine{}, Config{Workers: 1})
+	run, hit := observeAllocs(m)
+	if run != 0 || hit != 0 {
+		t.Errorf("observe with every outlet off allocates %.1f per run and %.1f per hit, want 0", run, hit)
+	}
+}
+
+// TestObserveAllocsWithAccountantAndSLO pins what cost accounting and SLO
+// tracking (with burn tripping armed) add to a served query when no capture
+// is taken: nothing.
+func TestObserveAllocsWithAccountantAndSLO(t *testing.T) {
+	const want = 0
+	m := newTestManager(t, &stubEngine{}, Config{
+		Workers: 1, Accountant: account.New(),
+		SLO: testSLO(t, "p99=2s,avail=99.9"), BurnTripThreshold: 14.4,
 	})
-	if allocs != 0 {
-		t.Errorf("disabled observability hooks allocate %.1f per query, want 0", allocs)
+	run, hit := observeAllocs(m)
+	if run != want || hit != want {
+		t.Errorf("observe with accountant and SLO on allocates %.1f per run and %.1f per hit, want %d", run, hit, want)
+	}
+}
+
+// TestCancelledFlightIsNeutral pins that an outcome is classified once,
+// from the run's final error. The flight's deadline fires, its only job is
+// then cancelled, and the engine still hands back a degraded answer: the
+// run ends cancelled, so neither the SLO nor the completion counts see it.
+func TestCancelledFlightIsNeutral(t *testing.T) {
+	deadlineHit := make(chan struct{})
+	cancelled := make(chan struct{})
+	run := func(ctx context.Context, req Request) (*core.Result, error) {
+		<-ctx.Done()
+		close(deadlineHit)
+		<-cancelled
+		return &core.Result{Degraded: &core.DegradedReport{
+			Rungs: []core.DegradationRung{core.RungPartial}, Reasons: []string{"deadline"},
+		}}, nil
+	}
+	eng := testSLO(t, "avail=99")
+	eng.Ensure("")
+	m := NewManager(run, Config{Workers: 1, JobTimeout: 10 * time.Millisecond, SLO: eng})
+	job, err := m.Submit(schoolReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-deadlineHit
+	if err := m.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(cancelled)
+	// Shutdown waits for the worker, so the flight has been observed.
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, _ := eng.Report("")
+	if total := rep.Windows[0].Total; total != 0 {
+		t.Errorf("SLO 5m total = %d, want 0 (a cancelled flight is neutral)", total)
+	}
+	st := m.Stats()
+	if st.Cancelled != 1 {
+		t.Errorf("Cancelled = %d, want 1", st.Cancelled)
+	}
+	if st.Completed+st.Failed != 0 {
+		t.Errorf("Completed+Failed = %d+%d, want 0", st.Completed, st.Failed)
 	}
 }

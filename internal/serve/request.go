@@ -151,20 +151,29 @@ func (r Request) Fingerprint() string {
 	if n, err := r.Normalize(); err == nil {
 		r = n
 	}
-	h := sha256.New()
 	// A length-prefixed field encoding: unambiguous even if a category
 	// name ever contains a separator character. DeadlineMS and IncludeZones
-	// are deliberately absent — they never change the answer.
-	for _, f := range []string{
-		r.City,
-		r.Category,
-		r.Cost,
-		strconv.FormatFloat(r.Budget, 'g', -1, 64),
-		r.Model,
-		strconv.FormatInt(r.Seed, 10),
-		strconv.Itoa(r.SamplesPerHour),
-	} {
-		fmt.Fprintf(h, "%d:%s;", len(f), f)
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	// are deliberately absent — they never change the answer. The buffers
+	// stay on the stack, so a fingerprint costs one allocation: its string.
+	var b [192]byte
+	var num [32]byte
+	buf := appendField(b[:0], r.City)
+	buf = appendField(buf, r.Category)
+	buf = appendField(buf, r.Cost)
+	buf = appendField(buf, string(strconv.AppendFloat(num[:0], r.Budget, 'g', -1, 64)))
+	buf = appendField(buf, r.Model)
+	buf = appendField(buf, string(strconv.AppendInt(num[:0], r.Seed, 10)))
+	buf = appendField(buf, string(strconv.AppendInt(num[:0], int64(r.SamplesPerHour), 10)))
+	sum := sha256.Sum256(buf)
+	var out [32]byte
+	hex.Encode(out[:], sum[:16])
+	return string(out[:])
+}
+
+// appendField appends f to buf as "<len>:<f>;".
+func appendField(buf []byte, f string) []byte {
+	buf = strconv.AppendInt(buf, int64(len(f)), 10)
+	buf = append(buf, ':')
+	buf = append(buf, f...)
+	return append(buf, ';')
 }

@@ -9,13 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"accessquery/internal/core"
 	"accessquery/internal/obs"
 	"accessquery/internal/obs/olog"
 )
 
 // TestJobCarriesTrace verifies every executed job ends with a span tree:
-// a "job" root carrying the fingerprint and a queue_wait child, published
-// to the process-wide trace ring.
+// a "job" root carrying the fingerprint and a queue_wait child.
 func TestJobCarriesTrace(t *testing.T) {
 	stub := &stubEngine{}
 	m := newTestManager(t, stub, Config{Workers: 1})
@@ -47,16 +47,35 @@ func TestJobCarriesTrace(t *testing.T) {
 	if tr.Find("queue_wait") == nil {
 		t.Error("no queue_wait span recorded")
 	}
+}
 
-	var published bool
-	for _, s := range obs.Traces.Snapshot() {
-		if s.TraceID == tr.TraceID {
-			published = true
-			break
+// TestDroppedSpansCounted checks that spans lost to a trace's capacity
+// bound are not lost silently: aq_trace_dropped_spans_total rises by
+// exactly the run's TraceSummary.DroppedSpans.
+func TestDroppedSpansCounted(t *testing.T) {
+	const extra = 7
+	run := func(ctx context.Context, req Request) (*core.Result, error) {
+		for i := 0; i < obs.DefaultMaxSpans+extra; i++ {
+			obs.RecordSpan(ctx, "filler", time.Microsecond)
 		}
+		return &core.Result{}, nil
 	}
-	if !published {
-		t.Error("trace not published to the obs.Traces ring")
+	m := NewManager(run, Config{Workers: 1})
+	defer m.Shutdown(context.Background())
+	before := mDroppedSpans.Value()
+	job, err := m.Submit(schoolReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Wait(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	dropped := job.Snapshot().Trace.DroppedSpans
+	if dropped < extra {
+		t.Fatalf("DroppedSpans = %d, want at least %d", dropped, extra)
+	}
+	if got := mDroppedSpans.Value() - before; got != dropped {
+		t.Errorf("aq_trace_dropped_spans_total rose by %d, want %d", got, dropped)
 	}
 }
 
