@@ -1,8 +1,10 @@
 // Package mat provides the dense float64 matrix operations the SSR models
-// need: multiplication, transpose, elementwise arithmetic, linear solves via
-// Gaussian elimination with partial pivoting, and column statistics for
-// feature standardization. It is deliberately small — just enough linear
-// algebra for OLS, MLPs, and graph convolutions at access-query scale.
+// need: multiplication (allocating, or into a reused destination, with or
+// without a transposed operand), transpose, elementwise arithmetic, linear
+// solves via Gaussian elimination with partial pivoting, and column
+// statistics for feature standardization. It is deliberately small — just
+// enough linear algebra for OLS, MLPs, and graph convolutions at
+// access-query scale.
 package mat
 
 import (
@@ -81,24 +83,141 @@ func (m *Dense) Clone() *Dense {
 
 // Mul returns a*b.
 func Mul(a, b *Dense) (*Dense, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("mat: cannot multiply %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols)
-	}
 	out := New(a.rows, b.cols)
+	if err := MulInto(out, a, b); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// The three *Into kernels below overwrite a caller-supplied dst, so a loop
+// that reuses dst allocates nothing. Every output element is computed with
+// the same arithmetic: the sum starts at +0, runs over the reduction index
+// in ascending order and skips terms whose left factor is 0. So
+// MulTransAInto and MulTransBInto equal Mul(a.Transpose(), b) and
+// Mul(a, b.Transpose()) bit for bit. dst must not be a or b.
+//
+// MulInto and MulTransAInto test each left factor once and add its scaled
+// row of b to a row of dst, four outputs per step; repeating the zero test
+// for every block of outputs held in registers costs more in mispredicted
+// branches on ReLU-sparse inputs than it saves in stores. MulTransBInto's
+// rows of b are contiguous in the reduction index, so it keeps four dot
+// products in locals instead.
+
+// MulInto sets dst to a*b.
+func MulInto(dst, a, b *Dense) error {
+	if a.cols != b.rows {
+		return fmt.Errorf("mat: cannot multiply %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols)
+	}
+	if err := checkDst(dst, a, b, a.rows, b.cols); err != nil {
+		return err
+	}
+	q := b.cols
 	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
+		orow := dst.data[i*q : (i+1)*q]
+		clear(orow)
+		for k, av := range a.data[i*a.cols : (i+1)*a.cols] {
 			if av == 0 {
 				continue
 			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			axpy(orow, b.data[k*q:(k+1)*q], av)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// MulTransAInto sets dst to aᵀ*b without building the transpose.
+func MulTransAInto(dst, a, b *Dense) error {
+	if a.rows != b.rows {
+		return fmt.Errorf("mat: cannot multiply (%dx%d)ᵀ by %dx%d", a.rows, a.cols, b.rows, b.cols)
+	}
+	if err := checkDst(dst, a, b, a.cols, b.cols); err != nil {
+		return err
+	}
+	p, q := a.cols, b.cols
+	clear(dst.data)
+	for k := 0; k < a.rows; k++ {
+		brow := b.data[k*q : (k+1)*q]
+		for i, av := range a.data[k*p : (k+1)*p] {
+			if av == 0 {
+				continue
+			}
+			axpy(dst.data[i*q:(i+1)*q], brow, av)
+		}
+	}
+	return nil
+}
+
+// axpy adds av*x to y elementwise; len(y) >= len(x).
+func axpy(y, x []float64, av float64) {
+	y = y[:len(x)]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		yj, xj := y[j:j+4:j+4], x[j:j+4:j+4]
+		yj[0] += av * xj[0]
+		yj[1] += av * xj[1]
+		yj[2] += av * xj[2]
+		yj[3] += av * xj[3]
+	}
+	for ; j < len(x); j++ {
+		y[j] += av * x[j]
+	}
+}
+
+// MulTransBInto sets dst to a*bᵀ without building the transpose.
+func MulTransBInto(dst, a, b *Dense) error {
+	if a.cols != b.cols {
+		return fmt.Errorf("mat: cannot multiply %dx%d by (%dx%d)ᵀ", a.rows, a.cols, b.rows, b.cols)
+	}
+	if err := checkDst(dst, a, b, a.rows, b.rows); err != nil {
+		return err
+	}
+	p, q := a.cols, b.rows
+	for i := 0; i < a.rows; i++ {
+		arow := a.data[i*p : (i+1)*p]
+		orow := dst.data[i*q : (i+1)*q]
+		j := 0
+		for ; j+4 <= q; j += 4 {
+			b0 := b.data[j*p : (j+1)*p][:len(arow)]
+			b1 := b.data[(j+1)*p : (j+2)*p][:len(arow)]
+			b2 := b.data[(j+2)*p : (j+3)*p][:len(arow)]
+			b3 := b.data[(j+3)*p : (j+4)*p][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				if av == 0 {
+					continue
+				}
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < q; j++ {
+			bj := b.data[j*p : (j+1)*p][:len(arow)]
+			var s float64
+			for k, av := range arow {
+				if av == 0 {
+					continue
+				}
+				s += av * bj[k]
+			}
+			orow[j] = s
+		}
+	}
+	return nil
+}
+
+// checkDst reports whether dst can receive a rows x cols product of a and b.
+func checkDst(dst, a, b *Dense, rows, cols int) error {
+	if dst.rows != rows || dst.cols != cols {
+		return fmt.Errorf("mat: product is %dx%d, dst is %dx%d", rows, cols, dst.rows, dst.cols)
+	}
+	if dst == a || dst == b {
+		return fmt.Errorf("mat: dst is also an operand")
+	}
+	return nil
 }
 
 // Transpose returns m^T.

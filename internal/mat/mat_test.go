@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -323,6 +324,153 @@ func TestMulAssociativityProperty(t *testing.T) {
 	}
 }
 
+// refMul is Mul as it was before the *Into kernels: it accumulates into a
+// zeroed output in i, k, j order. The kernels must match it bit for bit.
+func refMul(a, b *Dense) *Dense {
+	out := New(a.rows, b.cols)
+	for i := 0; i < a.rows; i++ {
+		arow := a.data[i*a.cols : (i+1)*a.cols]
+		orow := out.data[i*out.cols : (i+1)*out.cols]
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.data[k*b.cols : (k+1)*b.cols]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+// sparseRandom returns a rows x cols matrix with about half its entries
+// exactly zero (some of them -0), as ReLU activations have.
+func sparseRandom(rng *rand.Rand, rows, cols int) *Dense {
+	m := New(rows, cols)
+	for i := range m.data {
+		switch r := rng.Float64(); {
+		case r < 0.45:
+		case r < 0.5:
+			m.data[i] = math.Copysign(0, -1)
+		default:
+			m.data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+// garbage returns a rows x cols matrix of NaNs, so a kernel that fails to
+// overwrite an element shows.
+func garbage(rows, cols int) *Dense {
+	m := New(rows, cols)
+	for i := range m.data {
+		m.data[i] = math.NaN()
+	}
+	return m
+}
+
+func sameBits(t *testing.T, name string, got, want *Dense) {
+	t.Helper()
+	if got.rows != want.rows || got.cols != want.cols {
+		t.Fatalf("%s: %dx%d, want %dx%d", name, got.rows, got.cols, want.rows, want.cols)
+	}
+	for i := range want.data {
+		if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", name, i,
+				got.data[i], math.Float64bits(got.data[i]), want.data[i], math.Float64bits(want.data[i]))
+		}
+	}
+}
+
+func TestIntoKernelsMatchMulBitwise(t *testing.T) {
+	// Widths 1-5 and 19 run every tail of the 4-wide blocking, alone and
+	// after full blocks.
+	widths := []int{1, 2, 3, 4, 5, 19}
+	rng := rand.New(rand.NewSource(42))
+	for _, n := range widths {
+		for _, p := range widths {
+			for _, q := range widths {
+				a := sparseRandom(rng, n, p)
+				b := sparseRandom(rng, p, q)
+				name := func(k string) string { return fmt.Sprintf("%s n=%d p=%d q=%d", k, n, p, q) }
+
+				dst := garbage(n, q)
+				if err := MulInto(dst, a, b); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, name("MulInto"), dst, refMul(a, b))
+				got, err := Mul(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, name("Mul"), got, refMul(a, b))
+
+				// aᵀ·b with a: n x p and b: n x q.
+				bt := sparseRandom(rng, n, q)
+				dst = garbage(p, q)
+				if err := MulTransAInto(dst, a, bt); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, name("MulTransAInto"), dst, refMul(a.Transpose(), bt))
+
+				// a·bᵀ with a: n x p and b: q x p.
+				bb := sparseRandom(rng, q, p)
+				dst = garbage(n, q)
+				if err := MulTransBInto(dst, a, bb); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, name("MulTransBInto"), dst, refMul(a, bb.Transpose()))
+			}
+		}
+	}
+}
+
+func TestIntoKernelsShapeErrors(t *testing.T) {
+	a, b := New(2, 3), New(3, 4)
+	sq := New(3, 3)
+	cases := []struct {
+		name string
+		err  error
+	}{
+		{"MulInto inner", MulInto(New(2, 4), a, New(2, 4))},
+		{"MulInto dst rows", MulInto(New(3, 4), a, b)},
+		{"MulInto dst cols", MulInto(New(2, 3), a, b)},
+		{"MulInto dst is a", MulInto(sq, sq, New(3, 3))},
+		{"MulInto dst is b", MulInto(sq, New(3, 3), sq)},
+		{"MulTransAInto inner", MulTransAInto(New(3, 4), a, b)},
+		{"MulTransAInto dst rows", MulTransAInto(New(2, 4), a, New(2, 4))},
+		{"MulTransAInto dst cols", MulTransAInto(New(3, 3), a, New(2, 4))},
+		{"MulTransAInto dst is a", MulTransAInto(sq, sq, New(3, 3))},
+		{"MulTransBInto inner", MulTransBInto(New(2, 3), a, New(3, 4))},
+		{"MulTransBInto dst rows", MulTransBInto(New(3, 4), a, New(4, 3))},
+		{"MulTransBInto dst cols", MulTransBInto(New(2, 3), a, New(4, 3))},
+		{"MulTransBInto dst is b", MulTransBInto(sq, New(3, 3), sq)},
+	}
+	for _, c := range cases {
+		if c.err == nil {
+			t.Errorf("%s: no error", c.name)
+		}
+	}
+	if _, err := Mul(a, New(2, 4)); err == nil {
+		t.Error("Mul: no error on inner mismatch")
+	}
+}
+
+func TestIntoKernelsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a, b := sparseRandom(rng, 13, 19), sparseRandom(rng, 19, 32)
+	dst, dstA, dstB := New(13, 32), New(19, 32), New(13, 19)
+	c := sparseRandom(rng, 13, 32)
+	if n := testing.AllocsPerRun(10, func() {
+		_ = MulInto(dst, a, b)
+		_ = MulTransAInto(dstA, a, c)
+		_ = MulTransBInto(dstB, c, b)
+	}); n != 0 {
+		t.Errorf("kernels allocate %v times per call set, want 0", n)
+	}
+}
+
 func BenchmarkMul64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := New(64, 64)
@@ -331,9 +479,28 @@ func BenchmarkMul64(b *testing.B) {
 			m.Set(i, j, rng.NormFloat64())
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Mul(m, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMulInto64(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	m := New(64, 64)
+	for i := 0; i < 64; i++ {
+		for j := 0; j < 64; j++ {
+			m.Set(i, j, rng.NormFloat64())
+		}
+	}
+	dst := New(64, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := MulInto(dst, m, m); err != nil {
 			b.Fatal(err)
 		}
 	}

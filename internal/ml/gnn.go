@@ -70,12 +70,29 @@ func (a *SparseAdj) N() int { return a.n }
 
 // Mul returns Â·x for a dense x with N rows.
 func (a *SparseAdj) Mul(x *mat.Dense) (*mat.Dense, error) {
-	if x.Rows() != a.n {
-		return nil, fmt.Errorf("ml/gnn: adjacency is %d nodes, features have %d rows", a.n, x.Rows())
-	}
 	out := mat.New(a.n, x.Cols())
+	if err := a.MulInto(out, x); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// MulInto sets dst, an N x x.Cols() matrix other than x, to Â·x.
+func (a *SparseAdj) MulInto(dst, x *mat.Dense) error {
+	if x.Rows() != a.n {
+		return fmt.Errorf("ml/gnn: adjacency is %d nodes, features have %d rows", a.n, x.Rows())
+	}
+	if dst.Rows() != a.n || dst.Cols() != x.Cols() {
+		return fmt.Errorf("ml/gnn: Â·x is %dx%d, dst is %dx%d", a.n, x.Cols(), dst.Rows(), dst.Cols())
+	}
+	if dst == x {
+		return fmt.Errorf("ml/gnn: dst is also the operand")
+	}
 	for i := 0; i < a.n; i++ {
-		orow := out.Row(i)
+		orow := dst.Row(i)
+		for c := range orow {
+			orow[c] = 0
+		}
 		for k, j := range a.cols[i] {
 			w := a.vals[i][k]
 			xrow := x.Row(int(j))
@@ -84,7 +101,7 @@ func (a *SparseAdj) Mul(x *mat.Dense) (*mat.Dense, error) {
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // GNN is a two-layer graph convolutional network for transductive
@@ -185,39 +202,25 @@ func (g *GNN) Fit(x, y, xu *mat.Dense) error {
 	if err != nil {
 		return err
 	}
-	// Adam state via the shared network machinery would need reshaping;
-	// keep a local two-matrix Adam here.
-	opt := newAdam(&network{
-		sizes: []int{d, hidden, k},
-		w:     []*mat.Dense{g.w1, g.w2},
-		b:     [][]float64{g.b1, g.b2},
-	}, lr)
 	net := &network{sizes: []int{d, hidden, k}, w: []*mat.Dense{g.w1, g.w2}, b: [][]float64{g.b1, g.b2}}
+	opt := newAdam(net, lr)
+	n := g.adj.N()
+	z1, h1, q := mat.New(n, hidden), mat.New(n, hidden), mat.New(n, hidden)
+	dQ, dH1 := mat.New(n, hidden), mat.New(n, hidden)
+	// dOut's unlabeled rows stay zero: the loss is on labeled rows only.
+	z2, dOut := mat.New(n, k), mat.New(n, k)
+	gr := &grads{
+		w: []*mat.Dense{mat.New(d, hidden), mat.New(hidden, k)},
+		b: [][]float64{make([]float64, hidden), make([]float64, k)},
+	}
 
 	var firstLoss, lastLoss float64
 	for e := 0; e < epochs; e++ {
-		z1, err := mat.Mul(p, g.w1)
-		if err != nil {
-			return err
-		}
-		if err := z1.AddRowVector(g.b1); err != nil {
-			return err
-		}
-		h1 := z1.Clone().Apply(relu)
-		q, err := g.adj.Mul(h1)
-		if err != nil {
-			return err
-		}
-		z2, err := mat.Mul(q, g.w2)
-		if err != nil {
-			return err
-		}
-		if err := z2.AddRowVector(g.b2); err != nil {
+		if err := g.forward(p, z1, h1, q, z2); err != nil {
 			return err
 		}
 		// Loss gradient only on labeled rows; the same residuals give the
 		// epoch's training MSE for the convergence diagnostics.
-		dOut := mat.New(g.adj.N(), k)
 		scale := 2 / float64(len(g.labeled)*k)
 		var loss float64
 		for r, node := range g.labeled {
@@ -236,41 +239,28 @@ func (g *GNN) Fit(x, y, xu *mat.Dense) error {
 		}
 		lastLoss = loss
 		// Backprop.
-		dW2, err := mat.Mul(q.Transpose(), dOut)
-		if err != nil {
+		if err := mat.MulTransAInto(gr.w[1], q, dOut); err != nil {
 			return err
 		}
-		db2 := colSums(dOut)
-		dQ, err := mat.Mul(dOut, g.w2.Transpose())
-		if err != nil {
+		colSumsInto(gr.b[1], dOut)
+		if err := mat.MulTransBInto(dQ, dOut, g.w2); err != nil {
 			return err
 		}
-		dH1, err := g.adj.Mul(dQ) // Â symmetric
-		if err != nil {
+		if err := g.adj.MulInto(dH1, dQ); err != nil { // Â symmetric
 			return err
 		}
-		for i := 0; i < dH1.Rows(); i++ {
-			drow := dH1.Row(i)
-			zrow := z1.Row(i)
-			for j := range drow {
-				if zrow[j] <= 0 {
-					drow[j] = 0
-				}
-			}
-		}
-		dW1, err := mat.Mul(p.Transpose(), dH1)
-		if err != nil {
+		reluMask(dH1, z1)
+		if err := mat.MulTransAInto(gr.w[0], p, dH1); err != nil {
 			return err
 		}
-		db1 := colSums(dH1)
-		opt.step(net, &grads{w: []*mat.Dense{dW1, dW2}, b: [][]float64{db1, db2}})
+		colSumsInto(gr.b[0], dH1)
+		opt.step(net, gr)
 	}
 	// Cache full-node predictions.
-	out, err := g.forwardAll(p)
-	if err != nil {
+	if err := g.forward(p, z1, h1, q, z2); err != nil {
 		return err
 	}
-	g.cached = out
+	g.cached = z2
 	g.info = TrainInfo{
 		Iterations:  epochs,
 		Converged:   lossConverged(firstLoss, lastLoss),
@@ -298,37 +288,23 @@ func (g *GNN) LabeledPredictions() (*mat.Dense, error) {
 	return out, nil
 }
 
-func (g *GNN) forwardAll(p *mat.Dense) (*mat.Dense, error) {
-	z1, err := mat.Mul(p, g.w1)
-	if err != nil {
-		return nil, err
+// forward runs both graph convolutions over p = Â·X into the given
+// buffers, leaving every node's prediction in z2.
+func (g *GNN) forward(p, z1, h1, q, z2 *mat.Dense) error {
+	if err := mat.MulInto(z1, p, g.w1); err != nil {
+		return err
 	}
 	if err := z1.AddRowVector(g.b1); err != nil {
-		return nil, err
+		return err
 	}
-	h1 := z1.Apply(relu)
-	q, err := g.adj.Mul(h1)
-	if err != nil {
-		return nil, err
+	reluInto(h1, z1)
+	if err := g.adj.MulInto(q, h1); err != nil {
+		return err
 	}
-	z2, err := mat.Mul(q, g.w2)
-	if err != nil {
-		return nil, err
+	if err := mat.MulInto(z2, q, g.w2); err != nil {
+		return err
 	}
-	if err := z2.AddRowVector(g.b2); err != nil {
-		return nil, err
-	}
-	return z2, nil
-}
-
-func colSums(m *mat.Dense) []float64 {
-	out := make([]float64, m.Cols())
-	for i := 0; i < m.Rows(); i++ {
-		for j, v := range m.Row(i) {
-			out[j] += v
-		}
-	}
-	return out
+	return z2.AddRowVector(g.b2)
 }
 
 // Predict implements Model for the transductive setting: it returns the

@@ -82,15 +82,24 @@ func (m *MeanTeacher) Fit(x, y, xu *mat.Dense) error {
 	student := newNetwork(sizes, rng)
 	teacher := student.clone()
 	opt := newAdam(student, lr)
-	hasU := xu != nil && xu.Rows() > 0
+	ws := newWorkspace(x.Rows(), sizes)
+	// The consistency pass reuses its own workspace, the teacher's target
+	// and the noisy copy of xu every epoch.
+	var wsU *workspace
+	var target, noisy *mat.Dense
+	useU := xu != nil && xu.Rows() > 0 && cw > 0
+	if useU {
+		wsU = newWorkspace(xu.Rows(), sizes)
+		target = mat.New(xu.Rows(), k)
+		noisy = mat.New(xu.Rows(), d)
+	}
 	var firstLoss, lastLoss float64
 	for e := 0; e < epochs; e++ {
 		// Supervised pass.
-		zs, as, err := student.forward(x)
-		if err != nil {
+		if err := student.forward(ws, x); err != nil {
 			return fmt.Errorf("ml/mt: %w", err)
 		}
-		delta, loss, err := mseDelta(as[len(as)-1], y)
+		loss, err := mseDelta(ws, y)
 		if err != nil {
 			return fmt.Errorf("ml/mt: %w", err)
 		}
@@ -98,35 +107,33 @@ func (m *MeanTeacher) Fit(x, y, xu *mat.Dense) error {
 			firstLoss = loss
 		}
 		lastLoss = loss
-		g, err := student.backward(zs, as, delta)
-		if err != nil {
+		if err := student.backward(ws); err != nil {
 			return fmt.Errorf("ml/mt: %w", err)
 		}
-		applyWeightDecay(student, g, m.WeightDecay)
-		opt.step(student, g)
+		applyWeightDecay(student, &ws.g, m.WeightDecay)
+		opt.step(student, &ws.g)
 
-		if hasU && cw > 0 {
+		if useU {
 			// Consistency pass: student on noisy inputs chases the teacher
 			// on clean inputs.
-			target, err := teacher.predict(xu)
-			if err != nil {
+			if err := teacher.forward(wsU, xu); err != nil {
 				return fmt.Errorf("ml/mt: teacher: %w", err)
 			}
-			noisy := addNoise(xu, rng, sigma)
-			zsU, asU, err := student.forward(noisy)
-			if err != nil {
+			for i := 0; i < target.Rows(); i++ {
+				copy(target.Row(i), wsU.out().Row(i))
+			}
+			addNoiseInto(noisy, xu, rng, sigma)
+			if err := student.forward(wsU, noisy); err != nil {
 				return fmt.Errorf("ml/mt: %w", err)
 			}
-			deltaU, _, err := mseDelta(asU[len(asU)-1], target)
-			if err != nil {
+			if _, err := mseDelta(wsU, target); err != nil {
 				return fmt.Errorf("ml/mt: %w", err)
 			}
-			deltaU.Scale(cw)
-			gU, err := student.backward(zsU, asU, deltaU)
-			if err != nil {
+			wsU.outDelta().Scale(cw)
+			if err := student.backward(wsU); err != nil {
 				return fmt.Errorf("ml/mt: %w", err)
 			}
-			opt.step(student, gU)
+			opt.step(student, &wsU.g)
 		}
 		emaUpdate(teacher, student, decay)
 	}

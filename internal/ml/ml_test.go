@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -221,6 +222,17 @@ func TestMeanTeacherWithoutUnlabeled(t *testing.T) {
 	}
 }
 
+func TestMeanTeacherUnlabeledWidthMismatch(t *testing.T) {
+	x, y := syntheticData(rand.New(rand.NewSource(9)), 20, 0)
+	for _, cols := range []int{1, 3} {
+		m := NewMeanTeacher(1)
+		m.Epochs = 5
+		if err := m.Fit(x, y, mat.New(10, cols)); err == nil {
+			t.Errorf("%d unlabeled features against 2 labeled should fail", cols)
+		}
+	}
+}
+
 func TestCOREGLearns(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x, y := syntheticData(rng, 60, 0.1)
@@ -345,6 +357,16 @@ func TestSparseAdjMulDimMismatch(t *testing.T) {
 	if _, err := adj.Mul(mat.New(3, 2)); err == nil {
 		t.Error("dim mismatch should fail")
 	}
+	x := mat.New(adj.N(), 2)
+	if err := adj.MulInto(mat.New(adj.N(), 3), x); err == nil {
+		t.Error("dst column mismatch should fail")
+	}
+	if err := adj.MulInto(mat.New(adj.N()-1, 2), x); err == nil {
+		t.Error("dst row mismatch should fail")
+	}
+	if err := adj.MulInto(x, x); err == nil {
+		t.Error("dst aliasing the operand should fail")
+	}
 }
 
 func TestGNNTransductiveRegression(t *testing.T) {
@@ -430,15 +452,80 @@ func TestModelNames(t *testing.T) {
 	}
 }
 
-func BenchmarkMLPFit(b *testing.B) {
-	rng := rand.New(rand.NewSource(18))
-	x, y := syntheticData(rng, 200, 0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := NewMLP(int64(i))
-		m.Epochs = 100
-		if err := m.Fit(x, y, nil); err != nil {
-			b.Fatal(err)
+// servedData returns n rows shaped like a served query's training set: 19
+// standardized features, about a fifth of them exactly zero, and k targets
+// that depend nonlinearly on a few of them.
+func servedData(rng *rand.Rand, n, k int) (*mat.Dense, *mat.Dense) {
+	x := mat.New(n, 19)
+	y := mat.New(n, k)
+	for i := 0; i < n; i++ {
+		row := x.Row(i)
+		for j := range row {
+			if rng.Float64() >= 0.2 {
+				row[j] = rng.NormFloat64()
+			}
 		}
+		for j := 0; j < k; j++ {
+			y.Set(i, j, math.Sin(row[j])+0.5*row[2+j]*row[4]+0.1*rng.NormFloat64())
+		}
+	}
+	return x, y
+}
+
+// TestFitAllocsDoNotGrowWithEpochs is the workspace contract: every buffer
+// an epoch touches is sized once per fit, so a fit allocates the same
+// count at 10 epochs as at 400.
+func TestFitAllocsDoNotGrowWithEpochs(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	x, y := servedData(rng, 13, 2)
+	xu, _ := servedData(rng, 40, 2)
+	adj, labeled, unlabeled := referenceGraph(t, rng, 13+40, 13)
+	fits := map[string]func(epochs int) error{
+		"MLP": func(epochs int) error {
+			m := NewMLP(1)
+			m.Epochs = epochs
+			return m.Fit(x, y, nil)
+		},
+		"MT": func(epochs int) error {
+			m := NewMeanTeacher(1)
+			m.Epochs = epochs
+			return m.Fit(x, y, xu)
+		},
+		"GNN": func(epochs int) error {
+			g := NewGNN(1)
+			g.Epochs = epochs
+			g.SetGraph(adj, labeled, unlabeled)
+			return g.Fit(x, y, xu)
+		},
+	}
+	for name, fit := range fits {
+		allocs := func(epochs int) float64 {
+			return testing.AllocsPerRun(2, func() {
+				if err := fit(epochs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(10), allocs(400); short != long {
+			t.Errorf("%s: Fit allocates %v times at 10 epochs, %v at 400", name, short, long)
+		}
+	}
+}
+
+// BenchmarkMLPFit fits the served model at the served shape: 19 features,
+// 2 targets, the default 400 epochs, and the labeled-row counts of
+// β = 0.05 and 0.20 on the 253-zone city.
+func BenchmarkMLPFit(b *testing.B) {
+	for _, rows := range []int{13, 51} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			x, y := servedData(rand.New(rand.NewSource(18)), rows, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := NewMLP(int64(i)).Fit(x, y, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -58,13 +58,13 @@ func (m *MLP) Fit(x, y, _ *mat.Dense) error {
 	rng := rand.New(rand.NewSource(m.Seed))
 	net := newNetwork(sizes, rng)
 	opt := newAdam(net, lr)
+	ws := newWorkspace(x.Rows(), sizes)
 	var firstLoss, lastLoss float64
 	for e := 0; e < epochs; e++ {
-		zs, as, err := net.forward(x)
-		if err != nil {
+		if err := net.forward(ws, x); err != nil {
 			return fmt.Errorf("ml/mlp: %w", err)
 		}
-		delta, loss, err := mseDelta(as[len(as)-1], y)
+		loss, err := mseDelta(ws, y)
 		if err != nil {
 			return fmt.Errorf("ml/mlp: %w", err)
 		}
@@ -72,12 +72,11 @@ func (m *MLP) Fit(x, y, _ *mat.Dense) error {
 			firstLoss = loss
 		}
 		lastLoss = loss
-		g, err := net.backward(zs, as, delta)
-		if err != nil {
+		if err := net.backward(ws); err != nil {
 			return fmt.Errorf("ml/mlp: %w", err)
 		}
-		applyWeightDecay(net, g, m.WeightDecay)
-		opt.step(net, g)
+		applyWeightDecay(net, &ws.g, m.WeightDecay)
+		opt.step(net, &ws.g)
 	}
 	m.net = net
 	m.info = TrainInfo{

@@ -38,38 +38,76 @@ func (n *network) clone() *network {
 	return out
 }
 
-// forward runs the batch x through the network, returning the
-// pre-activation and activation of every layer (activations[0] is x).
-func (n *network) forward(x *mat.Dense) (zs, as []*mat.Dense, err error) {
-	a := x
-	as = append(as, a)
-	last := len(n.w) - 1
-	for l := range n.w {
-		z, err := mat.Mul(a, n.w[l])
-		if err != nil {
-			return nil, nil, fmt.Errorf("ml: layer %d: %w", l, err)
-		}
-		if err := z.AddRowVector(n.b[l]); err != nil {
-			return nil, nil, err
-		}
-		zs = append(zs, z)
-		if l < last {
-			a = z.Clone().Apply(relu)
-		} else {
-			a = z // linear output
-		}
-		as = append(as, a)
-	}
-	return zs, as, nil
+// workspace holds every matrix one training pass over a fixed batch needs,
+// sized once per fit from (rows, sizes), so the epoch loop allocates
+// nothing. as[0] is the batch itself and as[l+1] is layer l's activation;
+// for the linear output layer that is zs[l] itself.
+type workspace struct {
+	zs, as []*mat.Dense
+	deltas []*mat.Dense // deltas[l] is the loss gradient w.r.t. zs[l]
+	g      grads
 }
 
-// predict returns the network output for x.
+// newWorkspace sizes the forward and backward buffers of a training batch.
+func newWorkspace(rows int, sizes []int) *workspace {
+	ws := newForwardWorkspace(rows, sizes)
+	for l := 0; l+1 < len(sizes); l++ {
+		ws.deltas = append(ws.deltas, mat.New(rows, sizes[l+1]))
+		ws.g.w = append(ws.g.w, mat.New(sizes[l], sizes[l+1]))
+		ws.g.b = append(ws.g.b, make([]float64, sizes[l+1]))
+	}
+	return ws
+}
+
+// newForwardWorkspace sizes only the forward buffers, for prediction.
+func newForwardWorkspace(rows int, sizes []int) *workspace {
+	last := len(sizes) - 2
+	ws := &workspace{as: make([]*mat.Dense, 1, len(sizes))}
+	for l := 0; l <= last; l++ {
+		z := mat.New(rows, sizes[l+1])
+		ws.zs = append(ws.zs, z)
+		if l < last {
+			ws.as = append(ws.as, mat.New(rows, sizes[l+1]))
+		} else {
+			ws.as = append(ws.as, z) // linear output
+		}
+	}
+	return ws
+}
+
+// out is the network output of the last forward pass.
+func (ws *workspace) out() *mat.Dense { return ws.zs[len(ws.zs)-1] }
+
+// outDelta is the loss gradient w.r.t. the network output.
+func (ws *workspace) outDelta() *mat.Dense { return ws.deltas[len(ws.deltas)-1] }
+
+// forward runs the batch x through the network, leaving the pre-activation
+// and activation of every layer in ws.
+func (n *network) forward(ws *workspace, x *mat.Dense) error {
+	ws.as[0] = x
+	last := len(n.w) - 1
+	for l := range n.w {
+		z := ws.zs[l]
+		if err := mat.MulInto(z, ws.as[l], n.w[l]); err != nil {
+			return fmt.Errorf("ml: layer %d: %w", l, err)
+		}
+		if err := z.AddRowVector(n.b[l]); err != nil {
+			return err
+		}
+		if l < last {
+			reluInto(ws.as[l+1], z)
+		}
+	}
+	return nil
+}
+
+// predict returns the network output for x in a fresh matrix.
 func (n *network) predict(x *mat.Dense) (*mat.Dense, error) {
-	_, as, err := n.forward(x)
-	if err != nil {
+	ws := newForwardWorkspace(x.Rows(), n.sizes)
+	if err := n.forward(ws, x); err != nil {
 		return nil, err
 	}
-	return as[len(as)-1], nil
+	return ws.out(), nil
 }
 
 func relu(v float64) float64 {
@@ -79,58 +117,70 @@ func relu(v float64) float64 {
 	return v
 }
 
+// reluInto sets dst to relu(z) elementwise; both share a shape.
+func reluInto(dst, z *mat.Dense) {
+	for i := 0; i < z.Rows(); i++ {
+		drow := dst.Row(i)
+		for j, v := range z.Row(i) {
+			drow[j] = relu(v)
+		}
+	}
+}
+
+// reluMask zeroes the entries of d whose pre-activation in z is not
+// positive: the chain rule through a ReLU.
+func reluMask(d, z *mat.Dense) {
+	for i := 0; i < d.Rows(); i++ {
+		drow := d.Row(i)
+		zrow := z.Row(i)
+		for j := range drow {
+			if zrow[j] <= 0 {
+				drow[j] = 0
+			}
+		}
+	}
+}
+
+// colSumsInto sets dst to the column sums of m.
+func colSumsInto(dst []float64, m *mat.Dense) {
+	for j := range dst {
+		dst[j] = 0
+	}
+	for i := 0; i < m.Rows(); i++ {
+		for j, v := range m.Row(i) {
+			dst[j] += v
+		}
+	}
+}
+
 // grads holds per-layer weight and bias gradients.
 type grads struct {
 	w []*mat.Dense
 	b [][]float64
 }
 
-// backward computes MSE-loss gradients for the batch. delta0 is
-// (pred - target) * scale, i.e. the gradient of the loss w.r.t. the network
-// output, supplied by the caller so consistency losses can reuse the same
-// machinery.
-func (n *network) backward(zs, as []*mat.Dense, delta0 *mat.Dense) (*grads, error) {
-	g := &grads{
-		w: make([]*mat.Dense, len(n.w)),
-		b: make([][]float64, len(n.w)),
-	}
-	delta := delta0
+// backward computes the loss gradients of the batch last run through
+// forward into ws.g. ws.outDelta() must hold the gradient of the loss
+// w.r.t. the network output; mseDelta writes it, and a caller may rescale
+// it so consistency losses reuse the same machinery.
+func (n *network) backward(ws *workspace) error {
 	for l := len(n.w) - 1; l >= 0; l-- {
+		delta := ws.deltas[l]
 		// dW = aₗᵀ · delta ; db = column sums of delta.
-		dw, err := mat.Mul(as[l].Transpose(), delta)
-		if err != nil {
-			return nil, err
+		if err := mat.MulTransAInto(ws.g.w[l], ws.as[l], delta); err != nil {
+			return err
 		}
-		g.w[l] = dw
-		db := make([]float64, delta.Cols())
-		for i := 0; i < delta.Rows(); i++ {
-			row := delta.Row(i)
-			for j, v := range row {
-				db[j] += v
-			}
-		}
-		g.b[l] = db
+		colSumsInto(ws.g.b[l], delta)
 		if l == 0 {
 			break
 		}
 		// Propagate: deltaPrev = (delta · Wᵀ) ⊙ relu'(z_{l-1}).
-		dPrev, err := mat.Mul(delta, n.w[l].Transpose())
-		if err != nil {
-			return nil, err
+		if err := mat.MulTransBInto(ws.deltas[l-1], delta, n.w[l]); err != nil {
+			return err
 		}
-		z := zs[l-1]
-		for i := 0; i < dPrev.Rows(); i++ {
-			drow := dPrev.Row(i)
-			zrow := z.Row(i)
-			for j := range drow {
-				if zrow[j] <= 0 {
-					drow[j] = 0
-				}
-			}
-		}
-		delta = dPrev
+		reluMask(ws.deltas[l-1], ws.zs[l-1])
 	}
-	return g, nil
+	return nil
 }
 
 // adam is a per-network Adam optimizer state.
@@ -179,25 +229,30 @@ func (a *adam) step(n *network, g *grads) {
 	}
 }
 
-// mseDelta returns (pred-target)·(2/n) — the output-layer gradient of mean
-// squared error — and the loss value.
-func mseDelta(pred, target *mat.Dense) (*mat.Dense, float64, error) {
-	d, err := mat.Sub(pred, target)
-	if err != nil {
-		return nil, 0, err
-	}
-	var loss float64
-	for i := 0; i < d.Rows(); i++ {
-		for _, v := range d.Row(i) {
-			loss += v * v
-		}
+// mseDelta writes (pred-target)·(2/n), the output-layer gradient of mean
+// squared error for the output of the last forward pass, into
+// ws.outDelta() and returns the loss value.
+func mseDelta(ws *workspace, target *mat.Dense) (float64, error) {
+	pred, d := ws.out(), ws.outDelta()
+	if pred.Rows() != target.Rows() || pred.Cols() != target.Cols() {
+		return 0, fmt.Errorf("ml: prediction is %dx%d, target %dx%d",
+			pred.Rows(), pred.Cols(), target.Rows(), target.Cols())
 	}
 	nTot := float64(d.Rows() * d.Cols())
+	scale := 2 / nTot
+	var loss float64
+	for i := 0; i < d.Rows(); i++ {
+		drow, trow := d.Row(i), target.Row(i)
+		for j, p := range pred.Row(i) {
+			v := p - trow[j]
+			loss += v * v
+			drow[j] = v * scale
+		}
+	}
 	if nTot > 0 {
 		loss /= nTot
-		d.Scale(2 / nTot)
 	}
-	return d, loss, nil
+	return loss, nil
 }
 
 // applyWeightDecay adds the L2 penalty gradient wd·w to g in place.
@@ -234,15 +289,13 @@ func emaUpdate(teacher, student *network, alpha float64) {
 	}
 }
 
-// addNoise returns x plus N(0, sigma²) noise, used for consistency
-// perturbations.
-func addNoise(x *mat.Dense, rng *rand.Rand, sigma float64) *mat.Dense {
-	out := x.Clone()
-	for i := 0; i < out.Rows(); i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] += rng.NormFloat64() * sigma
+// addNoiseInto sets dst to x plus N(0, sigma²) noise drawn in row-major
+// order, used for consistency perturbations.
+func addNoiseInto(dst, x *mat.Dense, rng *rand.Rand, sigma float64) {
+	for i := 0; i < x.Rows(); i++ {
+		drow := dst.Row(i)
+		for j, v := range x.Row(i) {
+			drow[j] = v + rng.NormFloat64()*sigma
 		}
 	}
-	return out
 }

@@ -12,15 +12,22 @@ func TestNetworkForwardShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := newNetwork([]int{3, 5, 2}, rng)
 	x := mat.New(7, 3)
-	zs, as, err := n.forward(x)
-	if err != nil {
+	ws := newWorkspace(7, n.sizes)
+	if err := n.forward(ws, x); err != nil {
 		t.Fatal(err)
 	}
-	if len(zs) != 2 || len(as) != 3 {
-		t.Fatalf("zs=%d as=%d", len(zs), len(as))
+	if len(ws.zs) != 2 || len(ws.as) != 3 {
+		t.Fatalf("zs=%d as=%d", len(ws.zs), len(ws.as))
 	}
-	if as[2].Rows() != 7 || as[2].Cols() != 2 {
-		t.Fatalf("output %dx%d", as[2].Rows(), as[2].Cols())
+	if ws.as[2].Rows() != 7 || ws.as[2].Cols() != 2 {
+		t.Fatalf("output %dx%d", ws.as[2].Rows(), ws.as[2].Cols())
+	}
+	if ws.as[2] != ws.out() {
+		t.Error("output activation is not the workspace output")
+	}
+	// A batch of another height does not fit the workspace.
+	if err := n.forward(ws, mat.New(6, 3)); err == nil {
+		t.Error("forward accepted a batch the workspace was not sized for")
 	}
 }
 
@@ -44,7 +51,11 @@ func TestReLU(t *testing.T) {
 func TestMSEDelta(t *testing.T) {
 	pred, _ := mat.FromRows([][]float64{{1, 2}})
 	target, _ := mat.FromRows([][]float64{{0, 4}})
-	d, loss, err := mseDelta(pred, target)
+	ws := newWorkspace(1, []int{1, 2})
+	for j, v := range pred.Row(0) {
+		ws.out().Set(0, j, v)
+	}
+	loss, err := mseDelta(ws, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +64,7 @@ func TestMSEDelta(t *testing.T) {
 		t.Errorf("loss = %v", loss)
 	}
 	// delta = (pred-target)*2/n = {1,-2} * 1.
+	d := ws.outDelta()
 	if math.Abs(d.At(0, 0)-1) > 1e-12 || math.Abs(d.At(0, 1)+2) > 1e-12 {
 		t.Errorf("delta = %v %v", d.At(0, 0), d.At(0, 1))
 	}
@@ -75,7 +87,8 @@ func TestEMAUpdate(t *testing.T) {
 func TestAddNoiseChangesValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := mat.New(5, 3)
-	noisy := addNoise(x, rng, 1.0)
+	noisy := mat.New(5, 3)
+	addNoiseInto(noisy, x, rng, 1.0)
 	var diff float64
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 3; j++ {
@@ -87,7 +100,7 @@ func TestAddNoiseChangesValues(t *testing.T) {
 	}
 	// Source untouched.
 	if x.At(0, 0) != 0 {
-		t.Error("addNoise mutated input")
+		t.Error("addNoiseInto mutated input")
 	}
 }
 
@@ -121,24 +134,23 @@ func TestAdamStepMovesWeightsDownhill(t *testing.T) {
 	opt := newAdam(n, 0.05)
 	x, _ := mat.FromRows([][]float64{{1}, {2}, {-1}})
 	y, _ := mat.FromRows([][]float64{{2}, {4}, {-2}})
+	ws := newWorkspace(3, n.sizes)
 	var lastLoss float64 = math.Inf(1)
 	for e := 0; e < 400; e++ {
-		zs, as, err := n.forward(x)
-		if err != nil {
+		if err := n.forward(ws, x); err != nil {
 			t.Fatal(err)
 		}
-		delta, loss, err := mseDelta(as[len(as)-1], y)
+		loss, err := mseDelta(ws, y)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if e == 399 {
 			lastLoss = loss
 		}
-		g, err := n.backward(zs, as, delta)
-		if err != nil {
+		if err := n.backward(ws); err != nil {
 			t.Fatal(err)
 		}
-		opt.step(n, g)
+		opt.step(n, &ws.g)
 	}
 	if lastLoss > 1e-3 {
 		t.Errorf("final loss = %v, want < 1e-3", lastLoss)
@@ -154,29 +166,30 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 	n := newNetwork([]int{2, 3, 1}, rng)
 	x, _ := mat.FromRows([][]float64{{0.5, -0.3}, {-0.1, 0.8}})
 	y, _ := mat.FromRows([][]float64{{1}, {-1}})
+	// The numeric probes run in their own workspace so they cannot
+	// disturb the analytic gradients.
+	probe := newWorkspace(2, n.sizes)
 	lossOf := func() float64 {
-		_, as, err := n.forward(x)
-		if err != nil {
+		if err := n.forward(probe, x); err != nil {
 			t.Fatal(err)
 		}
-		_, loss, err := mseDelta(as[len(as)-1], y)
+		loss, err := mseDelta(probe, y)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return loss
 	}
-	zs, as, err := n.forward(x)
-	if err != nil {
+	ws := newWorkspace(2, n.sizes)
+	if err := n.forward(ws, x); err != nil {
 		t.Fatal(err)
 	}
-	delta, _, err := mseDelta(as[len(as)-1], y)
-	if err != nil {
+	if _, err := mseDelta(ws, y); err != nil {
 		t.Fatal(err)
 	}
-	g, err := n.backward(zs, as, delta)
-	if err != nil {
+	if err := n.backward(ws); err != nil {
 		t.Fatal(err)
 	}
+	g := &ws.g
 	const eps = 1e-6
 	for l := range n.w {
 		for i := 0; i < n.w[l].Rows(); i++ {
