@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"accessquery/internal/bank"
 	"accessquery/internal/core"
 	"accessquery/internal/gtfs"
-	"accessquery/internal/obs"
 	"accessquery/internal/synth"
 )
 
@@ -47,15 +45,13 @@ func runBankBench(w io.Writer, scale float64, parallelism int) error {
 			POIs: pois, Budget: budget, Model: core.ModelOLS,
 			Seed: 42, Parallelism: parallelism, Bank: seg,
 		}
-		tr := obs.NewTrace()
-		res, err := engine.RunContext(obs.WithTrace(context.Background(), tr), q)
+		res, err := engine.Run(q)
 		if err != nil {
 			return row{}, err
 		}
-		rep := core.Explain(tr.Summary())
 		return row{
 			name: name, budget: budget, spqs: res.Timing.SPQs,
-			drained: rep.BankDrained, elapsed: res.Timing.Total(),
+			drained: res.Timing.BankDrained, elapsed: res.Timing.Total(),
 		}, nil
 	}
 

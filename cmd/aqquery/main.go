@@ -223,7 +223,7 @@ func main() {
 		s.Fairness, s.Gini, s.SPQs, res.Timing.Total())
 	if tr != nil {
 		fmt.Fprintln(os.Stderr)
-		core.Explain(tr.Summary()).WriteText(os.Stderr)
+		core.Explain(res, tr.Summary()).WriteText(os.Stderr)
 	}
 	if *metrics {
 		fmt.Fprintln(os.Stderr)

@@ -37,9 +37,8 @@ func TestHandleQueryExplain(t *testing.T) {
 			FeatureCacheMisses int64   `json:"feature_cache_misses"`
 			TrainingConverged  bool    `json:"training_converged"`
 			Stages             []struct {
-				Name    string         `json:"name"`
-				Seconds float64        `json:"seconds"`
-				Attrs   map[string]any `json:"attrs"`
+				Name    string  `json:"name"`
+				Seconds float64 `json:"seconds"`
 			} `json:"stages"`
 			Trace *struct {
 				TraceID string            `json:"trace_id"`
@@ -127,7 +126,9 @@ func TestHandleQueryExplain(t *testing.T) {
 }
 
 // TestHandleJobTrace is the golden test for GET /v1/jobs/{id}/trace: an
-// async job's span tree with the job → query → stages hierarchy.
+// async job's execution report, the same one ?explain=1 inlines, with the
+// run's numbers as typed fields and its span tree, in the job → query →
+// stages hierarchy, under trace.
 func TestHandleJobTrace(t *testing.T) {
 	s := testServer(t)
 	rec := postQuery(s, "/v1/query?async=1", `{"category": "school", "budget": 0.2, "model": "OLS", "seed": 3}`)
@@ -169,20 +170,26 @@ func TestHandleJobTrace(t *testing.T) {
 		t.Fatalf("trace status %d: %s", rec.Code, rec.Body.String())
 	}
 	type node struct {
-		Name     string         `json:"name"`
-		Seconds  float64        `json:"seconds"`
-		Attrs    map[string]any `json:"attrs"`
-		Children []*node        `json:"children"`
+		Name     string  `json:"name"`
+		Seconds  float64 `json:"seconds"`
+		Children []*node `json:"children"`
 	}
-	var tr struct {
-		TraceID string  `json:"trace_id"`
-		Seconds float64 `json:"seconds"`
-		Spans   []*node `json:"spans"`
+	var rep struct {
+		TraceID            string  `json:"trace_id"`
+		MatrixReductionPct float64 `json:"matrix_reduction_pct"`
+		SPQs               int64   `json:"spqs"`
+		TrainingConverged  *bool   `json:"training_converged"`
+		Trace              *struct {
+			TraceID string  `json:"trace_id"`
+			Seconds float64 `json:"seconds"`
+			Spans   []*node `json:"spans"`
+		} `json:"trace"`
 	}
-	if err := json.NewDecoder(rec.Body).Decode(&tr); err != nil {
+	if err := json.NewDecoder(rec.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
-	if tr.TraceID == "" || len(tr.Spans) == 0 {
+	tr := rep.Trace
+	if tr == nil || tr.TraceID == "" || tr.TraceID != rep.TraceID || len(tr.Spans) == 0 {
 		t.Fatalf("empty span tree: %+v", tr)
 	}
 	if tr.Spans[0].Name != "job" {
@@ -206,20 +213,14 @@ func TestHandleJobTrace(t *testing.T) {
 			t.Errorf("query span missing stage %q", want)
 		}
 	}
-	if n := got["matrix"]; n != nil {
-		if v, ok := n.Attrs["reduction_pct"].(float64); !ok || v <= 0 {
-			t.Errorf("matrix reduction_pct = %v", n.Attrs["reduction_pct"])
-		}
+	if rep.MatrixReductionPct <= 0 {
+		t.Errorf("matrix_reduction_pct = %v", rep.MatrixReductionPct)
 	}
-	if n := got["labeling"]; n != nil {
-		if v, ok := n.Attrs["spqs"].(float64); !ok || v <= 0 {
-			t.Errorf("labeling spqs = %v", n.Attrs["spqs"])
-		}
+	if rep.SPQs <= 0 {
+		t.Errorf("spqs = %v", rep.SPQs)
 	}
-	if n := got["training"]; n != nil {
-		if _, ok := n.Attrs["converged"].(bool); !ok {
-			t.Errorf("training converged attr = %v", n.Attrs["converged"])
-		}
+	if rep.TrainingConverged == nil {
+		t.Error("report has no training_converged")
 	}
 
 	// Unknown job IDs 404 on the trace route too.

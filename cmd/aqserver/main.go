@@ -26,7 +26,7 @@
 //	POST /v1/query?async=1              enqueue; returns {"job_id": ...} (202)
 //	GET  /v1/jobs                       list jobs (?state=, ?limit=, ?cursor=)
 //	GET  /v1/jobs/{id}                  job status; includes the result when done
-//	GET  /v1/jobs/{id}/trace            the run's full span tree
+//	GET  /v1/jobs/{id}/trace            the run's execution report and span tree
 //	GET  /v1/jobs/{id}/profile          slow-query capture for the job, if one fired
 //	DELETE /v1/jobs/{id}                cancel a queued or running job
 //
@@ -684,9 +684,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	snap := job.Snapshot()
 	var explain *core.ExplainReport
 	if r.URL.Query().Get("explain") == "1" {
-		// The job snapshot carries the run's span tree (or, on a cache
-		// hit, the producing run's); fold its execution report in.
-		explain = core.Explain(snap.Trace)
+		// The job snapshot carries the run's result and span tree (or, on
+		// a cache hit, the producing run's); fold its execution report in.
+		explain = core.Explain(snap.Result, snap.Trace)
 	}
 	writeAnswer(w, snap, req.IncludeZones, explain)
 }
@@ -847,8 +847,9 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 // handleJob serves GET /v1/jobs/{id} — job state, the stage-latency
 // breakdown of the run, and the result once done — GET
-// /v1/jobs/{id}/trace, the run's full span tree (also available for
-// cache-hit jobs, which carry the producing run's trace), and DELETE
+// /v1/jobs/{id}/trace, the run's execution report with its span tree, the
+// same report ?explain=1 inlines (also available for cache-hit jobs, which
+// carry the producing run's result and trace), and DELETE
 // /v1/jobs/{id}, which cancels a queued or running job.
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
@@ -911,7 +912,7 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, codeNotFound, "no trace recorded for job "+id)
 			return
 		}
-		writeJSON(w, http.StatusOK, snap.Trace)
+		writeJSON(w, http.StatusOK, core.Explain(snap.Result, snap.Trace))
 		return
 	}
 	body := map[string]interface{}{

@@ -183,3 +183,67 @@ func TestScenarioRejections(t *testing.T) {
 		t.Errorf("epoch moved to %d on rejected mutations", tn.Epoch())
 	}
 }
+
+// TestExplainScenarioBlock checks the explain report's scenario block: a
+// query on a scenario-derived engine reports the batch's blast radius, and
+// a query after the revert reports no scenario at all.
+func TestExplainScenarioBlock(t *testing.T) {
+	s, reg := multiCityServer(t, serve.Config{Workers: 2})
+	tn, _ := reg.Get("coventry")
+	engine, _, release := tn.Acquire()
+	route := string(engine.City.Feed.Routes[0].ID)
+	release()
+
+	rec := do(s, http.MethodPost, "/v1/cities/coventry/scenario",
+		fmt.Sprintf(`{"mutations": [{"kind": "close_route", "route": %q}]}`, route))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("apply status %d: %s", rec.Code, rec.Body.String())
+	}
+	var apply scenarioResponse
+	if err := json.NewDecoder(rec.Body).Decode(&apply); err != nil {
+		t.Fatal(err)
+	}
+	br := apply.Delta.BlastRadius
+
+	explain := func(seed int) map[string]json.RawMessage {
+		t.Helper()
+		rec := postQuery(s, "/v1/query?explain=1",
+			fmt.Sprintf(`{"category": "school", "model": "OLS", "seed": %d}`, seed))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query status %d: %s", rec.Code, rec.Body.String())
+		}
+		var resp struct {
+			Explain map[string]json.RawMessage `json:"explain"`
+		}
+		if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Explain == nil {
+			t.Fatal("?explain=1 response has no explain object")
+		}
+		return resp.Explain
+	}
+
+	raw, ok := explain(71)["scenario"]
+	if !ok {
+		t.Fatal("explain on a scenario engine has no scenario block")
+	}
+	var sc struct {
+		Deltas       int `json:"deltas"`
+		ZonesTouched int `json:"zones_touched"`
+		TreesRebuilt int `json:"hop_trees_rebuilt"`
+	}
+	if err := json.Unmarshal(raw, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if sc.Deltas != 1 || sc.ZonesTouched != br.ZonesTouched || sc.TreesRebuilt != br.TreesRebuilt || br.ZonesTouched == 0 {
+		t.Errorf("explain scenario = %+v, want 1 delta with blast radius %+v", sc, br)
+	}
+
+	if rec := do(s, http.MethodDelete, "/v1/cities/coventry/scenario", ""); rec.Code != http.StatusOK {
+		t.Fatalf("revert status %d: %s", rec.Code, rec.Body.String())
+	}
+	if raw, ok := explain(72)["scenario"]; ok {
+		t.Errorf("explain after revert still has a scenario block: %s", raw)
+	}
+}

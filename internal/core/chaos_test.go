@@ -125,10 +125,9 @@ func TestDeadlineMidLabelingPartial(t *testing.T) {
 	}
 }
 
-// TestDegradedModelFallback forces the configured model to fail and
-// asserts the run answers via OLS with the model_fallback rung instead of
-// erroring. An unknown model must still fail fast: that is a caller
-// mistake, not infrastructure trouble.
+// TestDegradedModelFallback checks that an unknown model is rejected
+// rather than absorbed by the model_fallback rung: that is a caller
+// mistake, not infrastructure trouble, so the run fails fast.
 func TestDegradedModelFallback(t *testing.T) {
 	e := engine(t)
 	if _, err := e.Run(vaxQuery(e, ModelKind("XGBOOST"), 0.3)); err == nil {

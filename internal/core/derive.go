@@ -24,22 +24,22 @@ import (
 
 // ScenarioSummary is the provenance block a derived engine carries: how
 // many delta batches and mutations produced it and the cumulative blast
-// radius. The serving layer copies it into trace spans so ?explain=1 can
-// report what the scenario rebuild actually did.
+// radius. Every run on the engine carries it in Result.Scenario, so
+// ?explain=1 can report what the scenario rebuild actually did.
 type ScenarioSummary struct {
 	// Deltas is the number of applied mutation batches.
-	Deltas int
+	Deltas int `json:"deltas"`
 	// Mutations is the total mutation count across batches.
-	Mutations int
+	Mutations int `json:"mutations"`
 	// ZonesTouched and TreesRebuilt describe the latest batch's blast
 	// radius (trees = outbound + inbound per touched zone).
-	ZonesTouched int
-	TreesRebuilt int
+	ZonesTouched int `json:"zones_touched"`
+	TreesRebuilt int `json:"hop_trees_rebuilt"`
 	// RebuildMS is the latest incremental rebuild's wall time;
 	// FullPrepMS the measured from-scratch prep of the baseline engine,
 	// the cost the delta path avoided.
-	RebuildMS  int64
-	FullPrepMS int64
+	RebuildMS  int64 `json:"rebuild_ms"`
+	FullPrepMS int64 `json:"est_full_rebuild_ms"`
 }
 
 // DeriveSpec describes one incremental derivation.

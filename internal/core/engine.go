@@ -114,7 +114,7 @@ type Engine struct {
 
 	// Scenario, when non-nil, records that this engine was derived from a
 	// baseline by incremental delta maintenance and carries the cumulative
-	// blast-radius summary for provenance (explain output, span attrs).
+	// blast-radius summary for provenance (Result.Scenario, explain).
 	Scenario *ScenarioSummary
 
 	// PrepDuration records offline pre-processing time (not part of the
@@ -370,8 +370,15 @@ type Timing struct {
 	SPQRetries   int64
 	SPQAbandoned int64
 	// BankDrained counts trips answered from the cross-query label bank
-	// instead of being priced; always zero when no bank is attached.
-	BankDrained int64
+	// instead of being priced; BankDeposited the priced trips the run
+	// deposited back. Both are zero when no bank is attached.
+	BankDrained   int64
+	BankDeposited int64
+	// FeatureCacheHits and FeatureCacheMisses are the feature extractor's
+	// lazy-cache traffic during the features stage (approximate when other
+	// queries share the extractor concurrently).
+	FeatureCacheHits   int64
+	FeatureCacheMisses int64
 }
 
 // Total returns the end-to-end online time.
@@ -380,7 +387,11 @@ func (t Timing) Total() time.Duration {
 }
 
 // Result is the answer to an access query: per-zone measures, with
-// Labeled marking zones priced by SPQs (ground truth) versus inferred.
+// Labeled marking zones priced by SPQs (ground truth) versus inferred. It
+// is also the run's one typed record of what the run did — matrix sizes,
+// SPQ, bank and cache counts, the fitted model and its diagnostics — from
+// which the explain report is projected; a trace records only where the
+// time went.
 type Result struct {
 	MAC     []float64
 	ACSD    []float64
@@ -403,6 +414,17 @@ type Result struct {
 	// rungs fired and why. Successful retries alone do not mark a result
 	// degraded — only lost fidelity does.
 	Degraded *DegradedReport
+	// Model is the model the training stage fitted: the query's, or OLS
+	// after a model_fallback rung. Empty when the run stopped before
+	// training. Fit holds that fit's diagnostics.
+	Model ModelKind
+	Fit   FitStats
+	// Bank reports whether a label bank was attached, telling "no bank"
+	// apart from a bank that saw no traffic.
+	Bank bool
+	// Scenario is the delta provenance of the engine that ran the query,
+	// nil on a baseline engine.
+	Scenario *ScenarioSummary
 	// City and Epoch identify the tenant engine generation that computed
 	// the result. The engine itself leaves them zero; a multi-tenant
 	// serving layer (serve.RegistryRunner) stamps them after the run so
@@ -439,30 +461,15 @@ func (e *Engine) Run(q Query) (*Result, error) {
 // Every run feeds the process-wide observability registry: per-stage
 // latency histograms, the end-to-end query histogram, and SPQ counters.
 // When ctx carries an obs.Trace (see obs.WithTrace), the run also builds a
-// span tree — a "query" span with one attributed child per pipeline stage —
-// for per-request explain reports. Without a trace the same code path
-// allocates nothing extra.
+// span tree — a "query" span with one timed child per pipeline stage — for
+// per-request explain reports (see Explain). Without a trace the same code
+// path allocates nothing extra.
 func (e *Engine) RunContext(ctx context.Context, q Query) (*Result, error) {
 	mQueries.Inc()
 	r := e.newRun(q)
 	defer r.release()
 	ctx, sp := obs.Start(ctx, "query", mQuerySeconds)
-	sp.SetString("model", string(r.q.Model))
-	sp.SetString("cost", r.q.Cost.String())
-	sp.SetInt("zones", int64(len(e.zonePts)))
-	sp.SetInt("pois", int64(len(r.q.POIs)))
-	sp.SetFloat("budget", r.q.Budget)
 	res, err := r.answer(ctx)
-	if err != nil {
-		sp.SetString("error", err.Error())
-	}
-	if res != nil && res.Degraded != nil {
-		sp.SetBool("degraded", true)
-		sp.SetString("degraded_rungs", res.Degraded.String())
-	}
-	if res != nil && res.Timing.SPQRetries > 0 {
-		sp.SetInt("spq_retries", res.Timing.SPQRetries)
-	}
 	sp.End()
 	if err != nil {
 		mQueryErrors.Inc()
@@ -514,10 +521,8 @@ type run struct {
 	// training.
 	deadline, stopBy time.Time
 	dlTotal          time.Duration
-	// deg collects the fired degradation rungs; modelUsed is the model the
-	// train stage actually fitted.
-	deg       *DegradedReport
-	modelUsed ModelKind
+	// deg collects the fired degradation rungs.
+	deg *DegradedReport
 
 	// features stage: one flat backing array holds every zone's feature
 	// vector and vecs the row headers over it (pooled with the record), then
@@ -655,12 +660,6 @@ func (r *run) matrix(ctx context.Context) error {
 		sp.End()
 		return err
 	}
-	sp.SetInt("trips", m.Size())
-	sp.SetInt("full_trips", m.FullSize())
-	sp.SetFloat("reduction_pct", m.Reduction())
-	sp.SetInt("zones", int64(len(r.e.zonePts)))
-	sp.SetInt("pois", int64(len(r.q.POIs)))
-	sp.SetInt("samples_per_hour", int64(r.q.SamplesPerHour))
 	r.m, r.poiNodes, r.poiZones = m, poiNodes, poiZones
 	r.res.setMatrix(m)
 	r.res.Timing.Matrix = sp.End()
@@ -680,14 +679,6 @@ func (r *run) sample(ctx context.Context) error {
 	if nl > nz {
 		nl = nz
 	}
-	strategy := r.q.Sampling
-	if strategy == "" {
-		strategy = SampleRandom
-	}
-	sp.SetFloat("budget", r.q.Budget)
-	sp.SetString("strategy", string(strategy))
-	sp.SetInt("requested", int64(nl))
-	sp.SetInt("seed", r.q.Seed)
 	var err error
 	r.zones, err = sampleZones(r.q.Sampling, r.e.zonePts, nl, r.q.Seed)
 	return err
@@ -700,15 +691,11 @@ func (r *run) sample(ctx context.Context) error {
 func (r *run) label(ctx context.Context) error {
 	_, sp := obs.Start(ctx, "labeling", stageLabeling)
 	lo, err := r.labelZones(ctx)
-	sp.SetInt("spqs", lo.spqs)
-	sp.SetInt("workers", int64(r.q.Workers))
 	mSPQs.Add(lo.spqs)
 	if lo.retries > 0 {
-		sp.SetInt("spq_retries", lo.retries)
 		mSPQRetries.Add(lo.retries)
 	}
 	if lo.abandoned > 0 {
-		sp.SetInt("spq_abandoned", lo.abandoned)
 		mSPQAbandoned.Add(lo.abandoned)
 	}
 	t := &r.res.Timing
@@ -731,28 +718,15 @@ func (r *run) label(ctx context.Context) error {
 		r.walkShare += zm.WalkOnlyShare
 		r.labeled = append(r.labeled, zone)
 	}
-	sp.SetInt("labeled_zones", int64(len(r.labeled)))
-	if lo.failed > 0 {
-		sp.SetInt("failed_zones", int64(lo.failed))
-	}
-	if lo.truncated > 0 {
-		sp.SetInt("truncated_zones", int64(lo.truncated))
-	}
-	if len(r.labeled) > 0 {
-		sp.SetFloat("walk_only_share", r.walkShare/float64(len(r.labeled)))
-	}
 	if r.q.Bank != nil {
 		// Deposit only after a full-fidelity stage: a degraded run (failed
 		// or truncated zones) may have been shaped by faults or deadline
 		// pressure, and nothing it priced is allowed to outlive it.
-		var deposited int64
+		res.Bank = true
 		if lo.failed == 0 && lo.truncated == 0 {
 			r.q.Bank.Deposit(lo.deposits)
-			deposited = int64(len(lo.deposits))
+			res.Timing.BankDeposited = int64(len(lo.deposits))
 		}
-		sp.SetBool("bank", true)
-		sp.SetInt("bank_drained", lo.drained)
-		sp.SetInt("bank_deposited", deposited)
 	}
 	res.Timing.Labeling = sp.End()
 	return nil
@@ -775,12 +749,9 @@ func (r *run) features(ctx context.Context) error {
 	if fw == 0 {
 		fw = e.parallelism
 	}
-	// Snapshot the extractor's lazy-cache counters around the stage so the
-	// span carries this query's hit/miss delta (approximate when other
-	// queries share the extractor concurrently).
+	// Snapshot the extractor's lazy-cache counters around the stage for
+	// this query's hit/miss delta.
 	hits0, misses0 := e.extractor.CacheStats()
-	sp.SetInt("zones", int64(nz))
-	sp.SetInt("parallelism", int64(fw))
 	if err := par.ForContext(ctx, fw, nz, func(zone int) error {
 		fs := features.GetScratch()
 		err := e.extractor.OriginVectorInto(r.vecs[zone], fs, zone, r.m.Row(zone), r.q.POIs, r.poiZones)
@@ -791,8 +762,7 @@ func (r *run) features(ctx context.Context) error {
 		return err
 	}
 	hits1, misses1 := e.extractor.CacheStats()
-	sp.SetInt("cache_hits", hits1-hits0)
-	sp.SetInt("cache_misses", misses1-misses0)
+	r.res.Timing.FeatureCacheHits, r.res.Timing.FeatureCacheMisses = hits1-hits0, misses1-misses0
 	for zone, v := range r.vecs {
 		if r.res.Labeled[zone] {
 			r.x = append(r.x, v)
@@ -820,35 +790,17 @@ func (r *run) train(ctx context.Context) error {
 		}
 	}
 	_, sp := obs.Start(ctx, "training", stageTraining)
-	sp.SetString("model", string(q.Model))
-	sp.SetInt("labeled_rows", int64(len(r.x)))
-	sp.SetInt("unlabeled_rows", int64(len(r.xu)))
-	preds, diag, err := r.e.trainPredict(q, r.labeled, r.unlabeled, r.x, r.y, r.xu)
+	preds, fit, err := r.e.trainPredict(q, r.labeled, r.unlabeled, r.x, r.y, r.xu)
 	if err != nil && q.Model != ModelOLS {
 		// The configured model failed; one rung down, OLS answers the query
 		// rather than failing it.
 		r.degrade(RungModelFallback, fmt.Sprintf("%s failed (%v); refitting with OLS", q.Model, err))
 		q.Model = ModelOLS
-		sp.SetString("model", string(ModelOLS))
-		preds, diag, err = r.e.trainPredict(q, r.labeled, r.unlabeled, r.x, r.y, r.xu)
+		preds, fit, err = r.e.trainPredict(q, r.labeled, r.unlabeled, r.x, r.y, r.xu)
 	}
 	if err != nil {
 		sp.End()
 		return err
-	}
-	if diag.hasInfo {
-		sp.SetInt("iterations", int64(diag.info.Iterations))
-		sp.SetBool("converged", diag.info.Converged)
-		if diag.info.InitialLoss != 0 || diag.info.FinalLoss != 0 {
-			sp.SetFloat("initial_loss", diag.info.InitialLoss)
-			sp.SetFloat("final_loss", diag.info.FinalLoss)
-		}
-	}
-	if diag.hasFit {
-		sp.SetFloat("rmse_mac", diag.rmse[0])
-		sp.SetFloat("rmse_acsd", diag.rmse[1])
-		sp.SetFloat("r2_mac", diag.r2[0])
-		sp.SetFloat("r2_acsd", diag.r2[1])
 	}
 	for i, zone := range r.unlabeled {
 		mac := preds.At(i, 0)
@@ -863,16 +815,18 @@ func (r *run) train(ctx context.Context) error {
 		r.res.ACSD[zone] = acsd
 		r.res.Valid[zone] = true
 	}
-	r.modelUsed = q.Model
+	r.res.Model, r.res.Fit = q.Model, fit
 	r.res.Timing.Training = sp.End()
 	return nil
 }
 
 // finish computes the labeled zones' walk-only share, stamps the
-// degradation report's accounting once the labeled set is final, and
-// folds the measures into classes and fairness.
+// degradation report's accounting once the labeled set is final and the
+// engine's scenario provenance, and folds the measures into classes and
+// fairness.
 func (r *run) finish() *Result {
 	res := r.res
+	res.Scenario = r.e.Scenario
 	if n := len(r.labeled); n > 0 {
 		res.WalkOnlyShare = r.walkShare / float64(n)
 	}
@@ -882,7 +836,7 @@ func (r *run) finish() *Result {
 		d.ZonesTruncated = r.lo.truncated
 		d.SPQRetries = r.lo.retries
 		d.SPQAbandoned = r.lo.abandoned
-		d.ModelUsed = string(r.modelUsed)
+		d.ModelUsed = string(res.Model)
 		res.Degraded = d
 	}
 	r.e.finishMeasures(res)
@@ -1038,36 +992,36 @@ func (r *run) labelZones(ctx context.Context) (labelOutcome, error) {
 	}
 }
 
-// trainDiag carries the training-stage diagnostics a trace's "training"
-// span surfaces: the model's own convergence report and the in-sample
-// (labeled-zone) fit quality in original target units.
-type trainDiag struct {
-	info    ml.TrainInfo
-	hasInfo bool
-	// rmse and r2 are per-target-column (MAC, ACSD) in-sample metrics.
-	rmse   [2]float64
-	r2     [2]float64
-	hasFit bool
+// FitStats are the training stage's diagnostics: the model's own
+// convergence report (zero for a model that gives none) and the in-sample
+// fit on the labeled zones in original target units, per target column
+// (MAC, ACSD). RMSE and R2 stay zero when the model cannot re-predict its
+// training rows.
+type FitStats struct {
+	ml.TrainInfo
+	RMSE [2]float64
+	R2   [2]float64
 }
 
 // trainPredict standardizes, fits the selected model, and returns
-// de-standardized predictions for the unlabeled zones plus training
-// diagnostics (never nil on success).
-func (e *Engine) trainPredict(q Query, labeled, unlabeled []int, xRows, yRows, xuRows [][]float64) (*mat.Dense, *trainDiag, error) {
+// de-standardized predictions for the unlabeled zones plus the fit's
+// diagnostics.
+func (e *Engine) trainPredict(q Query, labeled, unlabeled []int, xRows, yRows, xuRows [][]float64) (*mat.Dense, FitStats, error) {
+	var fit FitStats
 	x, err := mat.FromRows(xRows)
 	if err != nil {
-		return nil, nil, err
+		return nil, fit, err
 	}
 	y, err := mat.FromRows(yRows)
 	if err != nil {
-		return nil, nil, err
+		return nil, fit, err
 	}
 	xu, err := mat.FromRows(xuRows)
 	if err != nil {
-		return nil, nil, err
+		return nil, fit, err
 	}
 	if xu.Rows() == 0 {
-		return mat.New(0, y.Cols()), &trainDiag{}, nil
+		return mat.New(0, y.Cols()), fit, nil
 	}
 	// Standardize features with statistics over L ∪ U: features exist for
 	// every zone, and using only the labeled subset can leave a column
@@ -1075,32 +1029,32 @@ func (e *Engine) trainPredict(q Query, labeled, unlabeled []int, xRows, yRows, x
 	// unlabeled zones, exploding predictions.
 	stacked, err := mat.FromRows(append(append([][]float64{}, xRows...), xuRows...))
 	if err != nil {
-		return nil, nil, err
+		return nil, fit, err
 	}
 	fm, fs := mat.ColumnStats(stacked)
 	xs, err := mat.Standardize(x, fm, fs)
 	if err != nil {
-		return nil, nil, err
+		return nil, fit, err
 	}
 	xus, err := mat.Standardize(xu, fm, fs)
 	if err != nil {
-		return nil, nil, err
+		return nil, fit, err
 	}
 	tm, ts := mat.ColumnStats(y)
 	ys, err := mat.Standardize(y, tm, ts)
 	if err != nil {
-		return nil, nil, err
+		return nil, fit, err
 	}
 	model, err := e.newModel(q, labeled, unlabeled)
 	if err != nil {
-		return nil, nil, err
+		return nil, fit, err
 	}
 	if err := model.Fit(xs, ys, xus); err != nil {
-		return nil, nil, fmt.Errorf("core: fitting %s: %w", q.Model, err)
+		return nil, fit, fmt.Errorf("core: fitting %s: %w", q.Model, err)
 	}
 	preds, err := model.Predict(xus)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: predicting with %s: %w", q.Model, err)
+		return nil, fit, fmt.Errorf("core: predicting with %s: %w", q.Model, err)
 	}
 	// De-standardize targets.
 	out := mat.New(preds.Rows(), preds.Cols())
@@ -1109,22 +1063,20 @@ func (e *Engine) trainPredict(q Query, labeled, unlabeled []int, xRows, yRows, x
 			out.Set(i, j, preds.At(i, j)*ts[j]+tm[j])
 		}
 	}
-	diag := &trainDiag{}
 	if d, ok := model.(ml.Diagnoser); ok {
-		diag.info = d.TrainInfo()
-		diag.hasInfo = true
+		fit.TrainInfo = d.TrainInfo()
 	}
-	diag.inSample(model, xs, y, tm, ts)
-	return out, diag, nil
+	fit.inSample(model, xs, y, tm, ts)
+	return out, fit, nil
 }
 
-// inSample fills the diagnostic's RMSE/R² by predicting the labeled rows
-// and comparing, in original units, against the true targets. The GNN is
-// transductive — Predict only accepts the unlabeled rows — so its cached
-// labeled-node predictions are used instead. Diagnostics are best-effort:
-// a model that cannot re-predict its training rows simply leaves hasFit
-// false rather than failing the query.
-func (d *trainDiag) inSample(model ml.Model, xs, y *mat.Dense, tm, ts []float64) {
+// inSample fills the RMSE/R² by predicting the labeled rows and comparing,
+// in original units, against the true targets. The GNN is transductive —
+// Predict only accepts the unlabeled rows — so its cached labeled-node
+// predictions are used instead. Diagnostics are best-effort: a model that
+// cannot re-predict its training rows leaves them zero rather than failing
+// the query.
+func (d *FitStats) inSample(model ml.Model, xs, y *mat.Dense, tm, ts []float64) {
 	var preds *mat.Dense
 	var err error
 	if g, ok := model.(*ml.GNN); ok {
@@ -1132,7 +1084,7 @@ func (d *trainDiag) inSample(model ml.Model, xs, y *mat.Dense, tm, ts []float64)
 	} else {
 		preds, err = model.Predict(xs)
 	}
-	if err != nil || preds == nil || preds.Rows() != y.Rows() || preds.Cols() != y.Cols() || y.Cols() > len(d.rmse) {
+	if err != nil || preds == nil || preds.Rows() != y.Rows() || preds.Cols() != y.Cols() || y.Cols() > len(d.RMSE) {
 		return
 	}
 	n := float64(y.Rows())
@@ -1150,12 +1102,11 @@ func (d *trainDiag) inSample(model ml.Model, xs, y *mat.Dense, tm, ts []float64)
 			t := y.At(i, j) - mean
 			ssTot += t * t
 		}
-		d.rmse[j] = math.Sqrt(ssRes / n)
+		d.RMSE[j] = math.Sqrt(ssRes / n)
 		if ssTot > 0 {
-			d.r2[j] = 1 - ssRes/ssTot
+			d.R2[j] = 1 - ssRes/ssTot
 		}
 	}
-	d.hasFit = true
 }
 
 func (e *Engine) newModel(q Query, labeled, unlabeled []int) (ml.Model, error) {

@@ -8,22 +8,17 @@ import (
 	"accessquery/internal/obs"
 )
 
-// ExplainStage is one pipeline stage in an execution report: its wall-clock
-// cost and the attributes its span recorded.
-type ExplainStage struct {
-	Name    string         `json:"name"`
-	Seconds float64        `json:"seconds"`
-	Attrs   map[string]any `json:"attrs,omitempty"`
-}
-
-// ExplainReport is the per-query execution report assembled from a run's
-// trace: the headline cost-model quantities the paper's Table II
-// decomposes (TODAM reduction, SPQ count, per-stage time) plus model
-// convergence and in-sample fit, with the full span tree attached.
+// ExplainReport is the per-query execution report: the headline cost-model
+// quantities the paper's Table II decomposes (TODAM reduction, SPQ count,
+// per-stage time) plus model convergence and in-sample fit, with the run's
+// span tree attached. It is a projection of two records: the run's Result,
+// which says what the run did, and its trace, which says where the time
+// went.
 type ExplainReport struct {
 	TraceID string  `json:"trace_id"`
 	Seconds float64 `json:"seconds"`
 
+	// Model is the model the run fitted, OLS after a model_fallback rung.
 	Model        string `json:"model,omitempty"`
 	Zones        int64  `json:"zones,omitempty"`
 	LabeledZones int64  `json:"labeled_zones,omitempty"`
@@ -56,6 +51,8 @@ type ExplainReport struct {
 
 	TrainingIterations int64   `json:"training_iterations,omitempty"`
 	TrainingConverged  bool    `json:"training_converged"`
+	InitialLoss        float64 `json:"initial_loss,omitempty"`
+	FinalLoss          float64 `json:"final_loss,omitempty"`
 	RMSEMAC            float64 `json:"rmse_mac,omitempty"`
 	RMSEACSD           float64 `json:"rmse_acsd,omitempty"`
 	R2MAC              float64 `json:"r2_mac,omitempty"`
@@ -63,150 +60,71 @@ type ExplainReport struct {
 
 	// Scenario carries the delta provenance of a scenario-derived engine
 	// (nil when the run executed on a baseline engine).
-	Scenario *ScenarioExplain `json:"scenario,omitempty"`
+	Scenario *ScenarioSummary `json:"scenario,omitempty"`
 
-	Stages []ExplainStage    `json:"stages"`
+	Stages []obs.Stage       `json:"stages"`
 	Trace  *obs.TraceSummary `json:"trace,omitempty"`
 }
 
-// ScenarioExplain reports the blast radius the serving engine was
-// incrementally rebuilt under, read from the tenant span's attributes.
-type ScenarioExplain struct {
-	Deltas       int64 `json:"deltas"`
-	Mutations    int64 `json:"mutations"`
-	ZonesTouched int64 `json:"zones_touched"`
-	TreesRebuilt int64 `json:"hop_trees_rebuilt"`
-	RebuildMS    int64 `json:"rebuild_ms"`
-	FullPrepMS   int64 `json:"est_full_rebuild_ms"`
-}
-
-// attrInt reads an integer attribute from a span node's attribute map.
-func attrInt(n *obs.SpanNode, key string) int64 {
-	if n == nil {
-		return 0
-	}
-	v, _ := n.Attrs[key].(int64)
-	return v
-}
-
-func attrFloat(n *obs.SpanNode, key string) float64 {
-	if n == nil {
-		return 0
-	}
-	switch v := n.Attrs[key].(type) {
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	}
-	return 0
-}
-
-func attrString(n *obs.SpanNode, key string) string {
-	if n == nil {
-		return ""
-	}
-	v, _ := n.Attrs[key].(string)
-	return v
-}
-
-func attrBool(n *obs.SpanNode, key string) bool {
-	if n == nil {
-		return false
-	}
-	v, _ := n.Attrs[key].(bool)
-	return v
-}
-
-// Explain assembles an execution report from a completed run's trace
-// summary. It tolerates partial trees (errored runs, dropped spans):
-// missing stages simply leave their fields zero. Returns nil for a nil
-// summary.
-func Explain(sum *obs.TraceSummary) *ExplainReport {
-	if sum == nil {
+// Explain projects a run's execution report from its Result and its trace
+// summary. Either may be nil: without a trace the report carries the typed
+// fields and no stages; a failed run (nil Result) keeps its partial trace
+// and stage rows with zero typed fields. Returns nil when both are nil.
+func Explain(res *Result, sum *obs.TraceSummary) *ExplainReport {
+	if res == nil && sum == nil {
 		return nil
 	}
-	r := &ExplainReport{
-		TraceID: sum.TraceID,
-		Seconds: sum.Seconds,
-		Trace:   sum,
-	}
-	query := sum.Find("query")
-	r.Model = attrString(query, "model")
-	r.Zones = attrInt(query, "zones")
-
-	matrix := sum.Find("matrix")
-	r.MatrixTrips = attrInt(matrix, "trips")
-	r.MatrixFullTrips = attrInt(matrix, "full_trips")
-	r.MatrixReductionPct = attrFloat(matrix, "reduction_pct")
-
-	r.Degraded = attrBool(query, "degraded")
-	r.DegradedRungs = attrString(query, "degraded_rungs")
-
-	labeling := sum.Find("labeling")
-	r.SPQs = attrInt(labeling, "spqs")
-	r.LabeledZones = attrInt(labeling, "labeled_zones")
-	r.SPQRetries = attrInt(labeling, "spq_retries")
-	r.SPQAbandoned = attrInt(labeling, "spq_abandoned")
-	r.FailedZones = attrInt(labeling, "failed_zones")
-	r.TruncatedZones = attrInt(labeling, "truncated_zones")
-	r.BankEnabled = attrBool(labeling, "bank")
-	r.BankDrained = attrInt(labeling, "bank_drained")
-	r.BankDeposited = attrInt(labeling, "bank_deposited")
-
-	feat := sum.Find("features")
-	r.FeatureCacheHits = attrInt(feat, "cache_hits")
-	r.FeatureCacheMisses = attrInt(feat, "cache_misses")
-
-	training := sum.Find("training")
-	r.TrainingIterations = attrInt(training, "iterations")
-	r.TrainingConverged = attrBool(training, "converged")
-	r.RMSEMAC = attrFloat(training, "rmse_mac")
-	r.RMSEACSD = attrFloat(training, "rmse_acsd")
-	r.R2MAC = attrFloat(training, "r2_mac")
-	r.R2ACSD = attrFloat(training, "r2_acsd")
-	if r.Model == "" {
-		r.Model = attrString(training, "model")
-	}
-
-	tenant := sum.Find("tenant")
-	if deltas := attrInt(tenant, "scenario_deltas"); deltas > 0 {
-		r.Scenario = &ScenarioExplain{
-			Deltas:       deltas,
-			Mutations:    attrInt(tenant, "scenario_mutations"),
-			ZonesTouched: attrInt(tenant, "scenario_zones_touched"),
-			TreesRebuilt: attrInt(tenant, "scenario_trees_rebuilt"),
-			RebuildMS:    attrInt(tenant, "scenario_rebuild_ms"),
-			FullPrepMS:   attrInt(tenant, "scenario_full_prep_ms"),
+	r := &ExplainReport{}
+	if res != nil {
+		t := res.Timing
+		r.Model = string(res.Model)
+		r.Zones = int64(len(res.MAC))
+		for _, l := range res.Labeled {
+			if l {
+				r.LabeledZones++
+			}
 		}
+		r.SPQs, r.SPQRetries, r.SPQAbandoned = t.SPQs, t.SPQRetries, t.SPQAbandoned
+		if d := res.Degraded; d != nil {
+			r.Degraded, r.DegradedRungs = true, d.String()
+			r.FailedZones, r.TruncatedZones = int64(d.ZonesFailed), int64(d.ZonesTruncated)
+		}
+		m := res.MatrixStats
+		r.MatrixTrips, r.MatrixFullTrips, r.MatrixReductionPct = m.Trips, m.FullTrips, m.ReductionPct
+		r.BankEnabled, r.BankDrained, r.BankDeposited = res.Bank, t.BankDrained, t.BankDeposited
+		r.FeatureCacheHits, r.FeatureCacheMisses = t.FeatureCacheHits, t.FeatureCacheMisses
+		f := res.Fit
+		r.TrainingIterations, r.TrainingConverged = int64(f.Iterations), f.Converged
+		r.InitialLoss, r.FinalLoss = f.InitialLoss, f.FinalLoss
+		r.RMSEMAC, r.RMSEACSD, r.R2MAC, r.R2ACSD = f.RMSE[0], f.RMSE[1], f.R2[0], f.R2[1]
+		r.Scenario = res.Scenario
 	}
+	if sum != nil {
+		r.TraceID, r.Seconds, r.Trace = sum.TraceID, sum.Seconds, sum
+		r.Stages = stageRows(sum)
+	}
+	return r
+}
 
-	// Flatten the query's direct pipeline stages (plus any serving-layer
-	// spans above it, e.g. queue_wait) into report rows, in start order.
+// stageRows flattens the query's pipeline stages (plus the serving layer's
+// queue wait above it) into report rows in execution order, even when
+// spans from different subtrees interleave.
+func stageRows(sum *obs.TraceSummary) []obs.Stage {
+	var nodes []*obs.SpanNode
 	for _, root := range sum.Spans {
 		root.Walk(func(n *obs.SpanNode) {
 			switch n.Name {
 			case "queue_wait", "matrix", "sampling", "labeling", "features", "training":
-				r.Stages = append(r.Stages, ExplainStage{Name: n.Name, Seconds: n.Seconds, Attrs: n.Attrs})
+				nodes = append(nodes, n)
 			}
 		})
 	}
-	sortStagesByStart(r.Stages, sum)
-	return r
-}
-
-// sortStagesByStart keeps report rows in execution order even when spans
-// from different subtrees interleave.
-func sortStagesByStart(stages []ExplainStage, sum *obs.TraceSummary) {
-	startOf := make(map[string]float64, len(stages))
-	for _, st := range stages {
-		if n := sum.Find(st.Name); n != nil {
-			startOf[st.Name] = n.StartMS
-		}
+	sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].StartMS < nodes[j].StartMS })
+	var rows []obs.Stage
+	for _, n := range nodes {
+		rows = append(rows, obs.Stage{Name: n.Name, Seconds: n.Seconds})
 	}
-	sort.SliceStable(stages, func(i, j int) bool {
-		return startOf[stages[i].Name] < startOf[stages[j].Name]
-	})
+	return rows
 }
 
 // WriteText renders the report for terminals (the aqquery -explain output).

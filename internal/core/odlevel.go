@@ -87,10 +87,11 @@ func (e *Engine) RunOD(q Query) (*Result, error) {
 	// Train and infer pair costs.
 	t0 = time.Now()
 	if len(xuRows) > 0 {
-		preds, _, err := e.trainPredict(r.q, nil, nil, xRows, yRows, xuRows)
+		preds, fit, err := e.trainPredict(r.q, nil, nil, xRows, yRows, xuRows)
 		if err != nil {
 			return nil, err
 		}
+		res.Model, res.Fit = r.q.Model, fit
 		// Aggregate predictions per zone: the α-weighted mean, then the
 		// α-weighted dispersion around it.
 		pred := func(i int) float64 {

@@ -13,7 +13,6 @@ import (
 
 	"accessquery/internal/access"
 	"accessquery/internal/fault"
-	"accessquery/internal/obs"
 )
 
 // resultDigest hashes every answer-bearing field of a result: the per-zone
@@ -155,22 +154,30 @@ func TestSPQMetricsCountEveryEntryPoint(t *testing.T) {
 	check("GroundTruth", func() (*Result, error) { return e.GroundTruth(q) })
 	check("RunOD", func() (*Result, error) { return e.RunOD(q) })
 
-	// A run whose labeling errors still counts the SPQs it priced: the
+	// A labeling stage that errors still counts the SPQs it priced: the
 	// query is cancelled from inside labeling once zones are under way, and
-	// the trace's labeling span carries the count the counters must match.
+	// the stage's Timing, set on the error path too, carries the count the
+	// counters must match.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	tr := obs.NewTrace()
 	bad := q
 	bad.Bank = &cancellingBank{after: 200, cancel: cancel}
-	before := counters()
-	if _, err := e.RunContext(obs.WithTrace(ctx, tr), bad); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Run: err = %v, want context.Canceled", err)
+	r := e.newRun(bad)
+	defer r.release()
+	if err := r.matrix(ctx); err != nil {
+		t.Fatal(err)
 	}
-	labeling := tr.Summary().Find("labeling")
-	want := [3]int64{attrInt(labeling, "spqs"), attrInt(labeling, "spq_retries"), attrInt(labeling, "spq_abandoned")}
+	if err := r.sample(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := counters()
+	if err := r.label(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled labeling: err = %v, want context.Canceled", err)
+	}
+	tm := r.res.Timing
+	want := [3]int64{tm.SPQs, tm.SPQRetries, tm.SPQAbandoned}
 	if got := since(before); got != want || want[0] == 0 {
-		t.Errorf("cancelled Run: counter deltas = %v, want %v (non-zero SPQs)", got, want)
+		t.Errorf("cancelled labeling: counter deltas = %v, want %v (non-zero SPQs)", got, want)
 	}
 
 	// Under injected SPQ faults the retry and abandon counters move too,

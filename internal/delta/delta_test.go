@@ -48,7 +48,8 @@ func routeID(t *testing.T, city *synth.City, i int) string {
 }
 
 // queryOn runs one fixed query and strips the fields that legitimately
-// differ between two engines answering it (wall-clock timing).
+// differ between two engines answering it: wall-clock timing and work
+// counters, and the scenario provenance a derived engine carries.
 func queryOn(t *testing.T, e *core.Engine, parallelism int) *core.Result {
 	t.Helper()
 	res, err := e.Run(core.Query{
@@ -64,6 +65,7 @@ func queryOn(t *testing.T, e *core.Engine, parallelism int) *core.Result {
 	}
 	res.Timing = core.Timing{}
 	res.Matrix = nil
+	res.Scenario = nil
 	return res
 }
 

@@ -37,7 +37,7 @@ type TrainInfo struct {
 
 // Diagnoser is implemented by models that report training diagnostics.
 // Callers type-assert after Fit; models that don't implement it simply
-// produce no convergence attributes.
+// produce no convergence diagnostics.
 type Diagnoser interface {
 	TrainInfo() TrainInfo
 }

@@ -1,6 +1,7 @@
 package capture
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -14,7 +15,7 @@ import (
 
 func testTrace() *obs.TraceSummary {
 	tr := obs.NewTrace()
-	tr.Record("job", 50*time.Millisecond)
+	obs.RecordSpan(obs.WithTrace(context.Background(), tr), "job", 50*time.Millisecond)
 	return tr.Summary()
 }
 

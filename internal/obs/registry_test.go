@@ -242,7 +242,6 @@ func TestTraceAndSpans(t *testing.T) {
 		t.Fatal("negative duration")
 	}
 	var nilTrace *Trace
-	nilTrace.Record("x", time.Second)
 	if nilTrace.Stages() != nil {
 		t.Fatal("nil trace returned stages")
 	}

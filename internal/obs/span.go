@@ -25,12 +25,12 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 
 // Span is a handle to one started span. It is a value type so the
 // disabled path — no trace on the context — allocates nothing: the handle
-// then carries only the start time and the optional histogram, and every
-// recording method is a nil-check away from returning.
+// then carries only the start time and the optional histogram, and End is
+// a nil-check away from skipping the trace.
 //
-// A span's attribute setters and End must be called by the goroutine that
-// started it (concurrent goroutines each start their own span); End
-// publishes the span and must be called exactly once.
+// End must be called by the goroutine that started the span (concurrent
+// goroutines each start their own span); it publishes the span and must be
+// called exactly once.
 type Span struct {
 	tr    *Trace
 	idx   int32
@@ -62,12 +62,12 @@ func Start(ctx context.Context, name string, h *HistogramMetric) (context.Contex
 // RecordSpan appends an already-completed span of duration d as a child
 // of the context's current span (e.g. a wait measured before the traced
 // region was entered). No-op without a trace.
-func RecordSpan(ctx context.Context, name string, d time.Duration, attrs ...Attr) {
+func RecordSpan(ctx context.Context, name string, d time.Duration) {
 	ref, _ := ctx.Value(spanCtxKey{}).(spanRef)
 	if ref.tr == nil {
 		return
 	}
-	ref.tr.record(name, ref.idx, time.Now().Add(-d), d, attrs)
+	ref.tr.record(name, ref.idx, time.Now().Add(-d), d)
 }
 
 // End finishes the span, observes its duration into the histogram given
@@ -81,40 +81,4 @@ func (s Span) End() time.Duration {
 		s.tr.spans[s.idx].endNs.Store(clampNanos(d))
 	}
 	return d
-}
-
-// SetInt attaches an integer attribute. Owner-only; no-op when disabled.
-func (s Span) SetInt(key string, v int64) {
-	if s.tr == nil {
-		return
-	}
-	sp := &s.tr.spans[s.idx]
-	sp.attrs = append(sp.attrs, IntAttr(key, v))
-}
-
-// SetFloat attaches a float attribute.
-func (s Span) SetFloat(key string, v float64) {
-	if s.tr == nil {
-		return
-	}
-	sp := &s.tr.spans[s.idx]
-	sp.attrs = append(sp.attrs, FloatAttr(key, v))
-}
-
-// SetString attaches a string attribute.
-func (s Span) SetString(key, v string) {
-	if s.tr == nil {
-		return
-	}
-	sp := &s.tr.spans[s.idx]
-	sp.attrs = append(sp.attrs, StringAttr(key, v))
-}
-
-// SetBool attaches a boolean attribute.
-func (s Span) SetBool(key string, v bool) {
-	if s.tr == nil {
-		return
-	}
-	sp := &s.tr.spans[s.idx]
-	sp.attrs = append(sp.attrs, BoolAttr(key, v))
 }

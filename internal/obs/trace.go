@@ -9,10 +9,9 @@ import (
 // This file implements the per-request side of the observability layer: a
 // hierarchical trace tree. Where the registry (registry.go) aggregates
 // across all requests, a Trace explains one request — which pipeline
-// stages ran, nested how, for how long, and with what workload attributes
-// (zones processed, TODAM reduction, SPQs priced, cache hits, model
-// convergence): the per-query analogue of the paper's Table I/III cost
-// accounting.
+// stages ran, nested how, and for how long. The trace records only where
+// the time went; what the run did (TODAM reduction, SPQs priced, cache
+// hits, model convergence) is the typed result the traced code returns.
 //
 // Design constraints, in order:
 //
@@ -38,14 +37,13 @@ type Trace struct {
 	dropped atomic.Int64
 }
 
-// span is one slot in the trace's span array. name, parent, start, attrs,
-// and hist are written only by the owning goroutine before the endNs
-// store; endNs != 0 is the publication barrier readers synchronize on.
+// span is one slot in the trace's span array. name, parent and start are
+// written only by the owning goroutine before the endNs store; endNs != 0
+// is the publication barrier readers synchronize on.
 type span struct {
 	name   string
 	parent int32 // slot index of the parent span, -1 for roots
 	start  time.Time
-	attrs  []Attr
 	endNs  atomic.Int64 // span duration in nanoseconds; 0 while running
 }
 
@@ -61,28 +59,13 @@ var (
 	traceEpoch = uint64(time.Now().UnixNano())
 )
 
-// NewTrace returns an empty trace with the default span capacity and a
-// process-unique ID.
-func NewTrace() *Trace { return NewTraceCap(DefaultMaxSpans) }
-
-// NewTraceCap returns an empty trace holding at most maxSpans spans;
-// further spans are dropped and counted.
-func NewTraceCap(maxSpans int) *Trace {
-	if maxSpans <= 0 {
-		maxSpans = DefaultMaxSpans
-	}
+// NewTrace returns an empty trace with a process-unique ID, holding at
+// most DefaultMaxSpans spans; further spans are dropped and counted.
+func NewTrace() *Trace {
 	return &Trace{
 		id:    fmt.Sprintf("%08x-%06x", uint32(traceEpoch), traceSeq.Add(1)&0xffffff),
-		spans: make([]span, maxSpans),
+		spans: make([]span, DefaultMaxSpans),
 	}
-}
-
-// ID returns the trace's process-unique identifier.
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
 }
 
 // startSpan claims a slot for a new span and returns its index, or -1 when
@@ -105,24 +88,10 @@ func (t *Trace) startSpan(name string, parent int32, start time.Time) int32 {
 
 // record adds an already-completed span (e.g. a queue wait measured
 // elsewhere); start is back-dated so the tree's time bounds stay truthful.
-func (t *Trace) record(name string, parent int32, start time.Time, d time.Duration, attrs []Attr) {
-	idx := t.startSpan(name, parent, start)
-	if idx < 0 {
-		return
+func (t *Trace) record(name string, parent int32, start time.Time, d time.Duration) {
+	if idx := t.startSpan(name, parent, start); idx >= 0 {
+		t.spans[idx].endNs.Store(clampNanos(d))
 	}
-	s := &t.spans[idx]
-	s.attrs = attrs
-	s.endNs.Store(clampNanos(d))
-}
-
-// Record appends a completed root-level span named name with duration d.
-// It exists for callers that measured a phase without a context (the
-// serving layer's queue wait); in-context code should use Start.
-func (t *Trace) Record(name string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.record(name, -1, time.Now().Add(-d), d, nil)
 }
 
 func clampNanos(d time.Duration) int64 {
@@ -170,15 +139,14 @@ func (t *Trace) Stages() []Stage {
 }
 
 // SpanNode is one node of the JSON span tree: a named, timed span with its
-// typed attributes and children in start order.
+// children in start order.
 type SpanNode struct {
 	Name string `json:"name"`
 	// StartMS is the span's start offset from the trace's earliest span,
-	// in milliseconds (negative only for back-dated Record spans).
-	StartMS  float64        `json:"start_ms"`
-	Seconds  float64        `json:"seconds"`
-	Attrs    map[string]any `json:"attrs,omitempty"`
-	Children []*SpanNode    `json:"children,omitempty"`
+	// in milliseconds.
+	StartMS  float64     `json:"start_ms"`
+	Seconds  float64     `json:"seconds"`
+	Children []*SpanNode `json:"children,omitempty"`
 }
 
 // Walk visits n and all its descendants depth-first.
@@ -192,18 +160,6 @@ func (n *SpanNode) Walk(fn func(*SpanNode)) {
 	}
 }
 
-// Find returns the first span named name in a depth-first walk of n, or
-// nil.
-func (n *SpanNode) Find(name string) *SpanNode {
-	var found *SpanNode
-	n.Walk(func(s *SpanNode) {
-		if found == nil && s.Name == name {
-			found = s
-		}
-	})
-	return found
-}
-
 // TraceSummary is the immutable, JSON-ready form of a completed trace: the
 // span tree plus trace-level bounds. It is what job snapshots, the
 // /v1/jobs/{id}/trace endpoint, ?explain=1 reports and captures carry.
@@ -215,20 +171,6 @@ type TraceSummary struct {
 	// DroppedSpans counts spans lost to the capacity bound.
 	DroppedSpans int64       `json:"dropped_spans,omitempty"`
 	Spans        []*SpanNode `json:"spans"`
-}
-
-// Find returns the first span named name across the summary's roots, or
-// nil.
-func (s *TraceSummary) Find(name string) *SpanNode {
-	if s == nil {
-		return nil
-	}
-	for _, r := range s.Spans {
-		if n := r.Find(name); n != nil {
-			return n
-		}
-	}
-	return nil
 }
 
 // Summary snapshots the trace into an immutable span tree. Only finished
@@ -255,12 +197,6 @@ func (t *Trace) Summary() *TraceSummary {
 		}
 		d := time.Duration(ns)
 		node := &SpanNode{Name: s.name, Seconds: d.Seconds()}
-		if len(s.attrs) > 0 {
-			node.Attrs = make(map[string]any, len(s.attrs))
-			for _, a := range s.attrs {
-				node.Attrs[a.Key] = a.value()
-			}
-		}
 		end := s.start.Add(d)
 		nodes[i] = flat{node: node, end: end}
 		if minStart.IsZero() || s.start.Before(minStart) {
@@ -293,57 +229,4 @@ func (t *Trace) Summary() *TraceSummary {
 		}
 	}
 	return sum
-}
-
-// attrKind discriminates the typed attribute union.
-type attrKind uint8
-
-const (
-	attrInt attrKind = iota
-	attrFloat
-	attrString
-	attrBool
-)
-
-// Attr is one typed span attribute. The compact tagged union keeps
-// attribute recording free of interface boxing for numeric values.
-type Attr struct {
-	Key  string
-	kind attrKind
-	i    int64
-	f    float64
-	s    string
-}
-
-// IntAttr returns an integer attribute.
-func IntAttr(key string, v int64) Attr { return Attr{Key: key, kind: attrInt, i: v} }
-
-// FloatAttr returns a float attribute.
-func FloatAttr(key string, v float64) Attr { return Attr{Key: key, kind: attrFloat, f: v} }
-
-// StringAttr returns a string attribute.
-func StringAttr(key string, v string) Attr { return Attr{Key: key, kind: attrString, s: v} }
-
-// BoolAttr returns a boolean attribute.
-func BoolAttr(key string, v bool) Attr {
-	a := Attr{Key: key, kind: attrBool}
-	if v {
-		a.i = 1
-	}
-	return a
-}
-
-// value unboxes the attribute for JSON encoding.
-func (a Attr) value() any {
-	switch a.kind {
-	case attrInt:
-		return a.i
-	case attrFloat:
-		return a.f
-	case attrString:
-		return a.s
-	case attrBool:
-		return a.i != 0
-	}
-	return nil
 }

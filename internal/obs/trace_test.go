@@ -8,40 +8,45 @@ import (
 	"time"
 )
 
+// find returns the first span named name in a depth-first walk of the
+// summary's roots, or nil.
+func find(sum *TraceSummary, name string) *SpanNode {
+	var found *SpanNode
+	for _, r := range sum.Spans {
+		r.Walk(func(n *SpanNode) {
+			if found == nil && n.Name == name {
+				found = n
+			}
+		})
+	}
+	return found
+}
+
 // TestSpanTreeHierarchy checks that nested Start calls produce the
-// expected parent/child structure with attributes, and that Find and Walk
-// traverse it.
+// expected parent/child structure and that Walk traverses it.
 func TestSpanTreeHierarchy(t *testing.T) {
 	tr := NewTrace()
 	ctx := WithTrace(context.Background(), tr)
 
 	ctx, job := Start(ctx, "job", nil)
-	job.SetString("fingerprint", "abc")
 	RecordSpan(ctx, "queue_wait", 5*time.Millisecond)
 
 	qctx, query := Start(ctx, "query", nil)
-	query.SetString("model", "MLP")
-	query.SetInt("zones", 42)
-
 	for _, name := range []string{"matrix", "sampling", "labeling"} {
 		_, sp := Start(qctx, name, nil)
-		sp.SetInt("order", 1)
 		sp.End()
 	}
 	query.End()
 	job.End()
 
 	sum := tr.Summary()
-	if sum == nil || sum.TraceID != tr.ID() {
-		t.Fatalf("Summary trace ID = %+v, want ID %q", sum, tr.ID())
+	if sum == nil || sum.TraceID != tr.id {
+		t.Fatalf("Summary trace ID = %+v, want ID %q", sum, tr.id)
 	}
 	if len(sum.Spans) != 1 || sum.Spans[0].Name != "job" {
 		t.Fatalf("roots = %+v, want single job root", sum.Spans)
 	}
 	root := sum.Spans[0]
-	if got := root.Attrs["fingerprint"]; got != "abc" {
-		t.Errorf("job fingerprint attr = %v, want abc", got)
-	}
 	// job's children: queue_wait (recorded) and query, in start order.
 	names := make([]string, len(root.Children))
 	for i, c := range root.Children {
@@ -50,16 +55,7 @@ func TestSpanTreeHierarchy(t *testing.T) {
 	if len(names) != 2 || names[0] != "queue_wait" || names[1] != "query" {
 		t.Fatalf("job children = %v, want [queue_wait query]", names)
 	}
-	q := sum.Find("query")
-	if q == nil {
-		t.Fatal("Find(query) = nil")
-	}
-	if got := q.Attrs["model"]; got != "MLP" {
-		t.Errorf("query model attr = %v, want MLP", got)
-	}
-	if got := q.Attrs["zones"]; got != int64(42) {
-		t.Errorf("query zones attr = %v (%T), want int64 42", got, got)
-	}
+	q := root.Children[1]
 	if len(q.Children) != 3 {
 		t.Fatalf("query children = %d, want 3 stages", len(q.Children))
 	}
@@ -68,9 +64,6 @@ func TestSpanTreeHierarchy(t *testing.T) {
 	if visited != 6 { // job, queue_wait, query, 3 stages
 		t.Errorf("Walk visited %d nodes, want 6", visited)
 	}
-	if sum.Find("no-such-span") != nil {
-		t.Error("Find of unknown name should return nil")
-	}
 	if sum.DroppedSpans != 0 {
 		t.Errorf("DroppedSpans = %d, want 0", sum.DroppedSpans)
 	}
@@ -78,8 +71,8 @@ func TestSpanTreeHierarchy(t *testing.T) {
 
 // TestTraceConcurrentSpans exercises the lock-free span array from many
 // goroutines at once; run with -race. Each goroutine starts its own child
-// under the shared root and sets attributes on it, which is the pattern
-// the engine's parallel stages use.
+// and grandchild under the shared root, which is the pattern the engine's
+// parallel stages use.
 func TestTraceConcurrentSpans(t *testing.T) {
 	const workers = 32
 	tr := NewTrace()
@@ -92,7 +85,6 @@ func TestTraceConcurrentSpans(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			cctx, sp := Start(rctx, fmt.Sprintf("worker-%d", i), nil)
-			sp.SetInt("worker", int64(i))
 			_, inner := Start(cctx, "inner", nil)
 			inner.End()
 			sp.End()
@@ -108,13 +100,15 @@ func TestTraceConcurrentSpans(t *testing.T) {
 	if got := len(sum.Spans[0].Children); got != workers {
 		t.Fatalf("root children = %d, want %d", got, workers)
 	}
+	seen := make(map[string]bool, workers)
 	for _, c := range sum.Spans[0].Children {
-		if _, ok := c.Attrs["worker"]; !ok {
-			t.Errorf("child %s missing worker attr", c.Name)
-		}
+		seen[c.Name] = true
 		if len(c.Children) != 1 || c.Children[0].Name != "inner" {
 			t.Errorf("child %s inner spans = %+v, want one inner", c.Name, c.Children)
 		}
+	}
+	if len(seen) != workers {
+		t.Errorf("distinct worker spans = %d, want %d", len(seen), workers)
 	}
 }
 
@@ -129,7 +123,7 @@ func TestSummaryWhileRunning(t *testing.T) {
 	done.End()
 
 	sum := tr.Summary()
-	if sum.Find("running-root") != nil {
+	if find(sum, "running-root") != nil {
 		t.Error("unfinished span should not appear in summary")
 	}
 	if len(sum.Spans) != 1 || sum.Spans[0].Name != "done-child" {
@@ -144,16 +138,15 @@ func TestSummaryWhileRunning(t *testing.T) {
 // TestTraceSpanOverflow checks the capacity bound: spans beyond the cap
 // are dropped and counted rather than growing the trace.
 func TestTraceSpanOverflow(t *testing.T) {
-	tr := NewTraceCap(2)
+	tr := NewTrace()
 	ctx := WithTrace(context.Background(), tr)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultMaxSpans+3; i++ {
 		_, sp := Start(ctx, fmt.Sprintf("s%d", i), nil)
-		sp.SetInt("i", int64(i)) // must be a safe no-op on dropped spans
-		sp.End()
+		sp.End() // must be a safe no-op on the trace for dropped spans
 	}
 	sum := tr.Summary()
-	if len(sum.Spans) != 2 {
-		t.Fatalf("retained spans = %d, want 2", len(sum.Spans))
+	if len(sum.Spans) != DefaultMaxSpans {
+		t.Fatalf("retained spans = %d, want %d", len(sum.Spans), DefaultMaxSpans)
 	}
 	if sum.DroppedSpans != 3 {
 		t.Errorf("DroppedSpans = %d, want 3", sum.DroppedSpans)
@@ -161,13 +154,11 @@ func TestTraceSpanOverflow(t *testing.T) {
 }
 
 // TestDisabledPathNoAllocs asserts the tracing-disabled hot path —
-// Start/SetInt/End on a context without a trace — allocates nothing.
+// Start/End on a context without a trace — allocates nothing.
 func TestDisabledPathNoAllocs(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {
 		_, sp := Start(ctx, "stage", nil)
-		sp.SetInt("zones", 7)
-		sp.SetString("model", "MLP")
 		sp.End()
 	})
 	if allocs != 0 {
@@ -186,16 +177,15 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanEnabled measures the enabled path: claim a slot, set an
-// attribute, publish.
+// BenchmarkSpanEnabled measures the enabled path: claim a slot, publish.
 func BenchmarkSpanEnabled(b *testing.B) {
 	b.ReportAllocs()
-	tr := NewTraceCap(b.N + 1)
+	tr := NewTrace()
+	tr.spans = make([]span, b.N+1)
 	ctx := WithTrace(context.Background(), tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, sp := Start(ctx, "stage", nil)
-		sp.SetInt("i", int64(i))
 		sp.End()
 	}
 }
@@ -205,17 +195,17 @@ func BenchmarkSpanEnabled(b *testing.B) {
 func TestTraceIDsUnique(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
-		id := NewTrace().ID()
+		id := NewTrace().Summary().TraceID
 		if seen[id] {
 			t.Fatalf("duplicate trace ID %q", id)
 		}
 		seen[id] = true
 	}
-	if NewTrace().ID() == "" {
+	if NewTrace().Summary().TraceID == "" {
 		t.Error("trace ID should be non-empty")
 	}
 	var nilTrace *Trace
-	if nilTrace.ID() != "" {
-		t.Error("nil trace ID should be empty")
+	if nilTrace.Summary() != nil {
+		t.Error("nil trace summary should be nil")
 	}
 }

@@ -1203,10 +1203,6 @@ func (m *Manager) observe(o *outcome) {
 func (m *Manager) safeRun(ctx context.Context, req Request, tr *obs.Trace, wait time.Duration) (res *core.Result, err error) {
 	ctx = obs.WithTrace(ctx, tr)
 	ctx, sp := obs.Start(ctx, "job", nil)
-	sp.SetString("fingerprint", req.Fingerprint())
-	if req.City != "" {
-		sp.SetString("city", req.City)
-	}
 	obs.RecordSpan(ctx, "queue_wait", wait)
 	defer func() {
 		if r := recover(); r != nil {

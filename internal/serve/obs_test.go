@@ -206,7 +206,7 @@ func TestAccountantBillsRunsAndCacheHits(t *testing.T) {
 // takes — for one engine-run outcome and one cache-hit outcome.
 func observeAllocs(m *Manager) (run, hit float64) {
 	tr := obs.NewTrace()
-	tr.Record("matrix", time.Millisecond)
+	obs.RecordSpan(obs.WithTrace(context.Background(), tr), "matrix", time.Millisecond)
 	ran := outcome{
 		kind: ranEngine, city: "coventry", fp: "fp", ans: answer{trace: tr.Summary()},
 		elapsed: time.Millisecond, stages: tr.Stages(), spqs: 10, bankDrained: 3,

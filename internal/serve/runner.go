@@ -87,24 +87,9 @@ func RegistryRunner(reg *registry.Registry, cfg RunnerConfig) RunFunc {
 		}
 		start := time.Now()
 		res, err := runOnEngine(ctx, engine, req, cfg, seg)
-		// A leaf span pinning the run to its tenant and engine generation,
-		// so a trace read after a swap still names the epoch that answered.
-		// Scenario-derived engines add their delta provenance so ?explain=1
-		// reports the blast radius the engine was rebuilt under.
-		attrs := []obs.Attr{
-			obs.StringAttr("city", tn.Name),
-			obs.IntAttr("epoch", int64(epoch)),
-		}
-		if sc := engine.Scenario; sc != nil {
-			attrs = append(attrs,
-				obs.IntAttr("scenario_deltas", int64(sc.Deltas)),
-				obs.IntAttr("scenario_mutations", int64(sc.Mutations)),
-				obs.IntAttr("scenario_zones_touched", int64(sc.ZonesTouched)),
-				obs.IntAttr("scenario_trees_rebuilt", int64(sc.TreesRebuilt)),
-				obs.IntAttr("scenario_rebuild_ms", sc.RebuildMS),
-				obs.IntAttr("scenario_full_prep_ms", sc.FullPrepMS))
-		}
-		obs.RecordSpan(ctx, "tenant", time.Since(start), attrs...)
+		// A leaf span timing the run on its tenant; the city and epoch
+		// that answered ride on the result below.
+		obs.RecordSpan(ctx, "tenant", time.Since(start))
 		if res != nil {
 			res.City = tn.Name
 			res.Epoch = epoch

@@ -14,8 +14,8 @@ import (
 	"accessquery/internal/obs/olog"
 )
 
-// TestJobCarriesTrace verifies every executed job ends with a span tree:
-// a "job" root carrying the fingerprint and a queue_wait child.
+// TestJobCarriesTrace verifies every executed job ends with a span tree —
+// a "job" root with a queue_wait child — beside its fingerprint.
 func TestJobCarriesTrace(t *testing.T) {
 	stub := &stubEngine{}
 	m := newTestManager(t, stub, Config{Workers: 1})
@@ -30,22 +30,22 @@ func TestJobCarriesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := job.Snapshot().Trace
+	snap := job.Snapshot()
+	if got := snap.Fingerprint; got != schoolReq().Fingerprint() {
+		t.Errorf("fingerprint = %v, want %s", got, schoolReq().Fingerprint())
+	}
+	tr := snap.Trace
 	if tr == nil {
 		t.Fatal("completed job has no trace")
 	}
 	if tr.TraceID == "" {
 		t.Error("trace ID empty")
 	}
-	root := tr.Find("job")
-	if root == nil {
-		t.Fatalf("no job root span; roots = %+v", tr.Spans)
+	if len(tr.Spans) != 1 || tr.Spans[0].Name != "job" {
+		t.Fatalf("no single job root span; roots = %+v", tr.Spans)
 	}
-	if got := root.Attrs["fingerprint"]; got != schoolReq().Fingerprint() {
-		t.Errorf("fingerprint attr = %v, want %s", got, schoolReq().Fingerprint())
-	}
-	if tr.Find("queue_wait") == nil {
-		t.Error("no queue_wait span recorded")
+	if c := tr.Spans[0].Children; len(c) == 0 || c[0].Name != "queue_wait" {
+		t.Errorf("job's first child is not queue_wait: %+v", c)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestCacheHitRetainsTrace(t *testing.T) {
 	if snap.Trace == nil {
 		t.Fatal("cache-hit job lost the producing run's trace")
 	}
-	if snap.Trace.Find("job") == nil {
+	if len(snap.Trace.Spans) == 0 || snap.Trace.Spans[0].Name != "job" {
 		t.Error("cache-hit trace missing the job span")
 	}
 	if n := stub.runs.Load(); n != 1 {

@@ -2,8 +2,8 @@
 # smoke_explain.sh — end-to-end smoke test of the tracing/explain surface.
 #
 # Builds aqserver, starts it on a tiny synthetic city, runs one query with
-# ?explain=1, and asserts the execution report and the async job's span
-# tree are populated. Exercises the same path an operator debugging a
+# ?explain=1, and asserts the execution report and the async job's report
+# (its typed fields and span tree) are populated. Exercises the same path an operator debugging a
 # slow query would take. Used by CI; runnable locally with no arguments.
 set -euo pipefail
 
@@ -59,7 +59,8 @@ print(f"explain ok: {len(stages)} stages, {ex['spqs']} SPQs, "
       f"{ex.get('matrix_reduction_pct', 0):.1f}% TODAM reduction")
 EOF
 
-# 2. Async job: the trace endpoint must serve a non-empty span tree.
+# 2. Async job: the trace endpoint must serve the same execution report,
+# with the run's numbers as typed fields and its span tree under "trace".
 curl -sf -X POST -H 'Content-Type: application/json' \
     -d '{"category": "school", "budget": 0.2, "model": "OLS", "seed": 12}' \
     "$BASE/v1/query?async=1" >"$WORKDIR/accepted.json"
@@ -78,7 +79,11 @@ done
 curl -sf "$JOB_URL/trace" >"$WORKDIR/trace.json"
 python3 - "$WORKDIR/trace.json" <<'EOF'
 import json, sys
-tr = json.load(open(sys.argv[1]))
+rep = json.load(open(sys.argv[1]))
+assert rep.get("spqs", 0) > 0, f"spqs = {rep.get('spqs')}"
+assert rep.get("labeled_zones", 0) > 0, "no labeled_zones"
+assert rep.get("matrix_full_trips", 0) > rep.get("matrix_trips", 0) > 0, "TODAM sizes missing"
+tr = rep.get("trace") or {}
 assert tr.get("trace_id"), "trace has no trace_id"
 spans = tr.get("spans") or []
 assert spans, "trace endpoint returned an empty span tree"
@@ -90,7 +95,8 @@ def walk(nodes):
 walk(spans)
 want = {"job", "query", "matrix", "sampling", "labeling", "features", "training"}
 assert want <= names, f"span tree missing {want - names}"
-print(f"trace ok: {len(names)} distinct spans, root {spans[0]['name']!r}")
+print(f"trace ok: {len(names)} distinct spans, root {spans[0]['name']!r}, "
+      f"{rep['spqs']} SPQs")
 EOF
 
 # 3. One detailed journey: /v1/journey runs the same bounded search as

@@ -138,17 +138,17 @@ type Stage = obs.Stage
 // a context with WithTrace and pass that to Engine.RunContext.
 type Trace = obs.Trace
 
-// TraceSummary is a completed trace's immutable span tree, as served by
-// GET /v1/jobs/{id}/trace and stored in the recent-traces ring.
+// TraceSummary is a completed trace's immutable span tree, as carried by
+// job snapshots, explain reports and slow-query captures.
 type TraceSummary = obs.TraceSummary
 
-// SpanNode is one node of a TraceSummary: name, wall-clock bounds, typed
-// attributes, and children.
+// SpanNode is one node of a TraceSummary: name, wall-clock bounds, and
+// children.
 type SpanNode = obs.SpanNode
 
-// ExplainReport is the per-query execution report assembled from a trace:
-// TODAM reduction, SPQ count, cache hits, model convergence, in-sample
-// fit, and the stage breakdown.
+// ExplainReport is the per-query execution report projected from a run's
+// Result and trace: TODAM reduction, SPQ count, cache hits, model
+// convergence, in-sample fit, and the stage breakdown.
 type ExplainReport = core.ExplainReport
 
 // NewTrace creates an empty trace for one query run.
@@ -160,8 +160,9 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return obs.WithTrace(ctx, t)
 }
 
-// Explain assembles an ExplainReport from a completed trace's summary.
-func Explain(sum *TraceSummary) *ExplainReport { return core.Explain(sum) }
+// Explain projects an ExplainReport from a run's Result and its trace's
+// summary; either may be nil (see core.Explain).
+func Explain(res *Result, sum *TraceSummary) *ExplainReport { return core.Explain(res, sum) }
 
 // WriteMetrics renders the process-wide metrics registry — engine stage
 // latencies, SPQ and relaxation counters, serving-layer counters — in
