@@ -1,15 +1,10 @@
-// HTTP API surface of aqserver.
+// HTTP API surface of aqserver: the route table, the wrapper every route
+// shares, the error envelope, and the operational endpoints (liveness,
+// metrics, stats, SLO reports).
 //
-// The API is versioned under /v1/ with a consistent resource grammar:
-// plural-noun collections, items nested under them, and verbs as
-// sub-resources (see apiSurface). Nothing else is served: any other path,
-// including the pre-/v1 spellings earlier releases answered, is a 404 in
-// the error envelope below.
-//
-// Every handler goes through the same wrapper: method enforcement (405
-// with an Allow header), Content-Type enforcement for request bodies (415
-// unless application/json), per-route request counters and latency
-// histograms, and one JSON error envelope
+// The API is versioned under /v1/ (see apiSurface). Nothing else is
+// served: any other path, including the pre-/v1 spellings earlier releases
+// answered, is a 404 in the one JSON error envelope
 //
 //	{"error": {"code": "queue_full", "message": "query queue full; retry later", "retryable": true}}
 //
@@ -24,13 +19,16 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"accessquery/internal/bank"
 	"accessquery/internal/obs"
+	"accessquery/internal/obs/account"
 	"accessquery/internal/obs/olog"
+	"accessquery/internal/obs/slo"
+	"accessquery/internal/serve"
 )
 
 // Stable machine-readable error codes of the JSON error envelope.
@@ -60,60 +58,73 @@ var retryableCodes = map[string]bool{
 	codeBreakerOpen:  true,
 }
 
-// apiRoute is one entry of the canonical /v1 surface. The docPaths name
-// every resource the mux pattern serves, with path parameters in OpenAPI
-// {curly} form — the openapi.yaml documentation test walks this table, so
-// a route added here without a matching spec entry fails the build.
+// apiRoute is one entry of the served surface: a net/http pattern
+// "METHOD /path" with {name}/{id} wildcards, and the handler it is mounted
+// on. One entry per (method, path) pair openapi.yaml documents; the mux,
+// the 405 answers and the openapi.yaml contract tests all read this table.
 type apiRoute struct {
-	pattern  string   // mux pattern the handler is mounted on
-	methods  []string // methods the wrapper admits (handler splits further)
-	docPaths []string // resources served, as documented in openapi.yaml
-	handler  func(s *server) http.HandlerFunc
+	pattern string
+	handler func(*server, http.ResponseWriter, *http.Request)
 }
 
 // apiSurface is the versioned resource grammar: collections are plural
 // nouns (/v1/cities, /v1/jobs), items nest under them, and verbs are
-// sub-resources of the item they act on (/v1/cities/{name}/scenario).
-var apiSurface = []apiRoute{
-	{"/v1/metrics", []string{http.MethodGet}, []string{"/v1/metrics"},
-		func(s *server) http.HandlerFunc { return s.handleMetrics }},
-	{"/v1/stats", []string{http.MethodGet}, []string{"/v1/stats"},
-		func(s *server) http.HandlerFunc { return s.handleStats }},
-	{"/v1/slo", []string{http.MethodGet}, []string{"/v1/slo"},
-		func(s *server) http.HandlerFunc { return s.handleSLO }},
-	{"/v1/cities", []string{http.MethodGet}, []string{"/v1/cities"},
-		func(s *server) http.HandlerFunc { return s.handleCities }},
-	// /v1/cities/{name} details one tenant; {name}/snapshots lists/saves
-	// engine snapshots and {id}:activate hot-swaps onto one;
-	// {name}/scenario applies/lists/reverts network deltas. The method
-	// split per sub-resource is enforced in the handler.
-	{"/v1/cities/", []string{http.MethodGet, http.MethodPost, http.MethodDelete},
-		[]string{"/v1/cities/{name}", "/v1/cities/{name}/snapshots",
-			"/v1/cities/{name}/snapshots/{id}", "/v1/cities/{name}/snapshots/{id}:activate",
-			"/v1/cities/{name}/scenario"},
-		func(s *server) http.HandlerFunc { return s.handleCityItem }},
-	{"/v1/zones", []string{http.MethodGet}, []string{"/v1/zones"},
-		func(s *server) http.HandlerFunc { return s.handleZones }},
-	{"/v1/journey", []string{http.MethodGet}, []string{"/v1/journey"},
-		func(s *server) http.HandlerFunc { return s.handleJourney }},
-	{"/v1/query", []string{http.MethodPost}, []string{"/v1/query"},
-		func(s *server) http.HandlerFunc { return s.handleQuery }},
-	{"/v1/jobs", []string{http.MethodGet}, []string{"/v1/jobs"},
-		func(s *server) http.HandlerFunc { return s.handleJobs }},
-	{"/v1/jobs/", []string{http.MethodGet, http.MethodDelete},
-		[]string{"/v1/jobs/{id}", "/v1/jobs/{id}/trace", "/v1/jobs/{id}/profile"},
-		func(s *server) http.HandlerFunc { return s.handleJob }},
+// sub-resources of the item they act on (/v1/cities/{name}/scenario). A
+// path's methods are in its Allow header's order. /healthz is unversioned
+// by infra convention. It is a function because the handlers it names
+// read it back through methodNotAllowed, which a package variable's
+// initializer cannot allow (an initialization cycle).
+func apiSurface() []apiRoute {
+	return []apiRoute{
+		{"GET /healthz", (*server).handleHealth},
+		{"GET /v1/metrics", (*server).handleMetrics},
+		{"GET /v1/stats", (*server).handleStats},
+		{"GET /v1/slo", (*server).handleSLO},
+		{"GET /v1/cities", (*server).handleCities},
+		{"GET /v1/cities/{name}", (*server).getCity},
+		{"GET /v1/cities/{name}/snapshots", (*server).listSnapshots},
+		{"POST /v1/cities/{name}/snapshots", (*server).saveSnapshot},
+		// GET {id} inspects, POST {id}:activate hot-swaps (see snapshotItem).
+		{"GET /v1/cities/{name}/snapshots/{id}", (*server).getSnapshot},
+		{"POST /v1/cities/{name}/snapshots/{id}", (*server).activateSnapshot},
+		{"GET /v1/cities/{name}/scenario", (*server).getScenario},
+		{"POST /v1/cities/{name}/scenario", (*server).applyScenario},
+		{"DELETE /v1/cities/{name}/scenario", (*server).revertScenario},
+		{"GET /v1/zones", (*server).handleZones},
+		{"GET /v1/journey", (*server).handleJourney},
+		{"POST /v1/query", (*server).handleQuery},
+		{"GET /v1/jobs", (*server).handleJobs},
+		{"GET /v1/jobs/{id}", (*server).getJob},
+		{"DELETE /v1/jobs/{id}", (*server).cancelJob},
+		{"GET /v1/jobs/{id}/trace", (*server).jobTrace},
+		{"GET /v1/jobs/{id}/profile", (*server).jobProfile},
+	}
 }
 
-// routes wires the liveness probe and the versioned API onto one mux.
-// Every other path falls through to a 404 in the error envelope.
+// routes mounts apiSurface on one mux, each entry behind per-route metrics
+// and, for POST, the JSON Content-Type gate (415). Each distinct path also
+// gets a method-less pattern answering 405 in the error envelope; it is
+// more specific than "/", so net/http's plain-text 405 never escapes. Every
+// other path falls through to a 404 in the envelope.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	// /healthz is a liveness probe, deliberately unversioned (infra
-	// convention).
-	mux.Handle("/healthz", handle("/healthz", s.handleHealth, http.MethodGet))
-	for _, rt := range apiSurface {
-		mux.Handle(rt.pattern, handle(rt.pattern, rt.handler(s), rt.methods...))
+	mounted := map[string]bool{}
+	for _, rt := range apiSurface() {
+		_, path, _ := strings.Cut(rt.pattern, " ")
+		mux.Handle(rt.pattern, instrument(path, func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && !jsonBody(r) {
+				writeError(w, http.StatusUnsupportedMediaType, codeUnsupportedMedia,
+					"request body must be Content-Type: application/json")
+				return
+			}
+			rt.handler(s, w, r)
+		}))
+		if !mounted[path] {
+			mounted[path] = true
+			mux.Handle(path, instrument(path, func(w http.ResponseWriter, _ *http.Request) {
+				methodNotAllowed(w, path)
+			}))
+		}
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, codeNotFound, "no route "+r.URL.Path+"; the API lives under /v1/ (see openapi.yaml)")
@@ -121,11 +132,24 @@ func (s *server) routes() http.Handler {
 	return mux
 }
 
-// handle wraps an endpoint with method enforcement, Content-Type checks,
-// and per-route metrics under the canonical route label.
-func handle(route string, fn http.HandlerFunc, methods ...string) http.Handler {
-	durations := obs.Histogram(fmt.Sprintf("aq_http_request_seconds{route=%q}", route))
+// methodNotAllowed answers 405 for a request the path's apiSurface
+// entries do not take, with Allow naming the ones they do.
+func methodNotAllowed(w http.ResponseWriter, path string) {
+	var methods []string
+	for _, rt := range apiSurface() {
+		if method, p, _ := strings.Cut(rt.pattern, " "); p == path {
+			methods = append(methods, method)
+		}
+	}
 	allow := strings.Join(methods, ", ")
+	w.Header().Set("Allow", allow)
+	writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, allow+" only")
+}
+
+// instrument records per-route request counters and latency histograms
+// under the resource path.
+func instrument(route string, fn http.HandlerFunc) http.Handler {
+	durations := obs.Histogram(fmt.Sprintf("aq_http_request_seconds{route=%q}", route))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -134,16 +158,6 @@ func handle(route string, fn http.HandlerFunc, methods ...string) http.Handler {
 			obs.Counter(fmt.Sprintf("aq_http_requests_total{route=%q,code=%q}",
 				route, strconv.Itoa(sw.status()))).Inc()
 		}()
-		if !slices.Contains(methods, r.Method) {
-			sw.Header().Set("Allow", allow)
-			writeError(sw, http.StatusMethodNotAllowed, codeMethodNotAllowed, allow+" only")
-			return
-		}
-		if r.Method == http.MethodPost && !jsonBody(r) {
-			writeError(sw, http.StatusUnsupportedMediaType, codeUnsupportedMedia,
-				"request body must be Content-Type: application/json")
-			return
-		}
 		fn(sw, r)
 	})
 }
@@ -214,8 +228,56 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, body)
 }
 
+func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+}
+
 // handleMetrics serves the process-wide registry in Prometheus text
 // exposition format.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.MetricsHandler(obs.Default).ServeHTTP(w, r)
+}
+
+// captureStats summarizes the capture store for /v1/stats.
+type captureStats struct {
+	Stored  int   `json:"stored"`
+	Evicted int64 `json:"evicted"`
+}
+
+func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	var bankStats *bank.Stats
+	if s.bank != nil {
+		st := s.bank.Stats()
+		bankStats = &st
+	}
+	var capStats *captureStats
+	if s.captures != nil {
+		capStats = &captureStats{Stored: s.captures.Len(), Evicted: s.captures.Evicted()}
+	}
+	writeJSON(w, http.StatusOK, struct {
+		serve.Stats
+		Tenants  []serve.TenantStats  `json:"tenants"`
+		Bank     *bank.Stats          `json:"bank,omitempty"`
+		Cost     []account.TenantCost `json:"cost,omitempty"`
+		Captures *captureStats        `json:"captures,omitempty"`
+	}{s.mgr.Stats(), s.mgr.TenantStats(), bankStats, s.acct.Snapshot(), capStats})
+}
+
+// handleSLO serves GET /v1/slo: every tenant's objectives and multi-window
+// burn-rate report. With no -slo configured it answers 200 with
+// enabled:false so dashboards can probe the feature without special-casing
+// a 404.
+func (s *server) handleSLO(w http.ResponseWriter, _ *http.Request) {
+	tenants := s.slo.Snapshot()
+	if tenants == nil {
+		tenants = []slo.TenantReport{}
+	}
+	body := map[string]interface{}{
+		"enabled": s.slo != nil,
+		"tenants": tenants,
+	}
+	if s.slo != nil {
+		body["burn_trip_threshold"] = s.sloTrip
+	}
+	writeJSON(w, http.StatusOK, body)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -25,21 +26,49 @@ func decodeError(t *testing.T, rec *httptest.ResponseRecorder) errorBody {
 	return env
 }
 
-// TestMethodNotAllowed sends a wrong-method request to every /v1 endpoint
-// and expects 405 with an Allow header and the error envelope.
+// TestMethodNotAllowed sends every method a path's apiSurface entries do
+// not take to every path, and a mismatched verb to the snapshot item, and
+// expects 405 with an Allow header naming the path's methods in table
+// order, and the error envelope.
 func TestMethodNotAllowed(t *testing.T) {
 	s := testServer(t)
-	cases := []struct {
-		target, method, allow string
-	}{
-		{"/healthz", http.MethodPost, http.MethodGet},
-		{"/v1/metrics", http.MethodPost, http.MethodGet},
-		{"/v1/stats", http.MethodDelete, http.MethodGet},
-		{"/v1/cities", http.MethodPost, http.MethodGet},
-		{"/v1/zones", http.MethodPut, http.MethodGet},
-		{"/v1/journey", http.MethodPost, http.MethodGet},
-		{"/v1/query", http.MethodGet, http.MethodPost},
-		{"/v1/jobs/j00000001", http.MethodPost, "GET, DELETE"},
+	var paths []string
+	allow := map[string][]string{}
+	for _, rt := range apiSurface() {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		if allow[path] == nil {
+			paths = append(paths, path)
+		}
+		allow[path] = append(allow[path], method)
+	}
+	// Allow values clients already rely on.
+	for path, want := range map[string]string{
+		"/v1/jobs/{id}":                    "GET, DELETE",
+		"/v1/cities/{name}/scenario":       "GET, POST, DELETE",
+		"/v1/cities/{name}/snapshots":      "GET, POST",
+		"/v1/cities/{name}/snapshots/{id}": "GET, POST",
+	} {
+		if got := strings.Join(allow[path], ", "); got != want {
+			t.Errorf("%s: table methods %q, want %q", path, got, want)
+		}
+	}
+	type probe struct{ method, target, allow string }
+	var cases []probe
+	sub := strings.NewReplacer("{name}", "coventry", "{id}", "j00000001")
+	for _, path := range paths {
+		for _, m := range []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete, http.MethodPatch} {
+			if !slices.Contains(allow[path], m) {
+				cases = append(cases, probe{m, sub.Replace(path), strings.Join(allow[path], ", ")})
+			}
+		}
+	}
+	// The snapshot item's one verb travels inside the {id} segment.
+	for _, c := range []struct{ method, id string }{
+		{http.MethodGet, "pinned:activate"},
+		{http.MethodPost, "pinned"},
+		{http.MethodPost, "pinned:frobnicate"},
+	} {
+		cases = append(cases, probe{c.method, "/v1/cities/coventry/snapshots/" + c.id, "GET, POST"})
 	}
 	for _, c := range cases {
 		rec := do(s, c.method, c.target, "")
@@ -53,6 +82,19 @@ func TestMethodNotAllowed(t *testing.T) {
 		if env := decodeError(t, rec); env.Error.Code != "method_not_allowed" {
 			t.Errorf("%s %s: error code %q", c.method, c.target, env.Error.Code)
 		}
+	}
+}
+
+// TestHeadAnswersLikeGet pins the net/http convention for HEAD on a GET
+// resource: the GET status and headers, no body.
+func TestHeadAnswersLikeGet(t *testing.T) {
+	s := testServer(t)
+	rec := do(s, http.MethodHead, "/v1/stats", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("HEAD /v1/stats: status %d, want 200", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("HEAD /v1/stats: Content-Type %q", ct)
 	}
 }
 
@@ -107,6 +149,19 @@ func TestRemovedRoutesStayRemoved(t *testing.T) {
 		{http.MethodGet, "/journey"},
 		{http.MethodGet, "/jobs/x"},
 		{http.MethodPost, "/v1/cities/coventry/swap"},
+		// Paths that name no resource: a wildcard is one whole, non-empty
+		// segment.
+		{http.MethodGet, "/v1/jobs/"},
+		{http.MethodDelete, "/v1/jobs/"},
+		{http.MethodGet, "/v1/jobs/a/b"},
+		{http.MethodGet, "/v1/jobs/j00000001/"},
+		{http.MethodGet, "/v1/jobs/j00000001/trace/"},
+		{http.MethodGet, "/v1/cities/"},
+		{http.MethodGet, "/v1/cities/coventry/"},
+		{http.MethodGet, "/v1/cities/coventry/zones"},
+		{http.MethodGet, "/v1/cities/coventry/scenario/"},
+		{http.MethodGet, "/v1/cities/coventry/snapshots/"},
+		{http.MethodGet, "/v1/cities/coventry/snapshots/a/b"},
 	}
 	for _, c := range cases {
 		rec := do(s, c.method, c.target, "")

@@ -5,30 +5,9 @@
 // TTL, and in-flight deduplication, so identical concurrent queries cost
 // one engine run and overload sheds fast instead of piling up.
 //
-// The API is versioned under /v1/ (see api.go):
-//
-//	GET  /healthz                       liveness probe
-//	GET  /v1/metrics                    Prometheus text exposition
-//	GET  /v1/stats                      serving-layer counters + per-tenant cost
-//	GET  /v1/slo                        per-tenant SLO burn-rate reports
-//	GET  /v1/cities                     tenant list with epochs
-//	GET  /v1/cities/{name}              tenant detail
-//	GET  /v1/cities/{name}/snapshots    list saved snapshots (POST saves one, 201)
-//	POST /v1/cities/{name}/snapshots/{id}:activate
-//	                                    hot-swap the tenant onto a snapshot (201)
-//	POST /v1/cities/{name}/scenario     apply a network-delta batch (201)
-//	GET  /v1/cities/{name}/scenario     applied deltas + blast radii
-//	DELETE /v1/cities/{name}/scenario   revert to the pinned baseline
-//	GET  /v1/zones                      zone list with centroids and demographics
-//	GET  /v1/journey?from=3&to=50&depart=08:00:00
-//	                                    one multimodal journey between zones
-//	POST /v1/query                      JSON access query -> per-zone measures
-//	POST /v1/query?async=1              enqueue; returns {"job_id": ...} (202)
-//	GET  /v1/jobs                       list jobs (?state=, ?limit=, ?cursor=)
-//	GET  /v1/jobs/{id}                  job status; includes the result when done
-//	GET  /v1/jobs/{id}/trace            the run's execution report and span tree
-//	GET  /v1/jobs/{id}/profile          slow-query capture for the job, if one fired
-//	DELETE /v1/jobs/{id}                cancel a queued or running job
+// The API is versioned under /v1/: apiSurface in api.go is the route
+// table, one file per resource holds its handlers, and openapi.yaml at the
+// repository root is the contract the tests hold the table to.
 //
 // Robustness: per-request deadlines (deadline_ms in the body or query
 // string) degrade answers instead of failing them, a circuit breaker trips
@@ -39,32 +18,21 @@
 // With -debug-addr set, a second loopback listener serves /metrics,
 // /debug/pprof/ and /debug/captures so a loaded server can be profiled
 // without redeploying.
-//
-// Example query body:
-//
-//	{"category": "school", "cost": "JT", "budget": 0.05, "model": "MLP"}
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
-	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"accessquery/internal/bank"
 	"accessquery/internal/buildinfo"
-	"accessquery/internal/core"
-	"accessquery/internal/delta"
 	"accessquery/internal/fault"
 	"accessquery/internal/gtfs"
 	"accessquery/internal/obs"
@@ -74,7 +42,6 @@ import (
 	"accessquery/internal/obs/slo"
 	"accessquery/internal/registry"
 	"accessquery/internal/serve"
-	"accessquery/internal/synth"
 )
 
 // logger is the process logger: structured JSON lines on stderr, stamped
@@ -310,671 +277,4 @@ func newServer(reg *registry.Registry, cfg serve.Config, rc serve.RunnerConfig) 
 		sloTrip:  cfg.BurnTripThreshold,
 		captures: cfg.Captures,
 	}
-}
-
-// tenantFor resolves the optional ?city= query parameter (or an explicit
-// name) to a tenant, defaulting to the registry's first city. A miss has
-// already been answered with 404 unknown_city when the second return is
-// false.
-func (s *server) tenantFor(w http.ResponseWriter, name string) (*registry.Tenant, bool) {
-	if strings.TrimSpace(name) == "" {
-		name = s.reg.DefaultName()
-	}
-	tn, ok := s.reg.Get(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, codeUnknownCity,
-			fmt.Sprintf("unknown city %q (serving: %s)", name, strings.Join(s.reg.Names(), ", ")))
-		return nil, false
-	}
-	return tn, true
-}
-
-func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// captureStats summarizes the capture store for /v1/stats.
-type captureStats struct {
-	Stored  int   `json:"stored"`
-	Evicted int64 `json:"evicted"`
-}
-
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	var bankStats *bank.Stats
-	if s.bank != nil {
-		st := s.bank.Stats()
-		bankStats = &st
-	}
-	var capStats *captureStats
-	if s.captures != nil {
-		capStats = &captureStats{Stored: s.captures.Len(), Evicted: s.captures.Evicted()}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		serve.Stats
-		Tenants  []serve.TenantStats  `json:"tenants"`
-		Bank     *bank.Stats          `json:"bank,omitempty"`
-		Cost     []account.TenantCost `json:"cost,omitempty"`
-		Captures *captureStats        `json:"captures,omitempty"`
-	}{s.mgr.Stats(), s.mgr.TenantStats(), bankStats, s.acct.Snapshot(), capStats})
-}
-
-// handleSLO serves GET /v1/slo: every tenant's objectives and multi-window
-// burn-rate report. With no -slo configured it answers 200 with
-// enabled:false so dashboards can probe the feature without special-casing
-// a 404.
-func (s *server) handleSLO(w http.ResponseWriter, _ *http.Request) {
-	tenants := s.slo.Snapshot()
-	if tenants == nil {
-		tenants = []slo.TenantReport{}
-	}
-	body := map[string]interface{}{
-		"enabled": s.slo != nil,
-		"tenants": tenants,
-	}
-	if s.slo != nil {
-		body["burn_trip_threshold"] = s.sloTrip
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// cityBody shapes one tenant for the /v1/cities responses: the registry's
-// epoch/provenance info plus the serving layer's breaker state for that
-// city.
-func (s *server) cityBody(info registry.Info) map[string]interface{} {
-	body := map[string]interface{}{
-		"name":      info.Name,
-		"epoch":     info.Epoch,
-		"built":     info.Built,
-		"source":    info.Source,
-		"zones":     info.Zones,
-		"stops":     info.Stops,
-		"routes":    info.Routes,
-		"interval":  info.Interval,
-		"swaps":     info.Swaps,
-		"in_flight": info.InFlight,
-		"prep_ms":   info.PrepMS,
-	}
-	for _, ts := range s.mgr.TenantStats() {
-		if ts.City == info.Name {
-			body["breaker_open"] = ts.BreakerOpen
-			body["serve"] = ts
-			break
-		}
-	}
-	return body
-}
-
-// handleCities serves GET /v1/cities — every tenant with its epoch, build
-// provenance, and breaker state.
-func (s *server) handleCities(w http.ResponseWriter, _ *http.Request) {
-	infos := s.reg.Infos()
-	cities := make([]map[string]interface{}, 0, len(infos))
-	for _, info := range infos {
-		cities = append(cities, s.cityBody(info))
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"default": s.reg.DefaultName(),
-		"cities":  cities,
-	})
-}
-
-// handleCityItem dispatches the /v1/cities/{name} item and its
-// sub-resources: GET {name} (tenant detail including the POI catalogue),
-// GET/POST {name}/snapshots and POST {name}/snapshots/{id}:activate (the
-// snapshot store; see handleSnapshots), and POST/GET/DELETE
-// {name}/scenario (network deltas; see handleScenario).
-func (s *server) handleCityItem(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/cities/")
-	name, sub, _ := strings.Cut(rest, "/")
-	if name == "" || (strings.Contains(sub, "/") && !strings.HasPrefix(sub, "snapshots/")) {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"want /v1/cities/{name}, /v1/cities/{name}/snapshots[/{id}:activate], or /v1/cities/{name}/scenario")
-		return
-	}
-	tn, ok := s.tenantFor(w, name)
-	if !ok {
-		return
-	}
-	if rest2, ok := strings.CutPrefix(sub, "snapshots/"); ok {
-		s.handleSnapshotItem(w, r, tn, rest2)
-		return
-	}
-	switch sub {
-	case "snapshots":
-		s.handleSnapshots(w, r, tn)
-	case "scenario":
-		s.handleScenario(w, r, tn)
-	case "":
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET only")
-			return
-		}
-		engine, _, release := tn.Acquire()
-		defer release()
-		body := s.cityBody(tn.Info())
-		pois := map[synth.POICategory]int{}
-		for cat, list := range engine.City.POIs {
-			pois[cat] = len(list)
-		}
-		body["pois"] = pois
-		body["road_nodes"] = engine.City.Road.NumNodes()
-		body["trips"] = len(engine.City.Feed.Trips)
-		if sc := engine.Scenario; sc != nil {
-			body["scenario_deltas"] = sc.Deltas
-		}
-		if src := engine.SnapshotInfo(); src != nil {
-			body["snapshot"] = src
-		}
-		writeJSON(w, http.StatusOK, body)
-	default:
-		writeError(w, http.StatusNotFound, codeNotFound,
-			fmt.Sprintf("no sub-resource %q under /v1/cities/{name}", sub))
-	}
-}
-
-// handleScenario serves the /v1/cities/{name}/scenario sub-resource.
-//
-// POST applies one mutation batch {"mutations": [...]} on top of the
-// tenant's scenario (starting one from the current engine if none is
-// active): only the batch's blast radius is rebuilt, the derived engine is
-// installed as a new epoch, and the response carries the applied delta
-// with its blast radius (201 + Location). Invalid mutations are refused
-// with 422 bad_mutation and the current epoch keeps serving.
-//
-// GET reports the scenario state — baseline epoch and every applied delta.
-// DELETE reverts to the pinned baseline as a fresh epoch (404 when no
-// scenario is active).
-func (s *server) handleScenario(w http.ResponseWriter, r *http.Request, tn *registry.Tenant) {
-	switch r.Method {
-	case http.MethodPost:
-		var body struct {
-			Mutations []delta.Mutation `json:"mutations"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "bad JSON: "+err.Error())
-			return
-		}
-		if len(body.Mutations) == 0 {
-			writeError(w, http.StatusBadRequest, codeBadRequest,
-				`want {"mutations": [...]} with at least one mutation`)
-			return
-		}
-		info, applied, _, err := tn.ApplyScenario(body.Mutations)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, codeBadMutation, err.Error())
-			return
-		}
-		w.Header().Set("Location", "/v1/cities/"+tn.Name+"/scenario")
-		writeJSON(w, http.StatusCreated, map[string]interface{}{
-			"city":  s.cityBody(info),
-			"delta": applied,
-		})
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, tn.Scenario())
-	case http.MethodDelete:
-		info, retired, err := tn.RevertScenario()
-		if errors.Is(err, registry.ErrNoScenario) {
-			writeError(w, http.StatusNotFound, codeNotFound, err.Error())
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-			return
-		}
-		out := map[string]interface{}{"city": s.cityBody(info)}
-		if retired != nil {
-			out["retired_epoch"] = retired.Epoch
-		}
-		writeJSON(w, http.StatusOK, out)
-	default:
-		w.Header().Set("Allow", "GET, POST, DELETE")
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET, POST, DELETE only")
-	}
-}
-
-func (s *server) handleZones(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r.URL.Query().Get("city"))
-	if !ok {
-		return
-	}
-	engine, _, release := tn.Acquire()
-	defer release()
-	writeJSON(w, http.StatusOK, engine.City.Zones)
-}
-
-func (s *server) handleJourney(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	tn, ok := s.tenantFor(w, q.Get("city"))
-	if !ok {
-		return
-	}
-	engine, _, release := tn.Acquire()
-	defer release()
-	from, err1 := strconv.Atoi(q.Get("from"))
-	to, err2 := strconv.Atoi(q.Get("to"))
-	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "from and to must be zone indices")
-		return
-	}
-	c := engine.City
-	if from < 0 || from >= len(c.Zones) || to < 0 || to >= len(c.Zones) {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "zone index out of range")
-		return
-	}
-	depart := gtfs.Seconds(8 * 3600)
-	if ds := q.Get("depart"); ds != "" {
-		var err error
-		depart, err = gtfs.ParseSeconds(ds)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "bad depart time, want HH:MM:SS")
-			return
-		}
-	}
-	j, legs, ok, err := engine.Router().RouteDetailed(c.ZoneNode[from], c.ZoneNode[to], depart)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-		return
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, codeNotFound, "no journey within the search horizon")
-		return
-	}
-	type legOut struct {
-		Mode   string `json:"mode"`
-		Depart string `json:"depart"`
-		Arrive string `json:"arrive"`
-		Route  string `json:"route,omitempty"`
-		Board  string `json:"board_stop,omitempty"`
-		Alight string `json:"alight_stop,omitempty"`
-	}
-	outLegs := make([]legOut, len(legs))
-	for i, leg := range legs {
-		outLegs[i] = legOut{
-			Mode:   leg.Mode.String(),
-			Depart: leg.Depart.String(),
-			Arrive: leg.Arrive.String(),
-			Route:  string(leg.Route),
-			Board:  string(leg.BoardStop),
-			Alight: string(leg.AlightStop),
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"depart":        j.Depart.String(),
-		"arrive":        j.Arrive.String(),
-		"minutes":       j.Duration() / 60,
-		"access_walk_s": j.AccessWalk,
-		"wait_s":        j.Wait,
-		"in_vehicle_s":  j.InVehicle,
-		"egress_walk_s": j.EgressWalk,
-		"boardings":     j.Boardings,
-		"fare_pence":    j.Fare,
-		"walk_only":     j.WalkOnly(),
-		"legs":          outLegs,
-	})
-}
-
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// serve.DecodeRequest is the one wire decode+validate path: the body is
-	// the canonical serve.Request, presentation and deadline options
-	// included.
-	req, err := serve.DecodeRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
-		return
-	}
-	// ?deadline_ms= overrides the body field, for clients that template the
-	// body but set deadlines per call site.
-	if ds := r.URL.Query().Get("deadline_ms"); ds != "" {
-		ms, err := strconv.ParseInt(ds, 10, 64)
-		if err != nil || ms < 0 {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "deadline_ms must be a non-negative integer")
-			return
-		}
-		req.DeadlineMS = ms
-	}
-	// ?city= overrides the body field the same way; the default tenant is
-	// resolved here so every fingerprint (and cache entry) names its city
-	// explicitly.
-	if qc := r.URL.Query().Get("city"); qc != "" {
-		req.City = strings.ToLower(strings.TrimSpace(qc))
-	}
-	tn, ok := s.tenantFor(w, req.City)
-	if !ok {
-		return
-	}
-	req.City = tn.Name
-	if len(tn.Engine().City.POIs[synth.POICategory(req.Category)]) == 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			fmt.Sprintf("unknown or empty POI category %q", req.Category))
-		return
-	}
-	async := r.URL.Query().Get("async") == "1"
-	var job *serve.Job
-	if async {
-		job, err = s.mgr.SubmitAsync(req)
-	} else {
-		job, err = s.mgr.Submit(req)
-	}
-	if err != nil {
-		s.writeSubmitError(w, err)
-		return
-	}
-	if async {
-		writeJSON(w, http.StatusAccepted, map[string]interface{}{
-			"job_id":     job.ID,
-			"state":      job.Snapshot().State,
-			"status_url": "/v1/jobs/" + job.ID,
-		})
-		return
-	}
-	if _, err := s.mgr.Wait(r.Context(), job); err != nil {
-		status, code := http.StatusInternalServerError, codeInternal
-		switch {
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			status, code = http.StatusGatewayTimeout, codeTimeout
-		case errors.Is(err, serve.ErrShutdown):
-			status, code = http.StatusServiceUnavailable, codeShuttingDown
-		case errors.Is(err, serve.ErrCancelled):
-			status, code = http.StatusConflict, codeCancelled
-		}
-		writeError(w, status, code, err.Error())
-		return
-	}
-	snap := job.Snapshot()
-	var explain *core.ExplainReport
-	if r.URL.Query().Get("explain") == "1" {
-		// The job snapshot carries the run's result and span tree (or, on
-		// a cache hit, the producing run's); fold its execution report in.
-		explain = core.Explain(snap.Result, snap.Trace)
-	}
-	writeAnswer(w, snap, req.IncludeZones, explain)
-}
-
-// writeAnswer writes a /v1/query answer: the blocks that differ per
-// request ("cache" first, as in an encoded map), then the result's
-// encoding, stored with the result and shared by the miss that produced it
-// and every later cache hit.
-func writeAnswer(w http.ResponseWriter, snap serve.Snapshot, includeZones bool, explain *core.ExplainReport) {
-	result := encodedResult(snap, includeZones)
-	blocks := provenance(snap)
-	if explain != nil {
-		blocks = append(blocks, block{"explain", explain})
-	}
-	var buf bytes.Buffer
-	buf.Grow(len(result) + 256)
-	sep := byte('{')
-	for _, bl := range blocks {
-		b, err := json.Marshal(bl.value)
-		if err != nil {
-			olog.Default.Error("encoding response", olog.Err(err))
-			continue
-		}
-		buf.WriteByte(sep)
-		fmt.Fprintf(&buf, "%q:%s", bl.name, b)
-		sep = ','
-	}
-	if len(result) > len("{}") {
-		buf.WriteByte(sep)
-		buf.Write(result[1 : len(result)-1]) // the object's members
-	}
-	buf.WriteString("}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes()) // a client that went away is not an error to report
-}
-
-// encodedResult returns resultBody's JSON object for a done job, encoding
-// it only if no earlier response for the same result has.
-func encodedResult(snap serve.Snapshot, includeZones bool) []byte {
-	return snap.Body.Get(includeZones, func() []byte {
-		b, err := json.Marshal(resultBody(snap.Result, includeZones))
-		if err != nil {
-			olog.Default.Error("encoding result", olog.Err(err))
-			return []byte("{}")
-		}
-		return b
-	})
-}
-
-// writeSubmitError maps admission failures to HTTP codes: a full queue is
-// 429 with a Retry-After hint, a draining server is 503, an open circuit
-// breaker is 503 with the breaker_open code.
-func (s *server) writeSubmitError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, serve.ErrQueueFull):
-		secs := int(s.mgr.RetryAfter().Round(time.Second).Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests, codeQueueFull, "query queue full; retry later")
-	case errors.Is(err, serve.ErrBreakerOpen):
-		writeError(w, http.StatusServiceUnavailable, codeBreakerOpen,
-			"circuit breaker open after repeated engine failures; retry later")
-	case errors.Is(err, serve.ErrShutdown):
-		writeError(w, http.StatusServiceUnavailable, codeShuttingDown, "server shutting down")
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
-	}
-}
-
-// block is one named member of a response object.
-type block struct {
-	name  string
-	value interface{}
-}
-
-// provenance lists what a query or job response says about how its answer
-// was served, so reduced fidelity, staleness and which engine epoch
-// computed it are always visible to the client: "cache" always, then
-// "degraded" and "stale" when they apply.
-func provenance(snap serve.Snapshot) []block {
-	cache := map[string]interface{}{
-		"hit":  snap.CacheHit,
-		"city": snap.City,
-	}
-	if snap.Epoch > 0 {
-		cache["epoch"] = snap.Epoch
-	}
-	if snap.EpochStale {
-		// The answer is an honest cache hit, but a hot-swap has installed a
-		// newer engine since it was computed.
-		cache["epoch_stale"] = true
-	}
-	blocks := []block{{"cache", cache}}
-	if snap.Result != nil && snap.Result.Degraded != nil {
-		blocks = append(blocks, block{"degraded", snap.Result.Degraded})
-	}
-	if snap.Stale {
-		stale := map[string]interface{}{
-			"served_from_expired_cache": true,
-			"age_seconds":               snap.StaleFor.Seconds(),
-		}
-		if snap.Epoch > 0 {
-			stale["epoch"] = snap.Epoch
-		}
-		blocks = append(blocks, block{"stale", stale})
-	}
-	return blocks
-}
-
-// handleJobs serves GET /v1/jobs: the job listing with optional ?state=
-// filter and ?limit=/?cursor= pagination.
-func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	state := serve.State(q.Get("state"))
-	if state != "" && !serve.ValidState(state) {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			fmt.Sprintf("unknown state %q (want queued, running, done, failed, or cancelled)", state))
-		return
-	}
-	limit := 0
-	if ls := q.Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "limit must be a positive integer")
-			return
-		}
-		limit = n
-	}
-	snaps, next := s.mgr.List(state, limit, q.Get("cursor"))
-	jobs := make([]map[string]interface{}, 0, len(snaps))
-	for _, snap := range snaps {
-		j := map[string]interface{}{
-			"id":        snap.ID,
-			"state":     snap.State,
-			"cache_hit": snap.CacheHit,
-			"created":   snap.Created,
-		}
-		if snap.City != "" {
-			j["city"] = snap.City
-		}
-		if snap.Stale {
-			j["stale"] = true
-		}
-		if snap.Error != "" {
-			j["error"] = snap.Error
-		}
-		jobs = append(jobs, j)
-	}
-	body := map[string]interface{}{"jobs": jobs}
-	if next != "" {
-		body["next_cursor"] = next
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// handleJob serves GET /v1/jobs/{id} — job state, the stage-latency
-// breakdown of the run, and the result once done — GET
-// /v1/jobs/{id}/trace, the run's execution report with its span tree, the
-// same report ?explain=1 inlines (also available for cache-hit jobs, which
-// carry the producing run's result and trace), and DELETE
-// /v1/jobs/{id}, which cancels a queued or running job.
-func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	id, wantTrace := strings.CutSuffix(id, "/trace")
-	var wantProfile bool
-	if !wantTrace {
-		id, wantProfile = strings.CutSuffix(id, "/profile")
-	}
-	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"want /v1/jobs/{id}, /v1/jobs/{id}/trace, or /v1/jobs/{id}/profile")
-		return
-	}
-	if wantProfile {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET only")
-			return
-		}
-		// A capture can outlive its job's retention window, so the store is
-		// consulted directly rather than through the job table.
-		if c, ok := s.captures.ByJob(id); ok {
-			writeJSON(w, http.StatusOK, c)
-			return
-		}
-		if s.captures == nil {
-			writeError(w, http.StatusNotFound, codeNotFound, "slow-query capture is disabled (-captures 0)")
-			return
-		}
-		writeError(w, http.StatusNotFound, codeNotFound, "no capture recorded for job "+id)
-		return
-	}
-	if r.Method == http.MethodDelete {
-		if wantTrace {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "only /v1/jobs/{id} can be cancelled")
-			return
-		}
-		switch err := s.mgr.Cancel(id); {
-		case err == nil:
-			writeJSON(w, http.StatusOK, map[string]interface{}{
-				"id": id, "state": serve.StateCancelled,
-			})
-		case errors.Is(err, serve.ErrUnknownJob):
-			writeError(w, http.StatusNotFound, codeNotFound, "unknown job "+id)
-		case errors.Is(err, serve.ErrNotCancellable):
-			writeError(w, http.StatusConflict, codeNotCancellable, "job "+id+" already finished")
-		default:
-			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-		}
-		return
-	}
-	job, err := s.mgr.Get(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, codeNotFound, "unknown job "+id)
-		return
-	}
-	snap := job.Snapshot()
-	if wantTrace {
-		if snap.Trace == nil {
-			writeError(w, http.StatusNotFound, codeNotFound, "no trace recorded for job "+id)
-			return
-		}
-		writeJSON(w, http.StatusOK, core.Explain(snap.Result, snap.Trace))
-		return
-	}
-	body := map[string]interface{}{
-		"id":        snap.ID,
-		"state":     snap.State,
-		"cache_hit": snap.CacheHit,
-		"created":   snap.Created,
-	}
-	if snap.City != "" {
-		body["city"] = snap.City
-	}
-	if snap.Epoch > 0 {
-		body["epoch"] = snap.Epoch
-	}
-	if len(snap.Stages) > 0 {
-		body["stages"] = snap.Stages
-	}
-	if snap.Error != "" {
-		body["error"] = snap.Error
-	}
-	if snap.State == serve.StateDone && snap.Result != nil {
-		body["result"] = json.RawMessage(encodedResult(snap, r.URL.Query().Get("include_zones") == "1"))
-		for _, bl := range provenance(snap) {
-			body[bl.name] = bl.value
-		}
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// resultBody shapes an engine result for JSON, optionally with the
-// per-zone rows.
-func resultBody(res *core.Result, includeZones bool) map[string]interface{} {
-	body := map[string]interface{}{
-		"fairness":        res.Fairness,
-		"walk_only_share": res.WalkOnlyShare,
-		"spqs":            res.Timing.SPQs,
-		"elapsed_ms":      res.Timing.Total().Milliseconds(),
-	}
-	if ms := res.MatrixStats; ms.FullTrips > 0 {
-		body["matrix_trips"] = ms.Trips
-		body["matrix_full"] = ms.FullTrips
-		body["reduction_pct"] = ms.ReductionPct
-	}
-	if includeZones {
-		type zoneOut struct {
-			Zone    int     `json:"zone"`
-			MAC     float64 `json:"mac"`
-			ACSD    float64 `json:"acsd"`
-			Class   string  `json:"class"`
-			Labeled bool    `json:"labeled"`
-		}
-		var zones []zoneOut
-		for i := range res.MAC {
-			if !res.Valid[i] {
-				continue
-			}
-			zones = append(zones, zoneOut{
-				Zone: i, MAC: res.MAC[i], ACSD: res.ACSD[i],
-				Class: res.Classes[i].String(), Labeled: res.Labeled[i],
-			})
-		}
-		body["zones"] = zones
-	}
-	return body
 }

@@ -377,9 +377,9 @@ func TestHandleJobErrors(t *testing.T) {
 	if env := decodeError(t, rec); env.Error.Code != "not_found" {
 		t.Errorf("unknown job error code %q", env.Error.Code)
 	}
-	// Missing ID.
+	// Missing ID: the path names no resource.
 	rec = do(s, http.MethodGet, "/v1/jobs/", "")
-	if rec.Code != http.StatusBadRequest {
+	if rec.Code != http.StatusNotFound {
 		t.Errorf("missing id status %d", rec.Code)
 	}
 	// POST not allowed.

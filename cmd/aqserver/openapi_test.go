@@ -10,12 +10,12 @@ import (
 	"testing"
 )
 
-// The repo-root openapi.yaml is the API contract. This test keeps it and
-// the served mux in lockstep without a YAML dependency: it hand-parses the
-// paths: section, then checks (a) every resource in apiSurface is
-// documented and (b) every documented path resolves to /healthz or an
-// apiSurface pattern — the only routes the mux mounts besides its 404
-// fallback.
+// The repo-root openapi.yaml is the API contract. These tests keep it and
+// apiSurface in lockstep in both directions without a YAML dependency:
+// they hand-parse the paths: section into (path, method) pairs, then check
+// (a) every apiSurface entry is documented under its path with its method
+// key and (b) every documented pair resolves through the mux to exactly
+// that entry.
 
 // docPaths parses openapi.yaml's paths: section into path → block lines.
 func docPaths(t *testing.T) map[string][]string {
@@ -56,35 +56,70 @@ func docPaths(t *testing.T) map[string][]string {
 	return paths
 }
 
-func TestOpenAPICoversSurface(t *testing.T) {
-	paths := docPaths(t)
-
-	want := []string{"/healthz"}
-	for _, rt := range apiSurface {
-		want = append(want, rt.docPaths...)
+// docOps parses docPaths' blocks into path → documented methods (upper
+// case, as in a mux pattern).
+func docOps(t *testing.T) map[string][]string {
+	t.Helper()
+	methodKey := regexp.MustCompile(`^    (get|put|post|delete|patch|head|options):\s*$`)
+	ops := make(map[string][]string)
+	for path, block := range docPaths(t) {
+		for _, line := range block {
+			if m := methodKey.FindStringSubmatch(line); m != nil {
+				ops[path] = append(ops[path], strings.ToUpper(m[1]))
+			}
+		}
+		if len(ops[path]) == 0 {
+			t.Errorf("openapi.yaml documents %s with no operation", path)
+		}
 	}
-	for _, p := range want {
-		if _, ok := paths[p]; !ok {
-			t.Errorf("openapi.yaml does not document %s", p)
+	return ops
+}
+
+// entryFor is the apiSurface pattern a documented operation must resolve
+// to: a verb suffix on the last segment ({id}:activate) travels inside the
+// wildcard, so it is not part of the pattern.
+func entryFor(method, docPath string) string {
+	if i := strings.LastIndex(docPath, ":"); i > strings.LastIndex(docPath, "/") {
+		docPath = docPath[:i]
+	}
+	return method + " " + docPath
+}
+
+func TestOpenAPICoversSurface(t *testing.T) {
+	documented := map[string]bool{}
+	for path, methods := range docOps(t) {
+		for _, m := range methods {
+			documented[entryFor(m, path)] = true
+		}
+	}
+	for _, rt := range apiSurface() {
+		if !documented[rt.pattern] {
+			t.Errorf("openapi.yaml does not document %s", rt.pattern)
 		}
 	}
 }
 
 func TestOpenAPIPathsResolve(t *testing.T) {
-	paths := docPaths(t)
 	mux, ok := (&server{}).routes().(*http.ServeMux)
 	if !ok {
 		t.Fatal("routes() no longer returns a *http.ServeMux; rewrite this walk")
 	}
-	mounted := map[string]bool{"/healthz": true}
-	for _, rt := range apiSurface {
-		mounted[rt.pattern] = true
+	entries := map[string]bool{}
+	for _, rt := range apiSurface() {
+		entries[rt.pattern] = true
 	}
 	sub := strings.NewReplacer("{name}", "coventry", "{id}", "1")
-	for p := range paths {
-		req := httptest.NewRequest(http.MethodGet, sub.Replace(p), nil)
-		if _, pattern := mux.Handler(req); !mounted[pattern] {
-			t.Errorf("documented path %s resolves to %q, not to /healthz or an apiSurface pattern", p, pattern)
+	for path, methods := range docOps(t) {
+		for _, m := range methods {
+			want := entryFor(m, path)
+			if !entries[want] {
+				t.Errorf("documented %s %s has no apiSurface entry %q", m, path, want)
+				continue
+			}
+			req := httptest.NewRequest(m, sub.Replace(path), nil)
+			if _, pattern := mux.Handler(req); pattern != want {
+				t.Errorf("documented %s %s resolves to %q, want %q", m, path, pattern, want)
+			}
 		}
 	}
 }

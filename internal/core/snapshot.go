@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -9,6 +8,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
@@ -137,20 +137,39 @@ func (e *Engine) SaveSnapshotEpoch(path string, epoch uint64) error {
 	if err != nil {
 		return fmt.Errorf("core: encoding snapshot: %w", err)
 	}
-	file, err := os.Create(path)
+	// Never rewrite path in place: an engine loaded from it maps the file
+	// MAP_SHARED and aliases its bytes. The image goes to a temporary file
+	// in the same directory, is synced, and is renamed over path, so a
+	// mapping of the old file keeps its inode and contents.
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	w := bufio.NewWriter(file)
-	if _, err := w.Write(image); err != nil {
-		file.Close()
+	if err := writeSynced(tmp, image); err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := w.Flush(); err != nil {
-		file.Close()
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("core: %w", err)
 	}
-	return file.Close()
+	return nil
+}
+
+// writeSynced writes data to f, makes it readable by all (os.CreateTemp
+// creates 0600), flushes it to stable storage, and closes f.
+func writeSynced(f *os.File, data []byte) error {
+	_, err := f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readSnapshot reads and verifies a snapshot file. Every rejection is a

@@ -1,11 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
+
+	"accessquery/internal/hoptree"
+	"accessquery/internal/synth"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -129,4 +135,80 @@ func TestLoadEngineRejectsDamagedSnapshots(t *testing.T) {
 
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
+}
+
+// TestSaveSnapshotOverLoadedFile saves a different-size engine over the
+// file a loaded engine maps. The loaded engine's forest and isochrones
+// alias the mapping, so an in-place rewrite would change them under it (or
+// fault past the new end of file); saving must replace the file instead.
+func TestSaveSnapshotOverLoadedFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "live.snap")
+	if err := engine(t).SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := loaded.SnapshotInfo()
+	if src.MmapBytes == 0 {
+		t.Skip("snapshot loaded onto the heap, not mapped; nothing aliases the file")
+	}
+	// A fault on a truncated mapping fails the test instead of killing the
+	// binary.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("reading the loaded engine after the save faulted: %v", r)
+		}
+	}()
+	state := func() []byte {
+		f := loaded.Forest()
+		var out, in [][]hoptree.Leaf
+		for z := 0; z < f.Zones(); z++ {
+			out = append(out, f.Outbound(z).Leaves)
+			in = append(in, f.Inbound(z).Leaves)
+		}
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		for _, v := range []interface{}{out, in, loaded.Isochrones().Isochrones} {
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	before := state()
+
+	c, err := synth.Generate(synth.Scaled(synth.Coventry(), 0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewEngine(c, EngineOptions{Interval: loaded.Interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if st.Size() == src.SizeBytes {
+		t.Fatal("the second engine's snapshot has the first one's size; pick a different scale")
+	}
+	if !bytes.Equal(state(), before) {
+		t.Fatal("saving over the mapped file changed the loaded engine's forest or isochrones")
+	}
+	if restored, err := LoadEngine(path); err != nil {
+		t.Fatal(err)
+	} else if restored.Forest().Zones() != other.Forest().Zones() {
+		t.Errorf("reloaded %d zones, want the new engine's %d", restored.Forest().Zones(), other.Forest().Zones())
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("snapshot dir holds %d entries after the save, want only the snapshot", len(entries))
+	}
 }
