@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"accessquery/internal/obs"
 )
@@ -62,6 +61,8 @@ type ExplainReport struct {
 	// (nil when the run executed on a baseline engine).
 	Scenario *ScenarioSummary `json:"scenario,omitempty"`
 
+	// Stages are the trace's leaves in execution order (see
+	// obs.TraceSummary.Stages).
 	Stages []obs.Stage       `json:"stages"`
 	Trace  *obs.TraceSummary `json:"trace,omitempty"`
 }
@@ -101,30 +102,9 @@ func Explain(res *Result, sum *obs.TraceSummary) *ExplainReport {
 	}
 	if sum != nil {
 		r.TraceID, r.Seconds, r.Trace = sum.TraceID, sum.Seconds, sum
-		r.Stages = stageRows(sum)
+		r.Stages = sum.Stages()
 	}
 	return r
-}
-
-// stageRows flattens the query's pipeline stages (plus the serving layer's
-// queue wait above it) into report rows in execution order, even when
-// spans from different subtrees interleave.
-func stageRows(sum *obs.TraceSummary) []obs.Stage {
-	var nodes []*obs.SpanNode
-	for _, root := range sum.Spans {
-		root.Walk(func(n *obs.SpanNode) {
-			switch n.Name {
-			case "queue_wait", "matrix", "sampling", "labeling", "features", "training":
-				nodes = append(nodes, n)
-			}
-		})
-	}
-	sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].StartMS < nodes[j].StartMS })
-	var rows []obs.Stage
-	for _, n := range nodes {
-		rows = append(rows, obs.Stage{Name: n.Name, Seconds: n.Seconds})
-	}
-	return rows
 }
 
 // WriteText renders the report for terminals (the aqquery -explain output).

@@ -100,6 +100,31 @@ func TestExplainFieldMapping(t *testing.T) {
 	}
 }
 
+// TestTracedRunStageLeaves guards the trace's single-owner contract: with
+// labeling and features fanned out over worker pools, a traced run still
+// records only the query span and its five stages, all on the calling
+// goroutine, so the summary's leaves are exactly the stages in order.
+func TestTracedRunStageLeaves(t *testing.T) {
+	e := engine(t)
+	q := vaxQuery(e, ModelOLS, 0.3)
+	q.Workers, q.Parallelism = 4, 4
+	tr := obs.NewTrace()
+	if _, err := e.RunContext(obs.WithTrace(context.Background(), tr), q); err != nil {
+		t.Fatal(err)
+	}
+	sum := tr.Summary()
+	var got []string
+	for _, st := range sum.Stages() {
+		got = append(got, st.Name)
+	}
+	if !slices.Equal(got, engineStageNames) {
+		t.Errorf("stage leaves = %v, want %v", got, engineStageNames)
+	}
+	if len(sum.Spans) != 1 || sum.Spans[0].Name != "query" || len(sum.Spans[0].Children) != len(engineStageNames) {
+		t.Errorf("tree = %+v, want one query span over the five stages", sum.Spans)
+	}
+}
+
 // TestExplainTolerates covers the three partial shapes: a run without a
 // trace, a failed job with a trace but no Result, and neither.
 func TestExplainTolerates(t *testing.T) {

@@ -147,6 +147,20 @@ func csrRow[T any](offsets []int64, flat []T, i int) ([]T, error) {
 	return flat[a:b:b], nil
 }
 
+// checkLeaves verifies one tree's leaves: zones in [0, nz), strictly
+// ascending, never the root.
+func checkLeaves(leaves []hoptree.Leaf, root, nz int) error {
+	prev := -1
+	for _, l := range leaves {
+		z := int(l.Zone)
+		if z < 0 || z >= nz || z <= prev || z == root {
+			return fmt.Errorf("zone %d tree: leaf zone %d out of range [0,%d), out of ascending order or equal to the root", root, z, nz)
+		}
+		prev = z
+	}
+	return nil
+}
+
 // buildSnapshotSectionsV2 flattens an engine's pre-processed structures
 // into the ordered v2 section list.
 func buildSnapshotSectionsV2(snap *Snapshot) ([]snapSection, error) {
@@ -407,6 +421,15 @@ func snapshotFromSections(path string, sections map[string][]byte) (*Snapshot, e
 		in, err := csrRow(inOff, inLeaves, z)
 		if err != nil {
 			return nil, bad("forest.inoff", err)
+		}
+		// Leaf zones index per-zone arrays and Tree.Leaf binary-searches
+		// them, so a bad one that passed the checksum must fail here, not
+		// as a panic in the first feature pass.
+		if err := checkLeaves(out, z, nz); err != nil {
+			return nil, bad("forest.outleaf", err)
+		}
+		if err := checkLeaves(in, z, nz); err != nil {
+			return nil, bad("forest.inleaf", err)
 		}
 		forest.Out[z] = &hoptree.Tree{Zone: z, Direction: hoptree.Outbound, Interval: meta.Interval, Leaves: out}
 		forest.In[z] = &hoptree.Tree{Zone: z, Direction: hoptree.Inbound, Interval: meta.Interval, Leaves: in}

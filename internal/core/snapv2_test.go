@@ -128,11 +128,45 @@ func TestSnapshotV2RejectsSectionDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// damageLeaf re-encodes the engine with one leaf zone rewritten: the
+	// checksums are valid, so only the loader's leaf checks can refuse it.
+	nz := e.Forest().Zones()
+	damageLeaf := func(zone func(root int, leaves []hoptree.Leaf) int32) func([]byte) []byte {
+		return func([]byte) []byte {
+			snap := e.buildSnapshot(0)
+			f := *snap.Forest
+			f.Out = append([]*hoptree.Tree(nil), f.Out...)
+			for z, tree := range f.Out {
+				if len(tree.Leaves) < 2 {
+					continue
+				}
+				bent := *tree
+				bent.Leaves = append([]hoptree.Leaf(nil), tree.Leaves...)
+				bent.Leaves[1].Zone = zone(z, bent.Leaves)
+				f.Out[z] = &bent
+				break
+			}
+			snap.Forest = &f
+			sections, err := buildSnapshotSectionsV2(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			image, err := encodeSnapshotV2(sections)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return image
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
 		reason string
 	}{
+		{"leaf_zone_past_end", damageLeaf(func(int, []hoptree.Leaf) int32 { return int32(nz + 5) }), "forest.outleaf"},
+		{"leaf_zone_negative", damageLeaf(func(int, []hoptree.Leaf) int32 { return -1 }), "forest.outleaf"},
+		{"leaf_zones_unordered", damageLeaf(func(_ int, l []hoptree.Leaf) int32 { return l[0].Zone }), "forest.outleaf"},
+		{"leaf_zone_is_root", damageLeaf(func(root int, _ []hoptree.Leaf) int32 { return int32(root) }), "forest.outleaf"},
 		{"flipped_section_byte", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			// Flip the first byte of the first section, located via the

@@ -229,7 +229,7 @@ func TestTraceAndSpans(t *testing.T) {
 	if d <= 0 {
 		t.Fatalf("span duration %v", d)
 	}
-	stages := tr.Stages()
+	stages := tr.Summary().Stages()
 	if len(stages) != 1 || stages[0].Name != "matrix" || stages[0].Seconds <= 0 {
 		t.Fatalf("stages = %+v", stages)
 	}
@@ -242,7 +242,7 @@ func TestTraceAndSpans(t *testing.T) {
 		t.Fatal("negative duration")
 	}
 	var nilTrace *Trace
-	if nilTrace.Stages() != nil {
+	if nilTrace.Summary().Stages() != nil {
 		t.Fatal("nil trace returned stages")
 	}
 }

@@ -11,11 +11,13 @@ type spanCtxKey struct{}
 
 type spanRef struct {
 	tr  *Trace
-	idx int32 // current span slot; -1 at the trace root
+	idx int32 // current span's index; -1 at the trace root
 }
 
 // WithTrace returns a context carrying t as the trace for the request.
-// Spans started under the returned context become roots of t's tree.
+// Spans started under the returned context become roots of t's tree. The
+// trace records one request on one goroutine: every span under the
+// context must be started and ended by the goroutine that owns t.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	if t == nil {
 		return ctx
@@ -28,9 +30,7 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 // then carries only the start time and the optional histogram, and End is
 // a nil-check away from skipping the trace.
 //
-// End must be called by the goroutine that started the span (concurrent
-// goroutines each start their own span); it publishes the span and must be
-// called exactly once.
+// End must be called exactly once, by the trace's owning goroutine.
 type Span struct {
 	tr    *Trace
 	idx   int32
@@ -46,17 +46,13 @@ type Span struct {
 // unchanged and the whole call costs one time.Now.
 func Start(ctx context.Context, name string, h *HistogramMetric) (context.Context, Span) {
 	ref, _ := ctx.Value(spanCtxKey{}).(spanRef)
-	sp := Span{idx: -1, start: time.Now(), hist: h}
+	sp := Span{start: time.Now(), hist: h}
 	if ref.tr == nil {
 		return ctx, sp
 	}
-	idx := ref.tr.startSpan(name, ref.idx, sp.start)
-	if idx < 0 { // trace full: keep timing, stop recording
-		return ctx, sp
-	}
 	sp.tr = ref.tr
-	sp.idx = idx
-	return context.WithValue(ctx, spanCtxKey{}, spanRef{tr: ref.tr, idx: idx}), sp
+	sp.idx = ref.tr.startSpan(name, ref.idx, sp.start)
+	return context.WithValue(ctx, spanCtxKey{}, spanRef{tr: ref.tr, idx: sp.idx}), sp
 }
 
 // RecordSpan appends an already-completed span of duration d as a child
@@ -67,18 +63,18 @@ func RecordSpan(ctx context.Context, name string, d time.Duration) {
 	if ref.tr == nil {
 		return
 	}
-	ref.tr.record(name, ref.idx, time.Now().Add(-d), d)
+	ref.tr.end(ref.tr.startSpan(name, ref.idx, time.Now().Add(-d)), d)
 }
 
 // End finishes the span, observes its duration into the histogram given
-// at Start, publishes it to the trace, and returns the duration.
+// at Start, closes it in the trace, and returns the duration.
 func (s Span) End() time.Duration {
 	d := time.Since(s.start)
 	if s.hist != nil {
 		s.hist.ObserveDuration(d)
 	}
 	if s.tr != nil {
-		s.tr.spans[s.idx].endNs.Store(clampNanos(d))
+		s.tr.end(s.idx, d)
 	}
 	return d
 }

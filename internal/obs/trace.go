@@ -13,44 +13,28 @@ import (
 // the time went; what the run did (TODAM reduction, SPQs priced, cache
 // hits, model convergence) is the typed result the traced code returns.
 //
-// Design constraints, in order:
-//
-//  1. The disabled path (no trace on the context) must cost nothing: no
-//     allocation, no atomics, one time.Now pair. Span is therefore a value
-//     type and every method nil-checks its trace pointer first.
-//  2. The enabled hot path must be lock-free. Span slots live in a
-//     fixed-capacity array allocated once per trace; starting a span is
-//     one atomic increment claiming a slot. A span's fields are written
-//     only by the goroutine that started it ("owner writes"), and End
-//     publishes them with an atomic store of the duration. Readers skip
-//     spans whose duration is still zero, so the atomic store/load pair is
-//     the only synchronization — concurrent stage goroutines never
-//     contend on a lock.
-//  3. Traces must be bounded. A trace that overflows its span capacity
-//     drops further spans and counts them, rather than growing without
-//     limit under a pathological query.
-type Trace struct {
-	id string
+// The disabled path (no trace on the context) must cost nothing: no
+// allocation, one time.Now pair. Span is therefore a value type and every
+// method nil-checks its trace pointer first.
 
-	spans   []span
-	n       atomic.Int32 // claimed slots; may exceed len(spans) when overflowing
-	dropped atomic.Int64
+// Trace records the spans of one request. It has one owner: the goroutine
+// that runs the request starts and ends every span and then takes the
+// Summary. A trace is not safe for concurrent use, and it needs none — a
+// served run records nine spans (job, queue_wait, query, the five engine
+// stages), all on its worker goroutine; fan-outs below a stage start none.
+type Trace struct {
+	id    string
+	spans []span
 }
 
-// span is one slot in the trace's span array. name, parent and start are
-// written only by the owning goroutine before the endNs store; endNs != 0
-// is the publication barrier readers synchronize on.
+// span is one recorded interval; parent indexes the trace's spans, -1 for
+// roots. dur is 0 while the span is open.
 type span struct {
 	name   string
-	parent int32 // slot index of the parent span, -1 for roots
+	parent int32
 	start  time.Time
-	endNs  atomic.Int64 // span duration in nanoseconds; 0 while running
+	dur    time.Duration
 }
-
-// DefaultMaxSpans bounds a NewTrace trace. A query produces on the order
-// of ten spans (job, queue wait, query, five engine stages), so 256 leaves
-// generous room for deeper instrumentation before anything is dropped.
-const DefaultMaxSpans = 256
 
 // traceSeq disambiguates trace IDs within a process; traceEpoch
 // disambiguates across processes.
@@ -59,56 +43,24 @@ var (
 	traceEpoch = uint64(time.Now().UnixNano())
 )
 
-// NewTrace returns an empty trace with a process-unique ID, holding at
-// most DefaultMaxSpans spans; further spans are dropped and counted.
+// NewTrace returns an empty trace with a process-unique ID.
 func NewTrace() *Trace {
 	return &Trace{
 		id:    fmt.Sprintf("%08x-%06x", uint32(traceEpoch), traceSeq.Add(1)&0xffffff),
-		spans: make([]span, DefaultMaxSpans),
+		spans: make([]span, 0, 16),
 	}
 }
 
-// startSpan claims a slot for a new span and returns its index, or -1 when
-// the trace is nil or full.
+// startSpan appends an open span and returns its index.
 func (t *Trace) startSpan(name string, parent int32, start time.Time) int32 {
-	if t == nil {
-		return -1
-	}
-	n := t.n.Add(1)
-	if int(n) > len(t.spans) {
-		t.dropped.Add(1)
-		return -1
-	}
-	s := &t.spans[n-1]
-	s.name = name
-	s.parent = parent
-	s.start = start
-	return n - 1
+	t.spans = append(t.spans, span{name: name, parent: parent, start: start})
+	return int32(len(t.spans) - 1)
 }
 
-// record adds an already-completed span (e.g. a queue wait measured
-// elsewhere); start is back-dated so the tree's time bounds stay truthful.
-func (t *Trace) record(name string, parent int32, start time.Time, d time.Duration) {
-	if idx := t.startSpan(name, parent, start); idx >= 0 {
-		t.spans[idx].endNs.Store(clampNanos(d))
-	}
-}
-
-func clampNanos(d time.Duration) int64 {
-	ns := d.Nanoseconds()
-	if ns <= 0 {
-		ns = 1 // 0 means "still running"; a finished span must publish
-	}
-	return ns
-}
-
-// claimed returns how many slots hold (possibly unfinished) spans.
-func (t *Trace) claimed() int {
-	n := int(t.n.Load())
-	if n > len(t.spans) {
-		n = len(t.spans)
-	}
-	return n
+// end closes span idx after d; a finished span lasts at least 1 ns, so a
+// zero duration always means open.
+func (t *Trace) end(idx int32, d time.Duration) {
+	t.spans[idx].dur = max(d, 1)
 }
 
 // Stage is one timed pipeline stage inside a request, the flat view of a
@@ -117,25 +69,6 @@ func (t *Trace) claimed() int {
 type Stage struct {
 	Name    string  `json:"name"`
 	Seconds float64 `json:"seconds"`
-}
-
-// Stages returns the completed spans as a flat list in start order — the
-// backwards-compatible stage breakdown job snapshots expose. Unfinished
-// spans are skipped.
-func (t *Trace) Stages() []Stage {
-	if t == nil {
-		return nil
-	}
-	var out []Stage
-	for i := 0; i < t.claimed(); i++ {
-		s := &t.spans[i]
-		ns := s.endNs.Load()
-		if ns == 0 {
-			continue
-		}
-		out = append(out, Stage{Name: s.name, Seconds: time.Duration(ns).Seconds()})
-	}
-	return out
 }
 
 // SpanNode is one node of the JSON span tree: a named, timed span with its
@@ -167,65 +100,70 @@ type TraceSummary struct {
 	TraceID string    `json:"trace_id"`
 	Start   time.Time `json:"start"`
 	// Seconds spans the earliest span start to the latest span end.
-	Seconds float64 `json:"seconds"`
-	// DroppedSpans counts spans lost to the capacity bound.
-	DroppedSpans int64       `json:"dropped_spans,omitempty"`
-	Spans        []*SpanNode `json:"spans"`
+	Seconds float64     `json:"seconds"`
+	Spans   []*SpanNode `json:"spans"`
+}
+
+// Stages returns the tree's leaves depth-first: the intervals that tile
+// the run, in execution order. For a served run that is queue_wait and the
+// engine's five stages; the enclosing job and query spans are not stages.
+// Every stage list — job polls, explain, the cost bill, the slow-query
+// log — is this one.
+func (s *TraceSummary) Stages() []Stage {
+	if s == nil {
+		return nil
+	}
+	var out []Stage
+	for _, root := range s.Spans {
+		root.Walk(func(n *SpanNode) {
+			if len(n.Children) == 0 {
+				out = append(out, Stage{Name: n.Name, Seconds: n.Seconds})
+			}
+		})
+	}
+	return out
 }
 
 // Summary snapshots the trace into an immutable span tree. Only finished
-// spans are included; a finished span whose ancestors are still running is
-// attached to its nearest finished ancestor (or promoted to a root).
-// Summary is safe to call concurrently with span recording, but the
-// canonical use is once, after the traced request completes.
+// spans are included; a finished span whose ancestors are still open — a
+// panicking run leaves them so — is attached to its nearest finished
+// ancestor (or promoted to a root). Call it from the trace's owner.
 func (t *Trace) Summary() *TraceSummary {
 	if t == nil {
 		return nil
 	}
-	n := t.claimed()
-	type flat struct {
-		node *SpanNode
-		end  time.Time
-	}
-	nodes := make([]flat, n)
+	nodes := make([]*SpanNode, len(t.spans))
 	var minStart, maxEnd time.Time
-	for i := 0; i < n; i++ {
-		s := &t.spans[i]
-		ns := s.endNs.Load() // acquire: orders the owner's writes below
-		if ns == 0 {
+	for i, s := range t.spans {
+		if s.dur == 0 {
 			continue
 		}
-		d := time.Duration(ns)
-		node := &SpanNode{Name: s.name, Seconds: d.Seconds()}
-		end := s.start.Add(d)
-		nodes[i] = flat{node: node, end: end}
+		nodes[i] = &SpanNode{Name: s.name, Seconds: s.dur.Seconds()}
 		if minStart.IsZero() || s.start.Before(minStart) {
 			minStart = s.start
 		}
-		if end.After(maxEnd) {
+		if end := s.start.Add(s.dur); end.After(maxEnd) {
 			maxEnd = end
 		}
 	}
-	sum := &TraceSummary{TraceID: t.id, Start: minStart, DroppedSpans: t.dropped.Load()}
+	sum := &TraceSummary{TraceID: t.id, Start: minStart}
 	if !minStart.IsZero() {
 		sum.Seconds = maxEnd.Sub(minStart).Seconds()
 	}
-	for i := 0; i < n; i++ {
-		if nodes[i].node == nil {
+	for i, node := range nodes {
+		if node == nil {
 			continue
 		}
-		nodes[i].node.StartMS = float64(t.spans[i].start.Sub(minStart).Nanoseconds()) / 1e6
-		// Attach to the nearest finished ancestor; parents always occupy
-		// lower slots than their children, so their nodes already exist.
+		node.StartMS = float64(t.spans[i].start.Sub(minStart).Nanoseconds()) / 1e6
+		// Parents always precede their children, so their nodes exist.
 		parent := t.spans[i].parent
-		for parent >= 0 && nodes[parent].node == nil {
+		for parent >= 0 && nodes[parent] == nil {
 			parent = t.spans[parent].parent
 		}
 		if parent >= 0 {
-			p := nodes[parent].node
-			p.Children = append(p.Children, nodes[i].node)
+			nodes[parent].Children = append(nodes[parent].Children, node)
 		} else {
-			sum.Spans = append(sum.Spans, nodes[i].node)
+			sum.Spans = append(sum.Spans, node)
 		}
 	}
 	return sum

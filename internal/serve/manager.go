@@ -215,7 +215,6 @@ type Job struct {
 	staleFor   time.Duration // how far past freshness the stale answer is
 	epochStale bool          // cached answer predates the city's current engine epoch
 	created    time.Time
-	stages     []obs.Stage
 	// retired is set once the job is in the manager's finished queue;
 	// guarded by Manager.mu, not mu.
 	retired bool
@@ -225,8 +224,9 @@ type Job struct {
 
 // Snapshot is a point-in-time view of a job, shaped for JSON status
 // responses. Stages holds the per-stage latency breakdown of the run that
-// answered the job (queue wait, the engine's Table II stages, and the
-// end-to-end query span); it is empty for cache hits, which ran nothing.
+// answered the job — its trace's leaves: the queue wait and the engine's
+// Table II stages, in execution order; it is empty for cache hits, which
+// ran nothing.
 // Trace is the full span tree of the run that answered the job; a cache
 // hit carries the trace of the run that produced the cached result, and a
 // failed job its own run's. Body memoises the result's wire encoding; it is
@@ -268,7 +268,6 @@ func (j *Job) Snapshot() Snapshot {
 		Stale:        j.stale,
 		StaleFor:     j.staleFor,
 		Created:      j.created,
-		Stages:       j.stages,
 		Trace:        j.ans.trace,
 		Result:       j.ans.res,
 		Body:         j.ans.body,
@@ -282,6 +281,9 @@ func (j *Job) Snapshot() Snapshot {
 			s.City = res.City
 		}
 	}
+	if !j.cacheHit {
+		s.Stages = j.ans.trace.Stages()
+	}
 	if j.err != nil {
 		s.Error = j.err.Error()
 	}
@@ -292,7 +294,7 @@ func (j *Job) Snapshot() Snapshot {
 // nil, failed or cancelled otherwise (ans then carries at most the failed
 // run's trace). It is idempotent: Cancel and a finishing flight can race to
 // complete the same job, and whichever gets there first wins.
-func (j *Job) complete(ans answer, err error, stages []obs.Stage) {
+func (j *Job) complete(ans answer, err error) {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
@@ -309,7 +311,6 @@ func (j *Job) complete(ans answer, err error, stages []obs.Stage) {
 		j.state = StateDone
 	}
 	j.ans = ans
-	j.stages = stages
 	j.mu.Unlock()
 	close(j.done)
 }
@@ -558,7 +559,6 @@ func (m *Manager) admitLocked(req Request, fp string, async bool, now time.Time,
 		ts.rejected++
 		ts.shedAsync++
 		mRejected.Inc()
-		mShedAsync.Inc()
 		ts.m.shedAsync.Inc()
 		return nil, ErrQueueFull
 	}
@@ -568,7 +568,6 @@ func (m *Manager) admitLocked(req Request, fp string, async bool, now time.Time,
 	fl := &flight{fp: fp, req: req, enqueued: now, probe: probe}
 	select {
 	case m.queue <- fl:
-		mQueueDepth.Inc()
 		ts.queued++
 		ts.m.queued.Inc()
 	default:
@@ -637,7 +636,7 @@ func (m *Manager) breakerStateLocked(ts *tenantState, now time.Time) (open, canP
 }
 
 // anyBreakerOpenLocked reports whether any tenant's breaker is open, the
-// process-wide view behind Stats.BreakerOpen and aq_serve_breaker_open.
+// process-wide view behind Stats.BreakerOpen.
 // Callers hold m.mu.
 func (m *Manager) anyBreakerOpenLocked(now time.Time) bool {
 	for _, ts := range m.tenants {
@@ -667,9 +666,6 @@ func (m *Manager) breakerLocked(ts *tenantState, o *outcome, now time.Time) {
 		if !ts.openUntil.IsZero() {
 			ts.openUntil = time.Time{}
 			ts.m.breakerOpen.Set(0)
-			if !m.anyBreakerOpenLocked(now) {
-				mBreakerOpen.Set(0)
-			}
 		}
 	case classFailed:
 		ts.consecFails++
@@ -682,7 +678,6 @@ func (m *Manager) breakerLocked(ts *tenantState, o *outcome, now time.Time) {
 	}
 	if fb := m.cfg.SLO.FastBurn(o.city); fb >= m.cfg.BurnTripThreshold {
 		m.tripLocked(ts, now)
-		mBurnTrips.Inc()
 		ts.m.burnTrips.Inc()
 		m.cfg.Logger.Warn("slo burn trip",
 			olog.F("city", o.city),
@@ -696,8 +691,6 @@ func (m *Manager) breakerLocked(ts *tenantState, o *outcome, now time.Time) {
 func (m *Manager) tripLocked(ts *tenantState, now time.Time) {
 	ts.openUntil = now.Add(m.cfg.BreakerCooldown)
 	ts.trips++
-	mBreakerTrips.Inc()
-	mBreakerOpen.Set(1)
 	ts.m.breakerTrips.Inc()
 	ts.m.breakerOpen.Set(1)
 }
@@ -706,7 +699,6 @@ func (m *Manager) tripLocked(ts *tenantState, now time.Time) {
 // hold m.mu and must only call it once admission has succeeded.
 func (m *Manager) newJobLocked(ts *tenantState, city, fp string, now time.Time) *Job {
 	ts.submitted++
-	mSubmitted.Inc()
 	ts.m.submitted.Inc()
 	m.nextID++
 	return &Job{
@@ -796,7 +788,7 @@ func (m *Manager) Cancel(id string) error {
 	// complete is idempotent: a finished flight completes its jobs outside
 	// m.mu, so if it got to this one first the job kept its real outcome
 	// and was never cancelled.
-	job.complete(answer{}, ErrCancelled, nil)
+	job.complete(answer{}, ErrCancelled)
 	if s := job.Snapshot(); s.State != StateCancelled {
 		return ErrNotCancellable
 	}
@@ -950,7 +942,6 @@ func (m *Manager) worker() {
 // runFlight executes one deduplicated engine run and completes every job
 // attached to it.
 func (m *Manager) runFlight(fl *flight) {
-	mQueueDepth.Dec()
 	m.mu.Lock()
 	ts := m.tenantLocked(fl.req.City)
 	ts.queued--
@@ -1023,7 +1014,7 @@ func (m *Manager) runFlight(fl *flight) {
 
 	o := outcome{
 		kind: ranEngine, city: fl.req.City, fp: fl.fp, jobs: jobs, ans: ans, err: err, class: classify(err),
-		probe: fl.probe, wait: wait, elapsed: elapsed, stages: tr.Stages(),
+		probe: fl.probe, wait: wait, elapsed: elapsed, stages: ans.trace.Stages(),
 		deadline: errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded),
 	}
 	if res != nil {
@@ -1098,13 +1089,12 @@ type outcome struct {
 // observe feeds one outcome to every outlet, then completes its jobs:
 // the cost bill and the SLO; under m.mu the event counts and, for an
 // engine run, the breaker (which reads the SLO just recorded); then, for a
-// run, the dropped-span count, a capture and the slow-query log. Callers
-// do not hold m.mu.
+// run, a capture and the slow-query log. Callers do not hold m.mu.
 func (m *Manager) observe(o *outcome) {
 	// Jobs complete last on every path, after their counts and capture.
 	defer func() {
 		for _, j := range o.jobs {
-			j.complete(o.ans, o.err, o.stages)
+			j.complete(o.ans, o.err)
 		}
 	}()
 	run := o.kind == ranEngine
@@ -1121,21 +1111,17 @@ func (m *Manager) observe(o *outcome) {
 	switch o.kind {
 	case hitFresh:
 		ts.cacheHits++
-		mCacheHits.Inc()
 		ts.m.cacheHits.Inc()
 	case hitStale:
 		ts.staleServed++
-		mStaleServed.Inc()
 		ts.m.staleServed.Inc()
 	case ranEngine:
 		n := int64(len(o.jobs))
 		if o.err != nil {
 			ts.failed += n
-			mFailed.Add(n)
 			ts.m.failed.Add(n)
 		} else {
 			ts.completed += n
-			mCompleted.Add(n)
 			ts.m.completed.Add(n)
 		}
 		m.breakerLocked(ts, o, m.cfg.now())
@@ -1145,7 +1131,6 @@ func (m *Manager) observe(o *outcome) {
 		return
 	}
 
-	mDroppedSpans.Add(o.ans.trace.DroppedSpans)
 	slow := m.cfg.SlowQueryThreshold > 0 && o.elapsed >= m.cfg.SlowQueryThreshold
 	var captureID string
 	if m.cfg.Captures != nil && (o.deadline || slow) {
@@ -1171,7 +1156,6 @@ func (m *Manager) observe(o *outcome) {
 	// limit are counted, not written: a burn event keeps exemplars
 	// without becoming a log storm.
 	if !ts.slowLog.Allow() {
-		mLogSuppressed.Inc()
 		ts.m.logSuppressed.Inc()
 		return
 	}

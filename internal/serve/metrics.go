@@ -11,40 +11,29 @@ import (
 // parallel the per-manager Stats counters: Stats answers "what has this
 // manager done since startup" over JSON, while these feed time-series
 // scrapes (rates, saturation, queue-wait distributions) across however
-// many managers the process runs.
+// many managers the process runs. A family with a per-city breakdown
+// (cityMetrics) has no unlabeled series: the process-wide total is
+// sum without (city), and a second copy would count every event twice.
 var (
-	mSubmitted   = obs.Counter("aq_serve_submitted_total")
-	mCacheHits   = obs.Counter("aq_serve_cache_hits_total")
 	mCacheMisses = obs.Counter("aq_serve_cache_misses_total")
 	mDedups      = obs.Counter("aq_serve_deduplicated_total")
 	mRejected    = obs.Counter("aq_serve_rejected_total")
-	mCompleted   = obs.Counter("aq_serve_completed_total")
-	mFailed      = obs.Counter("aq_serve_failed_total")
 	mCancelled   = obs.Counter("aq_serve_cancelled_total")
-	mShedAsync   = obs.Counter("aq_serve_shed_async_total")
-	mStaleServed = obs.Counter("aq_serve_stale_served_total")
 	mEpochStale  = obs.Counter("aq_serve_epoch_stale_hits_total")
 
-	mBreakerTrips    = obs.Counter("aq_serve_breaker_trips_total")
 	mBreakerRejected = obs.Counter("aq_serve_breaker_rejected_total")
-	mBreakerOpen     = obs.Gauge("aq_serve_breaker_open")
-	mBurnTrips       = obs.Counter("aq_serve_burn_trips_total")
-
-	mLogSuppressed = obs.Counter("aq_log_suppressed_total")
-	mDroppedSpans  = obs.Counter("aq_trace_dropped_spans_total")
 
 	mQueueWait  = obs.Histogram("aq_serve_queue_wait_seconds")
 	mRunSeconds = obs.Histogram("aq_serve_run_seconds")
 
-	mQueueDepth  = obs.Gauge("aq_serve_queue_depth")
 	mWorkersBusy = obs.Gauge("aq_serve_workers_busy")
 	mWorkers     = obs.Gauge("aq_serve_workers")
 )
 
-// cityMetrics is one tenant's slice of the serving series: the unlabeled
-// totals above stay the process-wide view, these break the tenant-scoped
-// ones (admission, breaker, shedding) down by city so a multi-city server
-// can tell whose traffic is failing or being shed.
+// cityMetrics is one tenant's slice of the serving series: the
+// tenant-scoped families (admission, breaker, shedding, slow-log
+// suppression), labeled by city so a multi-city server can tell whose
+// traffic is failing or being shed.
 type cityMetrics struct {
 	submitted     *obs.CounterMetric // aq_serve_submitted_total{city}
 	cacheHits     *obs.CounterMetric // aq_serve_cache_hits_total{city}
@@ -109,7 +98,6 @@ func init() {
 	obs.Default.SetHelp("aq_serve_breaker_open", "1 while the circuit breaker refuses new engine runs, else 0.")
 	obs.Default.SetHelp("aq_serve_burn_trips_total", "Circuit-breaker trips caused by the SLO fast-burn signal crossing the burn-trip threshold.")
 	obs.Default.SetHelp("aq_log_suppressed_total", "Slow-query log lines suppressed by the per-tenant log rate limit.")
-	obs.Default.SetHelp("aq_trace_dropped_spans_total", "Spans dropped at the per-trace capacity bound, summed over engine runs.")
 	obs.Default.SetHelp("aq_serve_queue_wait_seconds", "Time a distinct query waited between admission and a worker picking it up.")
 	obs.Default.SetHelp("aq_serve_run_seconds", "Engine run duration per deduplicated flight.")
 	obs.Default.SetHelp("aq_serve_queue_depth", "Distinct queries currently waiting in the admission queue.")

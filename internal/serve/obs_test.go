@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -202,14 +203,90 @@ func TestAccountantBillsRunsAndCacheHits(t *testing.T) {
 	}
 }
 
+// TestCityFamiliesHaveNoUnlabeledTwin pins that every serving family with
+// a per-city breakdown exports only the labeled series — an unlabeled copy
+// made sum() count each event twice — and that for a one-city manager each
+// city series reads what Stats (or TenantStats) reports.
+func TestCityFamiliesHaveNoUnlabeledTwin(t *testing.T) {
+	const city = "paritycity"
+	run := func(ctx context.Context, req Request) (*core.Result, error) {
+		if req.Seed == 2 {
+			return nil, errors.New("boom")
+		}
+		return &core.Result{Fairness: req.Budget}, nil
+	}
+	m := NewManager(run, Config{
+		Workers: 1, BreakerThreshold: 1, BreakerCooldown: time.Hour,
+		SlowQueryThreshold: time.Nanosecond, SlowLogPerSec: 1e-9, SlowLogBurst: 1,
+		Logger: olog.New(&bytes.Buffer{}, olog.LevelWarn),
+	})
+	defer m.Shutdown(context.Background())
+	ctx := context.Background()
+	ok, bad := schoolReq(), schoolReq()
+	ok.City, bad.City, bad.Seed = city, city, 2
+	m.Do(ctx, ok)  // completed
+	m.Do(ctx, ok)  // cache hit
+	m.Do(ctx, bad) // failed: trips the breaker, its slow line is suppressed
+
+	st := m.Stats()
+	ts := m.TenantStats()
+	if len(ts) != 1 || st.Completed != 1 || st.CacheHits != 1 || st.Failed != 1 || !st.BreakerOpen {
+		t.Fatalf("stats = %+v, tenants = %+v", st, ts)
+	}
+	b2f := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	want := map[string]float64{
+		"aq_serve_submitted_total":     float64(st.Submitted),
+		"aq_serve_cache_hits_total":    float64(st.CacheHits),
+		"aq_serve_completed_total":     float64(st.Completed),
+		"aq_serve_failed_total":        float64(st.Failed),
+		"aq_serve_stale_served_total":  float64(st.StaleServed),
+		"aq_serve_shed_async_total":    float64(st.ShedAsync),
+		"aq_serve_breaker_open":        b2f(st.BreakerOpen),
+		"aq_serve_queue_depth":         float64(st.QueueLen),
+		"aq_serve_breaker_trips_total": float64(ts[0].BreakerTrips),
+		"aq_serve_burn_trips_total":    0,
+		"aq_log_suppressed_total":      1,
+	}
+	var buf bytes.Buffer
+	if err := obs.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]float64)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		for family := range want {
+			if strings.HasPrefix(line, family+" ") {
+				t.Errorf("unlabeled series exported: %q", line)
+			}
+			if v, found := strings.CutPrefix(line, family+`{city="`+city+`"} `); found {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[family] = f
+			}
+		}
+	}
+	for family, w := range want {
+		if g, ok := got[family]; !ok || g != w {
+			t.Errorf("%s{city=%q} = %v (exported %v), want %v", family, city, g, ok, w)
+		}
+	}
+}
+
 // observeAllocs measures m.observe itself — the path every served query
 // takes — for one engine-run outcome and one cache-hit outcome.
 func observeAllocs(m *Manager) (run, hit float64) {
 	tr := obs.NewTrace()
 	obs.RecordSpan(obs.WithTrace(context.Background(), tr), "matrix", time.Millisecond)
+	sum := tr.Summary()
 	ran := outcome{
-		kind: ranEngine, city: "coventry", fp: "fp", ans: answer{trace: tr.Summary()},
-		elapsed: time.Millisecond, stages: tr.Stages(), spqs: 10, bankDrained: 3,
+		kind: ranEngine, city: "coventry", fp: "fp", ans: answer{trace: sum},
+		elapsed: time.Millisecond, stages: sum.Stages(), spqs: 10, bankDrained: 3,
 	}
 	hitO := outcome{kind: hitFresh, city: "coventry", fp: "fp"}
 	run = testing.AllocsPerRun(200, func() { m.observe(&ran) })

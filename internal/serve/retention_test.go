@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
 	"accessquery/internal/core"
-	"accessquery/internal/gtfs"
+	"accessquery/internal/obs/olog"
+	"accessquery/internal/registry"
 	"accessquery/internal/synth"
 )
 
@@ -111,23 +113,30 @@ func TestCancelledJobPruned(t *testing.T) {
 	}
 }
 
+// oneTenantRegistry builds a registry serving one small coventry engine.
+func oneTenantRegistry(t *testing.T) *registry.Registry {
+	t.Helper()
+	reg, err := registry.Open([]registry.TenantSpec{{Name: "coventry"}}, registry.Options{
+		Scale: 0.05, Parallelism: 2, Logger: olog.New(io.Discard, olog.LevelWarn),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
 // TestRetainedResultsAreSlim: what the manager keeps of a real engine run —
 // on the job and in the cache entry — has no sampled matrix, only its three
 // reported sizes, and they are the run's.
 func TestRetainedResultsAreSlim(t *testing.T) {
-	c, err := synth.Generate(synth.Scaled(synth.Coventry(), 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := core.NewEngine(c, core.EngineOptions{Interval: gtfs.Interval{Start: 7 * 3600, End: 9 * 3600, Day: time.Tuesday}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := oneTenantRegistry(t)
+	tn, _ := reg.Get("coventry")
+	e := tn.Engine()
 	req, err := Request{Category: "school", Model: "OLS", Budget: 0.3, Seed: 4}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := e.Run(req.Query(core.POIsOf(c, synth.POISchool)))
+	direct, err := e.Run(req.Query(core.POIsOf(e.City, synth.POISchool)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +144,7 @@ func TestRetainedResultsAreSlim(t *testing.T) {
 		direct.MatrixStats.FullTrips != direct.Matrix.FullSize() || direct.MatrixStats.ReductionPct != direct.Matrix.Reduction() {
 		t.Fatalf("library run: matrix %v, stats %+v", direct.Matrix != nil, direct.MatrixStats)
 	}
-	m := NewManager(EngineRunner(e, RunnerConfig{}), Config{Workers: 1})
+	m := NewManager(RegistryRunner(reg, RunnerConfig{}), Config{Workers: 1})
 	defer m.Shutdown(context.Background())
 	job, err := m.Submit(req)
 	if err != nil {

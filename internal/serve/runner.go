@@ -4,17 +4,15 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"accessquery/internal/access"
 	"accessquery/internal/bank"
 	"accessquery/internal/core"
-	"accessquery/internal/obs"
 	"accessquery/internal/registry"
 	"accessquery/internal/synth"
 )
 
-// RunnerConfig tunes how EngineRunner maps requests onto engine runs. Its
+// RunnerConfig tunes how RegistryRunner maps requests onto engine runs. Its
 // fields control only resource use — results are identical at any
 // setting, which is why none participates in request fingerprints.
 // Labeling inside a served run is serial: the manager's worker pool
@@ -37,24 +35,6 @@ func (c RunnerConfig) withDefaults() RunnerConfig {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
-}
-
-// EngineRunner adapts a single fixed engine to the manager's RunFunc: it
-// resolves the request's POI category against the engine's city and
-// threads the serving-layer parallelism defaults into the query. It
-// remains the run function for single-engine embedders (and tests); a
-// multi-city server uses RegistryRunner.
-func EngineRunner(engine *core.Engine, cfg RunnerConfig) RunFunc {
-	cfg = cfg.withDefaults()
-	// A fixed engine never swaps, so its whole lifetime is one bank
-	// generation: epoch 0.
-	var seg access.TripBank
-	if cfg.Bank != nil {
-		seg = cfg.Bank.Segment(engine.City.Name, 0)
-	}
-	return func(ctx context.Context, req Request) (*core.Result, error) {
-		return runOnEngine(ctx, engine, req, cfg, seg)
-	}
 }
 
 // RegistryRunner adapts a city registry to the manager's RunFunc. Each run
@@ -85,40 +65,28 @@ func RegistryRunner(reg *registry.Registry, cfg RunnerConfig) RunFunc {
 		if cfg.Bank != nil {
 			seg = cfg.Bank.Segment(tn.Name, epoch)
 		}
-		start := time.Now()
-		res, err := runOnEngine(ctx, engine, req, cfg, seg)
-		// A leaf span timing the run on its tenant; the city and epoch
-		// that answered ride on the result below.
-		obs.RecordSpan(ctx, "tenant", time.Since(start))
+		pois := core.POIsOf(engine.City, synth.POICategory(req.Category))
+		if len(pois) == 0 {
+			return nil, fmt.Errorf("unknown or empty POI category %q", req.Category)
+		}
+		// Request.Query is the one canonical wire→engine mapping; only the
+		// result-neutral execution knobs are layered on here. POI weights
+		// are engine state (set by scenario deltas), not request state, so
+		// like the epoch they ride outside the fingerprint: stale cache
+		// entries are flagged via epoch staleness, not keyed away.
+		q := req.Query(pois)
+		q.POIWeights = core.POIWeightsOf(engine.City, synth.POICategory(req.Category))
+		q.Parallelism = cfg.Parallelism
+		q.Bank = seg
+		res, err := engine.RunContext(ctx, q)
 		if res != nil {
+			// What the manager retains — cache entries and finished jobs,
+			// for minutes — must stay small: responses read MatrixStats,
+			// nothing downstream reads the sampled matrix itself.
+			res.Matrix = nil
 			res.City = tn.Name
 			res.Epoch = epoch
 		}
 		return res, err
 	}
-}
-
-// runOnEngine is the shared request→engine execution path of both runners.
-func runOnEngine(ctx context.Context, engine *core.Engine, req Request, cfg RunnerConfig, seg access.TripBank) (*core.Result, error) {
-	pois := core.POIsOf(engine.City, synth.POICategory(req.Category))
-	if len(pois) == 0 {
-		return nil, fmt.Errorf("unknown or empty POI category %q", req.Category)
-	}
-	// Request.Query is the one canonical wire→engine mapping; only the
-	// result-neutral execution knobs are layered on here. POI weights are
-	// engine state (set by scenario deltas), not request state, so like the
-	// epoch they ride outside the fingerprint: stale cache entries are
-	// flagged via epoch staleness, not keyed away.
-	q := req.Query(pois)
-	q.POIWeights = core.POIWeightsOf(engine.City, synth.POICategory(req.Category))
-	q.Parallelism = cfg.Parallelism
-	q.Bank = seg
-	res, err := engine.RunContext(ctx, q)
-	if res != nil {
-		// What the manager retains — cache entries and finished jobs, for
-		// minutes — must stay small: responses read MatrixStats, nothing
-		// downstream reads the sampled matrix itself.
-		res.Matrix = nil
-	}
-	return res, err
 }

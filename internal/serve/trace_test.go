@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"accessquery/internal/core"
 	"accessquery/internal/obs"
+	"accessquery/internal/obs/account"
 	"accessquery/internal/obs/olog"
 )
 
@@ -49,20 +51,19 @@ func TestJobCarriesTrace(t *testing.T) {
 	}
 }
 
-// TestDroppedSpansCounted checks that spans lost to a trace's capacity
-// bound are not lost silently: aq_trace_dropped_spans_total rises by
-// exactly the run's TraceSummary.DroppedSpans.
-func TestDroppedSpansCounted(t *testing.T) {
-	const extra = 7
-	run := func(ctx context.Context, req Request) (*core.Result, error) {
-		for i := 0; i < obs.DefaultMaxSpans+extra; i++ {
-			obs.RecordSpan(ctx, "filler", time.Microsecond)
-		}
-		return &core.Result{}, nil
-	}
-	m := NewManager(run, Config{Workers: 1})
+// TestServedRunStagesAreLeaves guards the single-owner trace of a served
+// run: its tree is job → {queue_wait, query → the five engine stages},
+// recorded on the worker goroutine at any engine parallelism, and every
+// stage outlet — the job's stage list, explain and the cost bill — lists
+// exactly the tree's leaves. The clock is frozen, so the queue wait is
+// recorded as 1 ns and the bound below is structural: the stages are
+// disjoint intervals nested inside query, inside job.
+func TestServedRunStagesAreLeaves(t *testing.T) {
+	acct := account.New()
+	clock := newFakeClock()
+	m := NewManager(RegistryRunner(oneTenantRegistry(t), RunnerConfig{Parallelism: 4}),
+		Config{Workers: 1, Accountant: acct, now: clock.now})
 	defer m.Shutdown(context.Background())
-	before := mDroppedSpans.Value()
 	job, err := m.Submit(schoolReq())
 	if err != nil {
 		t.Fatal(err)
@@ -70,12 +71,43 @@ func TestDroppedSpansCounted(t *testing.T) {
 	if _, err := m.Wait(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
-	dropped := job.Snapshot().Trace.DroppedSpans
-	if dropped < extra {
-		t.Fatalf("DroppedSpans = %d, want at least %d", dropped, extra)
+	snap := job.Snapshot()
+	want := []string{"queue_wait", "matrix", "sampling", "labeling", "features", "training"}
+	names := func(stages []obs.Stage) []string {
+		out := make([]string, len(stages))
+		for i, st := range stages {
+			out[i] = st.Name
+		}
+		return out
 	}
-	if got := mDroppedSpans.Value() - before; got != dropped {
-		t.Errorf("aq_trace_dropped_spans_total rose by %d, want %d", got, dropped)
+	if got := names(snap.Stages); !slices.Equal(got, want) {
+		t.Fatalf("job stages = %v, want %v", got, want)
+	}
+	if got := names(core.Explain(snap.Result, snap.Trace).Stages); !slices.Equal(got, want) {
+		t.Errorf("explain stages = %v, want %v", got, want)
+	}
+	billed := acct.Snapshot()[0].StageSeconds
+	for _, name := range want {
+		if _, ok := billed[name]; !ok || len(billed) != len(want) {
+			t.Errorf("billed stages = %v, want exactly %v", billed, want)
+			break
+		}
+	}
+
+	spans := snap.Trace.Spans
+	if len(spans) != 1 || spans[0].Name != "job" {
+		t.Fatalf("roots = %+v, want one job span", spans)
+	}
+	jobSpan := spans[0]
+	if c := jobSpan.Children; len(c) != 2 || c[0].Name != "queue_wait" || c[1].Name != "query" {
+		t.Fatalf("job children = %+v, want queue_wait and query", c)
+	}
+	var sum float64
+	for _, st := range snap.Stages {
+		sum += st.Seconds
+	}
+	if sum > jobSpan.Seconds {
+		t.Errorf("stages sum to %gs, more than the %gs job span", sum, jobSpan.Seconds)
 	}
 }
 

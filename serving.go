@@ -155,7 +155,8 @@ type ExplainReport = core.ExplainReport
 func NewTrace() *Trace { return obs.NewTrace() }
 
 // WithTrace attaches a trace to ctx so spans started below it are
-// recorded.
+// recorded. One trace records one request, on one goroutine: create a
+// fresh trace per run and take its Summary after the run returns.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return obs.WithTrace(ctx, t)
 }
