@@ -59,142 +59,130 @@ type server struct {
 	snapDir  string         // -snapshot-dir, the /v1 snapshots store
 }
 
+// config is aqserver's command line. parseFlags binds each flag straight
+// onto the field it sets, so main copies nothing.
+type config struct {
+	city, cities, addr, debugAddr             string
+	faultSpec, sloSpec, snapshotDir, logLevel string
+	drainTimeout                              time.Duration
+	bankOn, version                           bool
+
+	serve    serve.Config
+	capture  capture.Config
+	bank     bank.Config
+	registry registry.Options
+}
+
+// parseFlags registers aqserver's flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
+	c := &config{}
+	fs.StringVar(&c.city, "city", "coventry", "city preset: birmingham or coventry (ignored when -cities is set)")
+	fs.StringVar(&c.cities, "cities", "", "comma-separated city tenants, each a preset name or name=snapshot.snap (e.g. \"coventry,birmingham=bham.snap\"); the first is the default city")
+	fs.Float64Var(&c.registry.Scale, "scale", 0.25, "city scale factor")
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8321", "listen address")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "optional loopback listener for /metrics, /debug/pprof, and /debug/captures (e.g. 127.0.0.1:8322)")
+	fs.IntVar(&c.serve.Workers, "workers", 2, "concurrent engine runs (serving worker pool)")
+	fs.IntVar(&c.serve.QueueDepth, "queue", 32, "admission queue depth; beyond it queries get 429")
+	fs.IntVar(&c.serve.CacheSize, "cache-size", 64, "result-cache entries (negative disables)")
+	fs.DurationVar(&c.serve.CacheTTL, "cache-ttl", 10*time.Minute, "result-cache entry lifetime")
+	fs.DurationVar(&c.serve.JobTimeout, "job-timeout", 2*time.Minute, "per-query engine deadline; a request's deadline_ms can only tighten it")
+	fs.IntVar(&c.serve.BreakerThreshold, "breaker-threshold", 5, "consecutive engine failures that trip the circuit breaker (negative disables)")
+	fs.DurationVar(&c.serve.BreakerCooldown, "breaker-cooldown", 15*time.Second, "how long a tripped breaker stays open before probing the engine again")
+	fs.StringVar(&c.faultSpec, "fault-spec", "", "deterministic fault injection for chaos runs, e.g. \"seed=42;spq:fail=0.05\" (never set in production)")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
+	fs.IntVar(&c.registry.Parallelism, "parallelism", runtime.GOMAXPROCS(0), "worker pool for offline pre-processing and each query's feature stage (results identical at any setting)")
+	fs.BoolVar(&c.bankOn, "bank", true, "share priced trips across queries through the epoch-keyed label bank")
+	fs.IntVar(&c.bank.Capacity, "bank-capacity", bank.DefaultCapacity, "label-bank entry capacity across all tenants (oldest segment evicts first)")
+	fs.DurationVar(&c.serve.SlowQueryThreshold, "slow-query", 0, "log queries at or above this duration with their stage breakdown (0 disables)")
+	fs.StringVar(&c.sloSpec, "slo", "", "per-tenant SLOs as \"p99=2s,avail=99.9\" with optional city overrides after semicolons, e.g. \"p99=2s,avail=99.9;coventry:p99=500ms\" (empty or \"off\" disables)")
+	fs.Float64Var(&c.serve.BurnTripThreshold, "slo-burn-trip", 14.4, "fast-burn rate that trips the tenant's circuit breaker (SRE page threshold convention; 0 disables burn tripping)")
+	fs.IntVar(&c.capture.MaxCaptures, "captures", 32, "slow-query captures retained in memory (0 disables capture)")
+	fs.StringVar(&c.capture.Dir, "capture-dir", "", "mirror captures to this directory as <id>.json files")
+	fs.StringVar(&c.snapshotDir, "snapshot-dir", "snapshots", "directory the /v1/cities/{name}/snapshots resource lists, saves to, and activates from")
+	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug, info, warn, error")
+	fs.BoolVar(&c.version, "version", false, "print version and exit")
+	return c, fs.Parse(args)
+}
+
 func main() {
-	var (
-		cityName     = flag.String("city", "coventry", "city preset: birmingham or coventry (ignored when -cities is set)")
-		citiesSpec   = flag.String("cities", "", "comma-separated city tenants, each a preset name or name=snapshot.snap (e.g. \"coventry,birmingham=bham.snap\"); the first is the default city")
-		scale        = flag.Float64("scale", 0.25, "city scale factor")
-		addr         = flag.String("addr", "127.0.0.1:8321", "listen address")
-		debugAddr    = flag.String("debug-addr", "", "optional loopback listener for /metrics, /debug/pprof, and /debug/captures (e.g. 127.0.0.1:8322)")
-		workers      = flag.Int("workers", 2, "concurrent engine runs (serving worker pool)")
-		queueDepth   = flag.Int("queue", 32, "admission queue depth; beyond it queries get 429")
-		cacheSize    = flag.Int("cache-size", 64, "result-cache entries (negative disables)")
-		cacheTTL     = flag.Duration("cache-ttl", 10*time.Minute, "result-cache entry lifetime")
-		jobTimeout   = flag.Duration("job-timeout", 2*time.Minute, "per-query engine deadline")
-		defaultDL    = flag.Duration("default-deadline", 0, "default engine deadline for requests without deadline_ms (0 = job timeout only)")
-		breakerN     = flag.Int("breaker-threshold", 5, "consecutive engine failures that trip the circuit breaker (negative disables)")
-		breakerCD    = flag.Duration("breaker-cooldown", 15*time.Second, "how long a tripped breaker stays open before probing the engine again")
-		faultSpec    = flag.String("fault-spec", "", "deterministic fault injection for chaos runs, e.g. \"seed=42;spq:fail=0.05\" (never set in production)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
-		parallelism  = flag.Int("parallelism", runtime.GOMAXPROCS(0), "worker pool for offline pre-processing and each query's feature stage (results identical at any setting)")
-		bankEnable   = flag.Bool("bank", true, "share priced trips across queries through the epoch-keyed label bank")
-		bankCap      = flag.Int("bank-capacity", bank.DefaultCapacity, "label-bank entry capacity across all tenants (oldest segment evicts first)")
-		bankTTL      = flag.Duration("bank-ttl", 0, "label-bank entry lifetime (0 = no expiry; epoch retirement still invalidates)")
-		slowQuery    = flag.Duration("slow-query", 0, "log queries at or above this duration with their stage breakdown (0 disables)")
-		slowLogRate  = flag.Float64("slow-query-log-rate", 1, "slow-query log lines per second per tenant beyond the burst (suppressed lines are counted, not written; negative disables limiting)")
-		slowLogBurst = flag.Int("slow-query-log-burst", 5, "slow-query log lines a tenant may burst before the rate limit applies")
-		sloSpec      = flag.String("slo", "", "per-tenant SLOs as \"p99=2s,avail=99.9\" with optional city overrides after semicolons, e.g. \"p99=2s,avail=99.9;coventry:p99=500ms\" (empty or \"off\" disables)")
-		sloBurnTrip  = flag.Float64("slo-burn-trip", 14.4, "fast-burn rate that trips the tenant's circuit breaker (SRE page threshold convention; 0 disables burn tripping)")
-		captureMax   = flag.Int("captures", 32, "slow-query captures retained in memory (0 disables capture)")
-		captureDir   = flag.String("capture-dir", "", "mirror captures to this directory as <id>.json files")
-		snapshotDir  = flag.String("snapshot-dir", "snapshots", "directory the /v1/cities/{name}/snapshots resource lists, saves to, and activates from")
-		captureCPU   = flag.Duration("capture-cpu", 0, "record a CPU profile of this duration after each capture trigger, single-flight (0 disables)")
-		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		version      = flag.Bool("version", false, "print version and exit")
-	)
-	flag.Parse()
-	if *version {
+	c, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		logger.Fatal("bad flags", olog.Err(err))
+	}
+	if c.version {
 		buildinfo.Print(os.Stdout, "aqserver")
 		return
 	}
-	if lvl, err := olog.ParseLevel(*logLevel); err != nil {
+	if lvl, err := olog.ParseLevel(c.logLevel); err != nil {
 		logger.Fatal("bad -log-level", olog.Err(err))
 	} else {
 		olog.Default.SetLevel(lvl)
 	}
 	buildinfo.Register()
-	if *faultSpec != "" {
-		spec, err := fault.ParseSpec(*faultSpec)
+	if c.faultSpec != "" {
+		spec, err := fault.ParseSpec(c.faultSpec)
 		if err != nil {
 			logger.Fatal("bad -fault-spec", olog.Err(err))
 		}
 		fault.Enable(fault.New(spec))
-		logger.Warn("fault injection enabled", olog.F("spec", *faultSpec))
+		logger.Warn("fault injection enabled", olog.F("spec", c.faultSpec))
 	}
 	// One -cities spec covers every tenant shape; the single-city flags
 	// remain as the spec for a one-tenant registry.
-	spec := *citiesSpec
+	spec := c.cities
 	if spec == "" {
-		spec = strings.ToLower(strings.TrimSpace(*cityName))
+		spec = strings.ToLower(strings.TrimSpace(c.city))
 	}
 	specs, err := registry.ParseSpec(spec)
 	if err != nil {
 		logger.Fatal("bad -cities", olog.Err(err))
 	}
-	var bk *bank.Bank
-	if *bankEnable {
-		bk = bank.New(bank.Config{Capacity: *bankCap, TTL: *bankTTL})
-		logger.Info("label bank enabled",
-			olog.F("capacity", *bankCap), olog.F("ttl", bankTTL.String()))
+	if c.bankOn {
+		c.registry.Bank = bank.New(c.bank)
+		logger.Info("label bank enabled", olog.F("capacity", c.bank.Capacity))
 	}
-	acct := account.New()
-	sloParsed, err := slo.ParseSpec(*sloSpec)
+	c.serve.Accountant = account.New()
+	sloParsed, err := slo.ParseSpec(c.sloSpec)
 	if err != nil {
 		logger.Fatal("bad -slo", olog.Err(err))
 	}
-	sloEng := slo.New(sloParsed)
-	if sloEng != nil {
+	c.serve.SLO = slo.New(sloParsed)
+	if c.serve.SLO != nil {
 		logger.Info("slo engine enabled",
-			olog.F("spec", *sloSpec), olog.F("burn_trip", *sloBurnTrip))
+			olog.F("spec", c.sloSpec), olog.F("burn_trip", c.serve.BurnTripThreshold))
 	}
-	var captures *capture.Store
-	if *captureMax > 0 {
-		captures, err = capture.NewStore(capture.Config{
-			MaxCaptures: *captureMax,
-			Dir:         *captureDir,
-			CPUProfile:  *captureCPU,
-		})
+	if c.capture.MaxCaptures > 0 {
+		c.serve.Captures, err = capture.NewStore(c.capture)
 		if err != nil {
 			logger.Fatal("bad -capture-dir", olog.Err(err))
 		}
 	}
-	logger.Info("loading cities", olog.F("spec", spec), olog.F("scale", *scale))
-	reg, err := registry.Open(specs, registry.Options{
-		Scale:       *scale,
-		Interval:    gtfs.Interval{Start: 7 * 3600, End: 9 * 3600, Day: time.Tuesday, Label: "weekday AM peak"},
-		Parallelism: *parallelism,
-		// Warm the feature-extractor caches before accepting traffic (and
-		// after every hot-swap) so the first query doesn't pay the
-		// cold-cache cost.
-		WarmCaches: true,
-		Bank:       bk,
-		Logger:     logger,
-		Accountant: acct,
-	})
+	logger.Info("loading cities", olog.F("spec", spec), olog.F("scale", c.registry.Scale))
+	c.registry.Interval = gtfs.Interval{Start: 7 * 3600, End: 9 * 3600, Day: time.Tuesday, Label: "weekday AM peak"}
+	// Warm the feature-extractor caches before accepting traffic (and after
+	// every hot-swap) so the first query doesn't pay the cold-cache cost.
+	c.registry.WarmCaches = true
+	c.registry.Logger = logger
+	c.registry.Accountant = c.serve.Accountant
+	reg, err := registry.Open(specs, c.registry)
 	if err != nil {
 		logger.Fatal("loading cities", olog.Err(err))
 	}
 	// Pre-register every tenant with the SLO engine so /v1/slo and the
 	// burn-rate gauges exist from boot, not from first traffic.
 	for _, name := range reg.Names() {
-		sloEng.Ensure(name)
+		c.serve.SLO.Ensure(name)
 	}
-	s := newServer(reg, serve.Config{
-		Workers:            *workers,
-		QueueDepth:         *queueDepth,
-		CacheSize:          *cacheSize,
-		CacheTTL:           *cacheTTL,
-		JobTimeout:         *jobTimeout,
-		DefaultDeadline:    *defaultDL,
-		BreakerThreshold:   *breakerN,
-		BreakerCooldown:    *breakerCD,
-		SlowQueryThreshold: *slowQuery,
-		SlowLogPerSec:      *slowLogRate,
-		SlowLogBurst:       *slowLogBurst,
-		Logger:             logger,
-		Accountant:         acct,
-		SLO:                sloEng,
-		BurnTripThreshold:  *sloBurnTrip,
-		Captures:           captures,
-	}, serve.RunnerConfig{Parallelism: *parallelism, Bank: bk})
-	s.snapDir = *snapshotDir
+	c.serve.Logger = logger
+	s := newServer(reg, c.serve, serve.RunnerConfig{Parallelism: c.registry.Parallelism, Bank: c.registry.Bank})
+	s.snapDir = c.snapshotDir
 
-	if *debugAddr != "" {
+	if c.debugAddr != "" {
 		var capturesPage http.Handler
-		if captures != nil {
-			capturesPage = capture.Handler(captures)
+		if c.serve.Captures != nil {
+			capturesPage = capture.Handler(c.serve.Captures)
 		}
-		dbg, bound, err := obs.StartDebugServer(*debugAddr, capturesPage)
+		dbg, bound, err := obs.StartDebugServer(c.debugAddr, capturesPage)
 		if err != nil {
 			logger.Fatal("debug listener", olog.Err(err))
 		}
@@ -203,12 +191,12 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:    *addr,
+		Addr:    c.addr,
 		Handler: s.routes(),
 		// The sync /query path legitimately holds a response open for the
 		// full job timeout, so WriteTimeout must sit above it.
 		ReadHeaderTimeout: 5 * time.Second,
-		WriteTimeout:      *jobTimeout + 15*time.Second,
+		WriteTimeout:      c.serve.JobTimeout + 15*time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
 	errCh := make(chan error, 1)
@@ -216,7 +204,7 @@ func main() {
 	logger.Info("ready",
 		olog.F("cities", strings.Join(reg.Names(), ",")),
 		olog.F("default_city", reg.DefaultName()),
-		olog.F("addr", *addr))
+		olog.F("addr", c.addr))
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -246,11 +234,11 @@ loop:
 			}
 		case sig := <-sigCh:
 			logger.Info("draining in-flight jobs",
-				olog.F("signal", sig.String()), olog.F("timeout", drainTimeout.String()))
+				olog.F("signal", sig.String()), olog.F("timeout", c.drainTimeout.String()))
 			break loop
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Warn("http shutdown", olog.Err(err))

@@ -285,6 +285,7 @@ func TestHandleQueryErrors(t *testing.T) {
 		{"negative budget", `{"category": "school", "budget": -0.5}`, "budget"},
 		{"unknown model", `{"category": "school", "model": "XGBOOST"}`, "model"},
 		{"unknown cost", `{"category": "school", "cost": "MILES"}`, "cost"},
+		{"unknown field", `{"category":"school","sampling":"coverage"}`, `unknown field "sampling"`},
 	}
 	for _, c := range badBodies {
 		rec := postQuery(s, "/v1/query", c.body)

@@ -3,12 +3,14 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"testing"
 	"time"
 
 	"accessquery/internal/obs/account"
 	"accessquery/internal/obs/capture"
+	"accessquery/internal/obs/olog"
 	"accessquery/internal/obs/slo"
 	"accessquery/internal/serve"
 )
@@ -110,8 +112,8 @@ func TestHandleJobProfile(t *testing.T) {
 	}
 	s := obsTestServer(t, serve.Config{
 		Workers: 2, SlowQueryThreshold: time.Nanosecond, Captures: store,
-		// Silence the inevitable slow-query log storm from a 1ns threshold.
-		SlowLogPerSec: 1e-9, SlowLogBurst: 1,
+		// Discard the slow-query line every run writes at a 1ns threshold.
+		Logger: olog.New(io.Discard, olog.LevelWarn),
 	})
 	rec := postQuery(s, "/v1/query?async=1", `{"category": "school", "budget": 0.2, "model": "OLS", "seed": 7002}`)
 	if rec.Code != http.StatusAccepted {

@@ -5,9 +5,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"accessquery/internal/serve"
 )
 
 // The repo-root openapi.yaml is the API contract. These tests keep it and
@@ -120,6 +123,47 @@ func TestOpenAPIPathsResolve(t *testing.T) {
 			if _, pattern := mux.Handler(req); pattern != want {
 				t.Errorf("documented %s %s resolves to %q, want %q", m, path, pattern, want)
 			}
+		}
+	}
+}
+
+// TestOpenAPIQueryBodyMatchesRequest holds the documented /v1/query body to
+// serve.Request's json fields in both directions: DecodeRequest rejects
+// every other field, so a documented field the struct lacks is a 400 and
+// a field the document lacks is an option no client can find.
+func TestOpenAPIQueryBodyMatchesRequest(t *testing.T) {
+	fields := map[string]bool{}
+	rt := reflect.TypeOf(serve.Request{})
+	for i := 0; i < rt.NumField(); i++ {
+		if name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
+			fields[name] = true
+		}
+	}
+	prop := regexp.MustCompile(`^\s+(\w+): \{`)
+	documented := map[string]bool{}
+	inProps := false
+	for _, line := range docPaths(t)["/v1/query"] {
+		if strings.TrimSpace(line) == "properties:" {
+			inProps = true
+			continue
+		}
+		if !inProps {
+			continue
+		}
+		m := prop.FindStringSubmatch(line)
+		if m == nil {
+			break
+		}
+		documented[m[1]] = true
+	}
+	for name := range fields {
+		if !documented[name] {
+			t.Errorf("openapi.yaml's /v1/query body omits serve.Request field %q", name)
+		}
+	}
+	for name := range documented {
+		if !fields[name] {
+			t.Errorf("openapi.yaml's /v1/query body documents %q, which serve.Request lacks", name)
 		}
 	}
 }

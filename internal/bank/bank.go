@@ -36,7 +36,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"accessquery/internal/access"
 	"accessquery/internal/graph"
@@ -45,9 +44,9 @@ import (
 )
 
 // DefaultCapacity bounds total live entries across all attached segments
-// when Config.Capacity is unset. A priced trip is ~95 bytes all in (a
-// 52-byte slot in the deposit queue plus its entry in the key index), so
-// the default costs on the order of 100 MB fully warm.
+// when Config.Capacity is unset. A priced trip is ~85 bytes all in (a
+// 48-byte slot in the deposit queue plus its entry in the key index; 72–85
+// measured as the index fills), so the default costs ~90 MB fully warm.
 const DefaultCapacity = 1 << 20
 
 // Config tunes a Bank.
@@ -57,12 +56,6 @@ type Config struct {
 	// entries are evicted first (FIFO — entries have no per-hit bookkeeping,
 	// keeping the drain path cheap).
 	Capacity int
-	// TTL expires entries at drain time; 0 disables expiry. Expired entries
-	// read as misses and are reclaimed by overwrite or eviction. Entry ages
-	// are kept in whole seconds.
-	TTL time.Duration
-	// Now overrides the clock in tests.
-	Now func() time.Time
 }
 
 // SegmentKey scopes entries to one engine generation.
@@ -86,8 +79,6 @@ type entry struct {
 	accessWalk, egressWalk, transferWalk, wait, inVehicle, fare float32
 	boardings                                                   int16
 	reachable                                                   bool
-	// added is the deposit time in seconds since the bank was created.
-	added uint32
 }
 
 // slot is one stored trip.
@@ -108,8 +99,9 @@ type slotQueue struct {
 	next   uint32 // what the next push gets
 }
 
-// queueChunk slots of 52 bytes fill 8 pages to within 16 bytes.
-const queueChunk = 1260
+// queueChunk slots of 48 bytes fill 64 KiB (eight of the Go runtime's
+// 8 KiB pages) to within 16 bytes.
+const queueChunk = 1365
 
 func (q *slotQueue) len() int { return int(q.next - q.head) }
 
@@ -148,14 +140,14 @@ func (k tripKey) unpack() access.TripKey {
 	return access.TripKey{Zone: int(k.zone), Dest: graph.NodeID(k.dest), Start: gtfs.Seconds(k.start)}
 }
 
-func packPrice(p access.TripPrice, added uint32) entry {
+func packPrice(p access.TripPrice) entry {
 	j := p.Journey
 	return entry{
 		depart: int32(j.Depart), arrive: int32(j.Arrive),
 		accessWalk: float32(j.AccessWalk), egressWalk: float32(j.EgressWalk),
 		transferWalk: float32(j.TransferWalk), wait: float32(j.Wait),
 		inVehicle: float32(j.InVehicle), fare: float32(j.Fare),
-		boardings: int16(j.Boardings), reachable: p.Reachable, added: added,
+		boardings: int16(j.Boardings), reachable: p.Reachable,
 	}
 }
 
@@ -172,9 +164,6 @@ func (e entry) price() access.TripPrice {
 // Bank is the shared store. The zero value is not usable; call New.
 type Bank struct {
 	capacity int
-	ttl      time.Duration
-	now      func() time.Time
-	born     time.Time // entry ages count from here
 
 	mu       sync.Mutex
 	segments map[SegmentKey]*Segment
@@ -183,9 +172,8 @@ type Bank struct {
 
 	entries atomic.Int64 // live entries across attached segments
 
-	hits, misses, deposits atomic.Int64
-	evicted, expired       atomic.Int64
-	seeded, retired        atomic.Int64
+	hits, misses, deposits, evicted atomic.Int64
+	seeded, retired                 atomic.Int64
 }
 
 // New builds a bank.
@@ -193,25 +181,11 @@ func New(cfg Config) *Bank {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	return &Bank{
 		capacity: cfg.Capacity,
-		ttl:      cfg.TTL,
-		now:      cfg.Now,
-		born:     cfg.Now(),
 		segments: make(map[SegmentKey]*Segment),
 		floor:    make(map[string]uint64),
 	}
-}
-
-// age is the current time on the entries' clock.
-func (b *Bank) age() uint32 { return uint32(b.now().Sub(b.born) / time.Second) }
-
-// stale reports whether an entry deposited at added has outlived the TTL.
-func (b *Bank) stale(added, age uint32) bool {
-	return b.ttl > 0 && time.Duration(age-added)*time.Second > b.ttl
 }
 
 // Segment returns the store for one engine generation, creating it on
@@ -266,7 +240,7 @@ func (b *Bank) RetireBelow(city string, epoch uint64) int {
 	return dropped
 }
 
-// CarryForward copies the {city, from} segment's unexpired entries into
+// CarryForward copies the {city, from} segment's entries into
 // the {city, to} segment and returns the number seeded. Use only when the
 // new epoch's engine provably prices every trip identically (a scenario
 // apply whose batch touched no transit). The source segment is left
@@ -279,14 +253,10 @@ func (b *Bank) CarryForward(city string, from, to uint64) int {
 		return 0
 	}
 	dst := b.Segment(city, to)
-	age := b.age()
 	src.mu.RLock()
 	deps := make([]access.TripDeposit, 0, src.slots.len())
 	for seq := src.slots.head; seq != src.slots.next; seq++ {
 		sl := src.slots.at(seq)
-		if b.stale(sl.added, age) {
-			continue
-		}
 		deps = append(deps, access.TripDeposit{Key: sl.key.unpack(), Price: sl.price()})
 	}
 	src.mu.RUnlock()
@@ -330,7 +300,6 @@ type Stats struct {
 	Misses   int64          `json:"misses"`
 	Deposits int64          `json:"deposits"`
 	Evicted  int64          `json:"evicted"`
-	Expired  int64          `json:"expired"`
 	Seeded   int64          `json:"seeded"`
 	Retired  int64          `json:"retired"`
 	Segments []SegmentStats `json:"segments"`
@@ -345,7 +314,6 @@ func (b *Bank) Stats() Stats {
 		Misses:   b.misses.Load(),
 		Deposits: b.deposits.Load(),
 		Evicted:  b.evicted.Load(),
-		Expired:  b.expired.Load(),
 		Seeded:   b.seeded.Load(),
 		Retired:  b.retired.Load(),
 	}
@@ -392,11 +360,6 @@ func (s *Segment) Drain(k access.TripKey) (access.TripPrice, bool) {
 		e = s.slots.at(seq).entry
 	}
 	s.mu.RUnlock()
-	if ok && b.ttl > 0 && b.stale(e.added, b.age()) {
-		b.expired.Add(1)
-		mExpired.Add(1)
-		ok = false
-	}
 	if !ok {
 		b.misses.Add(1)
 		mMisses.Add(1)
@@ -419,7 +382,6 @@ func (s *Segment) deposit(deps []access.TripDeposit, seeding bool) int {
 		return 0
 	}
 	b := s.bank
-	age := b.age()
 	added := 0
 	s.mu.Lock()
 	if s.detached {
@@ -427,12 +389,12 @@ func (s *Segment) deposit(deps []access.TripDeposit, seeding bool) int {
 		return 0
 	}
 	for _, d := range deps {
-		k, e := packKey(d.Key), packPrice(d.Price, age)
+		k, e := packKey(d.Key), packPrice(d.Price)
 		if k.unpack() != d.Key || e.price() != d.Price {
 			continue // would not drain as deposited
 		}
 		if seq, exists := s.index[k]; exists {
-			s.slots.at(seq).entry = e // refreshed in place: it keeps its age in the queue
+			s.slots.at(seq).entry = e // refreshed in place: it keeps its place in the queue
 			continue
 		}
 		s.index[k] = s.slots.push(slot{key: k, entry: e})

@@ -3,7 +3,7 @@ package bank
 import (
 	"fmt"
 	"testing"
-	"time"
+	"unsafe"
 
 	"accessquery/internal/access"
 	"accessquery/internal/graph"
@@ -150,28 +150,6 @@ func TestBankCapacityEvictsOldestSegmentFirst(t *testing.T) {
 	}
 }
 
-func TestBankTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := New(Config{TTL: time.Minute, Now: func() time.Time { return now }})
-	seg := b.Segment("coventry", 1)
-	seg.Deposit([]access.TripDeposit{dep(0, 100)})
-	if _, ok := seg.Drain(key(0, 1, 0)); !ok {
-		t.Fatal("fresh entry should drain")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := seg.Drain(key(0, 1, 0)); ok {
-		t.Fatal("expired entry should read as a miss")
-	}
-	if st := b.Stats(); st.Expired != 1 {
-		t.Errorf("expired = %d, want 1", st.Expired)
-	}
-	// An overwrite refreshes the clock.
-	seg.Deposit([]access.TripDeposit{dep(0, 150)})
-	if p, ok := seg.Drain(key(0, 1, 0)); !ok || p.Journey.Arrive != 150 {
-		t.Errorf("refreshed entry = %+v, %v", p, ok)
-	}
-}
-
 func TestBankConcurrentAccess(t *testing.T) {
 	b := New(Config{Capacity: 256})
 	done := make(chan struct{})
@@ -246,6 +224,19 @@ func TestBankKeepsRouterPricesExactly(t *testing.T) {
 	}
 	if st := b.Stats(); st.Entries != 2 {
 		t.Errorf("entries = %d, want 2", st.Entries)
+	}
+}
+
+// TestSlotLayout pins a stored trip at 48 bytes and the queue chunk at
+// 64 KiB less at most one slot's padding: a field added to slot, or a
+// reordering that adds padding, shows up here before it grows a full bank
+// by tens of megabytes.
+func TestSlotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 48 {
+		t.Errorf("slot is %d bytes, want 48", got)
+	}
+	if chunk := queueChunk * unsafe.Sizeof(slot{}); chunk > 64<<10 || 64<<10-chunk > 16 {
+		t.Errorf("a queue chunk is %d bytes, want 64 KiB to within 16", chunk)
 	}
 }
 

@@ -11,7 +11,6 @@ var (
 	mMisses   = obs.Counter("aq_bank_misses_total")
 	mDeposits = obs.Counter("aq_bank_deposits_total")
 	mEvicted  = obs.Counter("aq_bank_evicted_total")
-	mExpired  = obs.Counter("aq_bank_expired_total")
 	mSeeded   = obs.Counter("aq_bank_seeded_total")
 	mRetired  = obs.Counter("aq_bank_retired_total")
 	mEntries  = obs.Gauge("aq_bank_entries")
@@ -23,7 +22,6 @@ func init() {
 	obs.Default.SetHelp("aq_bank_misses_total", "Label-bank lookups that missed and were priced by SPQ.")
 	obs.Default.SetHelp("aq_bank_deposits_total", "Priced trips deposited into the label bank by clean runs.")
 	obs.Default.SetHelp("aq_bank_evicted_total", "Label-bank entries evicted by the capacity bound (FIFO, oldest segment first).")
-	obs.Default.SetHelp("aq_bank_expired_total", "Label-bank entries past their TTL at drain time.")
 	obs.Default.SetHelp("aq_bank_seeded_total", "Label-bank entries carried forward across a transit-free scenario epoch.")
 	obs.Default.SetHelp("aq_bank_retired_total", "Label-bank entries dropped when an engine epoch was retired.")
 	obs.Default.SetHelp("aq_bank_entries", "Live label-bank entries across attached segments.")

@@ -181,29 +181,11 @@ func readSnapshot(path string) (*Snapshot, *SnapshotSource, error) {
 		return nil, nil, &SnapshotError{Path: path, Reason: "unreadable", Err: err}
 	}
 	raw := m.data
-	if len(raw) < 8 {
-		m.close()
-		return nil, nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: %d bytes is shorter than the %d-byte header", len(raw), snapV2HeaderLen)}
-	}
-	if string(raw[:6]) != snapshotMagic {
-		m.close()
-		return nil, nil, &SnapshotError{Path: path, Reason: "not an accessquery snapshot (bad magic; re-save with a current build)"}
-	}
-	if version := binary.BigEndian.Uint16(raw[6:8]); version != snapshotV2Version {
-		m.close()
-		return nil, nil, unsupportedVersion(path, version)
-	}
-	sections, err := parseSnapshotV2(path, raw)
+	snap, tableEnd, err := decodeSnapshot(path, raw)
 	if err != nil {
 		m.close()
 		return nil, nil, err
 	}
-	snap, err := snapshotFromSections(path, sections)
-	if err != nil {
-		m.close()
-		return nil, nil, err
-	}
-	tableEnd := snapV2HeaderLen + len(sections)*snapV2EntryLen
 	sum := sha256.Sum256(raw[:tableEnd])
 	src := &SnapshotSource{
 		Path:        path,
@@ -217,6 +199,31 @@ func readSnapshot(path string) (*Snapshot, *SnapshotSource, error) {
 		mapping:     m,
 	}
 	return snap, src, nil
+}
+
+// decodeSnapshot verifies a snapshot file image and rebuilds the Snapshot
+// over it, returning where the section table ends. Every rejection is a
+// *SnapshotError; no image, however damaged, makes it panic
+// (FuzzSnapshotV2).
+func decodeSnapshot(path string, raw []byte) (*Snapshot, int, error) {
+	if len(raw) < 8 {
+		return nil, 0, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: %d bytes is shorter than the %d-byte header", len(raw), snapV2HeaderLen)}
+	}
+	if string(raw[:6]) != snapshotMagic {
+		return nil, 0, &SnapshotError{Path: path, Reason: "not an accessquery snapshot (bad magic; re-save with a current build)"}
+	}
+	if version := binary.BigEndian.Uint16(raw[6:8]); version != snapshotV2Version {
+		return nil, 0, unsupportedVersion(path, version)
+	}
+	sections, err := parseSnapshotV2(path, raw)
+	if err != nil {
+		return nil, 0, err
+	}
+	snap, err := snapshotFromSections(path, sections)
+	if err != nil {
+		return nil, 0, err
+	}
+	return snap, snapV2HeaderLen + len(sections)*snapV2EntryLen, nil
 }
 
 // InspectSnapshot reads just enough of a snapshot file to describe it —

@@ -303,6 +303,9 @@ func parseSnapshotV2(path string, data []byte) (map[string][]byte, error) {
 		if off > uint64(len(data)) || length > uint64(len(data))-off {
 			return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: section %q wants bytes [%d,%d) but the file has %d", name, off, off+length, len(data))}
 		}
+		if _, dup := sections[name]; dup {
+			return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("section %q appears twice in the table", name)}
+		}
 		payload := data[off : off+length]
 		if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], entry[32:64]) {
 			return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("checksum mismatch in section %q (corrupt or partially written)", name)}
@@ -334,7 +337,10 @@ func snapshotFromSections(path string, sections map[string][]byte) (*Snapshot, e
 	if err != nil {
 		return nil, err
 	}
-	var meta snapMetaV2
+	// gob sizes a nil map by the entry count the data declares, so one
+	// corrupt count would allocate gigabytes before the first entry fails
+	// to decode; into a non-nil map it inserts only what actually decodes.
+	meta := snapMetaV2{CityConfig: synth.Config{POICounts: map[synth.POICategory]int{}}}
 	if err := gob.NewDecoder(bytes.NewReader(metaRaw)).Decode(&meta); err != nil {
 		return nil, bad("meta", err)
 	}

@@ -1,12 +1,12 @@
 // Package capture is the serving layer's automatic flight recorder for
 // degraded queries. When a query crosses the slow-query threshold or
 // exhausts its deadline, the manager triggers a capture: the run's full
-// span tree, a goroutine dump taken at the moment of the trigger, and
-// (optionally, single-flight) a short CPU profile of the immediately
-// following window. Captures land in a bounded
-// in-memory store — optionally mirrored to disk — linked to the jobs they
-// answered, so a production slowdown is diagnosable from
-// GET /v1/jobs/{id}/profile without reproducing it.
+// span tree and a goroutine dump taken at the moment of the trigger.
+// Captures land in a bounded in-memory store — optionally mirrored to
+// disk — linked to the jobs they answered, so a production slowdown is
+// diagnosable from GET /v1/jobs/{id}/profile without reproducing it. A CPU
+// profile is taken on demand from /debug/pprof/profile on the same debug
+// listener.
 //
 // The store is bounded in both count and bytes; old captures are evicted
 // oldest-first and evictions are counted (aq_capture_evicted_total), so
@@ -15,17 +15,13 @@
 package capture
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accessquery/internal/obs"
@@ -41,23 +37,20 @@ const (
 	ReasonDeadline Reason = "deadline"
 )
 
+// The byte bounds: retained goroutine dumps total at most maxBytes, and
+// one dump is cut at goroutineLimit.
+const (
+	maxBytes       = 8 << 20
+	goroutineLimit = 256 << 10
+)
+
 // Config sizes a Store. Zero values select the defaults noted.
 type Config struct {
 	// MaxCaptures bounds retained captures; default 32.
 	MaxCaptures int
-	// MaxBytes bounds the total goroutine-dump + CPU-profile bytes
-	// retained; default 8 MiB.
-	MaxBytes int64
-	// GoroutineLimit caps one capture's goroutine dump; default 256 KiB.
-	GoroutineLimit int
 	// Dir, when non-empty, mirrors each capture to <Dir>/<id>.json so
 	// evidence survives the process. Evicted captures are unlinked.
 	Dir string
-	// CPUProfile, when positive, records a CPU profile of that duration
-	// immediately after a trigger and attaches it to the capture.
-	// Profiles are single-flight: triggers arriving while one is running
-	// skip profiling. Zero disables profiling.
-	CPUProfile time.Duration
 
 	now func() time.Time
 }
@@ -89,8 +82,6 @@ type Capture struct {
 	NumGoroutines    int               `json:"num_goroutines"`
 	GoroutineBytes   int               `json:"goroutine_bytes"`
 	Goroutines       string            `json:"goroutines,omitempty"`
-	CPUProfileBytes  int               `json:"cpu_profile_bytes,omitempty"`
-	CPUProfileBase64 string            `json:"cpu_profile_base64,omitempty"`
 	Trace            *obs.TraceSummary `json:"trace,omitempty"`
 }
 
@@ -98,14 +89,14 @@ type Capture struct {
 func (c *Capture) stripped() Capture {
 	out := *c
 	out.Goroutines = ""
-	out.CPUProfileBase64 = ""
 	out.Trace = nil
 	return out
 }
 
 // Store holds recent captures. Create with NewStore; nil disables.
 type Store struct {
-	cfg Config
+	cfg      Config
+	maxBytes int64 // the maxBytes bound; tests lower it
 
 	mu      sync.Mutex
 	caps    []*Capture // oldest first
@@ -113,8 +104,6 @@ type Store struct {
 	seq     int64
 	bytes   int64
 	evicted int64
-
-	profiling atomic.Bool
 }
 
 var (
@@ -134,12 +123,6 @@ func NewStore(cfg Config) (*Store, error) {
 	if cfg.MaxCaptures <= 0 {
 		cfg.MaxCaptures = 32
 	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 8 << 20
-	}
-	if cfg.GoroutineLimit <= 0 {
-		cfg.GoroutineLimit = 256 << 10
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -148,18 +131,17 @@ func NewStore(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("capture: %w", err)
 		}
 	}
-	return &Store{cfg: cfg, byJob: make(map[string]*Capture)}, nil
+	return &Store{cfg: cfg, maxBytes: maxBytes, byJob: make(map[string]*Capture)}, nil
 }
 
 // Trigger records one capture and returns its ID ("" on a nil store). The
-// goroutine dump is taken synchronously — the point is the state at the
-// moment of the trigger — while the optional CPU profile runs in the
-// background and attaches when done.
+// goroutine dump is taken synchronously: the point is the state at the
+// moment of the trigger.
 func (s *Store) Trigger(info Info) string {
 	if s == nil {
 		return ""
 	}
-	buf := make([]byte, s.cfg.GoroutineLimit)
+	buf := make([]byte, goroutineLimit)
 	n := runtime.Stack(buf, true)
 	c := &Capture{
 		Captured:         s.cfg.now(),
@@ -194,48 +176,17 @@ func (s *Store) Trigger(info Info) string {
 	s.mu.Unlock()
 	mCaptured.Inc()
 
-	if s.cfg.CPUProfile > 0 && s.profiling.CompareAndSwap(false, true) {
-		go s.profileInto(c.ID)
-	}
 	return c.ID
-}
-
-// profileInto records a short CPU profile and attaches it to capture id
-// (unless the capture was evicted meanwhile). Best-effort: if another
-// profiler owns the CPU profile (e.g. a pprof scrape), it backs off.
-func (s *Store) profileInto(id string) {
-	defer s.profiling.Store(false)
-	var buf strings.Builder
-	b64 := base64.NewEncoder(base64.StdEncoding, &buf)
-	if err := pprof.StartCPUProfile(b64); err != nil {
-		return
-	}
-	time.Sleep(s.cfg.CPUProfile)
-	pprof.StopCPUProfile()
-	_ = b64.Close()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.caps {
-		if c.ID == id {
-			c.CPUProfileBase64 = buf.String()
-			c.CPUProfileBytes = base64.StdEncoding.DecodedLen(len(c.CPUProfileBase64))
-			s.bytes += int64(len(c.CPUProfileBase64))
-			s.evictLocked()
-			s.persistLocked(c)
-			return
-		}
-	}
 }
 
 // evictLocked enforces the count and byte bounds, oldest first. The byte
 // bound never evicts the last capture: one oversized dump beats an empty
 // store. Callers hold s.mu.
 func (s *Store) evictLocked() {
-	for len(s.caps) > s.cfg.MaxCaptures || (len(s.caps) > 1 && s.bytes > s.cfg.MaxBytes) {
+	for len(s.caps) > s.cfg.MaxCaptures || (len(s.caps) > 1 && s.bytes > s.maxBytes) {
 		old := s.caps[0]
 		s.caps = s.caps[1:]
-		s.bytes -= int64(len(old.Goroutines) + len(old.CPUProfileBase64))
+		s.bytes -= int64(len(old.Goroutines))
 		for _, id := range old.JobIDs {
 			if s.byJob[id] == old {
 				delete(s.byJob, id)

@@ -97,10 +97,11 @@ func TestEvictionByCount(t *testing.T) {
 func TestEvictionByBytes(t *testing.T) {
 	// Each goroutine dump is at least a few hundred bytes; a tiny byte
 	// budget must evict down to the newest capture.
-	s, err := NewStore(Config{MaxCaptures: 100, MaxBytes: 1})
+	s, err := NewStore(Config{MaxCaptures: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.maxBytes = 1
 	s.Trigger(Info{Reason: ReasonSlowQuery})
 	s.Trigger(Info{Reason: ReasonSlowQuery})
 	if got := s.Len(); got != 1 {
@@ -135,27 +136,6 @@ func TestDiskMirror(t *testing.T) {
 	if _, err := os.Stat(p1); !os.IsNotExist(err) {
 		t.Errorf("evicted capture file still on disk: %v", err)
 	}
-}
-
-func TestCPUProfileAttaches(t *testing.T) {
-	s, err := NewStore(Config{CPUProfile: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Trigger(Info{JobIDs: []string{"j1"}, Reason: ReasonDeadline})
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if c, ok := s.ByJob("j1"); ok && c.CPUProfileBase64 != "" {
-			if c.CPUProfileBytes == 0 {
-				t.Error("profile attached without a size")
-			}
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// A profile can legitimately fail to start if something else owns the
-	// CPU profiler; but in this test nothing does.
-	t.Error("CPU profile never attached")
 }
 
 func TestNilStore(t *testing.T) {

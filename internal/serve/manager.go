@@ -37,13 +37,9 @@ type Config struct {
 	// CacheTTL expires cached results; default 10m. Negative means no
 	// expiry.
 	CacheTTL time.Duration
-	// JobTimeout bounds one engine run; default 120s.
+	// JobTimeout bounds one engine run; default 120s. A request's
+	// deadline_ms can only tighten it.
 	JobTimeout time.Duration
-	// DefaultDeadline bounds engine runs for requests that carry no
-	// deadline_ms of their own; zero means JobTimeout alone applies. The
-	// effective deadline is always the minimum of JobTimeout,
-	// DefaultDeadline (if set), and the request's deadline_ms (if set).
-	DefaultDeadline time.Duration
 	// BreakerThreshold trips the circuit breaker after this many
 	// consecutive engine failures; while open, submissions are answered
 	// from stale cache entries when possible and rejected with
@@ -69,14 +65,10 @@ type Config struct {
 	EpochOf func(city string) (uint64, bool)
 	// SlowQueryThreshold gates the structured slow-query log: runs at or
 	// above it are logged with their stage breakdown. Zero disables it.
+	// Every line is written: a line needs a run of at least the threshold
+	// on one of Workers workers, so the pool itself caps the log at about
+	// Workers/threshold lines per second.
 	SlowQueryThreshold time.Duration
-	// SlowLogPerSec and SlowLogBurst rate-limit the slow-query log per
-	// tenant (token bucket), so a burn event — every query suddenly slow —
-	// keeps a few exemplar lines per second instead of a log storm.
-	// Suppressed lines are counted in aq_log_suppressed_total. Defaults
-	// 1/s with burst 5; a negative SlowLogPerSec disables limiting.
-	SlowLogPerSec float64
-	SlowLogBurst  int
 	// Logger receives the manager's structured log lines (currently the
 	// slow-query log); default olog.Default.
 	Logger *olog.Logger
@@ -133,12 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = olog.Default
-	}
-	if c.SlowLogPerSec == 0 {
-		c.SlowLogPerSec = 1
-	}
-	if c.SlowLogBurst <= 0 {
-		c.SlowLogBurst = 5
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -212,7 +198,7 @@ type Job struct {
 	cacheHit   bool
 	dedup      bool
 	stale      bool          // answered from an expired cache entry (breaker open)
-	staleFor   time.Duration // how far past freshness the stale answer is
+	staleFor   time.Duration // the stale answer's age since it was stored
 	epochStale bool          // cached answer predates the city's current engine epoch
 	created    time.Time
 	// retired is set once the job is in the manager's finished queue;
@@ -369,8 +355,7 @@ type tenantState struct {
 	submitted, cacheHits, dedups, rejected, shedAsync int64
 	completed, failed, cancelled, staleServed, trips  int64
 
-	m       *cityMetrics  // the city's labeled aq_serve_* series
-	slowLog *olog.Limiter // slow-query-log token bucket; nil when unlimited
+	m *cityMetrics // the city's labeled aq_serve_* series
 }
 
 // tenantLocked returns (creating on first use) the named city's admission
@@ -379,9 +364,6 @@ func (m *Manager) tenantLocked(city string) *tenantState {
 	ts, ok := m.tenants[city]
 	if !ok {
 		ts = &tenantState{m: metricsFor(city)}
-		if m.cfg.SlowLogPerSec >= 0 {
-			ts.slowLog = olog.NewLimiter(m.cfg.SlowLogPerSec, m.cfg.SlowLogBurst)
-		}
 		m.tenants[city] = ts
 	}
 	return ts
@@ -1024,12 +1006,9 @@ func (m *Manager) runFlight(fl *flight) {
 }
 
 // effectiveTimeout computes one run's deadline: JobTimeout, tightened by
-// the server default and by the request's own deadline_ms when set.
+// the request's own deadline_ms when set.
 func (m *Manager) effectiveTimeout(req Request) time.Duration {
 	d := m.cfg.JobTimeout
-	if m.cfg.DefaultDeadline > 0 && m.cfg.DefaultDeadline < d {
-		d = m.cfg.DefaultDeadline
-	}
 	if rd := time.Duration(req.DeadlineMS) * time.Millisecond; rd > 0 && rd < d {
 		d = rd
 	}
@@ -1152,13 +1131,7 @@ func (m *Manager) observe(o *outcome) {
 		return
 	}
 	// The slow-query line: trace ID, fingerprint, total time, the capture
-	// (if any) and the per-stage breakdown. Lines beyond the tenant's rate
-	// limit are counted, not written: a burn event keeps exemplars
-	// without becoming a log storm.
-	if !ts.slowLog.Allow() {
-		ts.m.logSuppressed.Inc()
-		return
-	}
+	// (if any) and the per-stage breakdown.
 	fields := []olog.Field{
 		olog.F("trace_id", o.ans.trace.TraceID),
 		olog.F("fingerprint", o.fp),

@@ -35,17 +35,16 @@ var (
 // suppression), labeled by city so a multi-city server can tell whose
 // traffic is failing or being shed.
 type cityMetrics struct {
-	submitted     *obs.CounterMetric // aq_serve_submitted_total{city}
-	cacheHits     *obs.CounterMetric // aq_serve_cache_hits_total{city}
-	completed     *obs.CounterMetric // aq_serve_completed_total{city}
-	failed        *obs.CounterMetric // aq_serve_failed_total{city}
-	staleServed   *obs.CounterMetric // aq_serve_stale_served_total{city}
-	shedAsync     *obs.CounterMetric // aq_serve_shed_async_total{city}
-	breakerTrips  *obs.CounterMetric // aq_serve_breaker_trips_total{city}
-	breakerOpen   *obs.GaugeMetric   // aq_serve_breaker_open{city}
-	queued        *obs.GaugeMetric   // aq_serve_queue_depth{city}
-	burnTrips     *obs.CounterMetric // aq_serve_burn_trips_total{city}
-	logSuppressed *obs.CounterMetric // aq_log_suppressed_total{city}
+	submitted    *obs.CounterMetric // aq_serve_submitted_total{city}
+	cacheHits    *obs.CounterMetric // aq_serve_cache_hits_total{city}
+	completed    *obs.CounterMetric // aq_serve_completed_total{city}
+	failed       *obs.CounterMetric // aq_serve_failed_total{city}
+	staleServed  *obs.CounterMetric // aq_serve_stale_served_total{city}
+	shedAsync    *obs.CounterMetric // aq_serve_shed_async_total{city}
+	breakerTrips *obs.CounterMetric // aq_serve_breaker_trips_total{city}
+	breakerOpen  *obs.GaugeMetric   // aq_serve_breaker_open{city}
+	queued       *obs.GaugeMetric   // aq_serve_queue_depth{city}
+	burnTrips    *obs.CounterMetric // aq_serve_burn_trips_total{city}
 }
 
 var (
@@ -65,17 +64,16 @@ func metricsFor(city string) *cityMetrics {
 		return cm
 	}
 	cm := &cityMetrics{
-		submitted:     obs.Counter(fmt.Sprintf("aq_serve_submitted_total{city=%q}", city)),
-		cacheHits:     obs.Counter(fmt.Sprintf("aq_serve_cache_hits_total{city=%q}", city)),
-		completed:     obs.Counter(fmt.Sprintf("aq_serve_completed_total{city=%q}", city)),
-		failed:        obs.Counter(fmt.Sprintf("aq_serve_failed_total{city=%q}", city)),
-		staleServed:   obs.Counter(fmt.Sprintf("aq_serve_stale_served_total{city=%q}", city)),
-		shedAsync:     obs.Counter(fmt.Sprintf("aq_serve_shed_async_total{city=%q}", city)),
-		breakerTrips:  obs.Counter(fmt.Sprintf("aq_serve_breaker_trips_total{city=%q}", city)),
-		breakerOpen:   obs.Gauge(fmt.Sprintf("aq_serve_breaker_open{city=%q}", city)),
-		queued:        obs.Gauge(fmt.Sprintf("aq_serve_queue_depth{city=%q}", city)),
-		burnTrips:     obs.Counter(fmt.Sprintf("aq_serve_burn_trips_total{city=%q}", city)),
-		logSuppressed: obs.Counter(fmt.Sprintf("aq_log_suppressed_total{city=%q}", city)),
+		submitted:    obs.Counter(fmt.Sprintf("aq_serve_submitted_total{city=%q}", city)),
+		cacheHits:    obs.Counter(fmt.Sprintf("aq_serve_cache_hits_total{city=%q}", city)),
+		completed:    obs.Counter(fmt.Sprintf("aq_serve_completed_total{city=%q}", city)),
+		failed:       obs.Counter(fmt.Sprintf("aq_serve_failed_total{city=%q}", city)),
+		staleServed:  obs.Counter(fmt.Sprintf("aq_serve_stale_served_total{city=%q}", city)),
+		shedAsync:    obs.Counter(fmt.Sprintf("aq_serve_shed_async_total{city=%q}", city)),
+		breakerTrips: obs.Counter(fmt.Sprintf("aq_serve_breaker_trips_total{city=%q}", city)),
+		breakerOpen:  obs.Gauge(fmt.Sprintf("aq_serve_breaker_open{city=%q}", city)),
+		queued:       obs.Gauge(fmt.Sprintf("aq_serve_queue_depth{city=%q}", city)),
+		burnTrips:    obs.Counter(fmt.Sprintf("aq_serve_burn_trips_total{city=%q}", city)),
 	}
 	cityMetricsBy[city] = cm
 	return cm
@@ -97,7 +95,6 @@ func init() {
 	obs.Default.SetHelp("aq_serve_breaker_rejected_total", "Submissions rejected because the breaker was open with no stale entry.")
 	obs.Default.SetHelp("aq_serve_breaker_open", "1 while the circuit breaker refuses new engine runs, else 0.")
 	obs.Default.SetHelp("aq_serve_burn_trips_total", "Circuit-breaker trips caused by the SLO fast-burn signal crossing the burn-trip threshold.")
-	obs.Default.SetHelp("aq_log_suppressed_total", "Slow-query log lines suppressed by the per-tenant log rate limit.")
 	obs.Default.SetHelp("aq_serve_queue_wait_seconds", "Time a distinct query waited between admission and a worker picking it up.")
 	obs.Default.SetHelp("aq_serve_run_seconds", "Engine run duration per deduplicated flight.")
 	obs.Default.SetHelp("aq_serve_queue_depth", "Distinct queries currently waiting in the admission queue.")

@@ -74,34 +74,6 @@ func TestBurnBelowThresholdNoTrip(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLogRateLimited runs a burst of slow queries through a
-// tight per-tenant log budget: the first line lands, the rest are counted
-// in aq_log_suppressed_total instead of written.
-func TestSlowQueryLogRateLimited(t *testing.T) {
-	suppressed := metricsFor("").logSuppressed
-	before := suppressed.Value()
-	var buf bytes.Buffer
-	stub := &stubEngine{delay: 2 * time.Millisecond}
-	m := newTestManager(t, stub, Config{
-		Workers:            1,
-		SlowQueryThreshold: time.Nanosecond,
-		SlowLogPerSec:      1e-9, SlowLogBurst: 1,
-		Logger: olog.New(&buf, olog.LevelDebug),
-	})
-	ctx := context.Background()
-	for i := int64(1); i <= 4; i++ {
-		if _, err := m.Do(ctx, seededReq(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := strings.Count(buf.String(), "slow query"); got != 1 {
-		t.Errorf("slow-query lines = %d, want 1 (rate-limited)\n%s", got, buf.String())
-	}
-	if got := suppressed.Value() - before; got != 3 {
-		t.Errorf("aq_log_suppressed_total{city=\"default\"} rose by %d, want 3", got)
-	}
-}
-
 // TestSlowQueryCapture drives a run over the slow-query threshold and
 // checks the full evidence chain: the capture is linked to the job, tagged
 // with the tenant and trace, and carries the run's elapsed time.
@@ -217,8 +189,8 @@ func TestCityFamiliesHaveNoUnlabeledTwin(t *testing.T) {
 	}
 	m := NewManager(run, Config{
 		Workers: 1, BreakerThreshold: 1, BreakerCooldown: time.Hour,
-		SlowQueryThreshold: time.Nanosecond, SlowLogPerSec: 1e-9, SlowLogBurst: 1,
-		Logger: olog.New(&bytes.Buffer{}, olog.LevelWarn),
+		SlowQueryThreshold: time.Nanosecond,
+		Logger:             olog.New(&bytes.Buffer{}, olog.LevelWarn),
 	})
 	defer m.Shutdown(context.Background())
 	ctx := context.Background()
@@ -226,7 +198,7 @@ func TestCityFamiliesHaveNoUnlabeledTwin(t *testing.T) {
 	ok.City, bad.City, bad.Seed = city, city, 2
 	m.Do(ctx, ok)  // completed
 	m.Do(ctx, ok)  // cache hit
-	m.Do(ctx, bad) // failed: trips the breaker, its slow line is suppressed
+	m.Do(ctx, bad) // failed: trips the breaker
 
 	st := m.Stats()
 	ts := m.TenantStats()
@@ -250,7 +222,6 @@ func TestCityFamiliesHaveNoUnlabeledTwin(t *testing.T) {
 		"aq_serve_queue_depth":         float64(st.QueueLen),
 		"aq_serve_breaker_trips_total": float64(ts[0].BreakerTrips),
 		"aq_serve_burn_trips_total":    0,
-		"aq_log_suppressed_total":      1,
 	}
 	var buf bytes.Buffer
 	if err := obs.WritePrometheus(&buf); err != nil {

@@ -44,9 +44,9 @@ type Request struct {
 	SamplesPerHour int     `json:"samples_per_hour"`
 
 	// DeadlineMS bounds this request's engine run in milliseconds; the
-	// effective deadline is min(deadline_ms, server default, job timeout).
-	// Zero means the server's defaults alone apply. Not fingerprinted: a
-	// deadline changes how long a run may take, never its answer.
+	// effective deadline is min(deadline_ms, job timeout). Zero means the
+	// job timeout alone applies. Not fingerprinted: a deadline changes how
+	// long a run may take, never its answer.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// IncludeZones asks the HTTP layer for the per-zone rows (can be
 	// large). Pure presentation; not fingerprinted.
@@ -55,10 +55,14 @@ type Request struct {
 
 // DecodeRequest is the single wire-decode-plus-validate path for query
 // bodies: it parses JSON and returns the canonical (normalized) request or
-// an error suitable for a 400 response.
+// an error suitable for a 400 response. A field Request does not have is
+// an error naming it, not silently dropped: a client asking for an option
+// the server lacks must not get an answer computed without it.
 func DecodeRequest(rd io.Reader) (Request, error) {
 	var req Request
-	if err := json.NewDecoder(rd).Decode(&req); err != nil {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		return Request{}, fmt.Errorf("bad JSON: %s", err)
 	}
 	return req.Normalize()
