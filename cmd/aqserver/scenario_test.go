@@ -247,3 +247,50 @@ func TestExplainScenarioBlock(t *testing.T) {
 		t.Errorf("explain after revert still has a scenario block: %s", raw)
 	}
 }
+
+// TestSameFingerprintAcrossEpochChanges: one fingerprint asked before and
+// after each kind of engine change — a scenario apply, its revert, a
+// snapshot swap — is answered by the engine serving when it is asked. The
+// first ask after a change is a fresh run on the new epoch (never the old
+// epoch's entry), the second a hit on that run; and the reverted baseline
+// answers exactly as the original baseline did.
+func TestSameFingerprintAcrossEpochChanges(t *testing.T) {
+	s, reg := multiCityServer(t, serve.Config{Workers: 2})
+	s.snapDir = multiCitySnaps(t)
+	tn, _ := reg.Get("coventry")
+	engine, _, release := tn.Acquire()
+	route := string(engine.City.Feed.Routes[0].ID)
+	release()
+
+	const body = `{"category": "school", "budget": 0.3, "seed": 71}`
+	ask := func(step string, epoch uint64) queryResponse {
+		t.Helper()
+		run := postQueryResp(t, s, "/v1/query", body)
+		if run.Cache.Hit || run.Cache.Epoch != epoch || run.Cache.EpochStale {
+			t.Fatalf("%s: first ask %+v, want a fresh run on epoch %d", step, run.Cache, epoch)
+		}
+		hit := postQueryResp(t, s, "/v1/query", body)
+		if !hit.Cache.Hit || hit.Cache.Epoch != epoch || hit.Cache.EpochStale || hit.Fairness != run.Fairness {
+			t.Fatalf("%s: second ask %+v (fairness %v, run %v), want a hit on epoch %d",
+				step, hit.Cache, hit.Fairness, run.Fairness, epoch)
+		}
+		return run
+	}
+	change := func(step, method, target, reqBody string, want int) {
+		t.Helper()
+		if rec := do(s, method, target, reqBody); rec.Code != want {
+			t.Fatalf("%s: status %d: %s", step, rec.Code, rec.Body.String())
+		}
+	}
+
+	base := ask("baseline", 1)
+	change("scenario", http.MethodPost, "/v1/cities/coventry/scenario",
+		fmt.Sprintf(`{"mutations": [{"kind": "close_route", "route": %q}]}`, route), http.StatusCreated)
+	ask("scenario", 2)
+	change("revert", http.MethodDelete, "/v1/cities/coventry/scenario", "", http.StatusOK)
+	if reverted := ask("revert", 3); reverted.Fairness != base.Fairness {
+		t.Errorf("reverted baseline fairness %v, original baseline %v", reverted.Fairness, base.Fairness)
+	}
+	change("swap", http.MethodPost, "/v1/cities/coventry/snapshots/covB:activate", "", http.StatusCreated)
+	ask("swap", 4)
+}

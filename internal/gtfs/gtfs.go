@@ -383,25 +383,29 @@ func (ix *Index) DeparturesBetween(stop StopID, from, to Seconds) []Departure {
 // NextDepartures returns up to limit departures from stop at or after t,
 // ordered by departure time.
 func (ix *Index) NextDepartures(stop StopID, t Seconds, limit int) []Departure {
-	return ix.AppendNextDepartures(nil, stop, t, limit)
-}
-
-// AppendNextDepartures is NextDepartures appending to dst, so a caller that
-// asks once per settled stop (the router's search loop) reuses one buffer
-// instead of allocating a slice per call.
-func (ix *Index) AppendNextDepartures(dst []Departure, stop StopID, t Seconds, limit int) []Departure {
 	d := ix.deps[stop]
 	lo := sort.Search(len(d), func(i int) bool { return d[i].dep >= t })
+	var out []Departure
 	for i := lo; i < len(d) && i-lo < limit; i++ {
 		tr := &ix.trips[d[i].trip]
-		dst = append(dst, Departure{
+		out = append(out, Departure{
 			TripID:    tr.ID,
 			RouteID:   tr.RouteID,
 			Departure: d[i].dep,
 			StopIndex: d[i].seq,
 		})
 	}
-	return dst
+	return out
+}
+
+// EachDeparture calls fn for every departure from stop, in the order
+// NextDepartures lists them: departure time, the trip's position in
+// Trips, and the stop's position within the trip. It is the allocation-free
+// walk a caller compiling the schedule into its own arrays makes.
+func (ix *Index) EachDeparture(stop StopID, fn func(dep Seconds, trip, stopIndex int)) {
+	for _, d := range ix.deps[stop] {
+		fn(d.dep, d.trip, d.seq)
+	}
 }
 
 // Trip returns the operating trip with the given ID (materialized run IDs

@@ -1,7 +1,9 @@
 package gtfs
 
 import (
+	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +247,25 @@ func TestNextDepartures(t *testing.T) {
 	}
 	if deps := ix.NextDepartures("unknown", 0, 5); len(deps) != 0 {
 		t.Errorf("unknown stop departures = %+v", deps)
+	}
+}
+
+// TestEachDepartureMatchesNextDepartures: the allocation-free walk visits
+// a stop's departures in NextDepartures' order, naming each trip by its
+// position in Trips.
+func TestEachDepartureMatchesNextDepartures(t *testing.T) {
+	f := testFeed(t)
+	ix := NewIndex(f, time.Tuesday)
+	for _, stop := range []StopID{"A", "B", "C", "unknown"} {
+		want := ix.NextDepartures(stop, math.MinInt32, math.MaxInt)
+		var got []Departure
+		ix.EachDeparture(stop, func(dep Seconds, trip, stopIndex int) {
+			tr := ix.Trips()[trip]
+			got = append(got, Departure{TripID: tr.ID, RouteID: tr.RouteID, Departure: dep, StopIndex: stopIndex})
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("stop %s: EachDeparture %+v, NextDepartures %+v", stop, got, want)
+		}
 	}
 }
 

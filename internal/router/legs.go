@@ -42,15 +42,15 @@ type Leg struct {
 }
 
 // incomingLeg records how a node's current label was reached, enabling
-// itinerary reconstruction.
+// itinerary reconstruction. A ride leg names its trip by timetable index
+// and its boarding and alighting stops by position within the trip;
+// reconstruct turns them back into IDs.
 type incomingLeg struct {
-	parent graph.NodeID
-	mode   LegMode
-	depart gtfs.Seconds
-	route  gtfs.RouteID
-	trip   gtfs.TripID
-	board  gtfs.StopID
-	alight gtfs.StopID
+	parent        graph.NodeID
+	mode          LegMode
+	depart        gtfs.Seconds
+	trip          int32
+	board, alight int32
 }
 
 // RouteDetailed answers a single query like Route but also reconstructs
@@ -71,15 +71,15 @@ func (r *Router) RouteDetailed(origin, dest graph.NodeID, depart gtfs.Seconds) (
 	if !ok {
 		return Journey{}, nil, false, nil
 	}
-	return j, reconstruct(p.arena.incoming, p.labels, origin, dest), true, nil
+	return j, reconstruct(r.index.Trips(), p.arena.incoming, p.labels, origin, dest), true, nil
 }
 
 // reconstruct walks the parent chain from dest to origin, emitting legs in
 // forward order with consecutive walks merged. The chain is final once
 // dest is settled: a node's parent was settled before the node was relaxed
 // out of it, and a settled label — with the leg recorded beside it — never
-// changes again.
-func reconstruct(incoming []incomingLeg, labels []label, origin, dest graph.NodeID) []Leg {
+// changes again. trips are the timetable's trips, the index's Trips.
+func reconstruct(trips []gtfs.Trip, incoming []incomingLeg, labels []label, origin, dest graph.NodeID) []Leg {
 	var rev []Leg
 	at := dest
 	for at != origin {
@@ -87,8 +87,11 @@ func reconstruct(incoming []incomingLeg, labels []label, origin, dest graph.Node
 		leg := Leg{
 			Mode: in.mode, From: in.parent, To: at,
 			Depart: in.depart, Arrive: labels[at].arrive,
-			Route: in.route, Trip: in.trip,
-			BoardStop: in.board, AlightStop: in.alight,
+		}
+		if in.mode == LegRide {
+			t := &trips[in.trip]
+			leg.Route, leg.Trip = t.RouteID, t.ID
+			leg.BoardStop, leg.AlightStop = t.StopTimes[in.board].StopID, t.StopTimes[in.alight].StopID
 		}
 		rev = append(rev, leg)
 		at = in.parent

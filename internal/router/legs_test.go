@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"accessquery/internal/graph"
@@ -28,9 +29,12 @@ func (q *refPQ) Pop() interface{} {
 }
 
 // routeDetailedReference is the itinerary search as a loop of its own —
-// container/heap, two fresh n-sized arrays, no target bound — kept as the
-// reference RouteDetailed must equal.
-func routeDetailedReference(r *Router, origin, dest graph.NodeID, depart gtfs.Seconds) (Journey, []Leg, bool, error) {
+// container/heap, two fresh n-sized arrays, no target bound, the schedule
+// read through gtfs.Index.NextDepartures and Index.Trip and the welding
+// through the stopNode map rather than the router's compiled timetable —
+// kept as the reference RouteDetailed must equal. Stops at a node are
+// tried in StopID order, the order that breaks arrival-time ties.
+func routeDetailedReference(r *Router, stopNode map[gtfs.StopID]graph.NodeID, origin, dest graph.NodeID, depart gtfs.Seconds) (Journey, []Leg, bool, error) {
 	if origin < 0 || int(origin) >= r.road.NumNodes() {
 		return Journey{}, nil, false, fmt.Errorf("router: invalid origin node %d", origin)
 	}
@@ -38,15 +42,28 @@ func routeDetailedReference(r *Router, origin, dest graph.NodeID, depart gtfs.Se
 		return Journey{}, nil, false, fmt.Errorf("router: invalid destination node %d", dest)
 	}
 	n := r.road.NumNodes()
-	labels := make([]label, n)
-	incoming := make([]incomingLeg, n)
-	for i := range incoming {
-		incoming[i].parent = graph.InvalidNode
+	welded := func(sid gtfs.StopID) (graph.NodeID, bool) {
+		nid, ok := stopNode[sid]
+		return nid, ok && nid != graph.InvalidNode
 	}
+	sids := make([]gtfs.StopID, 0, len(stopNode))
+	for sid := range stopNode {
+		sids = append(sids, sid)
+	}
+	slices.Sort(sids)
+	stopsAt := make([][]gtfs.StopID, n)
+	for _, sid := range sids {
+		if nid, ok := welded(sid); ok {
+			stopsAt[nid] = append(stopsAt[nid], sid)
+		}
+	}
+	labels := make([]label, n)
+	// incoming[v] is the leg v's label arrived by, Arrive left unset.
+	incoming := make([]Leg, n)
 	labels[origin] = label{arrive: depart, reached: true}
 	q := refPQ{{node: origin, arrive: depart}}
 	deadline := depart + r.opts.MaxJourney
-	improveTracked := func(node graph.NodeID, nl label, in incomingLeg) {
+	improveTracked := func(node graph.NodeID, nl label, in Leg) {
 		cur := &labels[node]
 		if cur.reached && nl.arrive >= cur.arrive {
 			return
@@ -80,12 +97,10 @@ func routeDetailedReference(r *Router, origin, dest graph.NodeID, depart gtfs.Se
 			} else {
 				nl.egressWalk += float32(wsec)
 			}
-			improveTracked(to, nl, incomingLeg{
-				parent: curNode, mode: LegWalk, depart: curLabel.arrive,
-			})
+			improveTracked(to, nl, Leg{Mode: LegWalk, From: curNode, To: to, Depart: curLabel.arrive})
 		})
 
-		for _, sid := range r.stopsAtNode[curNode] {
+		for _, sid := range stopsAt[curNode] {
 			earliest := curLabel.arrive + r.opts.BoardSlack
 			deps := r.index.NextDepartures(sid, earliest, r.opts.MaxDeparturesPerStop)
 			for _, dep := range deps {
@@ -110,7 +125,7 @@ func routeDetailedReference(r *Router, origin, dest graph.NodeID, depart gtfs.Se
 					if st.Arrival > deadline {
 						break
 					}
-					node, ok := r.stopNode[st.StopID]
+					node, ok := welded(st.StopID)
 					if !ok {
 						continue
 					}
@@ -118,10 +133,10 @@ func routeDetailedReference(r *Router, origin, dest graph.NodeID, depart gtfs.Se
 					nl.arrive = st.Arrival
 					nl.inVehicle += float32(st.Arrival - boardDep)
 					nl.settled = false
-					improveTracked(node, nl, incomingLeg{
-						parent: curNode, mode: LegRide, depart: boardDep,
-						route: trip.RouteID, trip: trip.ID,
-						board: sid, alight: st.StopID,
+					improveTracked(node, nl, Leg{
+						Mode: LegRide, From: curNode, To: node, Depart: boardDep,
+						Route: trip.RouteID, Trip: trip.ID,
+						BoardStop: sid, AlightStop: st.StopID,
 					})
 				}
 			}
@@ -130,16 +145,31 @@ func routeDetailedReference(r *Router, origin, dest graph.NodeID, depart gtfs.Se
 	if !labels[dest].reached {
 		return Journey{}, nil, false, nil
 	}
-	legs := reconstruct(incoming, labels, origin, dest)
+	// Walk the parent chain back, then emit it forward with consecutive
+	// walks merged.
+	var rev []Leg
+	for at := dest; at != origin; at = incoming[at].From {
+		leg := incoming[at]
+		leg.Arrive = labels[at].arrive
+		rev = append(rev, leg)
+	}
+	var legs []Leg
+	for i := len(rev) - 1; i >= 0; i-- {
+		if last := len(legs) - 1; rev[i].Mode == LegWalk && last >= 0 && legs[last].Mode == LegWalk {
+			legs[last].To, legs[last].Arrive = rev[i].To, rev[i].Arrive
+			continue
+		}
+		legs = append(legs, rev[i])
+	}
 	return journeyFrom(depart, labels[dest]), legs, true, nil
 }
 
 // sameAsReference asserts RouteDetailed equals the reference loop on the
 // journey (all nine fields), reachability and legs, and returns the
 // journey and ok.
-func sameAsReference(t *testing.T, r *Router, o, d graph.NodeID, depart gtfs.Seconds) (Journey, bool) {
+func sameAsReference(t *testing.T, r *Router, stopNode map[gtfs.StopID]graph.NodeID, o, d graph.NodeID, depart gtfs.Seconds) (Journey, bool) {
 	t.Helper()
-	wantJ, wantLegs, wantOK, err := routeDetailedReference(r, o, d, depart)
+	wantJ, wantLegs, wantOK, err := routeDetailedReference(r, stopNode, o, d, depart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +204,7 @@ func TestRouteDetailedMatchesReference(t *testing.T) {
 				d = o
 			}
 			for _, depart := range []gtfs.Seconds{7*3600 + 13, 8 * 3600, 21*3600 + 30*60} {
-				j, ok := sameAsReference(t, r, o, d, depart)
+				j, ok := sameAsReference(t, r, c.StopNode, o, d, depart)
 				sawSelf = sawSelf || o == d
 				sawUnreachable = sawUnreachable || !ok
 				sawRide = sawRide || j.Boardings > 0
@@ -193,7 +223,7 @@ func TestRouteDetailedMatchesReference(t *testing.T) {
 		for _, o := range s.nodes {
 			for _, d := range s.nodes {
 				for _, depart := range []gtfs.Seconds{6*3600 + 50*60, 7*3600 + 8*60 + 30, 8*3600 + 59*60, 22 * 3600} {
-					sameAsReference(t, r, o, d, depart)
+					sameAsReference(t, r, s.stopNode, o, d, depart)
 				}
 			}
 		}

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
+	"accessquery/internal/geo"
 	"accessquery/internal/graph"
 	"accessquery/internal/gtfs"
 )
@@ -32,7 +34,9 @@ func referenceArrivals(road *graph.Graph, ix *gtfs.Index, stopNode map[gtfs.Stop
 	n := road.NumNodes()
 	stopsAt := make([][]gtfs.StopID, n)
 	for sid, nid := range stopNode {
-		stopsAt[nid] = append(stopsAt[nid], sid)
+		if nid != graph.InvalidNode {
+			stopsAt[nid] = append(stopsAt[nid], sid)
+		}
 	}
 	arrive = make([]gtfs.Seconds, n)
 	for i := range arrive {
@@ -80,7 +84,7 @@ func referenceArrivals(road *graph.Graph, ix *gtfs.Index, stopNode map[gtfs.Stop
 					if st.Arrival > deadline {
 						break
 					}
-					if node, ok := stopNode[st.StopID]; ok {
+					if node, ok := stopNode[st.StopID]; ok && node != graph.InvalidNode {
 						relax(node, st.Arrival)
 					}
 				}
@@ -92,9 +96,9 @@ func referenceArrivals(road *graph.Graph, ix *gtfs.Index, stopNode map[gtfs.Stop
 // checkAgainstReference runs one production profile and requires the
 // arrival time (or unreachability) of every road node, and the number of
 // relaxation attempts, to equal the reference's.
-func checkAgainstReference(t *testing.T, r *Router, origin graph.NodeID, depart gtfs.Seconds) {
+func checkAgainstReference(t *testing.T, r *Router, stopNode map[gtfs.StopID]graph.NodeID, origin graph.NodeID, depart gtfs.Seconds) {
 	t.Helper()
-	want, wantRelaxed := referenceArrivals(r.road, r.index, r.stopNode, r.opts, origin, depart)
+	want, wantRelaxed := referenceArrivals(r.road, r.index, stopNode, r.opts, origin, depart)
 	before := mRelaxations.Value()
 	p, err := r.ProfileFrom(origin, depart)
 	if err != nil {
@@ -125,7 +129,7 @@ func TestProfileMatchesReferenceScenario(t *testing.T) {
 		}
 		for _, origin := range s.nodes {
 			for _, depart := range []gtfs.Seconds{6*3600 + 50*60, 7*3600 + 5*60, 8*3600 + 59*60, 22 * 3600} {
-				checkAgainstReference(t, r, origin, depart)
+				checkAgainstReference(t, r, s.stopNode, origin, depart)
 			}
 		}
 	}
@@ -141,26 +145,27 @@ func TestProfileMatchesReferenceCity(t *testing.T) {
 			origin = graph.NodeID(rng.Intn(c.Road.NumNodes()))
 		}
 		for _, depart := range []gtfs.Seconds{7*3600 + 13, 8 * 3600, 21*3600 + 30*60} {
-			checkAgainstReference(t, r, origin, depart)
+			checkAgainstReference(t, r, c.StopNode, origin, depart)
 		}
 	}
 }
 
 // TestRouterDeterministicAcrossBuilds pins that nothing about a router
-// depends on map iteration order: two routers over the same inputs weld
-// stops onto nodes in the same order and do the same search work.
+// depends on map iteration order: two routers over the same inputs compile
+// the same timetable, welded stops in the same per-node order, and do the
+// same search work.
 func TestRouterDeterministicAcrossBuilds(t *testing.T) {
 	c, a := cityWorld(t)
 	b, err := New(a.road, a.index, c.StopNode, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.stopsAtNode, b.stopsAtNode) {
-		t.Fatal("stopsAtNode differs between two routers built from the same inputs")
+	if !reflect.DeepEqual(a.tt, b.tt) {
+		t.Fatal("the compiled timetable differs between two routers built from the same inputs")
 	}
 	shared := false
-	for _, sids := range a.stopsAtNode {
-		shared = shared || len(sids) > 1
+	for n := 0; n < c.Road.NumNodes(); n++ {
+		shared = shared || len(a.tt.stopsAt(graph.NodeID(n))) > 1
 	}
 	if !shared {
 		t.Fatal("no road node carries two stops; the test city cannot show an ordering difference")
@@ -178,5 +183,125 @@ func TestRouterDeterministicAcrossBuilds(t *testing.T) {
 	}
 	if ia, ib := improvements(a), improvements(b); ia != ib {
 		t.Errorf("improvement counts differ between identical routers: %d vs %d", ia, ib)
+	}
+}
+
+// buildFixture is a hand-wired world with the cases the synthetic city
+// lacks, each of which the compiled timetable must carry exactly:
+//
+//	road nodes: n0 -600s- n1 -600s- n2 -600s- n3 -600s- n4 -600s- n5
+//	trip A (R1, 150p): S1@n1 07:00, SU 07:02, SI 07:03, S4@n4 07:06
+//	trip P (R1, 150p): SP@n2 07:10, S4@n4 07:13
+//	trip Q (R2, 250p): SQ@n2 07:10, S4@n4 07:13
+//	template F (R3, 100p): S1 07:05, SP 07:08, S4 07:12, every 10 min
+//	                       07:05-08:05 (runs F#0..F#5; F itself never runs)
+//
+// SU is missing from the welding and SI is welded to graph.InvalidNode, so
+// trip A rides past two unwelded stops mid-trip. SP and SQ share node n2
+// and were added to the feed out of StopID order; a traveller boarding at
+// n2 after 07:08 reaches n4 at 07:13 on P and on Q, a tie that SP, first
+// in StopID order, wins.
+func buildFixture(t *testing.T) *scenario {
+	t.Helper()
+	g := graph.New(6)
+	var nodes []graph.NodeID
+	for i := 0; i < 6; i++ {
+		nodes = append(nodes, g.AddNode(geo.Offset(base, float64(i)*750, 0)))
+	}
+	for i := 0; i+1 < 6; i++ {
+		if err := g.AddEdge(nodes[i], nodes[i+1], 600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := gtfs.NewFeed()
+	for _, s := range []struct {
+		id gtfs.StopID
+		at int
+	}{{"S1", 1}, {"SU", 1}, {"SI", 2}, {"SQ", 2}, {"SP", 2}, {"S4", 4}} {
+		if err := f.AddStop(gtfs.Stop{ID: s.id, Name: string(s.id), Point: g.Point(nodes[s.at])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []gtfs.Route{{ID: "R1", FareFlat: 150}, {ID: "R2", FareFlat: 250}, {ID: "R3", FareFlat: 100}} {
+		if err := f.AddRoute(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := gtfs.Service{ID: "D"}
+	for d := 0; d < 7; d++ {
+		svc.Weekdays[d] = true
+	}
+	if err := f.AddService(svc); err != nil {
+		t.Fatal(err)
+	}
+	hms := func(h, m int) gtfs.Seconds { return gtfs.Seconds(h*3600 + m*60) }
+	trip := func(id gtfs.TripID, route gtfs.RouteID, stops []gtfs.StopID, times []gtfs.Seconds) {
+		tr := gtfs.Trip{ID: id, RouteID: route, ServiceID: "D"}
+		for i, sid := range stops {
+			tr.StopTimes = append(tr.StopTimes, gtfs.StopTime{StopID: sid, Arrival: times[i], Departure: times[i], Seq: i + 1})
+		}
+		if err := f.AddTrip(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trip("A", "R1", []gtfs.StopID{"S1", "SU", "SI", "S4"}, []gtfs.Seconds{hms(7, 0), hms(7, 2), hms(7, 3), hms(7, 6)})
+	trip("P", "R1", []gtfs.StopID{"SP", "S4"}, []gtfs.Seconds{hms(7, 10), hms(7, 13)})
+	trip("Q", "R2", []gtfs.StopID{"SQ", "S4"}, []gtfs.Seconds{hms(7, 10), hms(7, 13)})
+	trip("F", "R3", []gtfs.StopID{"S1", "SP", "S4"}, []gtfs.Seconds{hms(7, 5), hms(7, 8), hms(7, 12)})
+	if err := f.AddFrequency(gtfs.Frequency{TripID: "F", Start: hms(7, 5), End: hms(8, 5), Headway: 600}); err != nil {
+		t.Fatal(err)
+	}
+	ix := gtfs.NewIndex(f, time.Tuesday)
+	sn := map[gtfs.StopID]graph.NodeID{
+		"S1": nodes[1], "SI": graph.InvalidNode, "SP": nodes[2], "SQ": nodes[2], "S4": nodes[4],
+	}
+	return &scenario{road: g, feed: f, index: ix, stopNode: sn, nodes: nodes}
+}
+
+// fixtureDeparts are the fixture's start times: before service, on trip
+// A, on a frequency run, into the P/Q tie from n2, and late.
+var fixtureDeparts = []gtfs.Seconds{6*3600 + 50*60, 6*3600 + 58*60, 7*3600 + 3*60, 7*3600 + 8*60, 7*3600 + 40*60}
+
+func TestProfileMatchesReferenceFixture(t *testing.T) {
+	s := buildFixture(t)
+	for _, opts := range []Options{{}, {MaxJourney: 900}, {MaxDeparturesPerStop: 1}} {
+		r, err := New(s.road, s.index, s.stopNode, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, origin := range s.nodes {
+			for _, depart := range fixtureDeparts {
+				checkAgainstReference(t, r, s.stopNode, origin, depart)
+			}
+		}
+	}
+}
+
+func TestRouteDetailedMatchesReferenceFixture(t *testing.T) {
+	s := buildFixture(t)
+	r := newRouter(t, s)
+	for _, o := range s.nodes {
+		for _, d := range s.nodes {
+			for _, depart := range fixtureDeparts {
+				sameAsReference(t, r, s.stopNode, o, d, depart)
+			}
+		}
+	}
+	// The P/Q tie, pinned outright: StopID order boards at SP.
+	_, legs, ok, err := r.RouteDetailed(s.nodes[2], s.nodes[4], 7*3600+8*60)
+	if err != nil || !ok {
+		t.Fatalf("n2->n4: err=%v ok=%v", err, ok)
+	}
+	if len(legs) != 1 || legs[0].BoardStop != "SP" || legs[0].Trip != "P" || legs[0].Arrive != 7*3600+13*60 {
+		t.Errorf("n2->n4 at 07:08: legs %+v, want one ride on P boarded at SP arriving 07:13", legs)
+	}
+	// Trip A passes SU and SI without alighting: from n1 at 06:58 it is
+	// ridden straight to S4.
+	_, legs, ok, err = r.RouteDetailed(s.nodes[1], s.nodes[4], 6*3600+58*60)
+	if err != nil || !ok {
+		t.Fatalf("n1->n4: err=%v ok=%v", err, ok)
+	}
+	if len(legs) != 1 || legs[0].Trip != "A" || legs[0].AlightStop != "S4" {
+		t.Errorf("n1->n4 at 06:58: legs %+v, want one ride on A to S4", legs)
 	}
 }

@@ -23,7 +23,6 @@ package router
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"accessquery/internal/fault"
@@ -75,53 +74,40 @@ func (o Options) withDefaults() Options {
 
 // Router answers multimodal earliest-arrival queries.
 type Router struct {
-	road        *graph.Graph
-	index       *gtfs.Index
-	stopNode    map[gtfs.StopID]graph.NodeID
-	stopsAtNode map[graph.NodeID][]gtfs.StopID
-	opts        Options
+	road *graph.Graph
+	// index is the schedule the timetable was compiled from; only
+	// reconstruct reads it, to turn trip indices back into IDs.
+	index *gtfs.Index
+	tt    *timetable
+	opts  Options
 	// arenaPool recycles per-search label arrays and frontier heaps between
 	// ProfileFrom calls; see Profile.Release.
 	arenaPool sync.Pool
 }
 
 // profileArena is the per-search allocation unit: the full label array
-// (one label per road node), the frontier heap, the departures buffer
-// relaxBoardings fills once per settled stop, and the predecessor array an
-// itinerary search records into. With it pooled, the Profile handle is the
-// only allocation of a steady-state search.
+// (one label per road node), the frontier heap, and the predecessor array
+// an itinerary search records into. With it pooled, the Profile handle is
+// the only allocation of a steady-state search.
 type profileArena struct {
 	labels   []label
 	q        pq
-	deps     []gtfs.Departure
 	incoming []incomingLeg
 }
 
 // New builds a router over a road graph, a schedule index for the service
-// day, and the welding of stops onto road nodes.
+// day, and the welding of stops onto road nodes, compiling the two into the
+// router's own timetable. A stop welded to graph.InvalidNode is unwelded;
+// a weld to any other node outside the road graph is an error.
 func New(road *graph.Graph, index *gtfs.Index, stopNode map[gtfs.StopID]graph.NodeID, opts Options) (*Router, error) {
 	if road == nil || index == nil {
 		return nil, fmt.Errorf("router: nil road graph or schedule index")
 	}
-	r := &Router{
-		road:        road,
-		index:       index,
-		stopNode:    stopNode,
-		stopsAtNode: make(map[graph.NodeID][]gtfs.StopID, len(stopNode)),
-		opts:        opts.withDefaults(),
+	tt, err := compileTimetable(road.NumNodes(), index, stopNode)
+	if err != nil {
+		return nil, err
 	}
-	// Stops are welded in StopID order, not map order: the per-node stop
-	// order decides which boarding wins an arrival-time tie, so it must be
-	// the same in every process.
-	sids := make([]gtfs.StopID, 0, len(stopNode))
-	for sid := range stopNode {
-		sids = append(sids, sid)
-	}
-	slices.Sort(sids)
-	for _, sid := range sids {
-		nid := stopNode[sid]
-		r.stopsAtNode[nid] = append(r.stopsAtNode[nid], sid)
-	}
+	r := &Router{road: road, index: index, tt: tt, opts: opts.withDefaults()}
 	r.arenaPool.New = func() interface{} { return new(profileArena) }
 	return r, nil
 }
@@ -405,60 +391,65 @@ func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []grap
 
 		// Transit relaxations: board upcoming departures at stops welded to
 		// this node.
-		for _, sid := range r.stopsAtNode[cur.node] {
-			r.relaxBoardings(ar, &q, incoming, cur.node, sid, curLabel, deadline, &relaxed, &improved)
+		for _, s := range r.tt.stopsAt(cur.node) {
+			r.relaxBoardings(labels, &q, incoming, cur.node, r.tt.departures(s), curLabel, deadline, &relaxed, &improved)
 		}
 	}
 	ar.q = q[:0]
 	return &Profile{depart: depart, labels: labels, arena: ar, router: r}, nil
 }
 
-// relaxBoardings boards the next departures from stop sid, welded to node
-// at, and rides them forward, tallying relaxation attempts and improvements
-// into the caller's counters and, when incoming is non-nil, recording the
-// ride leg of every label it improves.
-func (r *Router) relaxBoardings(ar *profileArena, q *pq, incoming []incomingLeg, at graph.NodeID, sid gtfs.StopID, from label, deadline gtfs.Seconds, relaxed, improved *int64) {
-	labels := ar.labels
+// relaxBoardings boards the next departures from one stop, welded to
+// node at, and rides them forward, tallying relaxation attempts and
+// improvements into the caller's counters and, when incoming is non-nil,
+// recording the ride leg of every label it improves. deps are the stop's
+// departures in time order; the earliest boardable one is the first at or
+// after arrival plus BoardSlack, and at most MaxDeparturesPerStop from it
+// are tried.
+func (r *Router) relaxBoardings(labels []label, q *pq, incoming []incomingLeg, at graph.NodeID, deps []departure, from label, deadline gtfs.Seconds, relaxed, improved *int64) {
+	tt := r.tt
 	earliest := from.arrive + r.opts.BoardSlack
-	ar.deps = r.index.AppendNextDepartures(ar.deps[:0], sid, earliest, r.opts.MaxDeparturesPerStop)
-	for _, dep := range ar.deps {
-		waitHere := dep.Departure - from.arrive
+	lo, hi := 0, len(deps)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); deps[m].dep < earliest {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	deps = deps[lo:min(len(deps), lo+r.opts.MaxDeparturesPerStop)]
+	for _, d := range deps {
+		waitHere := d.dep - from.arrive
 		if waitHere > r.opts.MaxWait {
 			break // departures are ordered; all later ones wait longer
 		}
-		trip, ok := r.index.Trip(dep.TripID)
-		if !ok {
-			continue
-		}
-		route, _ := r.index.Feed().Route(trip.RouteID)
 		boarded := from
 		boarded.wait += float32(waitHere)
 		boarded.boardings++
-		boarded.fare += float32(route.FareFlat)
+		boarded.fare += tt.fare[d.trip]
 		// Walking since the last alight was a transfer walk, not egress.
 		boarded.transferWalk += boarded.egressWalk
 		boarded.egressWalk = 0
-		boardDep := dep.Departure
-		for si := dep.StopIndex + 1; si < len(trip.StopTimes); si++ {
-			st := trip.StopTimes[si]
-			if st.Arrival > deadline {
+		first, end := tt.tripStart[d.trip], tt.tripStart[d.trip+1]
+		for k := first + d.seq + 1; k < end; k++ {
+			arrive := tt.arrive[k]
+			if arrive > deadline {
 				break
 			}
-			node, ok := r.stopNode[st.StopID]
-			if !ok {
+			node := tt.node[k]
+			if node == graph.InvalidNode {
 				continue
 			}
 			nl := boarded
-			nl.arrive = st.Arrival
-			nl.inVehicle += float32(st.Arrival - boardDep)
+			nl.arrive = arrive
+			nl.inVehicle += float32(arrive - d.dep)
 			*relaxed++
 			if improve(labels, node, nl, q) {
 				*improved++
 				if incoming != nil {
 					incoming[node] = incomingLeg{
-						parent: at, mode: LegRide, depart: boardDep,
-						route: trip.RouteID, trip: trip.ID,
-						board: sid, alight: st.StopID,
+						parent: at, mode: LegRide, depart: d.dep,
+						trip: d.trip, board: d.seq, alight: k - first,
 					}
 				}
 			}

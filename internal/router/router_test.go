@@ -92,6 +92,23 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(s.road, nil, s.stopNode, Options{}); err == nil {
 		t.Error("nil index should fail")
 	}
+	// A weld outside the road graph is an error, not a panic at search
+	// time; graph.InvalidNode alone means unwelded.
+	for _, bad := range []graph.NodeID{graph.NodeID(s.road.NumNodes()), graph.InvalidNode - 1} {
+		welds := map[gtfs.StopID]graph.NodeID{"SA": s.nodes[1], "SB": bad}
+		if _, err := New(s.road, s.index, welds, Options{}); err == nil {
+			t.Errorf("weld to node %d should fail", bad)
+		}
+	}
+	r, err := New(s.road, s.index, map[gtfs.StopID]graph.NodeID{"SA": s.nodes[1], "SB": graph.InvalidNode}, Options{})
+	if err != nil {
+		t.Fatalf("a stop welded to InvalidNode is unwelded, not an error: %v", err)
+	}
+	// With SB unwelded the bus leads nowhere: n0->n3 is the 1800s walk.
+	j, ok, err := r.Route(s.nodes[0], s.nodes[3], 7*3600+8*60+30)
+	if err != nil || !ok || !j.WalkOnly() || j.Duration() != 1800 {
+		t.Errorf("route with SB unwelded: %+v ok=%v err=%v, want the 1800s walk", j, ok, err)
+	}
 }
 
 func TestWalkOnlyJourney(t *testing.T) {

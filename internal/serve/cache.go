@@ -11,11 +11,12 @@ import (
 )
 
 // resultCache is an LRU cache of engine results keyed by request
-// fingerprint, with a per-entry TTL. Accessibility results are expensive to
-// compute (seconds of SPQs) and reused across many consumers — dashboards,
-// planners, repeated what-if runs — so even a small cache absorbs most of a
-// realistic workload. A TTL bounds staleness once the engine serves
-// mutable scenarios.
+// fingerprint, with a per-entry TTL. Each entry remembers the engine epoch
+// that computed it and a lookup names the epoch it wants, so there is one
+// entry per fingerprint, the newest epoch's. Accessibility results are
+// expensive to compute (seconds of SPQs) and reused across many consumers
+// — dashboards, planners, repeated what-if runs — so even a small cache
+// absorbs most of a realistic workload.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -64,6 +65,7 @@ func (b *EncodedBody) Get(includeZones bool, encode func() []byte) []byte {
 
 type cacheEntry struct {
 	key     string
+	epoch   uint64 // the producing run's engine epoch, 0 when unstamped
 	ans     answer
 	stored  time.Time
 	expires time.Time // zero when ttl <= 0
@@ -82,11 +84,12 @@ func newResultCache(capacity int, ttl time.Duration, now func() time.Time) *resu
 	}
 }
 
-// get returns the cached answer for key, promoting the entry to most
-// recently used. Expired entries are misses here but are retained (until
-// LRU eviction) so getStale can serve them while the circuit breaker is
-// open.
-func (c *resultCache) get(key string) (answer, bool) {
+// get returns the cached answer for key computed on epoch, promoting the
+// entry to most recently used; epoch 0 accepts any epoch. Expired entries
+// and other epochs' entries are misses here but are retained (until LRU
+// eviction or a newer put) so getStale can serve them while the circuit
+// breaker is open.
+func (c *resultCache) get(key string, epoch uint64) (answer, bool) {
 	if c.cap <= 0 {
 		return answer{}, false
 	}
@@ -97,6 +100,9 @@ func (c *resultCache) get(key string) (answer, bool) {
 		return answer{}, false
 	}
 	ent := el.Value.(*cacheEntry)
+	if epoch != 0 && ent.epoch != epoch {
+		return answer{}, false
+	}
 	if !ent.expires.IsZero() && c.now().After(ent.expires) {
 		return answer{}, false
 	}
@@ -104,10 +110,10 @@ func (c *resultCache) get(key string) (answer, bool) {
 	return ent.ans, true
 }
 
-// getStale returns the entry for key regardless of expiry, with its age
-// since it was stored. This is the circuit breaker's degraded read path: a
-// stale answer with honest staleness metadata beats no answer while the
-// engine is failing.
+// getStale returns the entry for key regardless of expiry and epoch, with
+// its age since it was stored. This is the circuit breaker's degraded read
+// path: a stale answer with honest staleness metadata beats no answer
+// while the engine is failing.
 func (c *resultCache) getStale(key string) (answer, time.Duration, bool) {
 	if c.cap <= 0 {
 		return answer{}, 0, false
@@ -124,10 +130,15 @@ func (c *resultCache) getStale(key string) (answer, time.Duration, bool) {
 }
 
 // put stores a run's answer under key, evicting the least recently used
-// entry when over capacity.
+// entry when over capacity. Epochs only grow, so an answer from an older
+// epoch than the stored one's, a run that raced a swap, is dropped.
 func (c *resultCache) put(key string, ans answer) {
 	if c.cap <= 0 {
 		return
+	}
+	var epoch uint64
+	if ans.res != nil {
+		epoch = ans.res.Epoch
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -138,13 +149,17 @@ func (c *resultCache) put(key string, ans answer) {
 	}
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
+		if epoch < ent.epoch {
+			return
+		}
+		ent.epoch = epoch
 		ent.ans = ans
 		ent.stored = stored
 		ent.expires = expires
 		c.ll.MoveToFront(el)
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, ans: ans, stored: stored, expires: expires})
+	el := c.ll.PushFront(&cacheEntry{key: key, epoch: epoch, ans: ans, stored: stored, expires: expires})
 	c.items[key] = el
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()

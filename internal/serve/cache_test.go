@@ -36,17 +36,17 @@ func resultN(n int) answer { return answer{res: &core.Result{Fairness: float64(n
 
 func TestCachePutGet(t *testing.T) {
 	c := newResultCache(4, 0, nil)
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.get("a", 0); ok {
 		t.Error("hit on empty cache")
 	}
 	c.put("a", resultN(1))
-	got, ok := c.get("a")
+	got, ok := c.get("a", 0)
 	if !ok || got.res.Fairness != 1 {
 		t.Fatalf("get = %v, %v", got, ok)
 	}
 	// Overwrite keeps one entry.
 	c.put("a", resultN(2))
-	if got, _ := c.get("a"); got.res.Fairness != 2 {
+	if got, _ := c.get("a", 0); got.res.Fairness != 2 {
 		t.Errorf("overwrite not visible: %v", got.res.Fairness)
 	}
 	if c.len() != 1 {
@@ -58,15 +58,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2, 0, nil)
 	c.put("a", resultN(1))
 	c.put("b", resultN(2))
-	c.get("a") // promote a; b is now least recently used
+	c.get("a", 0) // promote a; b is now least recently used
 	c.put("c", resultN(3))
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.get("b", 0); ok {
 		t.Error("LRU entry b survived eviction")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a", 0); !ok {
 		t.Error("recently-used entry a evicted")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.get("c", 0); !ok {
 		t.Error("new entry c missing")
 	}
 }
@@ -76,11 +76,11 @@ func TestCacheTTL(t *testing.T) {
 	c := newResultCache(4, time.Minute, clock.now)
 	c.put("a", resultN(1))
 	clock.advance(59 * time.Second)
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a", 0); !ok {
 		t.Error("entry expired before TTL")
 	}
 	clock.advance(2 * time.Second)
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.get("a", 0); ok {
 		t.Error("entry served after TTL")
 	}
 	// Expired entries stay resident (until LRU eviction) so the circuit
@@ -93,7 +93,7 @@ func TestCacheTTL(t *testing.T) {
 	// Re-put restarts the clock.
 	c.put("a", resultN(2))
 	clock.advance(30 * time.Second)
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a", 0); !ok {
 		t.Error("refreshed entry expired early")
 	}
 }
@@ -101,7 +101,7 @@ func TestCacheTTL(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	c := newResultCache(-1, 0, nil)
 	c.put("a", resultN(1))
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.get("a", 0); ok {
 		t.Error("disabled cache returned a hit")
 	}
 }
@@ -115,7 +115,7 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", i%16)
 				c.put(k, resultN(i))
-				c.get(k)
+				c.get(k, 0)
 			}
 		}(g)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,10 +59,13 @@ type Config struct {
 	// Default 1 (the single-tenant behavior).
 	Tenants int
 	// EpochOf resolves a city name to its current engine epoch, when the
-	// process runs a tenant registry. Cache hits compare the producing
-	// run's epoch against it to report epoch_stale — an honest "this
-	// answer predates the current engine" flag on otherwise-fresh cache
-	// entries after a hot-swap. Nil means epochs are never compared.
+	// process runs a tenant registry. A query is keyed by its fingerprint
+	// plus that epoch: a cache entry answers it only if the current epoch
+	// computed it, and it joins only a flight admitted on the same epoch,
+	// so after a scenario change, revert or swap the same fingerprint runs
+	// on the new engine. An older epoch's entry is served only as the open
+	// breaker's stale fallback, flagged epoch_stale. Nil means epochs are
+	// never compared.
 	EpochOf func(city string) (uint64, bool)
 	// SlowQueryThreshold gates the structured slow-query log: runs at or
 	// above it are logged with their stage breakdown. Zero disables it.
@@ -190,6 +194,9 @@ type Job struct {
 	ID          string
 	Fingerprint string
 	City        string // canonical tenant name the request routed to
+	// flightKey names the flight the job is attached to in
+	// Manager.flights; empty for cache hits.
+	flightKey string
 
 	mu         sync.Mutex
 	state      State
@@ -321,6 +328,7 @@ func (j *Job) setState(s State) {
 // flight is one in-progress engine run; all jobs sharing its fingerprint
 // attach to it and complete together (singleflight).
 type flight struct {
+	key      string // fp plus the admission epoch; see flightKey
 	fp       string
 	req      Request
 	enqueued time.Time // admission time, for the queue-wait histogram
@@ -491,12 +499,15 @@ func (m *Manager) admitLocked(req Request, fp string, async bool, now time.Time,
 	m.pruneLocked(now)
 	ts := m.tenantLocked(req.City)
 
-	if ans, ok := m.cache.get(fp); ok {
+	epoch := m.epochOf(req.City)
+	if ans, ok := m.cache.get(fp, epoch); ok {
 		return m.answerCachedLocked(hit, ts, req.City, fp, now, ans, false, 0), nil
 	}
 	mCacheMisses.Inc()
-	if fl, ok := m.flights[fp]; ok {
+	key := flightKey(fp, epoch)
+	if fl, ok := m.flights[key]; ok {
 		job := m.newJobLocked(ts, req.City, fp, now)
+		job.flightKey = key
 		job.dedup = true
 		if fl.started {
 			// The worker already set the attached jobs running; a late
@@ -547,7 +558,7 @@ func (m *Manager) admitLocked(req Request, fp string, async bool, now time.Time,
 	// Admission decision before consuming a job ID or counting the
 	// submission, so rejected queries are counted once (rejected only) and
 	// job IDs stay gapless.
-	fl := &flight{fp: fp, req: req, enqueued: now, probe: probe}
+	fl := &flight{key: key, fp: fp, req: req, enqueued: now, probe: probe}
 	select {
 	case m.queue <- fl:
 		ts.queued++
@@ -563,8 +574,9 @@ func (m *Manager) admitLocked(req Request, fp string, async bool, now time.Time,
 	// A worker may already have dequeued fl, but it blocks on m.mu before
 	// touching fl.jobs, so attaching here is safe.
 	job := m.newJobLocked(ts, req.City, fp, now)
+	job.flightKey = key
 	fl.jobs = []*Job{job}
-	m.flights[fp] = fl
+	m.flights[key] = fl
 	m.jobs[job.ID] = job
 	return job, nil
 }
@@ -591,6 +603,25 @@ func (m *Manager) answerCachedLocked(hit *outcome, ts *tenantState, city, fp str
 		hit.kind = hitStale
 	}
 	return job
+}
+
+// epochOf is city's current engine epoch, or 0 when the manager runs no
+// registry (nil EpochOf) or the city is unknown to it.
+func (m *Manager) epochOf(city string) uint64 {
+	if m.cfg.EpochOf == nil {
+		return 0
+	}
+	epoch, _ := m.cfg.EpochOf(city)
+	return epoch
+}
+
+// flightKey keys the flight table: a run admitted on one epoch never
+// answers a submission admitted on another.
+func flightKey(fp string, epoch uint64) string {
+	if epoch == 0 {
+		return fp
+	}
+	return fp + "@" + strconv.FormatUint(epoch, 10)
 }
 
 // epochStale reports whether a cached result was computed by an engine
@@ -749,7 +780,7 @@ func (m *Manager) Cancel(id string) error {
 	if terminal {
 		return ErrNotCancellable
 	}
-	if fl, ok := m.flights[job.Fingerprint]; ok {
+	if fl, ok := m.flights[job.flightKey]; ok {
 		kept := fl.jobs[:0]
 		for _, j := range fl.jobs {
 			if j != job {
@@ -764,7 +795,7 @@ func (m *Manager) Cancel(id string) error {
 			}
 			// Drop the flight from the table so a new identical submission
 			// starts fresh instead of attaching to a dying run.
-			delete(m.flights, fl.fp)
+			delete(m.flights, fl.key)
 		}
 	}
 	// complete is idempotent: a finished flight completes its jobs outside
@@ -968,8 +999,8 @@ func (m *Manager) runFlight(fl *flight) {
 	// instead of attaching to a finished one. Cancel may already have
 	// removed it (and even replaced it with a fresh flight) — only delete
 	// our own entry.
-	if m.flights[fl.fp] == fl {
-		delete(m.flights, fl.fp)
+	if m.flights[fl.key] == fl {
+		delete(m.flights, fl.key)
 	}
 	// A flight whose last job was cancelled ends cancelled, whatever the
 	// engine returned: the outcome is classified from this final error.

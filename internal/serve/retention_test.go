@@ -153,7 +153,7 @@ func TestRetainedResultsAreSlim(t *testing.T) {
 	if _, err := m.Wait(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
-	ans, ok := m.cache.get(req.Fingerprint())
+	ans, ok := m.cache.get(req.Fingerprint(), 0)
 	if !ok {
 		t.Fatal("run not cached")
 	}

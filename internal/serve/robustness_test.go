@@ -3,8 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"accessquery/internal/core"
 )
 
 // degradedReq gives the stub a distinct fingerprint per seed.
@@ -323,5 +326,109 @@ func TestDegradedResultNotCached(t *testing.T) {
 	}
 	if n := stub.runs.Load(); n != 2 {
 		t.Errorf("runs = %d after cache-hit, want 2", n)
+	}
+}
+
+// TestEpochKeysCacheAndFlights: a query is keyed by fingerprint plus the
+// city's current epoch. After an epoch change the same fingerprint misses
+// the old epoch's entry and runs, a submission on the new epoch does not
+// join a flight admitted on the old one, and the old epoch's answer comes
+// back only as the open breaker's stale fallback, flagged epoch_stale.
+func TestEpochKeysCacheAndFlights(t *testing.T) {
+	var epoch atomic.Uint64
+	epoch.Store(1)
+	stub := &stubEngine{}
+	var block atomic.Pointer[chan struct{}]
+	run := func(ctx context.Context, req Request) (*core.Result, error) {
+		ep := epoch.Load() // the epoch the run acquires
+		if ch := block.Load(); ch != nil {
+			<-*ch
+		}
+		res, err := stub.run(ctx, req)
+		if res != nil {
+			res.City, res.Epoch = req.City, ep
+		}
+		return res, err
+	}
+	m := NewManager(run, Config{
+		Workers: 2, BreakerThreshold: 1, BreakerCooldown: time.Hour,
+		EpochOf: func(city string) (uint64, bool) { return epoch.Load(), city == "coventry" },
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	})
+	ctx := context.Background()
+	req := schoolReq()
+	req.City = "coventry"
+	submit := func(step string) Snapshot {
+		t.Helper()
+		job, err := m.Submit(req)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if _, err := m.Wait(ctx, job); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		return job.Snapshot()
+	}
+
+	if s := submit("first"); s.CacheHit || s.Epoch != 1 {
+		t.Fatalf("first: %+v", s)
+	}
+	if s := submit("repeat"); !s.CacheHit || s.Epoch != 1 || s.EpochStale {
+		t.Fatalf("repeat on epoch 1: %+v", s)
+	}
+	epoch.Store(2)
+	if s := submit("after change"); s.CacheHit || s.Epoch != 2 || s.EpochStale {
+		t.Fatalf("same fingerprint after the change: %+v, want a run on epoch 2", s)
+	}
+	if n := stub.runs.Load(); n != 2 {
+		t.Fatalf("engine ran %d times, want 2", n)
+	}
+
+	// A flight admitted on epoch 3 is not joined from epoch 4.
+	epoch.Store(3)
+	gate := make(chan struct{})
+	block.Store(&gate)
+	old, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch.Store(4)
+	fresh, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Snapshot().Deduplicated {
+		t.Error("a submission on epoch 4 joined the flight admitted on epoch 3")
+	}
+	block.Store(nil)
+	close(gate)
+	for _, j := range []*Job{old, fresh} {
+		if _, err := m.Wait(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := submit("after both flights"); !s.CacheHit || s.Epoch != 4 {
+		t.Fatalf("the epoch-3 run must not displace the epoch-4 entry: %+v", s)
+	}
+
+	// Epoch 5 with a failing engine: the breaker opens and the epoch-4
+	// entry is served stale, honestly flagged.
+	epoch.Store(5)
+	stub.err = errors.New("engine on fire")
+	failing := seededReq(9)
+	failing.City = "coventry"
+	if _, err := m.Do(ctx, failing); err == nil {
+		t.Fatal("failing run succeeded")
+	}
+	job, err := m.Submit(req)
+	if err != nil {
+		t.Fatalf("breaker fallback rejected: %v", err)
+	}
+	if s := job.Snapshot(); !s.CacheHit || !s.Stale || !s.EpochStale || s.Epoch != 4 {
+		t.Fatalf("breaker fallback: %+v, want a stale epoch-4 hit flagged epoch_stale", s)
 	}
 }

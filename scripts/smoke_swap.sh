@@ -7,8 +7,9 @@
 # them, then: routes queries per city (aqquery -server round-trips the city
 # field), hot-swaps coventry's engine via POST
 # /v1/cities/{name}/snapshots/{id}:activate while traffic is running and
-# asserts zero failed requests, checks the epoch bump and the epoch-stale
-# cache hit, and reloads via SIGHUP. Used by CI; runnable locally with no
+# asserts zero failed requests, checks the epoch bump and that a query
+# cached before the swap runs again on the new epoch, and reloads via
+# SIGHUP. Used by CI; runnable locally with no
 # arguments.
 set -euo pipefail
 
@@ -31,7 +32,8 @@ go build -o "$WORKDIR/aqquery" ./cmd/aqquery
 
 # The result cache is sized so that step 5's few seconds of fresh-seed
 # traffic (hundreds of distinct queries on these tiny cities) cannot evict
-# the entry step 4 seeds and step 6 expects to find stale.
+# the entry step 4 seeds: step 6's miss must come from the epoch key, not
+# from LRU eviction.
 "$WORKDIR/aqserver" -cities "coventry=$WORKDIR/covA.snap,birmingham=$WORKDIR/bham.snap" \
     -snapshot-dir "$WORKDIR" -addr "$ADDR" -workers 4 -cache-size 4096 >"$WORKDIR/server.log" 2>&1 &
 SERVER_PID=$!
@@ -89,8 +91,8 @@ assert err["code"] == "unknown_city", err
 print("unknown city ok: 404 unknown_city")
 ' "$WORKDIR/unknown.json"
 
-# 4. Seed a coventry cache entry on epoch 1; it must come back epoch-stale
-# after the swap.
+# 4. Seed a coventry cache entry on epoch 1; after the swap the same query
+# must not be answered from it.
 curl -sf -X POST -H 'Content-Type: application/json' \
     -d '{"category": "school", "budget": 0.2, "model": "OLS", "seed": 500}' \
     "$BASE/v1/query" | python3 -c '
@@ -139,15 +141,17 @@ BAD=$(grep -cv '^200$' "$WORKDIR/traffic.codes" || true)
 }
 echo "swap under load ok: $TOTAL/$TOTAL requests answered 200"
 
-# 6. The epoch-1 cache entry survives as an honest, flagged hit.
-curl -sf -X POST -H 'Content-Type: application/json' \
-    -d '{"category": "school", "budget": 0.2, "model": "OLS", "seed": 500}' \
-    "$BASE/v1/query" | python3 -c '
+# 6. Step 4's query runs again on epoch 2, and its repeat hits that run.
+for want in False True; do
+    curl -sf -X POST -H 'Content-Type: application/json' \
+        -d '{"category": "school", "budget": 0.2, "model": "OLS", "seed": 500}' \
+        "$BASE/v1/query" | python3 -c '
 import json, sys
 cache = json.load(sys.stdin)["cache"]
-assert cache["hit"] and cache["epoch"] == 1 and cache["epoch_stale"], cache
-print("epoch-stale cache hit ok")
-'
+assert cache == {"hit": sys.argv[1] == "True", "city": "coventry", "epoch": 2}, cache
+' "$want"
+done
+echo "post-swap rerun ok: the epoch-1 entry is not served on epoch 2"
 
 # 7. SIGHUP reloads tenants whose snapshot changed on disk: overwrite
 # coventry's current source and expect epoch 3; birmingham stays at 1.
