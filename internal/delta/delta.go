@@ -295,6 +295,9 @@ func mutateFeed(base *gtfs.Feed, closed map[gtfs.RouteID]bool, headway map[gtfs.
 	// advances past trip i-1's.
 	drop := make(map[gtfs.TripID]bool)
 	insertAfter := make(map[gtfs.TripID][]gtfs.Trip)
+	// taken holds every trip ID of the derived feed so far, so an
+	// inserted trip never shares one (see shiftTrip); built on first use.
+	var taken map[gtfs.TripID]bool
 	for routeID, factor := range headway {
 		if factor == 1 || closed[routeID] {
 			continue
@@ -335,6 +338,12 @@ func mutateFeed(base *gtfs.Feed, closed map[gtfs.RouteID]bool, headway map[gtfs.
 				if extra <= 0 {
 					continue
 				}
+				if taken == nil {
+					taken = make(map[gtfs.TripID]bool, len(base.Trips))
+					for _, t := range base.Trips {
+						taken[t.ID] = true
+					}
+				}
 				for i := 0; i+1 < len(idx); i++ {
 					a, b := base.Trips[idx[i]], base.Trips[idx[i+1]]
 					gap := firstDeparture(b) - firstDeparture(a)
@@ -346,7 +355,7 @@ func mutateFeed(base *gtfs.Feed, closed map[gtfs.RouteID]bool, headway map[gtfs.
 						if shift == 0 {
 							continue
 						}
-						insertAfter[a.ID] = append(insertAfter[a.ID], shiftTrip(a, shift, j))
+						insertAfter[a.ID] = append(insertAfter[a.ID], shiftTrip(a, shift, j, taken))
 					}
 				}
 			}
@@ -380,10 +389,17 @@ func firstDeparture(t gtfs.Trip) gtfs.Seconds {
 }
 
 // shiftTrip clones a trip with all stop times shifted by delta seconds and
-// a derived, deterministic trip ID.
-func shiftTrip(t gtfs.Trip, delta gtfs.Seconds, n int) gtfs.Trip {
+// a derived, deterministic trip ID, "<id>#d<n>", which it adds to taken. A
+// feed's own trip could already carry that ID, so while it is taken the
+// ID grows a further "#d<n>": the router refuses a schedule that names two
+// trips alike, because departures and itineraries name a trip by its ID.
+func shiftTrip(t gtfs.Trip, delta gtfs.Seconds, n int, taken map[gtfs.TripID]bool) gtfs.Trip {
 	out := t
 	out.ID = gtfs.TripID(fmt.Sprintf("%s#d%d", t.ID, n))
+	for taken[out.ID] {
+		out.ID = gtfs.TripID(fmt.Sprintf("%s#d%d", out.ID, n))
+	}
+	taken[out.ID] = true
 	out.StopTimes = make([]gtfs.StopTime, len(t.StopTimes))
 	for i, st := range t.StopTimes {
 		st.Arrival += delta

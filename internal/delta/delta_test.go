@@ -3,6 +3,7 @@ package delta
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,5 +223,89 @@ func TestMutateCityLeavesBaselineIntact(t *testing.T) {
 	}
 	if mutated.ZoneWeights[0] != 3 {
 		t.Fatalf("zone weight = %v", mutated.ZoneWeights[0])
+	}
+}
+
+// TestStackedHeadwayBatchesKeepTripIDsUnique: two scale_headway batches on
+// one route, applied one after the other as a scenario stacks them, leave
+// a timetable in which no two trips share an ID — the router refuses one
+// that does — and equal a from-scratch build.
+func TestStackedHeadwayBatchesKeepTripIDsUnique(t *testing.T) {
+	city, eng := baseline(t)
+	r0, r1 := routeID(t, city, 0), routeID(t, city, 1)
+	first := []Mutation{{Kind: ScaleHeadway, Route: r0, Factor: 0.5}}
+	second := []Mutation{{Kind: ScaleHeadway, Route: r0, Factor: 0.5}, {Kind: ScaleHeadway, Route: r1, Factor: 0.5}}
+	cumulative := append(append([]Mutation(nil), first...), second...)
+	mid, _, err := Apply(eng, city, first, first, 1, 1, eng.PrepDuration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, radius, err := Apply(mid, city, cumulative, second, 2, 1, eng.PrepDuration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !radius.RouterRebuilt {
+		t.Fatal("a headway batch should rebuild the router")
+	}
+	mutated, _, err := MutateCity(city, cumulative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[gtfs.TripID]bool, len(mutated.Feed.Trips))
+	inserted := 0
+	for _, tr := range mutated.Feed.Trips {
+		if seen[tr.ID] {
+			t.Fatalf("trip ID %q appears twice", tr.ID)
+		}
+		seen[tr.ID] = true
+		if strings.Contains(string(tr.ID), "#d") {
+			inserted++
+		}
+	}
+	if inserted == 0 {
+		t.Fatal("the stacked batches inserted no trips")
+	}
+	scratch, err := core.NewEngine(mutated, core.EngineOptions{Interval: eng.Interval, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := queryOn(t, inc, 1), queryOn(t, scratch, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stacked incremental result differs from from-scratch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestShiftedTripIDsAvoidFeedIDs: an inserted trip's derived ID never
+// repeats one of the feed's own, even when the feed already names a trip
+// the way an insertion would be named.
+func TestShiftedTripIDsAvoidFeedIDs(t *testing.T) {
+	city, _ := baseline(t)
+	r0 := gtfs.RouteID(routeID(t, city, 0))
+	base := city.Feed.Clone()
+	var first *gtfs.Trip
+	for i := range base.Trips {
+		if base.Trips[i].RouteID == r0 {
+			first = &base.Trips[i]
+			break
+		}
+	}
+	// A trip of another day's service, named as first's first insertion
+	// would be.
+	squatter := *first
+	squatter.ID = first.ID + "#d1"
+	squatter.ServiceID = "nope"
+	base.Trips = append(base.Trips, squatter)
+	out, changed := mutateFeed(base, nil, map[gtfs.RouteID]float64{r0: 0.5})
+	if !changed {
+		t.Fatal("halving the headway inserted nothing")
+	}
+	seen := make(map[gtfs.TripID]bool, len(out.Trips))
+	for _, tr := range out.Trips {
+		if seen[tr.ID] {
+			t.Fatalf("trip ID %q appears twice", tr.ID)
+		}
+		seen[tr.ID] = true
+	}
+	if !seen[first.ID+"#d1#d1"] {
+		t.Errorf("the insertion after %q was not renamed past the feed's own %q", first.ID, squatter.ID)
 	}
 }

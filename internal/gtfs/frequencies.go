@@ -114,18 +114,20 @@ func (f *Feed) maybeReadFrequencies(dir string) error {
 
 // expandFrequencies materializes the runs a frequency entry implies: the
 // template's stop times shifted so the run departs at each headway tick.
-// Returned trips carry synthesized IDs "<template>#<n>". Templates with
-// frequency entries should not also run as scheduled trips; NewIndex
-// excludes them.
+// Returned trips carry synthesized IDs "<template>#<n>", n counting a
+// template's runs across all of its entries, so a template served in two
+// windows still names every run apart. Templates with frequency entries
+// should not also run as scheduled trips; NewIndex excludes them.
 func (f *Feed) expandFrequencies() []Trip {
 	var out []Trip
+	runs := make(map[TripID]int)
 	for _, fr := range f.Frequencies {
 		tpl, ok := f.tripByID(fr.TripID)
 		if !ok || len(tpl.StopTimes) == 0 {
 			continue
 		}
 		base := tpl.StopTimes[0].Departure
-		n := 0
+		n := runs[tpl.ID]
 		for dep := fr.Start; dep < fr.End; dep += fr.Headway {
 			shift := dep - base
 			run := Trip{
@@ -146,6 +148,7 @@ func (f *Feed) expandFrequencies() []Trip {
 			out = append(out, run)
 			n++
 		}
+		runs[tpl.ID] = n
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package gtfs
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -69,6 +70,24 @@ func TestExpandFrequencies(t *testing.T) {
 			t.Errorf("duplicate run id %q", r.ID)
 		}
 		seen[r.ID] = true
+	}
+}
+
+// TestExpandFrequenciesTwoWindows: a template served in a morning and an
+// evening window numbers its runs on across both, so no two runs of the
+// day share an ID.
+func TestExpandFrequenciesTwoWindows(t *testing.T) {
+	f := freqFeed(t)
+	if err := f.AddFrequency(Frequency{TripID: "FREQ_TPL", Start: 17 * 3600, End: 17*3600 + 1800, Headway: 900}); err != nil {
+		t.Fatal(err)
+	}
+	var ids []TripID
+	for _, r := range f.expandFrequencies() {
+		ids = append(ids, r.ID)
+	}
+	want := []TripID{"FREQ_TPL#0", "FREQ_TPL#1", "FREQ_TPL#2", "FREQ_TPL#3", "FREQ_TPL#4", "FREQ_TPL#5"}
+	if !reflect.DeepEqual(ids, want) {
+		t.Errorf("run IDs %v, want %v", ids, want)
 	}
 }
 

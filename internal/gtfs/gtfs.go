@@ -137,6 +137,10 @@ type Feed struct {
 	stopByID    map[StopID]int
 	routeByID   map[RouteID]int
 	serviceByID map[ServiceID]int
+	// tripIDs holds the ID of every trip in Trips, for AddTrip's
+	// duplicate check. It is built from Trips on first use, and Clone
+	// drops it, so a clone whose Trips were replaced builds its own.
+	tripIDs map[TripID]struct{}
 }
 
 // NewFeed returns an empty feed.
@@ -199,8 +203,18 @@ func (f *Feed) AddService(s Service) error {
 }
 
 // AddTrip appends a trip after validating its references and stop-time
-// ordering.
+// ordering. A trip whose ID is already in the feed is rejected: departures
+// and itineraries name a trip by its ID.
 func (f *Feed) AddTrip(t Trip) error {
+	if f.tripIDs == nil {
+		f.tripIDs = make(map[TripID]struct{}, len(f.Trips))
+		for i := range f.Trips {
+			f.tripIDs[f.Trips[i].ID] = struct{}{}
+		}
+	}
+	if _, dup := f.tripIDs[t.ID]; dup {
+		return fmt.Errorf("gtfs: duplicate trip %q", t.ID)
+	}
 	if _, ok := f.routeByID[t.RouteID]; !ok {
 		return fmt.Errorf("gtfs: trip %q references unknown route %q", t.ID, t.RouteID)
 	}
@@ -228,6 +242,7 @@ func (f *Feed) AddTrip(t Trip) error {
 		}
 	}
 	f.Trips = append(f.Trips, t)
+	f.tripIDs[t.ID] = struct{}{}
 	return nil
 }
 

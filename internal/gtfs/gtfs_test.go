@@ -155,6 +155,44 @@ func TestFeedDuplicateRejection(t *testing.T) {
 	if err := f.AddService(Service{ID: "WK"}); err == nil {
 		t.Error("duplicate service should fail")
 	}
+	// An otherwise valid trip under an ID the feed has is rejected: a
+	// departure of the first would resolve to the second by ID.
+	dup := f.Trips[0]
+	dup.StopTimes = []StopTime{
+		{StopID: "C", Arrival: 100, Departure: 100, Seq: 1},
+		{StopID: "A", Arrival: 200, Departure: 200, Seq: 2},
+	}
+	if err := f.AddTrip(dup); err == nil {
+		t.Errorf("duplicate trip %q should fail", dup.ID)
+	}
+	if n := len(f.Trips); n != 7 {
+		t.Errorf("rejected trip was added: %d trips", n)
+	}
+}
+
+// TestCloneTripIDs: a clone checks trip IDs against its own trips. It
+// rejects an inherited ID, its additions do not reach the base, and once
+// its Trips are replaced (as a timetable delta does) it checks against the
+// replacement.
+func TestCloneTripIDs(t *testing.T) {
+	f := testFeed(t)
+	y := f.Trips[0]
+	y.ID = "Y"
+	c := f.Clone()
+	if err := c.AddTrip(f.Trips[0]); err == nil {
+		t.Error("clone accepted an ID it inherited")
+	}
+	if err := c.AddTrip(y); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddTrip(y); err != nil {
+		t.Errorf("the clone's trip leaked into the base's IDs: %v", err)
+	}
+	thinned := f.Clone()
+	thinned.Trips = thinned.Trips[1:]
+	if err := thinned.AddTrip(f.Trips[0]); err != nil {
+		t.Errorf("a clone without %q rejects it: %v", f.Trips[0].ID, err)
+	}
 }
 
 func TestAddTripValidation(t *testing.T) {

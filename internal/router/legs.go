@@ -59,7 +59,7 @@ type incomingLeg struct {
 // predecessor recording on, so it is an SPQ like any other: counted in the
 // router metrics and subject to fault injection.
 func (r *Router) RouteDetailed(origin, dest graph.NodeID, depart gtfs.Seconds) (Journey, []Leg, bool, error) {
-	if dest < 0 || int(dest) >= r.road.NumNodes() {
+	if dest < 0 || int(dest) >= r.numNodes() {
 		return Journey{}, nil, false, fmt.Errorf("router: invalid destination node %d", dest)
 	}
 	p, err := r.search(origin, depart, []graph.NodeID{dest}, true, true)
@@ -71,14 +71,15 @@ func (r *Router) RouteDetailed(origin, dest graph.NodeID, depart gtfs.Seconds) (
 	if !ok {
 		return Journey{}, nil, false, nil
 	}
-	return j, reconstruct(r.index.Trips(), p.arena.incoming, p.labels, origin, dest), true, nil
+	return j, reconstruct(r.trips, p.arena.incoming, p.labels, origin, dest), true, nil
 }
 
 // reconstruct walks the parent chain from dest to origin, emitting legs in
 // forward order with consecutive walks merged. The chain is final once
 // dest is settled: a node's parent was settled before the node was relaxed
 // out of it, and a settled label — with the leg recorded beside it — never
-// changes again. trips are the timetable's trips, the index's Trips.
+// changes again. trips are the router's trips, numbered as in its
+// timetable.
 func reconstruct(trips []gtfs.Trip, incoming []incomingLeg, labels []label, origin, dest graph.NodeID) []Leg {
 	var rev []Leg
 	at := dest

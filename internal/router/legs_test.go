@@ -34,20 +34,20 @@ func (q *refPQ) Pop() interface{} {
 // through the stopNode map rather than the router's compiled timetable —
 // kept as the reference RouteDetailed must equal. Stops at a node are
 // tried in StopID order, the order that breaks arrival-time ties.
-func routeDetailedReference(r *Router, stopNode map[gtfs.StopID]graph.NodeID, origin, dest graph.NodeID, depart gtfs.Seconds) (Journey, []Leg, bool, error) {
-	if origin < 0 || int(origin) >= r.road.NumNodes() {
+func routeDetailedReference(r *Router, w *scenario, origin, dest graph.NodeID, depart gtfs.Seconds) (Journey, []Leg, bool, error) {
+	n := w.road.NumNodes()
+	if origin < 0 || int(origin) >= n {
 		return Journey{}, nil, false, fmt.Errorf("router: invalid origin node %d", origin)
 	}
-	if dest < 0 || int(dest) >= r.road.NumNodes() {
+	if dest < 0 || int(dest) >= n {
 		return Journey{}, nil, false, fmt.Errorf("router: invalid destination node %d", dest)
 	}
-	n := r.road.NumNodes()
 	welded := func(sid gtfs.StopID) (graph.NodeID, bool) {
-		nid, ok := stopNode[sid]
+		nid, ok := w.stopNode[sid]
 		return nid, ok && nid != graph.InvalidNode
 	}
-	sids := make([]gtfs.StopID, 0, len(stopNode))
-	for sid := range stopNode {
+	sids := make([]gtfs.StopID, 0, len(w.stopNode))
+	for sid := range w.stopNode {
 		sids = append(sids, sid)
 	}
 	slices.Sort(sids)
@@ -83,7 +83,7 @@ func routeDetailedReference(r *Router, stopNode map[gtfs.StopID]graph.NodeID, or
 		curLabel := *l
 		curNode := cur.node
 
-		r.road.Neighbors(curNode, func(to graph.NodeID, seconds float64) {
+		w.road.Neighbors(curNode, func(to graph.NodeID, seconds float64) {
 			wsec := gtfs.Seconds(seconds + 0.5)
 			na := curLabel.arrive + wsec
 			if na > deadline {
@@ -102,17 +102,17 @@ func routeDetailedReference(r *Router, stopNode map[gtfs.StopID]graph.NodeID, or
 
 		for _, sid := range stopsAt[curNode] {
 			earliest := curLabel.arrive + r.opts.BoardSlack
-			deps := r.index.NextDepartures(sid, earliest, r.opts.MaxDeparturesPerStop)
+			deps := w.index.NextDepartures(sid, earliest, r.opts.MaxDeparturesPerStop)
 			for _, dep := range deps {
 				waitHere := dep.Departure - curLabel.arrive
 				if waitHere > r.opts.MaxWait {
 					break
 				}
-				trip, ok := r.index.Trip(dep.TripID)
+				trip, ok := w.index.Trip(dep.TripID)
 				if !ok {
 					continue
 				}
-				route, _ := r.index.Feed().Route(trip.RouteID)
+				route, _ := w.index.Feed().Route(trip.RouteID)
 				boarded := curLabel
 				boarded.wait += float32(waitHere)
 				boarded.boardings++
@@ -167,9 +167,9 @@ func routeDetailedReference(r *Router, stopNode map[gtfs.StopID]graph.NodeID, or
 // sameAsReference asserts RouteDetailed equals the reference loop on the
 // journey (all nine fields), reachability and legs, and returns the
 // journey and ok.
-func sameAsReference(t *testing.T, r *Router, stopNode map[gtfs.StopID]graph.NodeID, o, d graph.NodeID, depart gtfs.Seconds) (Journey, bool) {
+func sameAsReference(t *testing.T, r *Router, w *scenario, o, d graph.NodeID, depart gtfs.Seconds) (Journey, bool) {
 	t.Helper()
-	wantJ, wantLegs, wantOK, err := routeDetailedReference(r, stopNode, o, d, depart)
+	wantJ, wantLegs, wantOK, err := routeDetailedReference(r, w, o, d, depart)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,9 @@ func sameAsReference(t *testing.T, r *Router, stopNode map[gtfs.StopID]graph.Nod
 // 20-minute horizon (which supplies unreachable pairs), with origin =
 // destination among them, and on every pair of the hand-wired scenario.
 func TestRouteDetailedMatchesReference(t *testing.T) {
-	c, def := cityWorld(t)
-	short, err := New(def.road, def.index, c.StopNode, Options{MaxJourney: 1200})
+	c, ix, def := cityWorld(t)
+	w := &scenario{road: c.Road, index: ix, stopNode: c.StopNode}
+	short, err := New(c.Road, ix, c.StopNode, Options{MaxJourney: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestRouteDetailedMatchesReference(t *testing.T) {
 				d = o
 			}
 			for _, depart := range []gtfs.Seconds{7*3600 + 13, 8 * 3600, 21*3600 + 30*60} {
-				j, ok := sameAsReference(t, r, c.StopNode, o, d, depart)
+				j, ok := sameAsReference(t, r, w, o, d, depart)
 				sawSelf = sawSelf || o == d
 				sawUnreachable = sawUnreachable || !ok
 				sawRide = sawRide || j.Boardings > 0
@@ -223,7 +224,7 @@ func TestRouteDetailedMatchesReference(t *testing.T) {
 		for _, o := range s.nodes {
 			for _, d := range s.nodes {
 				for _, depart := range []gtfs.Seconds{6*3600 + 50*60, 7*3600 + 8*60 + 30, 8*3600 + 59*60, 22 * 3600} {
-					sameAsReference(t, r, s.stopNode, o, d, depart)
+					sameAsReference(t, r, s, o, d, depart)
 				}
 			}
 		}
@@ -331,7 +332,7 @@ func TestRouteDetailedSelf(t *testing.T) {
 }
 
 func TestRouteDetailedCityConsistency(t *testing.T) {
-	c, r := cityWorld(t)
+	c, _, r := cityWorld(t)
 	depart := gtfs.Seconds(8 * 3600)
 	for i := 0; i < 30; i++ {
 		o := c.ZoneNode[(i*13)%len(c.Zones)]

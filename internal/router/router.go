@@ -6,11 +6,13 @@
 // access walk, waiting, in-vehicle time, egress walk, transfers, and fare.
 //
 // The search is a time-dependent Dijkstra over road nodes. Walking edges are
-// relaxed with their static costs; when a node carrying transit stops is
-// settled, the next few departures from those stops are boarded and the trip
-// is ridden forward, relaxing every downstream stop. A single one-to-many
-// Profile call therefore prices a zone against every POI at once, which is
-// how the TODAM labeling loop amortizes its SPQ workload.
+// relaxed with their static costs, read from a CSR compiled once per router;
+// when a node carrying transit stops is settled, the next few departures
+// from those stops are boarded and the trip is ridden forward, relaxing the
+// downstream stops no earlier boarding of the same trip in this search has
+// relaxed already. A single one-to-many Profile call therefore prices a zone
+// against every POI at once, which is how the TODAM labeling loop amortizes
+// its SPQ workload.
 //
 // The search is label-setting: nodes are settled in non-decreasing arrival
 // order, every relaxation out of a settled node arrives no earlier than that
@@ -19,6 +21,14 @@
 // stop as soon as the last of its targets is settled and still return, for
 // every target, the journey the exhaustive ProfileFrom returns. RouteDetailed
 // is the same search with predecessor recording switched on.
+//
+// The same three facts make riding a trip once per search exact. A trip's
+// arrival at each stop is fixed and non-decreasing along the trip, and the
+// journey deadline is fixed, so a second boarding of a trip at a later stop
+// would relax the stops the first ride relaxed at the same arrival times,
+// which the strict improve rule rejects. The search remembers, per trip, the
+// lowest stop position boarded so far; it skips a boarding at or past it and
+// rides a boarding before it only up to it.
 package router
 
 import (
@@ -74,11 +84,15 @@ func (o Options) withDefaults() Options {
 
 // Router answers multimodal earliest-arrival queries.
 type Router struct {
-	road *graph.Graph
-	// index is the schedule the timetable was compiled from; only
-	// reconstruct reads it, to turn trip indices back into IDs.
-	index *gtfs.Index
-	tt    *timetable
+	// walkStart[n] and walkStart[n+1] bound road node n's walking edges in
+	// walkTo and walkSec (see compileWalks).
+	walkStart []int32
+	walkTo    []graph.NodeID
+	walkSec   []gtfs.Seconds
+	tt        *timetable
+	// trips are the schedule's trips, numbered as in the timetable; only
+	// reconstruct reads them, to turn trip indices back into IDs.
+	trips []gtfs.Trip
 	opts  Options
 	// arenaPool recycles per-search label arrays and frontier heaps between
 	// ProfileFrom calls; see Profile.Release.
@@ -86,19 +100,26 @@ type Router struct {
 }
 
 // profileArena is the per-search allocation unit: the full label array
-// (one label per road node), the frontier heap, and the predecessor array
-// an itinerary search records into. With it pooled, the Profile handle is
-// the only allocation of a steady-state search.
+// (one label per road node), the frontier heap, the per-trip ride marks,
+// and the predecessor array an itinerary search records into. With it
+// pooled, the Profile handle is the only allocation of a steady-state
+// search.
 type profileArena struct {
-	labels   []label
-	q        pq
+	labels []label
+	q      pq
+	// ridden[t] is one more than the lowest stop position trip t was
+	// boarded at in this search, 0 while it has not been, so a plain clear
+	// resets it.
+	ridden   []int32
 	incoming []incomingLeg
 }
 
 // New builds a router over a road graph, a schedule index for the service
-// day, and the welding of stops onto road nodes, compiling the two into the
-// router's own timetable. A stop welded to graph.InvalidNode is unwelded;
-// a weld to any other node outside the road graph is an error.
+// day, and the welding of stops onto road nodes, compiling them into the
+// router's own walking-edge list and timetable; the router keeps neither
+// the graph nor the index. A stop welded to graph.InvalidNode is unwelded;
+// a weld to any other node outside the road graph is an error, and so is a
+// trip ID the index carries twice.
 func New(road *graph.Graph, index *gtfs.Index, stopNode map[gtfs.StopID]graph.NodeID, opts Options) (*Router, error) {
 	if road == nil || index == nil {
 		return nil, fmt.Errorf("router: nil road graph or schedule index")
@@ -107,7 +128,8 @@ func New(road *graph.Graph, index *gtfs.Index, stopNode map[gtfs.StopID]graph.No
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{road: road, index: index, tt: tt, opts: opts.withDefaults()}
+	r := &Router{tt: tt, trips: index.Trips(), opts: opts.withDefaults()}
+	r.walkStart, r.walkTo, r.walkSec = compileWalks(road)
 	r.arenaPool.New = func() interface{} { return new(profileArena) }
 	return r, nil
 }
@@ -296,7 +318,7 @@ func (r *Router) ProfileTo(origin graph.NodeID, depart gtfs.Seconds, targets []g
 // an improvement, so recording changes nothing the search relaxes, settles
 // or counts.
 func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []graph.NodeID, bounded, record bool) (*Profile, error) {
-	n := r.road.NumNodes()
+	n := r.numNodes()
 	if origin < 0 || int(origin) >= n {
 		return nil, fmt.Errorf("router: invalid origin node %d", origin)
 	}
@@ -328,6 +350,12 @@ func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []grap
 	}
 	labels := ar.labels
 	labels[origin] = label{arrive: depart, reached: true}
+	if nt := len(r.trips); cap(ar.ridden) >= nt {
+		ar.ridden = ar.ridden[:nt]
+		clear(ar.ridden)
+	} else {
+		ar.ridden = make([]int32, nt)
+	}
 	// incoming stays nil unless recording. It is not cleared: every reached
 	// node but the origin was improved, so written, in this search, and
 	// reconstruct reads no other entry.
@@ -364,14 +392,18 @@ func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []grap
 		}
 		curLabel := *l // copy: relaxations below must not read mutated state
 
-		// Walking relaxations.
-		r.road.Neighbors(cur.node, func(to graph.NodeID, seconds float64) {
-			// Round once so arrival times and walk components stay in
-			// lockstep (times are integer seconds).
-			wsec := gtfs.Seconds(seconds + 0.5)
+		// Walking relaxations. A relaxation that cannot win is counted and
+		// dropped before its label is built.
+		for e := r.walkStart[cur.node]; e < r.walkStart[cur.node+1]; e++ {
+			wsec := r.walkSec[e]
 			na := curLabel.arrive + wsec
 			if na > deadline {
-				return
+				continue
+			}
+			relaxed++
+			to := r.walkTo[e]
+			if lt := &labels[to]; lt.reached && na >= lt.arrive {
+				continue
 			}
 			nl := curLabel
 			nl.arrive = na
@@ -380,19 +412,17 @@ func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []grap
 			} else {
 				nl.egressWalk += float32(wsec)
 			}
-			relaxed++
-			if improve(labels, to, nl, &q) {
-				improved++
-				if incoming != nil {
-					incoming[to] = incomingLeg{parent: cur.node, mode: LegWalk, depart: curLabel.arrive}
-				}
+			improve(labels, to, nl, &q)
+			improved++
+			if incoming != nil {
+				incoming[to] = incomingLeg{parent: cur.node, mode: LegWalk, depart: curLabel.arrive}
 			}
-		})
+		}
 
 		// Transit relaxations: board upcoming departures at stops welded to
 		// this node.
 		for _, s := range r.tt.stopsAt(cur.node) {
-			r.relaxBoardings(labels, &q, incoming, cur.node, r.tt.departures(s), curLabel, deadline, &relaxed, &improved)
+			r.relaxBoardings(labels, &q, ar.ridden, incoming, cur.node, r.tt.departures(s), curLabel, deadline, &relaxed, &improved)
 		}
 	}
 	ar.q = q[:0]
@@ -405,8 +435,10 @@ func (r *Router) search(origin graph.NodeID, depart gtfs.Seconds, targets []grap
 // recording the ride leg of every label it improves. deps are the stop's
 // departures in time order; the earliest boardable one is the first at or
 // after arrival plus BoardSlack, and at most MaxDeparturesPerStop from it
-// are tried.
-func (r *Router) relaxBoardings(labels []label, q *pq, incoming []incomingLeg, at graph.NodeID, deps []departure, from label, deadline gtfs.Seconds, relaxed, improved *int64) {
+// are tried. ridden holds the search's per-trip ride marks: a trip is
+// ridden only over the stop positions no earlier boarding of it in this
+// search has relaxed (see the package comment).
+func (r *Router) relaxBoardings(labels []label, q *pq, ridden []int32, incoming []incomingLeg, at graph.NodeID, deps []departure, from label, deadline gtfs.Seconds, relaxed, improved *int64) {
 	tt := r.tt
 	earliest := from.arrive + r.opts.BoardSlack
 	lo, hi := 0, len(deps)
@@ -423,6 +455,14 @@ func (r *Router) relaxBoardings(labels []label, q *pq, incoming []incomingLeg, a
 		if waitHere > r.opts.MaxWait {
 			break // departures are ordered; all later ones wait longer
 		}
+		first, end := tt.tripStart[d.trip], tt.tripStart[d.trip+1]
+		if rd := ridden[d.trip]; rd != 0 {
+			if d.seq >= rd {
+				continue // every stop past d.seq is relaxed already
+			}
+			end = first + rd // stops past the earlier boarding are too
+		}
+		ridden[d.trip] = d.seq + 1
 		boarded := from
 		boarded.wait += float32(waitHere)
 		boarded.boardings++
@@ -430,7 +470,6 @@ func (r *Router) relaxBoardings(labels []label, q *pq, incoming []incomingLeg, a
 		// Walking since the last alight was a transfer walk, not egress.
 		boarded.transferWalk += boarded.egressWalk
 		boarded.egressWalk = 0
-		first, end := tt.tripStart[d.trip], tt.tripStart[d.trip+1]
 		for k := first + d.seq + 1; k < end; k++ {
 			arrive := tt.arrive[k]
 			if arrive > deadline {
@@ -440,41 +479,43 @@ func (r *Router) relaxBoardings(labels []label, q *pq, incoming []incomingLeg, a
 			if node == graph.InvalidNode {
 				continue
 			}
+			*relaxed++
+			if lt := &labels[node]; lt.reached && arrive >= lt.arrive {
+				continue
+			}
 			nl := boarded
 			nl.arrive = arrive
 			nl.inVehicle += float32(arrive - d.dep)
-			*relaxed++
-			if improve(labels, node, nl, q) {
-				*improved++
-				if incoming != nil {
-					incoming[node] = incomingLeg{
-						parent: at, mode: LegRide, depart: d.dep,
-						trip: d.trip, board: d.seq, alight: k - first,
-					}
+			improve(labels, node, nl, q)
+			*improved++
+			if incoming != nil {
+				incoming[node] = incomingLeg{
+					parent: at, mode: LegRide, depart: d.dep,
+					trip: d.trip, board: d.seq, alight: k - first,
 				}
 			}
 		}
 	}
 }
 
-// improve updates the label for node when nl arrives earlier, reporting
-// whether the label changed. nl is a copy of the settled label it was
-// relaxed from; the per-node flags are reset to this node's.
-func improve(labels []label, node graph.NodeID, nl label, q *pq) bool {
+// improve replaces node's label with nl, which the caller has checked
+// arrives strictly earlier, and queues the node. nl is a copy of the
+// settled label it was relaxed from; the per-node flags are reset to this
+// node's.
+func improve(labels []label, node graph.NodeID, nl label, q *pq) {
 	cur := &labels[node]
-	if cur.reached && nl.arrive >= cur.arrive {
-		return false
-	}
 	nl.reached, nl.settled, nl.target = true, false, cur.target
 	*cur = nl
 	q.push(pqItem{node: node, arrive: nl.arrive})
-	return true
 }
+
+// numNodes is the size of the road graph the router was built over.
+func (r *Router) numNodes() int { return len(r.walkStart) - 1 }
 
 // Route answers a single (origin, destination, depart) query. ok is false
 // when the destination is unreachable within MaxJourney.
 func (r *Router) Route(origin, dest graph.NodeID, depart gtfs.Seconds) (Journey, bool, error) {
-	if dest < 0 || int(dest) >= r.road.NumNodes() {
+	if dest < 0 || int(dest) >= r.numNodes() {
 		return Journey{}, false, fmt.Errorf("router: invalid destination node %d", dest)
 	}
 	p, err := r.ProfileTo(origin, depart, []graph.NodeID{dest})

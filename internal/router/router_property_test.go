@@ -13,7 +13,7 @@ import (
 // duration = access + wait + in-vehicle + transfer walk + egress, has
 // non-negative components, and zeroed transit components when walk-only.
 func TestJourneyComponentIdentityProperty(t *testing.T) {
-	c, r := cityWorld(t)
+	c, _, r := cityWorld(t)
 	f := func(seed int64) bool {
 		s := seed
 		if s < 0 {
@@ -57,7 +57,7 @@ func TestJourneyComponentIdentityProperty(t *testing.T) {
 // TestDetailedLegsCoverJourneyProperty: reconstructed itineraries are
 // contiguous, time-monotone, and account for the boardings.
 func TestDetailedLegsCoverJourneyProperty(t *testing.T) {
-	c, r := cityWorld(t)
+	c, _, r := cityWorld(t)
 	f := func(seed int64) bool {
 		s := seed
 		if s < 0 {

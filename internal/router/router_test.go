@@ -100,6 +100,19 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("weld to node %d should fail", bad)
 		}
 	}
+	// A trip ID the index carries twice is an error: a departure boards
+	// the trip it was listed for, and an itinerary names it by ID. Feed
+	// edits that bypass AddTrip, as a timetable delta's do, can produce one.
+	twinned := s.feed.Clone()
+	twin := twinned.Trips[0]
+	twin.StopTimes = []gtfs.StopTime{
+		{StopID: "SB", Arrival: 7 * 3600, Departure: 7 * 3600, Seq: 1},
+		{StopID: "SA", Arrival: 7*3600 + 120, Departure: 7*3600 + 120, Seq: 2},
+	}
+	twinned.Trips = append(twinned.Trips, twin)
+	if _, err := New(s.road, gtfs.NewIndex(twinned, time.Tuesday), s.stopNode, Options{}); err == nil {
+		t.Errorf("an index carrying trip %q twice should fail", twin.ID)
+	}
 	r, err := New(s.road, s.index, map[gtfs.StopID]graph.NodeID{"SA": s.nodes[1], "SB": graph.InvalidNode}, Options{})
 	if err != nil {
 		t.Fatalf("a stop welded to InvalidNode is unwelded, not an error: %v", err)
@@ -288,7 +301,7 @@ func TestJourneyTime(t *testing.T) {
 
 // cityWorld builds a synthetic city and returns a router over it, shared by
 // integration tests.
-func cityWorld(t testing.TB) (*synth.City, *Router) {
+func cityWorld(t testing.TB) (*synth.City, *gtfs.Index, *Router) {
 	c, err := synth.Generate(synth.Scaled(synth.Coventry(), 0.12))
 	if err != nil {
 		t.Fatal(err)
@@ -298,11 +311,11 @@ func cityWorld(t testing.TB) (*synth.City, *Router) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, r
+	return c, ix, r
 }
 
 func TestCityIntegrationJourneysSane(t *testing.T) {
-	c, r := cityWorld(t)
+	c, _, r := cityWorld(t)
 	depart := gtfs.Seconds(8 * 3600)
 	prof, err := r.ProfileFrom(c.ZoneNode[0], depart)
 	if err != nil {
@@ -338,7 +351,7 @@ func TestCityIntegrationJourneysSane(t *testing.T) {
 }
 
 func TestCityTransitImprovesLongTrips(t *testing.T) {
-	c, r := cityWorld(t)
+	c, _, r := cityWorld(t)
 	// Find a pair of far-apart zones and verify transit beats a pure-walk
 	// router (router with empty schedule).
 	empty := gtfs.NewIndex(gtfs.NewFeed(), time.Tuesday)
@@ -378,7 +391,7 @@ func TestCityTransitImprovesLongTrips(t *testing.T) {
 func BenchmarkSPQ(b *testing.B) {
 	// Single-pair multimodal query on the scaled city; the paper reports
 	// 0.018±0.016 s per SPQ on its full-size network.
-	c, r := cityWorld(b)
+	c, _, r := cityWorld(b)
 	depart := gtfs.Seconds(8 * 3600)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -391,12 +404,44 @@ func BenchmarkSPQ(b *testing.B) {
 }
 
 func BenchmarkProfileOneToMany(b *testing.B) {
-	c, r := cityWorld(b)
+	c, _, r := cityWorld(b)
 	depart := gtfs.Seconds(8 * 3600)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.ProfileFrom(c.ZoneNode[i%len(c.Zones)], depart); err != nil {
+		p, err := r.ProfileFrom(c.ZoneNode[i%len(c.Zones)], depart)
+		if err != nil {
 			b.Fatal(err)
 		}
+		p.Release()
+	}
+}
+
+// BenchmarkProfileTo is the bounded search as the labeler runs it: from a
+// zone centroid to the road nodes of a handful of POIs of one category,
+// the targets of one start group.
+func BenchmarkProfileTo(b *testing.B) {
+	c, _, r := cityWorld(b)
+	var schools []graph.NodeID
+	for _, p := range c.POIs[synth.POISchool] {
+		schools = append(schools, c.Road.NearestNode(p.Point))
+	}
+	const perGroup = 5
+	if len(schools) < perGroup {
+		b.Fatalf("the test city has %d schools", len(schools))
+	}
+	targets := make([]graph.NodeID, perGroup)
+	depart := gtfs.Seconds(8 * 3600)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range targets {
+			targets[k] = schools[(i*perGroup+k)%len(schools)]
+		}
+		p, err := r.ProfileTo(c.ZoneNode[i%len(c.Zones)], depart, targets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Release()
 	}
 }

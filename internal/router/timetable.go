@@ -12,7 +12,7 @@ import (
 // welding of stops onto road nodes: every lookup the search makes is a
 // slice index, never a string-keyed map probe. Trips are numbered by their
 // position in the index's Trips, welded stops densely in StopID order.
-// String IDs live only in the index, which reconstruct reads at the API
+// String IDs live only in those trips, which reconstruct reads at the API
 // edge. A timetable is immutable once compiled and shared by every search
 // of its router.
 type timetable struct {
@@ -48,7 +48,9 @@ type departure struct {
 // compileTimetable builds the timetable for index ix over a road graph of
 // numNodes nodes. A stop welded to graph.InvalidNode, or missing from
 // welds, is unwelded: rides pass it without alighting and nothing boards
-// there. Any other weld outside the graph is an error.
+// there. Any other weld outside the graph is an error, and so is a trip ID
+// the index carries twice: a departure boards the trip it was listed for,
+// and an itinerary names its trip by ID, so two trips must not share one.
 func compileTimetable(numNodes int, ix *gtfs.Index, welds map[gtfs.StopID]graph.NodeID) (*timetable, error) {
 	all := make([]gtfs.StopID, 0, len(welds))
 	for sid := range welds {
@@ -71,6 +73,14 @@ func compileTimetable(numNodes int, ix *gtfs.Index, welds map[gtfs.StopID]graph.
 	for ti := range trips {
 		stopTimes += len(trips[ti].StopTimes)
 	}
+	seen := make(map[gtfs.TripID]struct{}, len(trips))
+	for ti := range trips {
+		id := trips[ti].ID
+		if _, dup := seen[id]; dup {
+			return nil, fmt.Errorf("router: trip %q appears twice in the schedule index", id)
+		}
+		seen[id] = struct{}{}
+	}
 	tt := &timetable{
 		tripStart: make([]int32, len(trips)+1),
 		node:      make([]graph.NodeID, 0, stopTimes),
@@ -80,17 +90,6 @@ func compileTimetable(numNodes int, ix *gtfs.Index, welds map[gtfs.StopID]graph.
 		nodeStops: make([]int32, len(stops)),
 		depStart:  make([]int32, len(stops)+1),
 		deps:      make([]departure, 0, stopTimes),
-	}
-	// A departure boards the trip its ID resolves to under Index.Trip,
-	// which for a duplicated ID is the last trip that carries it: boards[t]
-	// is that trip for a departure of trip t.
-	tripOf := make(map[gtfs.TripID]int32, len(trips))
-	for ti := range trips {
-		tripOf[trips[ti].ID] = int32(ti)
-	}
-	boards := make([]int32, len(trips))
-	for ti := range trips {
-		boards[ti] = tripOf[trips[ti].ID]
 	}
 	for ti := range trips {
 		t := &trips[ti]
@@ -110,7 +109,7 @@ func compileTimetable(numNodes int, ix *gtfs.Index, welds map[gtfs.StopID]graph.
 
 	for s, sid := range stops {
 		ix.EachDeparture(sid, func(dep gtfs.Seconds, trip, seq int) {
-			tt.deps = append(tt.deps, departure{dep: dep, trip: boards[trip], seq: int32(seq)})
+			tt.deps = append(tt.deps, departure{dep: dep, trip: int32(trip), seq: int32(seq)})
 		})
 		tt.depStart[s+1] = int32(len(tt.deps))
 		tt.nodeStart[welds[sid]+1]++
@@ -135,4 +134,23 @@ func (tt *timetable) stopsAt(n graph.NodeID) []int32 {
 // departures returns the departures of dense stop s, in time order.
 func (tt *timetable) departures(s int32) []departure {
 	return tt.deps[tt.depStart[s]:tt.depStart[s+1]]
+}
+
+// compileWalks lays the road graph's walking edges out as a CSR: start[n]
+// and start[n+1] bound node n's edges in to and sec, in graph.Neighbors
+// order, and sec is each edge's seconds rounded once to whole seconds, so
+// arrival times and walk components stay in lockstep.
+func compileWalks(road *graph.Graph) (start []int32, to []graph.NodeID, sec []gtfs.Seconds) {
+	n := road.NumNodes()
+	start = make([]int32, n+1)
+	to = make([]graph.NodeID, 0, 2*road.NumEdges())
+	sec = make([]gtfs.Seconds, 0, 2*road.NumEdges())
+	for v := 0; v < n; v++ {
+		road.Neighbors(graph.NodeID(v), func(w graph.NodeID, seconds float64) {
+			to = append(to, w)
+			sec = append(sec, gtfs.Seconds(seconds+0.5))
+		})
+		start[v+1] = int32(len(to))
+	}
+	return start, to, sec
 }
