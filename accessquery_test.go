@@ -71,9 +71,6 @@ func TestIntervals(t *testing.T) {
 	if pm.Start != 16*3600 || pm.End != 18*3600 {
 		t.Errorf("PM peak = %v", pm)
 	}
-	if !am.Contains(8 * 3600) {
-		t.Error("8am should be in the AM peak")
-	}
 }
 
 func TestFairnessHelpers(t *testing.T) {

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"accessquery/internal/gtfs"
+	"accessquery/internal/synth"
 )
 
 func TestPresetConfig(t *testing.T) {
@@ -44,12 +46,39 @@ func TestRunWritesArtifacts(t *testing.T) {
 			t.Errorf("missing artifact %s: %v", name, err)
 		}
 	}
-	// The GTFS directory round-trips through the reader.
-	feed, err := gtfs.ReadDir(filepath.Join(dir, "gtfs"))
+	// The GTFS stop_times.txt holds one row per stop time of the generated
+	// feed and names every trip.
+	city, err := synth.Generate(cfg)
 	if err != nil {
-		t.Fatalf("GTFS output unreadable: %v", err)
+		t.Fatal(err)
 	}
-	if len(feed.Trips) == 0 {
-		t.Error("GTFS output has no trips")
+	fh, err := os.Open(filepath.Join(dir, "gtfs", gtfs.FileStopTimes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	rows, err := csv.NewReader(fh).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	trips := make(map[string]bool)
+	for _, tr := range city.Feed.Trips {
+		want += len(tr.StopTimes)
+		trips[string(tr.ID)] = false
+	}
+	if want == 0 || len(rows) != want+1 {
+		t.Fatalf("stop_times.txt has %d rows after its header, the feed %d stop times", len(rows)-1, want)
+	}
+	for _, row := range rows[1:] {
+		if _, ok := trips[row[0]]; !ok {
+			t.Fatalf("stop_times.txt names unknown trip %q", row[0])
+		}
+		trips[row[0]] = true
+	}
+	for id, seen := range trips {
+		if !seen {
+			t.Errorf("trip %s has no row in stop_times.txt", id)
+		}
 	}
 }

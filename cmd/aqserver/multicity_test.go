@@ -302,9 +302,9 @@ func TestSwapUnderLoad(t *testing.T) {
 	// Refcounts drain: once the hammer stops, no acquired references
 	// remain outstanding on the current generation.
 	deadline := time.Now().Add(5 * time.Second)
-	for tn.InFlight() != 0 {
+	for tn.Info().InFlight != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("in-flight count %d never drained", tn.InFlight())
+			t.Fatalf("in-flight count %d never drained", tn.Info().InFlight)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

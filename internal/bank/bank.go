@@ -347,9 +347,6 @@ type Segment struct {
 	index map[tripKey]uint32
 }
 
-// Key returns the segment's {city, epoch} identity.
-func (s *Segment) Key() SegmentKey { return s.key }
-
 // Drain implements access.TripBank.
 func (s *Segment) Drain(k access.TripKey) (access.TripPrice, bool) {
 	b := s.bank

@@ -32,7 +32,8 @@ func TestBankParallelMatchesUnbanked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg := bank.New(bank.Config{}).Segment(e.City.Name, 1)
+		bk := bank.New(bank.Config{})
+		seg := bk.Segment(e.City.Name, 1)
 		qb := qq
 		qb.Bank = seg
 		cold, err := e.Run(qb)
@@ -48,9 +49,8 @@ func TestBankParallelMatchesUnbanked(t *testing.T) {
 		// compare everything else and pin the SPQ saving separately.
 		warm.Timing.SPQs = plain.Timing.SPQs
 		sameResult(t, plain, warm, fmt.Sprintf("workers=%d warm bank", workers))
-		st := seg.Key()
-		if st.City != e.City.Name || st.Epoch != 1 {
-			t.Errorf("segment key = %+v, want {%s 1}", st, e.City.Name)
+		if segs := bk.Stats().Segments; len(segs) != 1 || segs[0].City != e.City.Name || segs[0].Epoch != 1 {
+			t.Errorf("bank segments = %+v, want one {%s 1}", segs, e.City.Name)
 		}
 	}
 }
@@ -187,5 +187,5 @@ func TestChaosWarmBankAccounting(t *testing.T) {
 			}
 		}
 	}
-	fault.Disable()
+	fault.Enable(nil)
 }

@@ -9,6 +9,21 @@ import (
 	"accessquery/internal/fault"
 )
 
+// Severity returns the worst fired rung's rank; 0 for a nil or empty
+// report. Chaos tests assert this is monotone in the injected fault rate.
+func (d *DegradedReport) Severity() int {
+	if d == nil {
+		return 0
+	}
+	worst := 0
+	for _, r := range d.Rungs {
+		if s := r.Severity(); s > worst {
+			worst = s
+		}
+	}
+	return worst
+}
+
 // TestChaosSPQFaultRates runs the full engine under seeded SPQ fault
 // injection at the issue's three rates, asserting that every run answers
 // without error, that results stay structurally valid, that transient-
@@ -30,7 +45,7 @@ func TestChaosSPQFaultRates(t *testing.T) {
 		inj := fault.New(spec)
 		fault.Enable(inj)
 		res, err := e.RunContext(context.Background(), vaxQuery(e, ModelOLS, 0.3))
-		fault.Disable()
+		fault.Enable(nil)
 		if err != nil {
 			t.Fatalf("rate %g: run failed instead of degrading: %v", rate, err)
 		}

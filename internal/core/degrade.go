@@ -95,21 +95,6 @@ func (d *DegradedReport) Has(r DegradationRung) bool {
 	return false
 }
 
-// Severity returns the worst fired rung's rank; 0 for a nil or empty
-// report. Chaos tests assert this is monotone in the injected fault rate.
-func (d *DegradedReport) Severity() int {
-	if d == nil {
-		return 0
-	}
-	worst := 0
-	for _, r := range d.Rungs {
-		if s := r.Severity(); s > worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
 // String renders the fired rungs for spans and logs, e.g.
 // "budget,model_fallback".
 func (d *DegradedReport) String() string {

@@ -2,13 +2,17 @@
 
 package core
 
-import "os"
+import (
+	"os"
+	"sync/atomic"
+)
 
 // snapMapping is the heap-read fallback for platforms without mmap: the
 // whole file is read into ordinary Go memory and "close" is a no-op.
 type snapMapping struct {
-	data   []byte
-	mapped bool
+	data    []byte
+	mapped  bool
+	holders atomic.Int64
 }
 
 func mapSnapshot(path string) (*snapMapping, error) {

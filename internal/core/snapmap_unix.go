@@ -4,17 +4,20 @@ package core
 
 import (
 	"os"
-	"runtime"
+	"sync/atomic"
 	"syscall"
 )
 
 // snapMapping holds a snapshot file's bytes, either mmap'd (PROT_READ,
-// shared) or heap-read when mapping is unavailable. Engines restored from
-// a v2 snapshot keep a reference so the mapping outlives every structure
-// that aliases it; the finalizer unmaps once the last engine is collected.
+// shared) or heap-read when mapping is unavailable. The forest and
+// isochrones of every engine restored from it alias data, so it is
+// unmapped only when its last holder releases it (Engine.ReleaseSnapshot),
+// never by the garbage collector: slices into data do not keep it
+// reachable.
 type snapMapping struct {
-	data   []byte
-	mapped bool
+	data    []byte
+	mapped  bool
+	holders atomic.Int64
 }
 
 // mapSnapshot maps path read-only. Zero-length and unmappable files fall
@@ -45,9 +48,7 @@ func mapSnapshot(path string) (*snapMapping, error) {
 		}
 		return &snapMapping{data: raw}, nil
 	}
-	m := &snapMapping{data: data, mapped: true}
-	runtime.SetFinalizer(m, (*snapMapping).close)
-	return m, nil
+	return &snapMapping{data: data, mapped: true}, nil
 }
 
 func (m *snapMapping) close() {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"accessquery/internal/fault"
@@ -48,13 +47,7 @@ type Snapshot struct {
 // from another build's format, or a file that is not a snapshot at all with
 // a precise SnapshotError instead of surfacing whatever confusing state a
 // decoder happens to trip over — and keep the old epoch serving.
-const (
-	snapshotMagic = "AQSNAP"
-
-	// SnapshotVersion is the one format version SaveSnapshot writes and
-	// LoadEngine reads; any other is refused rather than mis-decoded.
-	SnapshotVersion = snapshotV2Version
-)
+const snapshotMagic = "AQSNAP"
 
 // unsupportedVersion is the rejection for a well-formed header carrying a
 // format version this build does not read.
@@ -94,10 +87,9 @@ type SnapshotSource struct {
 	Epoch       uint64 `json:"epoch,omitempty"`
 	CreatedUnix int64  `json:"created_unix,omitempty"`
 
-	// mapping keeps the file mapping alive: every slice in the restored
-	// engine's forest and isochrone set aliases it. It must not be
-	// released while any engine (base or derived) still references this
-	// source.
+	// mapping is the file mapping every slice in the restored engine's
+	// forest and isochrone set aliases, shared by the engines derived from
+	// it. It is unmapped when its last holder releases it.
 	mapping *snapMapping
 }
 
@@ -105,6 +97,28 @@ type SnapshotSource struct {
 // derived engines) was restored from, or nil for engines built from
 // scratch.
 func (e *Engine) SnapshotInfo() *SnapshotSource { return e.snapSrc }
+
+// RetainSnapshot records one more holder of the snapshot mapping the
+// engine's forest and isochrones alias (shared with the engines derived
+// from it); it does nothing for an engine built from scratch. A registry
+// retains it for each installed generation and for a scenario's pinned
+// baseline. A mapping nobody retains stays mapped until the process
+// exits.
+func (e *Engine) RetainSnapshot() {
+	if e.snapSrc != nil {
+		e.snapSrc.mapping.holders.Add(1)
+	}
+}
+
+// ReleaseSnapshot drops one holder RetainSnapshot recorded. When none
+// remain the file is unmapped, and nothing may read the engine's forest or
+// isochrones again. Releasing an engine nobody retained unmaps it at once,
+// for a caller discarding a freshly loaded engine.
+func (e *Engine) ReleaseSnapshot() {
+	if e.snapSrc != nil && e.snapSrc.mapping.holders.Add(-1) <= 0 {
+		e.snapSrc.mapping.close()
+	}
+}
 
 // buildSnapshot assembles the in-memory Snapshot for this engine, stamping
 // the provenance fields.
@@ -296,7 +310,7 @@ func InspectSnapshot(path string) (*SnapshotSource, error) {
 // structures are installed without recomputation. The numeric sections are
 // mmap'd and served in place — pages fault in lazily — instead of being
 // decoded onto the heap.
-func LoadEngine(path string) (*Engine, error) {
+func LoadEngine(path string) (_ *Engine, err error) {
 	// Chaos-test injection site for snapshot load failures.
 	if err := fault.Check(fault.SiteSnapshot); err != nil {
 		return nil, fmt.Errorf("core: loading snapshot: %w", err)
@@ -305,6 +319,11 @@ func LoadEngine(path string) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			src.mapping.close()
+		}
+	}()
 	start := time.Now()
 	city, err := synth.Generate(snap.CityConfig)
 	if err != nil {
@@ -343,8 +362,5 @@ func LoadEngine(path string) (*Engine, error) {
 		parallelism:  1,
 		PrepDuration: time.Since(start),
 	}
-	// The mapping must stay referenced until the engine holds it; the
-	// forest and isochrone slices alias it but are invisible to the GC.
-	runtime.KeepAlive(src)
 	return eng, nil
 }

@@ -283,7 +283,7 @@ func TestAblationAggregation(t *testing.T) {
 
 func TestTemporalSweep(t *testing.T) {
 	s := testSuite(t)
-	cells, err := s.Temporal()
+	cells, _, err := s.temporalWithCube()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,14 +38,9 @@ func Intervals() []gtfs.Interval {
 	}
 }
 
-// Temporal sweeps the smaller city's hospital accessibility across
+// temporalWithCube sweeps the smaller city's hospital accessibility across
 // intervals, rebuilding the interval-bound structures each time (the
 // recomputation the SSR solution makes affordable).
-func (s *Suite) Temporal() ([]TemporalCell, error) {
-	cells, _, err := s.temporalWithCube()
-	return cells, err
-}
-
 func (s *Suite) temporalWithCube() ([]TemporalCell, *todam.Cube, error) {
 	cfg := s.CityConfigs()[1]
 	city, err := s.City(cfg)

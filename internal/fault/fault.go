@@ -264,12 +264,6 @@ func Enable(inj *Injector) *Injector {
 	return active.Swap(inj)
 }
 
-// Disable removes the process-wide injector.
-func Disable() { active.Store(nil) }
-
-// Active returns the installed injector, or nil.
-func Active() *Injector { return active.Load() }
-
 // Check is the call production code places at an injection site: it
 // consults the process-wide injector (no-op when disabled) and returns an
 // injected transient error when the site's draw fires.

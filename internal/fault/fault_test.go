@@ -150,9 +150,9 @@ func TestGlobalEnableDisable(t *testing.T) {
 	if err := Check(SiteSnapshot); err != nil {
 		t.Fatalf("unconfigured site injected: %v", err)
 	}
-	Disable()
+	Enable(nil)
 	if err := Check(SiteSPQ); err != nil {
-		t.Fatalf("Check after Disable injected: %v", err)
+		t.Fatalf("Check after Enable(nil) injected: %v", err)
 	}
 }
 

@@ -36,31 +36,6 @@ import (
 // Dim is the width of the pair feature vector.
 const Dim = 19
 
-// Names lists the feature columns in vector order.
-func Names() []string {
-	return []string{
-		"od_distance_m",
-		"reachable_within_h",
-		"hops_to_dest",
-		"ob_size",
-		"ib_size",
-		"ob_best_leaf_dist_m",
-		"ob_best_leaf_avg_journey_s",
-		"ob_best_leaf_routes",
-		"ob_best_leaf_visits",
-		"ib_best_leaf_dist_m",
-		"ib_best_leaf_avg_journey_s",
-		"ib_best_leaf_routes",
-		"ib_best_leaf_visits",
-		"interchange_count",
-		"interchange_best_dist_m",
-		"hifreq_min_dist_to_dest_m",
-		"reach_fraction_h",
-		"walkable_direct",
-		"walk_margin",
-	}
-}
-
 // Scratch holds the per-goroutine buffers the Into variants write through:
 // the reach BFS frontier, the pair vector a table miss is computed into,
 // and the interchange list. A Scratch must not be shared between

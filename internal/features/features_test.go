@@ -27,6 +27,31 @@ type worldFixture struct {
 
 var cached *worldFixture
 
+// Names lists the feature columns in vector order.
+func Names() []string {
+	return []string{
+		"od_distance_m",
+		"reachable_within_h",
+		"hops_to_dest",
+		"ob_size",
+		"ib_size",
+		"ob_best_leaf_dist_m",
+		"ob_best_leaf_avg_journey_s",
+		"ob_best_leaf_routes",
+		"ob_best_leaf_visits",
+		"ib_best_leaf_dist_m",
+		"ib_best_leaf_avg_journey_s",
+		"ib_best_leaf_routes",
+		"ib_best_leaf_visits",
+		"interchange_count",
+		"interchange_best_dist_m",
+		"hifreq_min_dist_to_dest_m",
+		"reach_fraction_h",
+		"walkable_direct",
+		"walk_margin",
+	}
+}
+
 func fixture(t testing.TB) *worldFixture {
 	if cached != nil {
 		return cached
@@ -41,7 +66,7 @@ func fixture(t testing.TB) *worldFixture {
 		zones[i] = z.Centroid
 		nodes[i] = c.ZoneNode[i]
 	}
-	isos, err := isochrone.ComputeSet(c.Road, zones, nodes, isochrone.DefaultTauSeconds)
+	isos, err := isochrone.ComputeSetParallel(c.Road, zones, nodes, isochrone.DefaultTauSeconds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +75,7 @@ func fixture(t testing.TB) *worldFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forest, err := hoptree.BuildForest(b)
+	forest, err := hoptree.BuildForestParallel(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,8 @@
 // computational-geometry routines (point-in-polygon, convex hull, bounding
 // boxes).
 //
-// Points carry latitude/longitude in degrees. Two distance metrics are
-// provided: great-circle (haversine) distance for realism, and a fast
-// equirectangular approximation that is accurate at city scale and is what
-// the hot paths (feature generation, k-NN) use.
+// Points carry latitude/longitude in degrees. Distances use a fast
+// equirectangular approximation that is accurate at city scale.
 package geo
 
 import (
@@ -15,7 +13,7 @@ import (
 	"sort"
 )
 
-// EarthRadiusMeters is the mean Earth radius used by the haversine formula.
+// EarthRadiusMeters is the mean Earth radius.
 const EarthRadiusMeters = 6371000.0
 
 // Point is a geographic location in degrees latitude/longitude.
@@ -27,28 +25,6 @@ type Point struct {
 // String implements fmt.Stringer.
 func (p Point) String() string {
 	return fmt.Sprintf("(%.6f,%.6f)", p.Lat, p.Lon)
-}
-
-// Valid reports whether the point lies within the legal lat/lon ranges.
-func (p Point) Valid() bool {
-	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180 &&
-		!math.IsNaN(p.Lat) && !math.IsNaN(p.Lon)
-}
-
-// HaversineMeters returns the great-circle distance between a and b in meters.
-func HaversineMeters(a, b Point) float64 {
-	const d2r = math.Pi / 180
-	lat1 := a.Lat * d2r
-	lat2 := b.Lat * d2r
-	dLat := (b.Lat - a.Lat) * d2r
-	dLon := (b.Lon - a.Lon) * d2r
-	s1 := math.Sin(dLat / 2)
-	s2 := math.Sin(dLon / 2)
-	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
-	if h > 1 {
-		h = 1
-	}
-	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(h))
 }
 
 // DistanceMeters returns the equirectangular-approximation distance between a
@@ -115,21 +91,10 @@ func (r Rect) Extend(p Point) Rect {
 	return r
 }
 
-// Contains reports whether p lies within r (inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.Lat >= r.MinLat && p.Lat <= r.MaxLat &&
-		p.Lon >= r.MinLon && p.Lon <= r.MaxLon
-}
-
 // Intersects reports whether r and o overlap.
 func (r Rect) Intersects(o Rect) bool {
 	return r.MinLat <= o.MaxLat && o.MinLat <= r.MaxLat &&
 		r.MinLon <= o.MaxLon && o.MinLon <= r.MaxLon
-}
-
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{Lat: (r.MinLat + r.MaxLat) / 2, Lon: (r.MinLon + r.MaxLon) / 2}
 }
 
 // Polygon is a simple (non-self-intersecting) closed polygon. The ring is
@@ -265,20 +230,6 @@ func sortPoints(pts []Point) {
 		}
 		return pts[i].Lat < pts[j].Lat
 	})
-}
-
-// Centroid returns the arithmetic mean of pts, or the zero Point when empty.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var lat, lon float64
-	for _, p := range pts {
-		lat += p.Lat
-		lon += p.Lon
-	}
-	n := float64(len(pts))
-	return Point{Lat: lat / n, Lon: lon / n}
 }
 
 // Circle returns a regular n-gon approximating a circle of the given radius

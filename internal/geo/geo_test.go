@@ -12,6 +12,48 @@ import (
 // tests below exercise the operating regime.
 var birmingham = Point{Lat: 52.4862, Lon: -1.8904}
 
+// Valid reports whether the point lies within the legal lat/lon ranges.
+func (p Point) Valid() bool {
+	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180 &&
+		!math.IsNaN(p.Lat) && !math.IsNaN(p.Lon)
+}
+
+// HaversineMeters returns the great-circle distance between a and b in meters.
+func HaversineMeters(a, b Point) float64 {
+	const d2r = math.Pi / 180
+	lat1 := a.Lat * d2r
+	lat2 := b.Lat * d2r
+	dLat := (b.Lat - a.Lat) * d2r
+	dLon := (b.Lon - a.Lon) * d2r
+	s1 := math.Sin(dLat / 2)
+	s2 := math.Sin(dLon / 2)
+	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
+	if h > 1 {
+		h = 1
+	}
+	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(h))
+}
+
+// Contains reports whether p lies within r (inclusive).
+func (r Rect) Contains(p Point) bool {
+	return p.Lat >= r.MinLat && p.Lat <= r.MaxLat &&
+		p.Lon >= r.MinLon && p.Lon <= r.MaxLon
+}
+
+// Centroid returns the arithmetic mean of pts, or the zero Point when empty.
+func Centroid(pts []Point) Point {
+	if len(pts) == 0 {
+		return Point{}
+	}
+	var lat, lon float64
+	for _, p := range pts {
+		lat += p.Lat
+		lon += p.Lon
+	}
+	n := float64(len(pts))
+	return Point{Lat: lat / n, Lon: lon / n}
+}
+
 func TestPointValid(t *testing.T) {
 	cases := []struct {
 		p    Point

@@ -83,14 +83,6 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // NumEdges returns the undirected edge count.
 func (g *Graph) NumEdges() int { return g.edges }
 
-// Node returns the node with the given ID.
-func (g *Graph) Node(id NodeID) (Node, error) {
-	if !g.has(id) {
-		return Node{}, fmt.Errorf("graph: no node %d", id)
-	}
-	return g.nodes[id], nil
-}
-
 // Point returns the location of id, or the zero point if id is invalid.
 func (g *Graph) Point(id NodeID) geo.Point {
 	if !g.has(id) {
@@ -150,34 +142,6 @@ func (g *Graph) Explore(src NodeID, maxSeconds float64) (map[NodeID]float64, err
 				continue
 			}
 			if d, ok := dist[e.to]; !ok || nd < d {
-				dist[e.to] = nd
-				heap.Push(&q, pqItem{node: e.to, dist: nd})
-			}
-		}
-	}
-	return dist, nil
-}
-
-// AllDistances runs unbounded Dijkstra from src and returns the travel time
-// to every reachable node as a dense slice indexed by NodeID; unreachable
-// nodes hold +Inf.
-func (g *Graph) AllDistances(src NodeID) ([]float64, error) {
-	if !g.has(src) {
-		return nil, fmt.Errorf("graph: invalid source %d", src)
-	}
-	dist := make([]float64, len(g.nodes))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	q := pq{{node: src}}
-	for q.Len() > 0 {
-		cur := heap.Pop(&q).(pqItem)
-		if cur.dist > dist[cur.node] {
-			continue
-		}
-		for _, e := range g.adj[cur.node] {
-			if nd := cur.dist + e.seconds; nd < dist[e.to] {
 				dist[e.to] = nd
 				heap.Push(&q, pqItem{node: e.to, dist: nd})
 			}

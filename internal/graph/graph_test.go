@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +11,35 @@ import (
 )
 
 var origin = geo.Point{Lat: 52.48, Lon: -1.89}
+
+// AllDistances runs unbounded Dijkstra from src and returns the travel time
+// to every reachable node as a dense slice indexed by NodeID; unreachable
+// nodes hold +Inf. It is the unbounded reference ShortestPath and Explore
+// are checked against.
+func (g *Graph) AllDistances(src NodeID) ([]float64, error) {
+	if !g.has(src) {
+		return nil, fmt.Errorf("graph: invalid source %d", src)
+	}
+	dist := make([]float64, len(g.nodes))
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	q := pq{{node: src}}
+	for q.Len() > 0 {
+		cur := heap.Pop(&q).(pqItem)
+		if cur.dist > dist[cur.node] {
+			continue
+		}
+		for _, e := range g.adj[cur.node] {
+			if nd := cur.dist + e.seconds; nd < dist[e.to] {
+				dist[e.to] = nd
+				heap.Push(&q, pqItem{node: e.to, dist: nd})
+			}
+		}
+	}
+	return dist, nil
+}
 
 // line builds a path graph v0-v1-...-v(n-1) with the given edge weight.
 func line(t *testing.T, n int, w float64) (*Graph, []NodeID) {
@@ -282,12 +313,8 @@ func TestNeighbors(t *testing.T) {
 func TestNodeAccessors(t *testing.T) {
 	g := New(1)
 	id := g.AddNode(origin)
-	n, err := g.Node(id)
-	if err != nil || n.Point != origin {
-		t.Errorf("Node = %+v err=%v", n, err)
-	}
-	if _, err := g.Node(5); err == nil {
-		t.Error("want error for missing node")
+	if p := g.Point(id); p != origin || g.NumNodes() != 1 {
+		t.Errorf("Point(%d) = %v, NumNodes = %d", id, p, g.NumNodes())
 	}
 	if p := g.Point(5); p != (geo.Point{}) {
 		t.Errorf("Point(5) = %v", p)

@@ -3,15 +3,12 @@ package gtfs
 import (
 	"encoding/csv"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
-
-	"accessquery/internal/geo"
 )
 
-// File names of the GTFS text files this package reads and writes.
+// File names of the GTFS text files WriteDir writes.
 const (
 	FileStops     = "stops.txt"
 	FileRoutes    = "routes.txt"
@@ -35,12 +32,6 @@ func (f *Feed) WriteDir(dir string) error {
 		{FileTrips, f.writeTrips},
 		{FileStopTimes, f.writeStopTimes},
 		{FileCalendar, f.writeCalendar},
-	}
-	if len(f.Frequencies) > 0 {
-		writers = append(writers, struct {
-			name string
-			fn   func(w *csv.Writer) error
-		}{FileFrequencies, f.writeFrequencies})
 	}
 	for _, spec := range writers {
 		if err := writeCSVFile(filepath.Join(dir, spec.name), spec.fn); err != nil {
@@ -74,7 +65,7 @@ func (f *Feed) writeStops(w *csv.Writer) error {
 	}
 	for _, s := range f.Stops {
 		// Full float precision: the pipeline's walking times derive from
-		// stop coordinates, and a lossy write would make a round-tripped
+		// stop coordinates, and a lossy write would make a reader of the
 		// feed answer queries slightly differently.
 		rec := []string{
 			string(s.ID), s.Name,
@@ -155,238 +146,4 @@ func (f *Feed) writeCalendar(w *csv.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadDir parses a GTFS directory written by WriteDir (or any feed using the
-// same column subset) into a Feed and validates it.
-func ReadDir(dir string) (*Feed, error) {
-	f := NewFeed()
-	if err := readCSVFile(filepath.Join(dir, FileStops), f.readStopRecord); err != nil {
-		return nil, err
-	}
-	if err := readCSVFile(filepath.Join(dir, FileRoutes), f.readRouteRecord); err != nil {
-		return nil, err
-	}
-	if err := readCSVFile(filepath.Join(dir, FileCalendar), f.readCalendarRecord); err != nil {
-		return nil, err
-	}
-	// Trips and stop times are joined: read trip shells first, then attach
-	// stop times, then register through AddTrip for validation.
-	shells, err := readTripShells(filepath.Join(dir, FileTrips))
-	if err != nil {
-		return nil, err
-	}
-	if err := attachStopTimes(filepath.Join(dir, FileStopTimes), shells); err != nil {
-		return nil, err
-	}
-	for _, t := range shells.order {
-		trip := shells.byID[t]
-		sortStopTimes(trip.StopTimes)
-		if err := f.AddTrip(*trip); err != nil {
-			return nil, err
-		}
-	}
-	if err := f.maybeReadFrequencies(dir); err != nil {
-		return nil, err
-	}
-	return f, f.Validate()
-}
-
-func sortStopTimes(sts []StopTime) {
-	for i := 1; i < len(sts); i++ {
-		for j := i; j > 0 && sts[j].Seq < sts[j-1].Seq; j-- {
-			sts[j], sts[j-1] = sts[j-1], sts[j]
-		}
-	}
-}
-
-func pointOf(lat, lon float64) geo.Point { return geo.Point{Lat: lat, Lon: lon} }
-
-// header maps column name to index.
-type header map[string]int
-
-func (h header) get(rec []string, col string) (string, error) {
-	i, ok := h[col]
-	if !ok {
-		return "", fmt.Errorf("gtfs: missing column %q", col)
-	}
-	if i >= len(rec) {
-		return "", fmt.Errorf("gtfs: short record, no column %q", col)
-	}
-	return rec[i], nil
-}
-
-func readCSVFile(path string, fn func(h header, rec []string) error) error {
-	file, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("gtfs: %w", err)
-	}
-	defer file.Close()
-	r := csv.NewReader(file)
-	r.ReuseRecord = true
-	first, err := r.Read()
-	if err != nil {
-		return fmt.Errorf("gtfs: reading header of %s: %w", path, err)
-	}
-	h := make(header, len(first))
-	for i, col := range first {
-		h[col] = i
-	}
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("gtfs: reading %s: %w", path, err)
-		}
-		if err := fn(h, rec); err != nil {
-			return fmt.Errorf("gtfs: %s: %w", path, err)
-		}
-	}
-}
-
-func (f *Feed) readStopRecord(h header, rec []string) error {
-	id, err := h.get(rec, "stop_id")
-	if err != nil {
-		return err
-	}
-	name, _ := h.get(rec, "stop_name")
-	latS, err := h.get(rec, "stop_lat")
-	if err != nil {
-		return err
-	}
-	lonS, err := h.get(rec, "stop_lon")
-	if err != nil {
-		return err
-	}
-	lat, err := strconv.ParseFloat(latS, 64)
-	if err != nil {
-		return fmt.Errorf("stop %q: bad lat: %v", id, err)
-	}
-	lon, err := strconv.ParseFloat(lonS, 64)
-	if err != nil {
-		return fmt.Errorf("stop %q: bad lon: %v", id, err)
-	}
-	return f.AddStop(Stop{ID: StopID(id), Name: name, Point: pointOf(lat, lon)})
-}
-
-func (f *Feed) readRouteRecord(h header, rec []string) error {
-	id, err := h.get(rec, "route_id")
-	if err != nil {
-		return err
-	}
-	short, _ := h.get(rec, "route_short_name")
-	long, _ := h.get(rec, "route_long_name")
-	typS, _ := h.get(rec, "route_type")
-	typ, _ := strconv.Atoi(typS)
-	var fare float64
-	if fs, err := h.get(rec, "fare_flat"); err == nil {
-		fare, _ = strconv.ParseFloat(fs, 64)
-	}
-	return f.AddRoute(Route{
-		ID: RouteID(id), ShortName: short, LongName: long,
-		Type: RouteType(typ), FareFlat: fare,
-	})
-}
-
-func (f *Feed) readCalendarRecord(h header, rec []string) error {
-	id, err := h.get(rec, "service_id")
-	if err != nil {
-		return err
-	}
-	var s Service
-	s.ID = ServiceID(id)
-	days := []string{"sunday", "monday", "tuesday", "wednesday", "thursday", "friday", "saturday"}
-	for d, col := range days {
-		v, err := h.get(rec, col)
-		if err != nil {
-			return err
-		}
-		s.Weekdays[d] = v == "1"
-	}
-	return f.AddService(s)
-}
-
-// tripShells accumulates trips before stop times are attached.
-type tripShells struct {
-	byID  map[TripID]*Trip
-	order []TripID
-}
-
-func readTripShells(path string) (*tripShells, error) {
-	shells := &tripShells{byID: make(map[TripID]*Trip)}
-	err := readCSVFile(path, func(h header, rec []string) error {
-		id, err := h.get(rec, "trip_id")
-		if err != nil {
-			return err
-		}
-		routeID, err := h.get(rec, "route_id")
-		if err != nil {
-			return err
-		}
-		svcID, err := h.get(rec, "service_id")
-		if err != nil {
-			return err
-		}
-		head, _ := h.get(rec, "trip_headsign")
-		tid := TripID(id)
-		if _, dup := shells.byID[tid]; dup {
-			return fmt.Errorf("duplicate trip %q", id)
-		}
-		shells.byID[tid] = &Trip{
-			ID: tid, RouteID: RouteID(routeID), ServiceID: ServiceID(svcID), Headsign: head,
-		}
-		shells.order = append(shells.order, tid)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return shells, nil
-}
-
-func attachStopTimes(path string, shells *tripShells) error {
-	return readCSVFile(path, func(h header, rec []string) error {
-		tripID, err := h.get(rec, "trip_id")
-		if err != nil {
-			return err
-		}
-		trip, ok := shells.byID[TripID(tripID)]
-		if !ok {
-			return fmt.Errorf("stop time references unknown trip %q", tripID)
-		}
-		arrS, err := h.get(rec, "arrival_time")
-		if err != nil {
-			return err
-		}
-		depS, err := h.get(rec, "departure_time")
-		if err != nil {
-			return err
-		}
-		stopID, err := h.get(rec, "stop_id")
-		if err != nil {
-			return err
-		}
-		seqS, err := h.get(rec, "stop_sequence")
-		if err != nil {
-			return err
-		}
-		arr, err := ParseSeconds(arrS)
-		if err != nil {
-			return err
-		}
-		dep, err := ParseSeconds(depS)
-		if err != nil {
-			return err
-		}
-		seq, err := strconv.Atoi(seqS)
-		if err != nil {
-			return fmt.Errorf("trip %q: bad stop_sequence %q", tripID, seqS)
-		}
-		trip.StopTimes = append(trip.StopTimes, StopTime{
-			StopID: StopID(stopID), Arrival: arr, Departure: dep, Seq: seq,
-		})
-		return nil
-	})
 }

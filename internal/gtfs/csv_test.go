@@ -3,115 +3,78 @@ package gtfs
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+	"time"
+
+	"accessquery/internal/geo"
 )
 
-func TestSecondsMinutes(t *testing.T) {
-	if m := Seconds(90).Minutes(); m != 1.5 {
-		t.Errorf("Minutes = %v", m)
+// TestWriteDirGolden pins the exact bytes WriteDir emits for a small feed:
+// column order, full-precision coordinates, two-decimal fares, HH:MM:SS
+// times, 0/1 calendar days and CSV quoting.
+func TestWriteDirGolden(t *testing.T) {
+	f := NewFeed()
+	for _, s := range []Stop{
+		{ID: "A", Name: "Alpha", Point: geo.Point{Lat: 52.4862, Lon: -1.8904}},
+		{ID: "B", Name: "Beta, North", Point: geo.Point{Lat: 52.40656, Lon: -1.51217}},
+	} {
+		if err := f.AddStop(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
-
-// writeFixture writes a complete valid GTFS dir, then lets the test corrupt
-// one file.
-func writeFixture(t *testing.T) string {
-	t.Helper()
-	f := testFeed(t)
+	if err := f.AddRoute(Route{ID: "R1", ShortName: "1", LongName: "Alpha - Beta", Type: RouteBus, FareFlat: 2.5}); err != nil {
+		t.Fatal(err)
+	}
+	wk := Service{ID: "WK"}
+	for d := time.Monday; d <= time.Friday; d++ {
+		wk.Weekdays[d] = true
+	}
+	if err := f.AddService(wk); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddTrip(Trip{
+		ID: "T1", RouteID: "R1", ServiceID: "WK", Headsign: "Beta",
+		StopTimes: []StopTime{
+			{StopID: "A", Arrival: 7 * 3600, Departure: 7*3600 + 30, Seq: 1},
+			{StopID: "B", Arrival: 25*3600 + 5, Departure: 25*3600 + 5, Seq: 2},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	if err := f.WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	return dir
-}
-
-func overwrite(t *testing.T, dir, name, content string) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-		t.Fatal(err)
+	want := map[string]string{
+		FileStops: "stop_id,stop_name,stop_lat,stop_lon\n" +
+			"A,Alpha,52.4862,-1.8904\n" +
+			"B,\"Beta, North\",52.40656,-1.51217\n",
+		FileRoutes: "route_id,route_short_name,route_long_name,route_type,fare_flat\n" +
+			"R1,1,Alpha - Beta,3,2.50\n",
+		FileTrips: "route_id,service_id,trip_id,trip_headsign\n" +
+			"R1,WK,T1,Beta\n",
+		FileStopTimes: "trip_id,arrival_time,departure_time,stop_id,stop_sequence\n" +
+			"T1,07:00:00,07:00:30,A,1\n" +
+			"T1,25:00:05,25:00:05,B,2\n",
+		FileCalendar: "service_id,sunday,monday,tuesday,wednesday,thursday,friday,saturday\n" +
+			"WK,0,1,1,1,1,1,0\n",
 	}
-}
-
-func TestReadDirBadStopCoordinates(t *testing.T) {
-	dir := writeFixture(t)
-	overwrite(t, dir, FileStops, "stop_id,stop_name,stop_lat,stop_lon\nX,Bad,notanumber,0\n")
-	if _, err := ReadDir(dir); err == nil || !strings.Contains(err.Error(), "lat") {
-		t.Errorf("err = %v, want bad-lat error", err)
-	}
-	overwrite(t, dir, FileStops, "stop_id,stop_name,stop_lat,stop_lon\nX,Bad,1.0,east\n")
-	if _, err := ReadDir(dir); err == nil || !strings.Contains(err.Error(), "lon") {
-		t.Errorf("err = %v, want bad-lon error", err)
-	}
-}
-
-func TestReadDirMissingColumn(t *testing.T) {
-	dir := writeFixture(t)
-	overwrite(t, dir, FileStops, "stop_name,stop_lat,stop_lon\nBad,1.0,1.0\n")
-	if _, err := ReadDir(dir); err == nil || !strings.Contains(err.Error(), "stop_id") {
-		t.Errorf("err = %v, want missing-column error", err)
-	}
-}
-
-func TestReadDirBadCalendar(t *testing.T) {
-	dir := writeFixture(t)
-	overwrite(t, dir, FileCalendar, "service_id,sunday,monday\nWK,1,1\n")
-	if _, err := ReadDir(dir); err == nil {
-		t.Error("truncated calendar should fail")
-	}
-}
-
-func TestReadDirBadStopTimes(t *testing.T) {
-	dir := writeFixture(t)
-	cases := []struct {
-		name string
-		rows string
-	}{
-		{"bad arrival", "trip_id,arrival_time,departure_time,stop_id,stop_sequence\nT1_a,junk,08:00:00,A,1\n"},
-		{"bad departure", "trip_id,arrival_time,departure_time,stop_id,stop_sequence\nT1_a,08:00:00,junk,A,1\n"},
-		{"bad sequence", "trip_id,arrival_time,departure_time,stop_id,stop_sequence\nT1_a,08:00:00,08:00:00,A,first\n"},
-	}
-	for _, c := range cases {
-		overwrite(t, dir, FileStopTimes, c.rows)
-		if _, err := ReadDir(dir); err == nil {
-			t.Errorf("%s: want error", c.name)
-		}
-	}
-}
-
-func TestReadDirDuplicateTrip(t *testing.T) {
-	dir := writeFixture(t)
-	overwrite(t, dir, FileTrips,
-		"route_id,service_id,trip_id,trip_headsign\nR1,WK,DUP,x\nR1,WK,DUP,x\n")
-	if _, err := ReadDir(dir); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("err = %v, want duplicate-trip error", err)
-	}
-}
-
-func TestReadDirUnsortedStopTimesAreSorted(t *testing.T) {
-	// Stop times may arrive out of sequence order in real feeds; the
-	// reader must sort by stop_sequence before validation.
-	dir := writeFixture(t)
-	overwrite(t, dir, FileTrips, "route_id,service_id,trip_id,trip_headsign\nR1,WK,T,x\n")
-	overwrite(t, dir, FileStopTimes,
-		"trip_id,arrival_time,departure_time,stop_id,stop_sequence\n"+
-			"T,08:10:00,08:10:00,C,3\n"+
-			"T,08:00:00,08:00:00,A,1\n"+
-			"T,08:05:00,08:05:30,B,2\n")
-	f, err := ReadDir(dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trip *Trip
-	for i := range f.Trips {
-		if f.Trips[i].ID == "T" {
-			trip = &f.Trips[i]
+	if len(entries) != len(want) {
+		t.Errorf("WriteDir wrote %d files, want %d", len(entries), len(want))
+	}
+	for name, w := range want {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Error(err)
+			continue
 		}
-	}
-	if trip == nil {
-		t.Fatal("trip missing")
-	}
-	if trip.StopTimes[0].StopID != "A" || trip.StopTimes[2].StopID != "C" {
-		t.Errorf("stop times not sorted: %+v", trip.StopTimes)
+		if string(got) != w {
+			t.Errorf("%s:\ngot:\n%s\nwant:\n%s", name, got, w)
+		}
 	}
 }
 

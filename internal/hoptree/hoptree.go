@@ -93,17 +93,6 @@ type Tree struct {
 	Leaves []Leaf
 }
 
-// Leaf returns the leaf for a zone, or nil when the zone is not reachable in
-// one hop. The returned pointer aliases the tree's leaf slice and must be
-// treated as read-only.
-func (t *Tree) Leaf(zone int) *Leaf {
-	i := sort.Search(len(t.Leaves), func(i int) bool { return int(t.Leaves[i].Zone) >= zone })
-	if i < len(t.Leaves) && int(t.Leaves[i].Zone) == zone {
-		return &t.Leaves[i]
-	}
-	return nil
-}
-
 // Size returns the number of leaves.
 func (t *Tree) Size() int { return len(t.Leaves) }
 
@@ -416,17 +405,12 @@ type Forest struct {
 	In       []*Tree
 }
 
-// BuildForest generates outbound and inbound trees for every zone.
-func BuildForest(b *Builder) (*Forest, error) {
-	return BuildForestParallel(b, 1)
-}
-
-// BuildForestParallel is BuildForest with per-zone tree generation fanned
-// across a worker pool. The builder's lookup structures (visit index, stop
-// KD-tree, isochrones) are read-only after NewBuilder, build scratch is
-// pooled per worker, and each zone's trees are written only to that zone's
-// slots, so the forest is identical to the serial build for any workers
-// value; workers <= 1 runs serially.
+// BuildForestParallel generates outbound and inbound trees for every zone,
+// fanning per-zone tree generation across a worker pool. The builder's
+// lookup structures (visit index, stop KD-tree, isochrones) are read-only
+// after NewBuilder, build scratch is pooled per worker, and each zone's
+// trees are written only to that zone's slots, so the forest is identical
+// to the serial build for any workers value; workers <= 1 runs serially.
 func BuildForestParallel(b *Builder, workers int) (*Forest, error) {
 	n := len(b.zonePts)
 	f := &Forest{

@@ -2,6 +2,7 @@ package hoptree
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -25,6 +26,17 @@ type world struct {
 	feed    *gtfs.Feed
 	isos    *isochrone.Set
 	nodes   []graph.NodeID
+}
+
+// Leaf returns the leaf for a zone, or nil when the zone is not reachable in
+// one hop. The returned pointer aliases the tree's leaf slice and must be
+// treated as read-only.
+func (t *Tree) Leaf(zone int) *Leaf {
+	i := sort.Search(len(t.Leaves), func(i int) bool { return int(t.Leaves[i].Zone) >= zone })
+	if i < len(t.Leaves) && int(t.Leaves[i].Zone) == zone {
+		return &t.Leaves[i]
+	}
+	return nil
 }
 
 func buildWorld(t *testing.T) *world {
@@ -84,7 +96,7 @@ func buildWorld(t *testing.T) *world {
 		}
 	}
 	zoneNodes := []graph.NodeID{w.nodes[0], w.nodes[30], w.nodes[60]}
-	isos, err := isochrone.ComputeSet(w.road, w.zonePts, zoneNodes, 600)
+	isos, err := isochrone.ComputeSetParallel(w.road, w.zonePts, zoneNodes, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +282,7 @@ func TestBuildZoneOutOfRange(t *testing.T) {
 func TestForestAndChaining(t *testing.T) {
 	w := buildWorld(t)
 	b := newBuilder(t, w)
-	f, err := BuildForest(b)
+	f, err := BuildForestParallel(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +327,7 @@ func TestSyntheticCityForest(t *testing.T) {
 		zonePts[i] = z.Centroid
 		zoneNodes[i] = c.ZoneNode[i]
 	}
-	isos, err := isochrone.ComputeSet(c.Road, zonePts, zoneNodes, isochrone.DefaultTauSeconds)
+	isos, err := isochrone.ComputeSetParallel(c.Road, zonePts, zoneNodes, isochrone.DefaultTauSeconds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +335,7 @@ func TestSyntheticCityForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := BuildForest(b)
+	f, err := BuildForestParallel(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +370,7 @@ func BenchmarkBuildTree(b *testing.B) {
 		zonePts[i] = z.Centroid
 		zoneNodes[i] = c.ZoneNode[i]
 	}
-	isos, err := isochrone.ComputeSet(c.Road, zonePts, zoneNodes, isochrone.DefaultTauSeconds)
+	isos, err := isochrone.ComputeSetParallel(c.Road, zonePts, zoneNodes, isochrone.DefaultTauSeconds, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -385,7 +397,7 @@ func TestBuildForestParallelMatchesSerial(t *testing.T) {
 		zonePts[i] = z.Centroid
 		zoneNodes[i] = c.ZoneNode[i]
 	}
-	isos, err := isochrone.ComputeSet(c.Road, zonePts, zoneNodes, isochrone.DefaultTauSeconds)
+	isos, err := isochrone.ComputeSetParallel(c.Road, zonePts, zoneNodes, isochrone.DefaultTauSeconds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,12 +422,12 @@ func TestBuildForestParallelMatchesSerial(t *testing.T) {
 			t.Errorf("workers=%d: parallel forest differs from serial", workers)
 		}
 	}
-	plain, err := BuildForest(serialBuilder)
+	again, err := BuildForestParallel(serialBuilder, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, plain) {
-		t.Error("BuildForest differs from BuildForestParallel(b, 1)")
+	if !reflect.DeepEqual(serial, again) {
+		t.Error("a second build on the same builder differs from the first")
 	}
 }
 
@@ -425,7 +437,7 @@ func TestBuildForestParallelMatchesSerial(t *testing.T) {
 func TestReachableIntoAllocFree(t *testing.T) {
 	w := buildWorld(t)
 	b := newBuilder(t, w)
-	f, err := BuildForest(b)
+	f, err := BuildForestParallel(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,26 +98,18 @@ func (iso *Isochrone) Intersects(other *Isochrone) bool {
 	return iso.Hull.Intersects(other.Hull)
 }
 
-// NumNodes returns how many road nodes the walkshed reaches.
-func (iso *Isochrone) NumNodes() int { return len(iso.NodeIDs) }
-
 // Set holds one isochrone per zone, the W structure from the paper.
 type Set struct {
 	Tau        float64
 	Isochrones []*Isochrone
 }
 
-// ComputeSet builds isochrones for each (origin, originNode) pair, typically
-// zone centroids and their welded road nodes.
-func ComputeSet(g *graph.Graph, origins []geo.Point, originNodes []graph.NodeID, tau float64) (*Set, error) {
-	return ComputeSetParallel(g, origins, originNodes, tau, 1)
-}
-
-// ComputeSetParallel is ComputeSet with the per-zone Dijkstras fanned across
-// a worker pool. Each zone's isochrone depends only on the (read-only) road
-// graph and its own origin, and every worker writes only its zone's slot, so
-// the result is identical to the serial computation for any workers value;
-// workers <= 1 runs serially.
+// ComputeSetParallel builds isochrones for each (origin, originNode) pair,
+// typically zone centroids and their welded road nodes, with the per-zone
+// Dijkstras fanned across a worker pool. Each zone's isochrone depends only
+// on the (read-only) road graph and its own origin, and every worker writes
+// only its zone's slot, so the result is identical to the serial
+// computation for any workers value; workers <= 1 runs serially.
 func ComputeSetParallel(g *graph.Graph, origins []geo.Point, originNodes []graph.NodeID, tau float64, workers int) (*Set, error) {
 	if len(origins) != len(originNodes) {
 		return nil, fmt.Errorf("isochrone: %d origins but %d nodes", len(origins), len(originNodes))

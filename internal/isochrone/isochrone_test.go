@@ -46,7 +46,7 @@ func TestComputeBasic(t *testing.T) {
 	}
 	// 600s at 80s/edge: Manhattan radius 7 edges, clipped to grid size 5.
 	// Node (3,3) costs 480s; (5,3) costs 640s > 600.
-	if iso.NumNodes() == 0 {
+	if len(iso.NodeIDs) == 0 {
 		t.Fatal("empty walkshed")
 	}
 	for _, sec := range iso.NodeSeconds {
@@ -70,8 +70,8 @@ func TestComputeManhattanCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Manhattan ball of radius 3: 1 + 4 + 8 + 12 = 25 nodes.
-	if iso.NumNodes() != 25 {
-		t.Errorf("walkshed has %d nodes, want 25", iso.NumNodes())
+	if len(iso.NodeIDs) != 25 {
+		t.Errorf("walkshed has %d nodes, want 25", len(iso.NodeIDs))
 	}
 }
 
@@ -146,7 +146,7 @@ func TestComputeSet(t *testing.T) {
 	east := g.NearestNode(geo.Offset(base, 300, 0))
 	origins := []geo.Point{base, geo.Offset(base, 300, 0)}
 	nodes := []graph.NodeID{center, east}
-	set, err := ComputeSet(g, origins, nodes, 600)
+	set, err := ComputeSetParallel(g, origins, nodes, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestComputeSet(t *testing.T) {
 
 func TestComputeSetLengthMismatch(t *testing.T) {
 	g, center := gridWorld(t, 2, 100, 80)
-	_, err := ComputeSet(g, []geo.Point{base}, []graph.NodeID{center, center}, 600)
+	_, err := ComputeSetParallel(g, []geo.Point{base}, []graph.NodeID{center, center}, 600, 1)
 	if err == nil {
 		t.Error("mismatched lengths should fail")
 	}
@@ -219,14 +219,6 @@ func TestComputeSetParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("workers=%d: parallel set differs from serial", workers)
 		}
-	}
-	// ComputeSet is the serial entry point and must agree too.
-	plain, err := ComputeSet(g, origins, nodes, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, plain) {
-		t.Error("ComputeSet differs from ComputeSetParallel(..., 1)")
 	}
 }
 

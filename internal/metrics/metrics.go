@@ -24,22 +24,6 @@ func MAE(pred, truth []float64) (float64, error) {
 	return sum / float64(len(pred)), nil
 }
 
-// RMSE returns the root mean squared error between prediction and truth.
-func RMSE(pred, truth []float64) (float64, error) {
-	if err := sameLen(pred, truth); err != nil {
-		return 0, err
-	}
-	if len(pred) == 0 {
-		return 0, nil
-	}
-	var sum float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred))), nil
-}
-
 // Pearson returns the Pearson correlation coefficient between two series.
 // Series with zero variance yield 0 (no linear relationship measurable).
 func Pearson(a, b []float64) (float64, error) {

@@ -22,19 +22,6 @@ func TestMAE(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	got, err := RMSE([]float64{0, 0}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := math.Sqrt(12.5); math.Abs(got-want) > 1e-12 {
-		t.Errorf("RMSE = %v, want %v", got, want)
-	}
-	if _, err := RMSE([]float64{1}, nil); err == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
 func TestPearsonPerfectCorrelation(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{10, 20, 30, 40}

@@ -65,45 +65,8 @@ func (h *HistogramMetric) Observe(v float64) {
 // ObserveDuration records d in seconds.
 func (h *HistogramMetric) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations.
-func (h *HistogramMetric) Count() int64 { return h.count.Load() }
-
 // Sum returns the total of all observed values.
 func (h *HistogramMetric) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Quantile estimates the q-quantile (q in [0, 1]) by linear interpolation
-// inside the bucket holding the target rank. Values in the overflow bucket
-// are reported as the last finite bound — the estimate saturates rather
-// than extrapolating. Returns 0 for an empty histogram.
-func (h *HistogramMetric) Quantile(q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	lower := 0.0
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		upper := h.bounds[i]
-		if cum+n >= rank {
-			if n == 0 {
-				return upper
-			}
-			frac := (rank - cum) / n
-			return lower + (upper-lower)*frac
-		}
-		cum += n
-		lower = upper
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // write renders the histogram as cumulative _bucket series plus _sum and
 // _count, with the le label appended after any constant labels.

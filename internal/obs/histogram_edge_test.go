@@ -7,55 +7,8 @@ import (
 	"testing"
 )
 
-// Quantile edge cases: the estimator must stay defined (and sane) for
-// empty histograms, a single observation, and mass entirely in the
-// overflow bucket — the shapes a freshly booted or pathological series
-// actually has.
-func TestQuantileEmptyHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramBuckets("aq_test_seconds", []float64{1, 2})
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
-			t.Errorf("empty Quantile(%g) = %g, want 0", q, got)
-		}
-	}
-}
-
-func TestQuantileSingleSample(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramBuckets("aq_test_seconds", []float64{1, 2, 4})
-	h.Observe(1.5)
-	// Every quantile of a one-sample histogram lies in the sample's
-	// bucket (1, 2]; interpolation must not escape it.
-	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
-		if got < 1 || got > 2 {
-			t.Errorf("Quantile(%g) = %g, want within (1, 2]", q, got)
-		}
-	}
-	// Out-of-range q is clamped, not propagated.
-	if got := h.Quantile(-3); got < 1 || got > 2 {
-		t.Errorf("Quantile(-3) = %g, want clamped into (1, 2]", got)
-	}
-	if got := h.Quantile(7); got < 1 || got > 2 {
-		t.Errorf("Quantile(7) = %g, want clamped into (1, 2]", got)
-	}
-}
-
-func TestQuantileAllInOverflowBucket(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramBuckets("aq_test_seconds", []float64{1, 2, 4})
-	for i := 0; i < 10; i++ {
-		h.Observe(100) // beyond the last finite bound
-	}
-	// The estimate saturates at the last finite bound rather than
-	// extrapolating into the unbounded bucket.
-	for _, q := range []float64{0.1, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 4 {
-			t.Errorf("Quantile(%g) = %g, want 4 (saturated)", q, got)
-		}
-	}
-}
+// Count returns the number of observations.
+func (h *HistogramMetric) Count() int64 { return h.count.Load() }
 
 // Label values with quotes, backslashes, and newlines must survive the
 // parse → canonicalize → exposition round trip escaped, not raw: a raw

@@ -106,9 +106,6 @@ func New(w io.Writer, min Level) *Logger {
 // Default is the process-wide logger: stderr at info.
 var Default = New(os.Stderr, LevelInfo)
 
-// Discard swallows everything; useful as an explicit "no logging" value.
-var Discard = New(io.Discard, LevelError+1)
-
 // SetLevel changes the minimum level, affecting this logger and every
 // logger sharing its root (With children).
 func (l *Logger) SetLevel(min Level) {
@@ -134,9 +131,6 @@ func (l *Logger) With(fields ...Field) *Logger {
 	child.base = append(append([]Field(nil), l.base...), fields...)
 	return &child
 }
-
-// Debug logs at debug level.
-func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fields) }
 
 // Info logs at info level.
 func (l *Logger) Info(msg string, fields ...Field) { l.log(LevelInfo, msg, fields) }

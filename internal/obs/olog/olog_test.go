@@ -5,10 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// Discard swallows everything; useful as an explicit "no logging" value.
+var Discard = New(io.Discard, LevelError+1)
+
+// Debug logs at debug level.
+func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fields) }
 
 // decodeLines parses each JSON line the logger wrote.
 func decodeLines(t *testing.T, buf *bytes.Buffer) []map[string]any {

@@ -1,7 +1,7 @@
 // Package obs is the process-wide observability layer for the query
 // pipeline: a dependency-free metrics registry (atomic counters, gauges,
-// and bounded-bucket histograms with quantile estimation) exposed in
-// Prometheus text format, plus lightweight context-carried stage spans.
+// and bounded-bucket histograms) exposed in Prometheus text format, plus
+// lightweight context-carried stage spans.
 //
 // The paper's headline claims are timing claims — Table II decomposes the
 // online query cost into matrix/labeling/features/training stages — and a

@@ -72,7 +72,7 @@ func TestLabelCanonicalization(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
+func TestHistogramCountAndSum(t *testing.T) {
 	r := NewRegistry()
 	h := r.HistogramBuckets("aq_test_seconds", []float64{1, 2, 4, 8})
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 3, 3, 5, 100} {
@@ -83,22 +83,6 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if got := h.Sum(); math.Abs(got-117.5) > 1e-9 {
 		t.Fatalf("Sum() = %g, want 117.5", got)
-	}
-	// Median rank 4 lands in the (2,4] bucket (3 observations, cum 3..6).
-	med := h.Quantile(0.5)
-	if med < 2 || med > 4 {
-		t.Errorf("Quantile(0.5) = %g, want within (2, 4]", med)
-	}
-	// The tail saturates at the last finite bound.
-	if got := h.Quantile(1); got != 8 {
-		t.Errorf("Quantile(1) = %g, want 8", got)
-	}
-	if got := h.Quantile(0.5); math.IsNaN(got) {
-		t.Error("quantile is NaN")
-	}
-	empty := r.HistogramBuckets("aq_test_empty_seconds", []float64{1})
-	if got := empty.Quantile(0.9); got != 0 {
-		t.Errorf("empty Quantile = %g, want 0", got)
 	}
 }
 

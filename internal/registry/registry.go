@@ -125,7 +125,9 @@ func (o Options) withDefaults() Options {
 
 // epochEngine is one installed engine generation. refs starts at 1 — the
 // install bias — so the engine stays alive while it is current; Swap drops
-// the bias and the last in-flight release retires it.
+// the bias and the last in-flight release retires it. Each generation holds
+// its engine's snapshot mapping (core.Engine.RetainSnapshot) until it
+// drains.
 type epochEngine struct {
 	engine *core.Engine
 	epoch  uint64
@@ -213,10 +215,6 @@ func (t *Tenant) Epoch() uint64 { return t.cur.Load().epoch }
 // anything that runs work must Acquire.
 func (t *Tenant) Engine() *core.Engine { return t.cur.Load().engine }
 
-// InFlight reports how many acquired references are currently outstanding
-// on the current generation (the install bias excluded).
-func (t *Tenant) InFlight() int64 { return t.cur.Load().refs.Load() - 1 }
-
 // Info is a point-in-time description of a tenant, shaped for the
 // /v1/cities responses.
 type Info struct {
@@ -271,8 +269,10 @@ func (t *Tenant) install(e *core.Engine, source string, seedBank bool) *Retired 
 		drained: make(chan struct{}),
 	}
 	ee.refs.Store(1) // install bias
+	e.RetainSnapshot()
 	log := opts.Logger
 	ee.onDrain = func(old *epochEngine) {
+		old.engine.ReleaseSnapshot()
 		t.metrics.retired.Inc()
 		log.Info("engine retired",
 			olog.F("city", t.Name), olog.F("epoch", old.epoch))
@@ -340,6 +340,7 @@ func (t *Tenant) loadSnapshot(path string) (*core.Engine, error) {
 		return nil, err
 	}
 	if cn := e.City.Name; !cityMatches(cn, t.Name) {
+		e.ReleaseSnapshot()
 		return nil, fmt.Errorf("snapshot %s is for city %q, not %q", path, cn, t.Name)
 	}
 	if t.reg.opts.WarmCaches {

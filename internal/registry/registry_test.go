@@ -116,12 +116,12 @@ func TestOpenSnapshotTenant(t *testing.T) {
 	if e == nil || epoch != 1 {
 		t.Fatalf("acquire: engine=%v epoch=%d", e, epoch)
 	}
-	if got := tn.InFlight(); got != 1 {
+	if got := tn.Info().InFlight; got != 1 {
 		t.Errorf("in-flight %d, want 1", got)
 	}
 	release()
 	release() // idempotent
-	if got := tn.InFlight(); got != 0 {
+	if got := tn.Info().InFlight; got != 0 {
 		t.Errorf("in-flight after release %d, want 0", got)
 	}
 }
@@ -344,7 +344,7 @@ func TestAcquireSwapRace(t *testing.T) {
 			t.Fatalf("epoch %d never drained", ret.Epoch)
 		}
 	}
-	if got := tn.InFlight(); got != 0 {
+	if got := tn.Info().InFlight; got != 0 {
 		t.Errorf("in-flight %d after hammer, want 0", got)
 	}
 	if got := tn.Info().Swaps; got != swaps {

@@ -50,8 +50,9 @@ type ScenarioStatus struct {
 }
 
 // scenarioState pins the baseline and accumulates applied batches. Guarded
-// by the tenant's swapMu. Holding baseline here keeps the baseline engine
-// reachable even after its epoch drains, so revert is O(1).
+// by the tenant's swapMu. Holding baseline here keeps the baseline engine,
+// and the snapshot mapping it may serve from, alive even after its epoch
+// drains, so revert is O(1).
 type scenarioState struct {
 	baseline      *core.Engine
 	baselineEpoch uint64
@@ -83,6 +84,10 @@ func (t *Tenant) ApplyScenario(batch []delta.Mutation) (Info, AppliedDelta, *Ret
 		len(sc.applied)+1, t.reg.opts.Parallelism, sc.baseline.PrepDuration)
 	if err != nil {
 		return Info{}, AppliedDelta{}, nil, err
+	}
+	if t.scenario == nil {
+		// Pin before install drops the baseline generation's bias.
+		sc.baseline.RetainSnapshot()
 	}
 	retired := t.install(eng, fmt.Sprintf("scenario:%d-deltas", len(sc.applied)+1),
 		delta.BankImpactOf(batch).SeedForward)
@@ -136,6 +141,7 @@ func (t *Tenant) RevertScenario() (Info, *Retired, error) {
 	}
 	baseline := t.scenario.baseline
 	retired := t.install(baseline, fmt.Sprintf("scenario:revert-to-epoch-%d", t.scenario.baselineEpoch), false)
+	baseline.ReleaseSnapshot()
 	t.scenario = nil
 	dm := deltaMetricsFor(t.Name)
 	dm.reverts.Inc()
@@ -151,6 +157,7 @@ func (t *Tenant) clearScenario() {
 	if t.scenario == nil {
 		return
 	}
+	t.scenario.baseline.ReleaseSnapshot()
 	t.scenario = nil
 	deltaMetricsFor(t.Name).active.Set(0)
 }

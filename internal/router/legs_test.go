@@ -63,6 +63,7 @@ func routeDetailedReference(r *Router, w *scenario, origin, dest graph.NodeID, d
 	labels[origin] = label{arrive: depart, reached: true}
 	q := refPQ{{node: origin, arrive: depart}}
 	deadline := depart + r.opts.MaxJourney
+	trips := tripsByID(w.index)
 	improveTracked := func(node graph.NodeID, nl label, in Leg) {
 		cur := &labels[node]
 		if cur.reached && nl.arrive >= cur.arrive {
@@ -108,10 +109,7 @@ func routeDetailedReference(r *Router, w *scenario, origin, dest graph.NodeID, d
 				if waitHere > r.opts.MaxWait {
 					break
 				}
-				trip, ok := w.index.Trip(dep.TripID)
-				if !ok {
-					continue
-				}
+				trip := trips[dep.TripID]
 				route, _ := w.index.Feed().Route(trip.RouteID)
 				boarded := curLabel
 				boarded.wait += float32(waitHere)

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -35,6 +36,15 @@ const unreachedRef = gtfs.Seconds(-1)
 // position): a trip's arrival there is fixed, so a second relaxation of it
 // can never win, and the production search, which rides each trip once,
 // does not make it. rerides counts the second relaxations it left out.
+// tripsByID maps each of the index's trips by its ID.
+func tripsByID(ix *gtfs.Index) map[gtfs.TripID]*gtfs.Trip {
+	out := make(map[gtfs.TripID]*gtfs.Trip, len(ix.Trips()))
+	for i := range ix.Trips() {
+		out[ix.Trips()[i].ID] = &ix.Trips()[i]
+	}
+	return out
+}
+
 func referenceArrivals(road *graph.Graph, ix *gtfs.Index, stopNode map[gtfs.StopID]graph.NodeID, opts Options, origin graph.NodeID, depart gtfs.Seconds) (arrive []gtfs.Seconds, relaxations, rerides int64) {
 	opts = opts.withDefaults()
 	n := road.NumNodes()
@@ -59,6 +69,7 @@ func referenceArrivals(road *graph.Graph, ix *gtfs.Index, stopNode map[gtfs.Stop
 		pos  int
 	}
 	rode := make(map[ride]bool)
+	trips := tripsByID(ix)
 	arrive[origin] = depart
 	deadline := depart + opts.MaxJourney
 	for {
@@ -87,10 +98,7 @@ func referenceArrivals(road *graph.Graph, ix *gtfs.Index, stopNode map[gtfs.Stop
 				if dep.Departure-now > opts.MaxWait {
 					break
 				}
-				trip, ok := ix.Trip(dep.TripID)
-				if !ok {
-					continue
-				}
+				trip := trips[dep.TripID]
 				for pos := dep.StopIndex + 1; pos < len(trip.StopTimes); pos++ {
 					st := trip.StopTimes[pos]
 					if st.Arrival > deadline {
@@ -266,9 +274,10 @@ func buildFixture(t *testing.T) *scenario {
 	trip("A", "R1", []gtfs.StopID{"S1", "SU", "SI", "S4"}, []gtfs.Seconds{hms(7, 0), hms(7, 2), hms(7, 3), hms(7, 6)})
 	trip("P", "R1", []gtfs.StopID{"SP", "S4"}, []gtfs.Seconds{hms(7, 10), hms(7, 13)})
 	trip("Q", "R2", []gtfs.StopID{"SQ", "S4"}, []gtfs.Seconds{hms(7, 10), hms(7, 13)})
-	trip("F", "R3", []gtfs.StopID{"S1", "SP", "S4"}, []gtfs.Seconds{hms(7, 5), hms(7, 8), hms(7, 12)})
-	if err := f.AddFrequency(gtfs.Frequency{TripID: "F", Start: hms(7, 5), End: hms(8, 5), Headway: 600}); err != nil {
-		t.Fatal(err)
+	// F runs every 10 minutes from 07:05 to 07:55: runs F#0 to F#5.
+	for n := 0; n < 6; n++ {
+		d := gtfs.Seconds(n * 600)
+		trip(gtfs.TripID(fmt.Sprintf("F#%d", n)), "R3", []gtfs.StopID{"S1", "SP", "S4"}, []gtfs.Seconds{hms(7, 5) + d, hms(7, 8) + d, hms(7, 12) + d})
 	}
 	ix := gtfs.NewIndex(f, time.Tuesday)
 	sn := map[gtfs.StopID]graph.NodeID{
@@ -278,7 +287,7 @@ func buildFixture(t *testing.T) *scenario {
 }
 
 // fixtureDeparts are the fixture's start times: before service, on trip
-// A, on a frequency run, into the P/Q tie from n2, and late.
+// A, on a run of F, into the P/Q tie from n2, and late.
 var fixtureDeparts = []gtfs.Seconds{6*3600 + 50*60, 6*3600 + 58*60, 7*3600 + 3*60, 7*3600 + 8*60, 7*3600 + 40*60}
 
 func TestProfileMatchesReferenceFixture(t *testing.T) {
@@ -297,8 +306,8 @@ func TestProfileMatchesReferenceFixture(t *testing.T) {
 }
 
 // TestRideOnceFixture pins the drop in relaxations where the fixture's
-// frequency run F#1 is boarded at two of its stops in one search, once in
-// each order. From n1 at 06:58 it is boarded at S1 and ridden to S4; n2,
+// run F#1 is boarded at two of its stops in one search, once in each
+// order. From n1 at 06:58 it is boarded at S1 and ridden to S4; n2,
 // settled at 07:08, would board it again at SP, and that boarding is
 // skipped. From n2 at 07:00 it is boarded at SP and ridden to S4; n1,
 // settled at 07:10, boards it upstream at S1 and rides it only to SP. In

@@ -752,16 +752,6 @@ func (m *Manager) Wait(ctx context.Context, job *Job) (*core.Result, error) {
 	}
 }
 
-// Do is the synchronous path: submit, then wait. It shares the cache,
-// dedup, and admission control with async submissions.
-func (m *Manager) Do(ctx context.Context, req Request) (*core.Result, error) {
-	job, err := m.Submit(req)
-	if err != nil {
-		return nil, err
-	}
-	return m.Wait(ctx, job)
-}
-
 // Cancel moves a queued or running job to the cancelled state. The last
 // job on a flight takes the flight with it: a queued flight is skipped by
 // the worker, a running one has its context cancelled so the engine stops

@@ -24,6 +24,16 @@ type stubEngine struct {
 	degraded bool // answer with a degradation report attached
 }
 
+// Do is the synchronous path: submit, then wait. It shares the cache,
+// dedup, and admission control with async submissions.
+func (m *Manager) Do(ctx context.Context, req Request) (*core.Result, error) {
+	job, err := m.Submit(req)
+	if err != nil {
+		return nil, err
+	}
+	return m.Wait(ctx, job)
+}
+
 func (s *stubEngine) run(ctx context.Context, req Request) (*core.Result, error) {
 	s.runs.Add(1)
 	if s.started != nil {

@@ -40,15 +40,6 @@ func BuildCube(base Spec, intervals []gtfs.Interval) (*Cube, error) {
 	return c, nil
 }
 
-// Matrix returns the matrix for interval index i, or nil when out of
-// range.
-func (c *Cube) Matrix(i int) *Matrix {
-	if i < 0 || i >= len(c.Matrices) {
-		return nil
-	}
-	return c.Matrices[i]
-}
-
 // Size returns the total sampled trips across all intervals.
 func (c *Cube) Size() int64 {
 	var n int64

@@ -8,6 +8,15 @@ import (
 	"accessquery/internal/gtfs"
 )
 
+// Matrix returns the matrix for interval index i, or nil when out of
+// range.
+func (c *Cube) Matrix(i int) *Matrix {
+	if i < 0 || i >= len(c.Matrices) {
+		return nil
+	}
+	return c.Matrices[i]
+}
+
 func cubeIntervals() []gtfs.Interval {
 	return []gtfs.Interval{
 		{Start: 7 * 3600, End: 9 * 3600, Day: time.Tuesday, Label: "AM peak"},
@@ -50,7 +59,7 @@ func TestBuildCube(t *testing.T) {
 	// Each interval's start times stay inside its own window.
 	for i, m := range c.Matrices {
 		for _, ts := range m.StartTimes {
-			if !c.Intervals[i].Contains(ts) {
+			if v := c.Intervals[i]; ts < v.Start || ts >= v.End {
 				t.Errorf("interval %d start time %v outside window", i, ts)
 			}
 		}

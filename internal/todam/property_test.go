@@ -51,7 +51,7 @@ func TestMatrixInvariantsProperty(t *testing.T) {
 			}
 		}
 		for _, ts := range m.StartTimes {
-			if !spec.Interval.Contains(ts) {
+			if ts < spec.Interval.Start || ts >= spec.Interval.End {
 				return false
 			}
 		}

@@ -280,24 +280,12 @@ func (m *Matrix) Reduction() float64 {
 // Zones returns |Z|.
 func (m *Matrix) Zones() int { return len(m.Spec.ZonePts) }
 
-// POIs returns |P|.
-func (m *Matrix) POIs() int { return len(m.Spec.POIPts) }
-
 // Row returns the sampled pairs for a zone. The slice must not be modified.
 func (m *Matrix) Row(zone int) []PairTrips {
 	if zone < 0 || zone >= len(m.Rows) {
 		return nil
 	}
 	return m.Rows[zone]
-}
-
-// ZoneTripCount returns the number of sampled trips originating at zone.
-func (m *Matrix) ZoneTripCount(zone int) int {
-	var n int
-	for _, pt := range m.Row(zone) {
-		n += len(pt.Times)
-	}
-	return n
 }
 
 // AssociatedPOIs returns how many POIs have positive attractiveness for the

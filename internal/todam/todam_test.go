@@ -15,6 +15,18 @@ import (
 
 var base = geo.Point{Lat: 52.45, Lon: -1.9}
 
+// ZoneTripCount returns the number of sampled trips originating at zone.
+func (m *Matrix) ZoneTripCount(zone int) int {
+	var n int
+	for _, pt := range m.Row(zone) {
+		n += len(pt.Times)
+	}
+	return n
+}
+
+// POIs returns |P|.
+func (m *Matrix) POIs() int { return len(m.Spec.POIPts) }
+
 func amPeak() gtfs.Interval {
 	return gtfs.Interval{Start: 7 * 3600, End: 9 * 3600, Day: time.Tuesday}
 }
@@ -127,7 +139,7 @@ func TestBuildBasicInvariants(t *testing.T) {
 		t.Fatalf("|R| = %d, want 60", len(m.StartTimes))
 	}
 	for i, ts := range m.StartTimes {
-		if !m.Spec.Interval.Contains(ts) {
+		if ts < m.Spec.Interval.Start || ts >= m.Spec.Interval.End {
 			t.Errorf("start time %v outside interval", ts)
 		}
 		if i > 0 && ts < m.StartTimes[i-1] {
@@ -277,7 +289,7 @@ func TestEachTrip(t *testing.T) {
 		if tr.Zone != 3 {
 			t.Errorf("trip zone %d", tr.Zone)
 		}
-		if !m.Spec.Interval.Contains(tr.Start) {
+		if tr.Start < m.Spec.Interval.Start || tr.Start >= m.Spec.Interval.End {
 			t.Errorf("trip start %v outside interval", tr.Start)
 		}
 		if tr.Alpha <= 0 || tr.Alpha > 1 {
