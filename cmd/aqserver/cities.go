@@ -22,9 +22,6 @@ import (
 // tenant; a blank name is the registry's first city. A miss is answered
 // 404 unknown_city and returns false.
 func (s *server) tenantFor(w http.ResponseWriter, name string) (*registry.Tenant, bool) {
-	if strings.TrimSpace(name) == "" {
-		name = s.reg.DefaultName()
-	}
 	tn, ok := s.reg.Get(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, codeUnknownCity,

@@ -75,6 +75,12 @@ func TestServerFlags(t *testing.T) {
 			t.Errorf("README does not document `-%s`", name)
 		}
 	}
+
+	// Nothing logs below info, so a debug level would change nothing.
+	fs = flag.NewFlagSet("aqserver", flag.ContinueOnError)
+	if _, err := parseFlags(fs, []string{"-log-level", "debug"}); err == nil {
+		t.Error("-log-level debug accepted")
+	}
 }
 
 // TestParseFlagsBinds checks that flags land on the config fields the

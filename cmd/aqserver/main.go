@@ -23,6 +23,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
@@ -66,6 +67,7 @@ type config struct {
 	faultSpec, sloSpec, snapshotDir, logLevel string
 	drainTimeout                              time.Duration
 	bankOn, version                           bool
+	level                                     olog.Level // parsed -log-level
 
 	serve    serve.Config
 	capture  capture.Config
@@ -99,9 +101,16 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.IntVar(&c.capture.MaxCaptures, "captures", 32, "slow-query captures retained in memory (0 disables capture)")
 	fs.StringVar(&c.capture.Dir, "capture-dir", "", "mirror captures to this directory as <id>.json files")
 	fs.StringVar(&c.snapshotDir, "snapshot-dir", "snapshots", "directory the /v1/cities/{name}/snapshots resource lists, saves to, and activates from")
-	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug, info, warn, error")
+	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: info, warn, error")
 	fs.BoolVar(&c.version, "version", false, "print version and exit")
-	return c, fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	var err error
+	if c.level, err = olog.ParseLevel(c.logLevel); err != nil {
+		return nil, fmt.Errorf("-log-level: %w", err)
+	}
+	return c, nil
 }
 
 func main() {
@@ -113,11 +122,7 @@ func main() {
 		buildinfo.Print(os.Stdout, "aqserver")
 		return
 	}
-	if lvl, err := olog.ParseLevel(c.logLevel); err != nil {
-		logger.Fatal("bad -log-level", olog.Err(err))
-	} else {
-		olog.Default.SetLevel(lvl)
-	}
+	olog.Default.SetLevel(c.level)
 	buildinfo.Register()
 	if c.faultSpec != "" {
 		spec, err := fault.ParseSpec(c.faultSpec)

@@ -9,7 +9,8 @@
 // what to shard. Process-wide CPU and heap belong to pprof, not here: they
 // cannot be split between concurrent tenants.
 //
-// A nil *Accountant disables everything: every method is nil-safe and the
+// A nil *Accountant disables everything: every method is nil-safe, a nil
+// Accountant hands out nil *Tenant records that bill nothing, and the
 // disabled path performs no allocation and no locking, so embedders pay
 // nothing when accounting is off.
 package account
@@ -55,85 +56,111 @@ type TenantCost struct {
 // Accountant is a valid, zero-cost disabled accountant.
 type Accountant struct {
 	mu      sync.Mutex
-	tenants map[string]*TenantCost
+	tenants map[string]*Tenant // written only when a record is created
 }
 
 // New returns an empty accountant.
 func New() *Accountant {
-	return &Accountant{tenants: make(map[string]*TenantCost)}
+	return &Accountant{tenants: make(map[string]*Tenant)}
 }
 
-// Bill attributes one served query to city: a cache hit counts as such,
-// anything else as an engine run with its wall, queue and stage time.
-func (a *Accountant) Bill(city string, b Bill) {
+// Tenant is one city's cost record: its TenantCost rollup and its aq_cost_*
+// series, all under one mutex. The serving layer resolves it once per city
+// and bills through it; a nil *Tenant (a disabled accountant's) bills
+// nothing. Integer-unit counters (micros) keep the registry's monotone
+// counter type.
+type Tenant struct {
+	mu   sync.Mutex
+	cost TenantCost
+
+	jobs, failures, cacheHits, wallMicros, queueMicros *obs.CounterMetric
+	spqs, bankDrained, builds, buildMicros             *obs.CounterMetric
+	stageMicros                                        map[string]*obs.CounterMetric
+}
+
+// Ensure returns city's record, creating it and its series on first use.
+// A nil Accountant returns nil.
+func (a *Accountant) Ensure(city string) *Tenant {
 	if a == nil {
-		return
+		return nil
 	}
 	a.mu.Lock()
-	tc := a.tenantLocked(city)
-	if b.CacheHit {
-		tc.CacheHits++
-	} else {
-		tc.Jobs++
-		if b.Failed {
-			tc.Failures++
-		}
-		tc.WallSeconds += b.Wall.Seconds()
-		tc.QueueWaitSeconds += b.QueueWait.Seconds()
-		tc.SPQs += b.SPQs
-		tc.BankDrained += b.BankDrained
-		for _, st := range b.Stages {
-			tc.StageSeconds[st.Name] += st.Seconds
-		}
+	defer a.mu.Unlock()
+	if t, ok := a.tenants[city]; ok {
+		return t
 	}
-	a.mu.Unlock()
+	counter := func(family string) *obs.CounterMetric {
+		return obs.Counter(fmt.Sprintf("%s{city=%q}", family, city))
+	}
+	t := &Tenant{
+		cost:        TenantCost{City: city, StageSeconds: make(map[string]float64)},
+		jobs:        counter("aq_cost_jobs_total"),
+		failures:    counter("aq_cost_failures_total"),
+		cacheHits:   counter("aq_cost_cache_hits_total"),
+		wallMicros:  counter("aq_cost_wall_micros_total"),
+		queueMicros: counter("aq_cost_queue_wait_micros_total"),
+		spqs:        counter("aq_cost_spqs_total"),
+		bankDrained: counter("aq_cost_bank_drained_total"),
+		builds:      counter("aq_cost_builds_total"),
+		buildMicros: counter("aq_cost_build_micros_total"),
+		stageMicros: make(map[string]*obs.CounterMetric),
+	}
+	a.tenants[city] = t
+	return t
+}
 
-	cm := costMetricsFor(city)
-	if b.CacheHit {
-		cm.cacheHits.Inc()
+// Bill attributes one served query to the city: a cache hit counts as
+// such, anything else as an engine run with its wall, queue and stage time.
+func (t *Tenant) Bill(b Bill) {
+	if t == nil {
 		return
 	}
-	cm.jobs.Inc()
-	if b.Failed {
-		cm.failures.Inc()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	tc := &t.cost
+	if b.CacheHit {
+		tc.CacheHits++
+		t.cacheHits.Inc()
+		return
 	}
-	cm.wallMicros.Add(b.Wall.Microseconds())
-	cm.queueMicros.Add(b.QueueWait.Microseconds())
-	cm.spqs.Add(b.SPQs)
-	cm.bankDrained.Add(b.BankDrained)
+	tc.Jobs++
+	t.jobs.Inc()
+	if b.Failed {
+		tc.Failures++
+		t.failures.Inc()
+	}
+	tc.WallSeconds += b.Wall.Seconds()
+	t.wallMicros.Add(b.Wall.Microseconds())
+	tc.QueueWaitSeconds += b.QueueWait.Seconds()
+	t.queueMicros.Add(b.QueueWait.Microseconds())
+	tc.SPQs += b.SPQs
+	t.spqs.Add(b.SPQs)
+	tc.BankDrained += b.BankDrained
+	t.bankDrained.Add(b.BankDrained)
 	for _, st := range b.Stages {
-		cm.stage(st.Name).Add(int64(st.Seconds * 1e6))
+		tc.StageSeconds[st.Name] += st.Seconds
+		c, ok := t.stageMicros[st.Name]
+		if !ok {
+			c = obs.Counter(fmt.Sprintf("aq_cost_stage_micros_total{city=%q,stage=%q}", tc.City, st.Name))
+			t.stageMicros[st.Name] = c
+		}
+		c.Add(int64(st.Seconds * 1e6))
 	}
 }
 
 // RecordBuild bills an engine (re)build — snapshot load, scenario rebuild,
 // hot-swap — to the city it served.
 func (a *Accountant) RecordBuild(city string, d time.Duration) {
-	if a == nil {
+	t := a.Ensure(city)
+	if t == nil {
 		return
 	}
-	a.mu.Lock()
-	tc := a.tenantLocked(city)
-	tc.Builds++
-	tc.BuildSeconds += d.Seconds()
-	a.mu.Unlock()
-	cm := costMetricsFor(city)
-	cm.builds.Inc()
-	cm.buildMicros.Add(d.Microseconds())
-}
-
-// tenantLocked returns (creating on first use) city's rollup. Callers hold
-// a.mu.
-func (a *Accountant) tenantLocked(city string) *TenantCost {
-	if city == "" {
-		city = "default"
-	}
-	tc, ok := a.tenants[city]
-	if !ok {
-		tc = &TenantCost{City: city, StageSeconds: make(map[string]float64)}
-		a.tenants[city] = tc
-	}
-	return tc
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.cost.Builds++
+	t.cost.BuildSeconds += d.Seconds()
+	t.builds.Inc()
+	t.buildMicros.Add(d.Microseconds())
 }
 
 // Snapshot returns every tenant's accumulated cost, sorted by city.
@@ -143,77 +170,19 @@ func (a *Accountant) Snapshot() []TenantCost {
 	}
 	a.mu.Lock()
 	out := make([]TenantCost, 0, len(a.tenants))
-	for _, tc := range a.tenants {
-		c := *tc
-		c.StageSeconds = make(map[string]float64, len(tc.StageSeconds))
-		for k, v := range tc.StageSeconds {
+	for _, t := range a.tenants {
+		t.mu.Lock()
+		c := t.cost
+		c.StageSeconds = make(map[string]float64, len(t.cost.StageSeconds))
+		for k, v := range t.cost.StageSeconds {
 			c.StageSeconds[k] = v
 		}
+		t.mu.Unlock()
 		out = append(out, c)
 	}
 	a.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].City < out[j].City })
 	return out
-}
-
-// costMetrics is one city's slice of the aq_cost_* series. Integer-unit
-// counters (micros, bytes) keep the registry's monotone counter type.
-type costMetrics struct {
-	city        string
-	jobs        *obs.CounterMetric
-	failures    *obs.CounterMetric
-	cacheHits   *obs.CounterMetric
-	wallMicros  *obs.CounterMetric
-	queueMicros *obs.CounterMetric
-	spqs        *obs.CounterMetric
-	bankDrained *obs.CounterMetric
-	builds      *obs.CounterMetric
-	buildMicros *obs.CounterMetric
-
-	stageMu     sync.Mutex
-	stageMicros map[string]*obs.CounterMetric
-}
-
-func (cm *costMetrics) stage(name string) *obs.CounterMetric {
-	cm.stageMu.Lock()
-	defer cm.stageMu.Unlock()
-	c, ok := cm.stageMicros[name]
-	if !ok {
-		c = obs.Counter(fmt.Sprintf("aq_cost_stage_micros_total{city=%q,stage=%q}", cm.city, name))
-		cm.stageMicros[name] = c
-	}
-	return c
-}
-
-var (
-	costMetricsMu sync.Mutex
-	costMetricsBy = make(map[string]*costMetrics)
-)
-
-func costMetricsFor(city string) *costMetrics {
-	if city == "" {
-		city = "default"
-	}
-	costMetricsMu.Lock()
-	defer costMetricsMu.Unlock()
-	if cm, ok := costMetricsBy[city]; ok {
-		return cm
-	}
-	cm := &costMetrics{
-		city:        city,
-		jobs:        obs.Counter(fmt.Sprintf("aq_cost_jobs_total{city=%q}", city)),
-		failures:    obs.Counter(fmt.Sprintf("aq_cost_failures_total{city=%q}", city)),
-		cacheHits:   obs.Counter(fmt.Sprintf("aq_cost_cache_hits_total{city=%q}", city)),
-		wallMicros:  obs.Counter(fmt.Sprintf("aq_cost_wall_micros_total{city=%q}", city)),
-		queueMicros: obs.Counter(fmt.Sprintf("aq_cost_queue_wait_micros_total{city=%q}", city)),
-		spqs:        obs.Counter(fmt.Sprintf("aq_cost_spqs_total{city=%q}", city)),
-		bankDrained: obs.Counter(fmt.Sprintf("aq_cost_bank_drained_total{city=%q}", city)),
-		builds:      obs.Counter(fmt.Sprintf("aq_cost_builds_total{city=%q}", city)),
-		buildMicros: obs.Counter(fmt.Sprintf("aq_cost_build_micros_total{city=%q}", city)),
-		stageMicros: make(map[string]*obs.CounterMetric),
-	}
-	costMetricsBy[city] = cm
-	return cm
 }
 
 func init() {

@@ -1,6 +1,7 @@
 package account
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -9,7 +10,8 @@ import (
 
 func TestBillRollsUpPerTenant(t *testing.T) {
 	a := New()
-	a.Bill("coventry", Bill{
+	rec := a.Ensure("coventry")
+	rec.Bill(Bill{
 		Wall:      250 * time.Millisecond,
 		QueueWait: 50 * time.Millisecond,
 		Stages: []obs.Stage{
@@ -19,9 +21,9 @@ func TestBillRollsUpPerTenant(t *testing.T) {
 		SPQs:        42,
 		BankDrained: 7,
 	})
-	a.Bill("coventry", Bill{Wall: 100 * time.Millisecond, Failed: true})
-	a.Bill("leeds", Bill{Wall: time.Millisecond})
-	a.Bill("coventry", Bill{CacheHit: true})
+	rec.Bill(Bill{Wall: 100 * time.Millisecond, Failed: true})
+	a.Ensure("leeds").Bill(Bill{Wall: time.Millisecond})
+	a.Ensure("coventry").Bill(Bill{CacheHit: true})
 	a.RecordBuild("leeds", 2*time.Second)
 
 	snap := a.Snapshot()
@@ -56,8 +58,11 @@ func TestBillRollsUpPerTenant(t *testing.T) {
 // leans on this (see the serve-layer zero-alloc test).
 func TestNilAccountant(t *testing.T) {
 	var a *Accountant
-	a.Bill("x", Bill{Wall: time.Second})
-	a.Bill("x", Bill{CacheHit: true})
+	if tn := a.Ensure("x"); tn != nil {
+		t.Fatalf("nil Ensure = %v, want nil", tn)
+	}
+	a.Ensure("x").Bill(Bill{Wall: time.Second})
+	a.Ensure("x").Bill(Bill{CacheHit: true})
 	a.RecordBuild("x", time.Second)
 	if snap := a.Snapshot(); snap != nil {
 		t.Errorf("nil Snapshot = %v, want nil", snap)
@@ -67,10 +72,35 @@ func TestNilAccountant(t *testing.T) {
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var a *Accountant
 	allocs := testing.AllocsPerRun(100, func() {
-		a.Bill("coventry", Bill{})
-		a.Bill("coventry", Bill{CacheHit: true})
+		a.Ensure("coventry").Bill(Bill{})
+		a.Ensure("coventry").Bill(Bill{CacheHit: true})
 	})
 	if allocs != 0 {
 		t.Errorf("disabled accountant allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestConcurrentBilling bills one city from several goroutines while they
+// also look its record up, record builds and take snapshots: the record's
+// one mutex must keep every count (run under -race).
+func TestConcurrentBilling(t *testing.T) {
+	a := New()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				a.Ensure("coventry").Bill(Bill{Wall: time.Millisecond, Stages: []obs.Stage{{Name: "matrix", Seconds: 0.001}}})
+				a.Ensure("coventry").Bill(Bill{CacheHit: true})
+				a.RecordBuild("coventry", time.Millisecond)
+				a.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	snap := a.Snapshot()
+	if len(snap) != 1 || snap[0].Jobs != 800 || snap[0].CacheHits != 800 || snap[0].Builds != 800 {
+		t.Errorf("snapshot = %+v, want one tenant with 800 jobs, hits and builds", snap)
 	}
 }

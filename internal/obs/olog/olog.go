@@ -27,8 +27,7 @@ type Level int32
 
 // Levels, least to most severe.
 const (
-	LevelDebug Level = iota
-	LevelInfo
+	LevelInfo Level = iota
 	LevelWarn
 	LevelError
 	levelFatal // emitted by Fatal only; not a settable minimum
@@ -37,8 +36,6 @@ const (
 // String returns the level's lowercase name.
 func (l Level) String() string {
 	switch l {
-	case LevelDebug:
-		return "debug"
 	case LevelInfo:
 		return "info"
 	case LevelWarn:
@@ -51,12 +48,11 @@ func (l Level) String() string {
 	return fmt.Sprintf("level(%d)", int32(l))
 }
 
-// ParseLevel maps a level name ("debug", "info", "warn"/"warning",
-// "error"), case-insensitively, to its Level.
+// ParseLevel maps a level name ("info", "warn"/"warning", "error"),
+// case-insensitively, to its Level. There is no debug level: nothing logs
+// below info.
 func ParseLevel(s string) (Level, error) {
 	switch strings.ToLower(s) {
-	case "debug":
-		return LevelDebug, nil
 	case "info":
 		return LevelInfo, nil
 	case "warn", "warning":

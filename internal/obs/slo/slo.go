@@ -14,8 +14,9 @@
 // 1h; slow: 1h AND 6h) and fire only when both burn — the short window
 // gives fast reset, the long one rides out blips.
 //
-// A nil *Engine disables everything: Record is nil-safe and allocation-
-// free, so the disabled path costs one pointer compare per query.
+// A nil *Engine disables everything: it hands out nil *Tenant records,
+// whose Record and FastBurn are nil-safe and allocation-free, so the
+// disabled path costs one pointer compare per query.
 package slo
 
 import (
@@ -199,11 +200,6 @@ type slot struct {
 	slow   int64
 }
 
-type tenantSLO struct {
-	obj   Objectives
-	slots []slot
-}
-
 // Engine evaluates burn rates for every tenant that records outcomes.
 // Create with New; a nil Engine is a valid disabled engine.
 type Engine struct {
@@ -211,7 +207,7 @@ type Engine struct {
 	now  func() time.Time
 
 	mu      sync.Mutex
-	tenants map[string]*tenantSLO
+	tenants map[string]*Tenant // written only when a record is created
 }
 
 // New returns an engine enforcing spec, or nil when spec is nil (SLOs
@@ -223,31 +219,55 @@ func New(spec *Spec) *Engine {
 	return &Engine{
 		spec:    spec,
 		now:     time.Now,
-		tenants: make(map[string]*tenantSLO),
+		tenants: make(map[string]*Tenant),
 	}
 }
 
-// Ensure registers city so it appears in reports (and its burn-rate
-// gauges exist) before any traffic arrives.
-func (e *Engine) Ensure(city string) {
+// Tenant is one city's SLO record: its objectives and its outcome ring,
+// under its own mutex. The serving layer resolves it once per city and
+// records through it; a nil *Tenant (a disabled engine's) records nothing
+// and never burns.
+type Tenant struct {
+	city string
+	obj  Objectives
+	now  func() time.Time
+
+	mu    sync.Mutex
+	slots []slot
+}
+
+// Ensure returns city's record, creating it and registering its burn-rate
+// gauges on first use, so the city appears in reports before any traffic
+// arrives. A nil Engine returns nil.
+func (e *Engine) Ensure(city string) *Tenant {
 	if e == nil {
-		return
+		return nil
 	}
 	e.mu.Lock()
-	e.tenantLocked(city)
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	if t, ok := e.tenants[city]; ok {
+		return t
+	}
+	t := &Tenant{city: city, obj: e.spec.For(city), now: e.now, slots: make([]slot, numBuckets)}
+	e.tenants[city] = t
+	for _, w := range windows {
+		dur := w.dur
+		series := fmt.Sprintf("aq_slo_burn_rate{city=%q,window=%q}", city, w.name)
+		obs.Default.GaugeFunc(series, func() float64 { return t.burnRate(dur) })
+	}
+	return t
 }
 
-// Record folds one finished query into city's outcome stream. Failed
+// Record folds one finished query into the city's outcome stream. Failed
 // queries count against availability; successful ones slower than the
-// latency target count against latency. Nil engines record nothing.
-func (e *Engine) Record(city string, latency time.Duration, failed bool) {
-	if e == nil {
+// latency target count against latency.
+func (t *Tenant) Record(latency time.Duration, failed bool) {
+	if t == nil {
 		return
 	}
-	e.mu.Lock()
-	t := e.tenantLocked(city)
-	ep := e.now().Unix() / bucketSeconds
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ep := t.now().Unix() / bucketSeconds
 	sl := &t.slots[int(ep%numBuckets)]
 	if sl.epoch != ep {
 		*sl = slot{epoch: ep}
@@ -259,34 +279,11 @@ func (e *Engine) Record(city string, latency time.Duration, failed bool) {
 	case t.obj.LatencyTarget > 0 && latency > t.obj.LatencyTarget:
 		sl.slow++
 	}
-	e.mu.Unlock()
 }
 
-// tenantLocked returns (creating and registering gauges on first use)
-// city's window state. Callers hold e.mu.
-func (e *Engine) tenantLocked(city string) *tenantSLO {
-	if city == "" {
-		city = "default"
-	}
-	t, ok := e.tenants[city]
-	if !ok {
-		t = &tenantSLO{obj: e.spec.For(city), slots: make([]slot, numBuckets)}
-		e.tenants[city] = t
-		// The gauges capture their own copy of the name: capturing the
-		// parameter would move it to the heap on every call, not just
-		// this first one.
-		name := city
-		for _, w := range windows {
-			w := w
-			series := fmt.Sprintf("aq_slo_burn_rate{city=%q,window=%q}", name, w.name)
-			obs.Default.GaugeFunc(series, func() float64 { return e.BurnRate(name, w.dur) })
-		}
-	}
-	return t
-}
-
-// sum totals the buckets inside [nowEpoch-buckets+1, nowEpoch].
-func (t *tenantSLO) sum(nowEpoch, buckets int64) (total, errors, slow int64) {
+// sum totals the buckets inside [nowEpoch-buckets+1, nowEpoch]. Callers
+// hold t.mu.
+func (t *Tenant) sum(nowEpoch, buckets int64) (total, errors, slow int64) {
 	min := nowEpoch - buckets + 1
 	for i := range t.slots {
 		if s := &t.slots[i]; s.epoch >= min && s.epoch <= nowEpoch {
@@ -315,33 +312,24 @@ func burns(obj Objectives, total, errors, slow int64) (availBurn, latBurn float6
 	return availBurn, latBurn
 }
 
-// BurnRate returns city's burn rate over the trailing window: the worse
-// of its availability and latency burns. Zero for unknown cities, nil
-// engines, and quiet windows.
-func (e *Engine) BurnRate(city string, window time.Duration) float64 {
-	if e == nil {
-		return 0
-	}
-	if city == "" {
-		city = "default"
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t, ok := e.tenants[city]
-	if !ok {
-		return 0
-	}
-	nowEp := e.now().Unix() / bucketSeconds
-	total, errors, slow := t.sum(nowEp, int64(window/time.Second)/bucketSeconds)
+// burnRate is the city's burn rate over the trailing window: the worse of
+// its availability and latency burns; zero for a quiet window.
+func (t *Tenant) burnRate(window time.Duration) float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	total, errors, slow := t.sum(t.now().Unix()/bucketSeconds, int64(window/time.Second)/bucketSeconds)
 	a, l := burns(t.obj, total, errors, slow)
 	return max(a, l)
 }
 
-// FastBurn is the paging signal: city is burning fast only when both the
-// 5m and 1h windows agree, so a brief spike resets within minutes but a
-// sustained burn fires quickly.
-func (e *Engine) FastBurn(city string) float64 {
-	return min(e.BurnRate(city, 5*time.Minute), e.BurnRate(city, time.Hour))
+// FastBurn is the paging signal: the city is burning fast only when both
+// the 5m and 1h windows agree, so a brief spike resets within minutes but
+// a sustained burn fires quickly. Zero for a nil record.
+func (t *Tenant) FastBurn() float64 {
+	if t == nil {
+		return 0
+	}
+	return min(t.burnRate(5*time.Minute), t.burnRate(time.Hour))
 }
 
 // WindowReport is one evaluation window of a tenant's SLO report.
@@ -371,38 +359,25 @@ func (e *Engine) Snapshot() []TenantReport {
 		return nil
 	}
 	e.mu.Lock()
-	cities := make([]string, 0, len(e.tenants))
-	for city := range e.tenants {
-		cities = append(cities, city)
+	tenants := make([]*Tenant, 0, len(e.tenants))
+	for _, t := range e.tenants {
+		tenants = append(tenants, t)
 	}
 	e.mu.Unlock()
-	sort.Strings(cities)
-	out := make([]TenantReport, 0, len(cities))
-	for _, city := range cities {
-		if r, ok := e.Report(city); ok {
-			out = append(out, r)
-		}
+	sort.Slice(tenants, func(i, j int) bool { return tenants[i].city < tenants[j].city })
+	out := make([]TenantReport, 0, len(tenants))
+	for _, t := range tenants {
+		out = append(out, t.report())
 	}
 	return out
 }
 
-// Report returns city's multi-window report; ok is false for cities that
-// never recorded.
-func (e *Engine) Report(city string) (TenantReport, bool) {
-	if e == nil {
-		return TenantReport{}, false
-	}
-	if city == "" {
-		city = "default"
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t, ok := e.tenants[city]
-	if !ok {
-		return TenantReport{}, false
-	}
-	nowEp := e.now().Unix() / bucketSeconds
-	r := TenantReport{City: city, Objectives: t.obj.view()}
+// report is the city's multi-window report.
+func (t *Tenant) report() TenantReport {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	nowEp := t.now().Unix() / bucketSeconds
+	r := TenantReport{City: t.city, Objectives: t.obj.view()}
 	burnsByWindow := make([]float64, len(windows))
 	for i, w := range windows {
 		total, errors, slow := t.sum(nowEp, int64(w.dur/time.Second)/bucketSeconds)
@@ -416,7 +391,7 @@ func (e *Engine) Report(city string) (TenantReport, bool) {
 	}
 	r.FastBurn = min(burnsByWindow[0], burnsByWindow[1])
 	r.SlowBurn = min(burnsByWindow[1], burnsByWindow[2])
-	return r, true
+	return r
 }
 
 func init() {

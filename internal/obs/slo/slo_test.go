@@ -1,8 +1,12 @@
 package slo
 
 import (
+	"io"
+	"sync"
 	"testing"
 	"time"
+
+	"accessquery/internal/obs"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -76,16 +80,17 @@ func newTestEngine(t *testing.T, specStr string) (*Engine, *time.Time) {
 func TestBurnRateAvailability(t *testing.T) {
 	// avail=99 -> 1% error budget. 10% errors -> burn 10.
 	e, _ := newTestEngine(t, "avail=99")
+	cov := e.Ensure("coventry")
 	for i := 0; i < 90; i++ {
-		e.Record("coventry", time.Millisecond, false)
+		cov.Record(time.Millisecond, false)
 	}
 	for i := 0; i < 10; i++ {
-		e.Record("coventry", time.Millisecond, true)
+		cov.Record(time.Millisecond, true)
 	}
-	if got := e.BurnRate("coventry", 5*time.Minute); got < 9.99 || got > 10.01 {
+	if got := cov.burnRate(5 * time.Minute); got < 9.99 || got > 10.01 {
 		t.Errorf("burn = %g, want 10", got)
 	}
-	if got := e.FastBurn("coventry"); got < 9.99 || got > 10.01 {
+	if got := cov.FastBurn(); got < 9.99 || got > 10.01 {
 		t.Errorf("fast burn = %g, want 10 (both windows hold the same data)", got)
 	}
 }
@@ -93,43 +98,45 @@ func TestBurnRateAvailability(t *testing.T) {
 func TestBurnRateLatency(t *testing.T) {
 	// p90=100ms -> 10% slow budget. 20% slow -> burn 2.
 	e, _ := newTestEngine(t, "p90=100ms")
+	x := e.Ensure("x")
 	for i := 0; i < 80; i++ {
-		e.Record("x", 10*time.Millisecond, false)
+		x.Record(10*time.Millisecond, false)
 	}
 	for i := 0; i < 20; i++ {
-		e.Record("x", 500*time.Millisecond, false)
+		x.Record(500*time.Millisecond, false)
 	}
-	if got := e.BurnRate("x", time.Hour); got < 1.99 || got > 2.01 {
+	if got := x.burnRate(time.Hour); got < 1.99 || got > 2.01 {
 		t.Errorf("latency burn = %g, want 2", got)
 	}
 }
 
 func TestBurnRateWindowsAge(t *testing.T) {
 	e, now := newTestEngine(t, "avail=99")
+	x := e.Ensure("x")
 	for i := 0; i < 100; i++ {
-		e.Record("x", 0, true) // 100% errors: burn 100
+		x.Record(0, true) // 100% errors: burn 100
 	}
-	if got := e.BurnRate("x", 5*time.Minute); got != 100 {
+	if got := x.burnRate(5 * time.Minute); got != 100 {
 		t.Fatalf("burn = %g, want 100", got)
 	}
 	// Ten minutes later the 5m window is clean but 1h still burns, so the
 	// fast signal (AND of both) resets — the whole point of multi-window.
 	*now = now.Add(10 * time.Minute)
-	if got := e.BurnRate("x", 5*time.Minute); got != 0 {
+	if got := x.burnRate(5 * time.Minute); got != 0 {
 		t.Errorf("5m burn after 10m = %g, want 0", got)
 	}
-	if got := e.BurnRate("x", time.Hour); got != 100 {
+	if got := x.burnRate(time.Hour); got != 100 {
 		t.Errorf("1h burn after 10m = %g, want 100", got)
 	}
-	if got := e.FastBurn("x"); got != 0 {
+	if got := x.FastBurn(); got != 0 {
 		t.Errorf("fast burn after 10m = %g, want 0", got)
 	}
-	if r, _ := e.Report("x"); r.SlowBurn != 100 {
+	if r := x.report(); r.SlowBurn != 100 {
 		t.Errorf("slow burn after 10m = %g, want 100", r.SlowBurn)
 	}
 	// Seven hours later everything has aged out.
 	*now = now.Add(7 * time.Hour)
-	if got := e.BurnRate("x", 6*time.Hour); got != 0 {
+	if got := x.burnRate(6 * time.Hour); got != 0 {
 		t.Errorf("6h burn after 7h = %g, want 0", got)
 	}
 }
@@ -138,9 +145,10 @@ func TestBucketReuseAfterFullRotation(t *testing.T) {
 	// A record landing in a bucket slot last used >6h ago must reset the
 	// slot, not accumulate into stale counts.
 	e, now := newTestEngine(t, "avail=99")
-	e.Record("x", 0, true)
+	x := e.Ensure("x")
+	x.Record(0, true)
 	*now = now.Add(6 * time.Hour) // exactly one full ring rotation: same slot index
-	e.Record("x", 0, false)
+	x.Record(0, false)
 	total := int64(0)
 	for _, w := range e.Snapshot()[0].Windows {
 		if w.Window == "5m" {
@@ -158,7 +166,7 @@ func TestBucketReuseAfterFullRotation(t *testing.T) {
 func TestReportAndSnapshot(t *testing.T) {
 	e, _ := newTestEngine(t, "p99=2s,avail=99.9")
 	e.Ensure("quiet")
-	e.Record("busy", time.Millisecond, false)
+	e.Ensure("busy").Record(time.Millisecond, false)
 
 	snap := e.Snapshot()
 	if len(snap) != 2 {
@@ -177,19 +185,19 @@ func TestReportAndSnapshot(t *testing.T) {
 	if r.Windows[0].Total != 1 || r.Windows[0].Burn != 0 {
 		t.Errorf("5m window = %+v, want total 1 burn 0", r.Windows[0])
 	}
-	if _, ok := e.Report("never-seen"); ok {
-		t.Error("Report for unknown city claimed ok")
+	if len(e.Snapshot()) != 2 {
+		t.Error("Snapshot grew without a new city being ensured")
 	}
 }
 
 func TestNilEngine(t *testing.T) {
 	var e *Engine
-	e.Record("x", time.Second, true)
-	e.Ensure("x")
-	if got := e.BurnRate("x", time.Hour); got != 0 {
-		t.Errorf("nil BurnRate = %g", got)
+	x := e.Ensure("x")
+	if x != nil {
+		t.Fatalf("nil Ensure = %v, want nil", x)
 	}
-	if got := e.FastBurn("x"); got != 0 {
+	x.Record(time.Second, true)
+	if got := x.FastBurn(); got != 0 {
 		t.Errorf("nil FastBurn = %g", got)
 	}
 	if snap := e.Snapshot(); snap != nil {
@@ -203,9 +211,37 @@ func TestNilEngine(t *testing.T) {
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var e *Engine
 	allocs := testing.AllocsPerRun(100, func() {
-		e.Record("coventry", time.Millisecond, false)
+		e.Ensure("coventry").Record(time.Millisecond, false)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled engine allocates %.1f per record, want 0", allocs)
+	}
+}
+
+// TestConcurrentRecords records one city's outcomes from several
+// goroutines while they also read its fast burn, snapshot the engine and
+// scrape its burn-rate gauges (run under -race).
+func TestConcurrentRecords(t *testing.T) {
+	e, _ := newTestEngine(t, "avail=99")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				x := e.Ensure("concurrent")
+				x.Record(time.Millisecond, j%10 == 0)
+				x.FastBurn()
+				e.Snapshot()
+				if j%25 == 0 {
+					obs.WritePrometheus(io.Discard)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	w := e.Snapshot()[0].Windows[0]
+	if w.Total != 800 || w.Errors != 80 {
+		t.Errorf("5m window = %+v, want 800 total, 80 errors", w)
 	}
 }

@@ -470,9 +470,14 @@ func (r *Registry) buildPreset(cfg synth.Config) (*core.Engine, error) {
 	return e, nil
 }
 
-// Get resolves a tenant by (case-insensitive) name.
+// Get resolves a tenant by (case-insensitive) name; a blank name is the
+// default tenant.
 func (r *Registry) Get(name string) (*Tenant, bool) {
-	t, ok := r.tenants[strings.ToLower(strings.TrimSpace(name))]
+	name = strings.ToLower(strings.TrimSpace(name))
+	if name == "" {
+		name = r.order[0]
+	}
+	t, ok := r.tenants[name]
 	return t, ok
 }
 
@@ -487,14 +492,15 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// EpochOf reports a tenant's current epoch; ok is false for unknown
-// cities. Shaped to plug straight into serve.Config.EpochOf.
-func (r *Registry) EpochOf(name string) (uint64, bool) {
+// EpochOf resolves a city name as Get does and reports the tenant's
+// canonical name and current epoch; ok is false for unknown cities. Shaped
+// to plug straight into serve.Config.EpochOf.
+func (r *Registry) EpochOf(name string) (string, uint64, bool) {
 	t, ok := r.Get(name)
 	if !ok {
-		return 0, false
+		return "", 0, false
 	}
-	return t.Epoch(), true
+	return t.Name, t.Epoch(), true
 }
 
 // Infos snapshots every tenant in spec order.

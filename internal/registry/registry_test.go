@@ -102,10 +102,13 @@ func TestOpenSnapshotTenant(t *testing.T) {
 	if tn.Epoch() != 1 {
 		t.Errorf("fresh tenant epoch %d, want 1", tn.Epoch())
 	}
-	if ep, ok := r.EpochOf("coventry"); !ok || ep != 1 {
-		t.Errorf("EpochOf = %d, %v", ep, ok)
+	if name, ep, ok := r.EpochOf("Coventry"); !ok || name != "coventry" || ep != 1 {
+		t.Errorf("EpochOf = %q, %d, %v", name, ep, ok)
 	}
-	if _, ok := r.EpochOf("atlantis"); ok {
+	if name, ep, ok := r.EpochOf(""); !ok || name != "coventry" || ep != 1 {
+		t.Errorf("EpochOf(\"\") = %q, %d, %v, want the default tenant", name, ep, ok)
+	}
+	if _, _, ok := r.EpochOf("atlantis"); ok {
 		t.Error("EpochOf should not resolve unknown cities")
 	}
 	infos := r.Infos()

@@ -167,11 +167,3 @@ func (c *resultCache) put(key string, ans answer) {
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
 }
-
-// len reports the number of live entries (including not-yet-collected
-// expired ones).
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

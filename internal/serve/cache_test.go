@@ -9,6 +9,14 @@ import (
 	"accessquery/internal/core"
 )
 
+// len reports the number of live entries (including not-yet-collected
+// expired ones).
+func (c *resultCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
 // fakeClock is a manually-advanced clock for TTL and retention tests. It
 // is mutex-guarded because manager workers read it from other goroutines.
 type fakeClock struct {

@@ -58,15 +58,21 @@ type Config struct {
 	// city's batch traffic cannot starve the others' queue headroom.
 	// Default 1 (the single-tenant behavior).
 	Tenants int
-	// EpochOf resolves a city name to its current engine epoch, when the
-	// process runs a tenant registry. A query is keyed by its fingerprint
-	// plus that epoch: a cache entry answers it only if the current epoch
-	// computed it, and it joins only a flight admitted on the same epoch,
-	// so after a scenario change, revert or swap the same fingerprint runs
-	// on the new engine. An older epoch's entry is served only as the open
-	// breaker's stale fallback, flagged epoch_stale. Nil means epochs are
-	// never compared.
-	EpochOf func(city string) (uint64, bool)
+	// EpochOf is the manager's one city resolver, when the process runs a
+	// tenant registry: it maps a request's city (blank meaning the default
+	// tenant) to the tenant's canonical name and current engine epoch, and
+	// reports false for a city no tenant serves. Submit resolves the city
+	// once, before the fingerprint is taken, so every spelling of a city
+	// shares one tenant record and one cache entry, and an unknown city is
+	// refused with ErrUnknownCity before it leaves any state behind. A
+	// query is keyed by its fingerprint plus the epoch: a cache entry
+	// answers it only if the current epoch computed it, and it joins only a
+	// flight admitted on the same epoch, so after a scenario change, revert
+	// or swap the same fingerprint runs on the new engine. An older epoch's
+	// entry is served only as the open breaker's stale fallback, flagged
+	// epoch_stale. Nil means the manager serves one tenant, whatever the
+	// request's city, and never compares epochs.
+	EpochOf func(city string) (name string, epoch uint64, ok bool)
 	// SlowQueryThreshold gates the structured slow-query log: runs at or
 	// above it are logged with their stage breakdown. Zero disables it.
 	// Every line is written: a line needs a run of at least the threshold
@@ -157,8 +163,8 @@ var (
 	// state (HTTP 409).
 	ErrNotCancellable = errors.New("serve: job already finished")
 	// ErrUnknownCity means the request named a city no tenant serves
-	// (HTTP 404). The manager itself accepts any city; the HTTP layer and
-	// runner resolve names against the registry and use this sentinel.
+	// (HTTP 404): Submit returns it when Config.EpochOf does not know the
+	// city, and the HTTP layer when a path or ?city= names one.
 	ErrUnknownCity = errors.New("serve: unknown city")
 )
 
@@ -197,6 +203,7 @@ type Job struct {
 	// flightKey names the flight the job is attached to in
 	// Manager.flights; empty for cache hits.
 	flightKey string
+	tenant    *tenantState // the record the job is counted under
 
 	mu         sync.Mutex
 	state      State
@@ -331,6 +338,7 @@ type flight struct {
 	key      string // fp plus the admission epoch; see flightKey
 	fp       string
 	req      Request
+	tenant   *tenantState
 	enqueued time.Time // admission time, for the queue-wait histogram
 	jobs     []*Job    // guarded by Manager.mu
 	started  bool      // guarded by Manager.mu: a worker has begun the run
@@ -345,10 +353,19 @@ type flight struct {
 	probe bool
 }
 
-// tenantState is one city's slice of the manager: its circuit breaker,
-// its share of the queue, and its event counts — the one count store that
-// Stats sums and TenantStats reads. All fields are guarded by Manager.mu.
+// tenantState is one city's record: its circuit breaker, its share of the
+// queue, its event counts — the one count store that Stats sums and
+// TenantStats reads — and its handles on every per-city outlet, resolved
+// once when the record is created. Jobs, flights and outcomes carry the
+// record itself, so a served query reaches its city's counts, series, bill
+// and SLO window without a lookup by name. The handles are fixed at
+// creation; every other field is guarded by Manager.mu.
 type tenantState struct {
+	name string
+	m    cityMetrics     // the city's labeled aq_serve_* series
+	cost *account.Tenant // nil when cost accounting is off
+	slo  *slo.Tenant     // nil when SLO evaluation is off
+
 	// Breaker: open while openUntil is non-zero. Before the cooldown
 	// passes every submission for this city is served stale or rejected;
 	// after it, the breaker is half-open and admits one probe flight
@@ -362,17 +379,34 @@ type tenantState struct {
 	// Event counts since startup.
 	submitted, cacheHits, dedups, rejected, shedAsync int64
 	completed, failed, cancelled, staleServed, trips  int64
-
-	m *cityMetrics // the city's labeled aq_serve_* series
 }
 
-// tenantLocked returns (creating on first use) the named city's admission
-// state. Callers hold m.mu.
-func (m *Manager) tenantLocked(city string) *tenantState {
-	ts, ok := m.tenants[city]
+// resolve maps a request's city to its tenant's canonical name and current
+// epoch through Config.EpochOf. A manager without a resolver keeps a single
+// record, under the name its series and reports carry, on epoch 0.
+func (m *Manager) resolve(city string) (name string, epoch uint64, err error) {
+	if m.cfg.EpochOf == nil {
+		return "default", 0, nil
+	}
+	name, epoch, ok := m.cfg.EpochOf(city)
 	if !ok {
-		ts = &tenantState{m: metricsFor(city)}
-		m.tenants[city] = ts
+		return "", 0, fmt.Errorf("%w: %q", ErrUnknownCity, city)
+	}
+	return name, epoch, nil
+}
+
+// tenantLocked returns the record of a resolved city, creating it with its
+// series and outlet handles on first use. Callers hold m.mu.
+func (m *Manager) tenantLocked(name string) *tenantState {
+	ts, ok := m.tenants[name]
+	if !ok {
+		ts = &tenantState{
+			name: name,
+			m:    newCityMetrics(name),
+			cost: m.cfg.Accountant.Ensure(name),
+			slo:  m.cfg.SLO.Ensure(name),
+		}
+		m.tenants[name] = ts
 	}
 	return ts
 }
@@ -422,8 +456,9 @@ type Manager struct {
 	// retireLocked.
 	finished []finishedJob
 
-	// Per-tenant state (breaker, queue share, counts), guarded by mu and
-	// keyed by the canonical city name ("" for single-tenant managers). One
+	// One record per city (breaker, queue share, counts, outlet handles),
+	// keyed by the canonical name resolve returns and guarded by mu. It is
+	// written only when a city's first submission creates its record. One
 	// city's failing engine trips only its own breaker; the other tenants
 	// keep running.
 	tenants map[string]*tenantState
@@ -478,10 +513,17 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	name, epoch, err := m.resolve(req.City)
+	if err != nil {
+		return nil, err
+	}
+	if m.cfg.EpochOf != nil {
+		req.City = name
+	}
 	fp := req.Fingerprint()
 	var hit outcome
 	m.mu.Lock()
-	job, err := m.admitLocked(req, fp, async, m.cfg.now(), &hit)
+	job, err := m.admitLocked(req, name, fp, epoch, async, m.cfg.now(), &hit)
 	m.mu.Unlock()
 	if hit.jobs != nil {
 		m.observe(&hit)
@@ -489,17 +531,17 @@ func (m *Manager) submit(req Request, async bool) (*Job, error) {
 	return job, err
 }
 
-// admitLocked decides one submission: a dedup onto a running flight, a
-// new flight, a rejection, or a cache answer, whose outcome it leaves in
-// hit for the caller to observe once m.mu is released. Callers hold m.mu.
-func (m *Manager) admitLocked(req Request, fp string, async bool, now time.Time, hit *outcome) (*Job, error) {
+// admitLocked decides one submission of the resolved tenant on its
+// current epoch: a dedup onto a running flight, a new flight, a rejection,
+// or a cache answer, whose outcome it leaves in hit for the caller to
+// observe once m.mu is released. Callers hold m.mu.
+func (m *Manager) admitLocked(req Request, tenant, fp string, epoch uint64, async bool, now time.Time, hit *outcome) (*Job, error) {
 	if m.closed {
 		return nil, ErrShutdown
 	}
 	m.pruneLocked(now)
-	ts := m.tenantLocked(req.City)
+	ts := m.tenantLocked(tenant)
 
-	epoch := m.epochOf(req.City)
 	if ans, ok := m.cache.get(fp, epoch); ok {
 		return m.answerCachedLocked(hit, ts, req.City, fp, now, ans, false, 0), nil
 	}
@@ -558,7 +600,7 @@ func (m *Manager) admitLocked(req Request, fp string, async bool, now time.Time,
 	// Admission decision before consuming a job ID or counting the
 	// submission, so rejected queries are counted once (rejected only) and
 	// job IDs stay gapless.
-	fl := &flight{key: key, fp: fp, req: req, enqueued: now, probe: probe}
+	fl := &flight{key: key, fp: fp, req: req, tenant: ts, enqueued: now, probe: probe}
 	select {
 	case m.queue <- fl:
 		ts.queued++
@@ -598,21 +640,11 @@ func (m *Manager) answerCachedLocked(hit *outcome, ts *tenantState, city, fp str
 		mEpochStale.Inc()
 	}
 	m.retireLocked(job, now)
-	*hit = outcome{kind: hitFresh, city: city, fp: fp, jobs: []*Job{job}, ans: ans}
+	*hit = outcome{kind: hitFresh, tenant: ts, fp: fp, jobs: []*Job{job}, ans: ans}
 	if stale {
 		hit.kind = hitStale
 	}
 	return job
-}
-
-// epochOf is city's current engine epoch, or 0 when the manager runs no
-// registry (nil EpochOf) or the city is unknown to it.
-func (m *Manager) epochOf(city string) uint64 {
-	if m.cfg.EpochOf == nil {
-		return 0
-	}
-	epoch, _ := m.cfg.EpochOf(city)
-	return epoch
 }
 
 // flightKey keys the flight table: a run admitted on one epoch never
@@ -631,7 +663,7 @@ func (m *Manager) epochStale(res *core.Result) bool {
 	if m.cfg.EpochOf == nil || res == nil || res.City == "" || res.Epoch == 0 {
 		return false
 	}
-	cur, ok := m.cfg.EpochOf(res.City)
+	_, cur, ok := m.cfg.EpochOf(res.City)
 	return ok && cur != res.Epoch
 }
 
@@ -648,28 +680,17 @@ func (m *Manager) breakerStateLocked(ts *tenantState, now time.Time) (open, canP
 	return true, true
 }
 
-// anyBreakerOpenLocked reports whether any tenant's breaker is open, the
-// process-wide view behind Stats.BreakerOpen.
-// Callers hold m.mu.
-func (m *Manager) anyBreakerOpenLocked(now time.Time) bool {
-	for _, ts := range m.tenants {
-		if open, _ := m.breakerStateLocked(ts, now); open {
-			return true
-		}
-	}
-	return false
-}
-
 // breakerLocked feeds one finished run into its tenant's circuit breaker.
 // A success closes it; a failure counts toward tripping it (a failed probe
 // re-trips it at once); a neutral outcome leaves it alone, so a cancelled
 // probe leaves it half-open. With burn tripping armed, a fast SLO burn at
 // or over the threshold trips it too, without waiting for consecutive
 // hard failures. Callers hold m.mu and have recorded the run in the SLO.
-func (m *Manager) breakerLocked(ts *tenantState, o *outcome, now time.Time) {
+func (m *Manager) breakerLocked(o *outcome, now time.Time) {
 	if m.cfg.BreakerThreshold < 0 {
 		return
 	}
+	ts := o.tenant
 	if o.probe {
 		ts.probing = false
 	}
@@ -686,14 +707,14 @@ func (m *Manager) breakerLocked(ts *tenantState, o *outcome, now time.Time) {
 			m.tripLocked(ts, now)
 		}
 	}
-	if m.cfg.SLO == nil || m.cfg.BurnTripThreshold <= 0 || !ts.openUntil.IsZero() || ts.probing {
+	if ts.slo == nil || m.cfg.BurnTripThreshold <= 0 || !ts.openUntil.IsZero() || ts.probing {
 		return
 	}
-	if fb := m.cfg.SLO.FastBurn(o.city); fb >= m.cfg.BurnTripThreshold {
+	if fb := ts.slo.FastBurn(); fb >= m.cfg.BurnTripThreshold {
 		m.tripLocked(ts, now)
 		ts.m.burnTrips.Inc()
 		m.cfg.Logger.Warn("slo burn trip",
-			olog.F("city", o.city),
+			olog.F("city", ts.name),
 			olog.F("fast_burn", fb),
 			olog.F("threshold", m.cfg.BurnTripThreshold),
 			olog.F("cooldown_seconds", m.cfg.BreakerCooldown.Seconds()))
@@ -718,6 +739,7 @@ func (m *Manager) newJobLocked(ts *tenantState, city, fp string, now time.Time) 
 		ID:          fmt.Sprintf("j%08d", m.nextID),
 		Fingerprint: fp,
 		City:        city,
+		tenant:      ts,
 		state:       StateQueued,
 		created:     now,
 		done:        make(chan struct{}),
@@ -796,7 +818,7 @@ func (m *Manager) Cancel(id string) error {
 		return ErrNotCancellable
 	}
 	m.retireLocked(job, m.cfg.now())
-	m.tenantLocked(job.City).cancelled++
+	job.tenant.cancelled++
 	mCancelled.Inc()
 	return nil
 }
@@ -865,8 +887,12 @@ func (m *Manager) RetryAfter() time.Duration {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := Stats{BreakerOpen: m.anyBreakerOpenLocked(m.cfg.now()), QueueLen: len(m.queue)}
+	now := m.cfg.now()
+	st := Stats{QueueLen: len(m.queue)}
 	for _, ts := range m.tenants {
+		if open, _ := m.breakerStateLocked(ts, now); open {
+			st.BreakerOpen = true
+		}
 		st.Submitted += ts.submitted
 		st.CacheHits += ts.cacheHits
 		st.Deduplicated += ts.dedups
@@ -887,10 +913,10 @@ func (m *Manager) TenantStats() []TenantStats {
 	m.mu.Lock()
 	now := m.cfg.now()
 	out := make([]TenantStats, 0, len(m.tenants))
-	for city, ts := range m.tenants {
+	for _, ts := range m.tenants {
 		open, _ := m.breakerStateLocked(ts, now)
 		out = append(out, TenantStats{
-			City:         city,
+			City:         ts.name,
 			Queued:       ts.queued,
 			BreakerOpen:  open,
 			ConsecFails:  ts.consecFails,
@@ -946,7 +972,7 @@ func (m *Manager) worker() {
 // attached to it.
 func (m *Manager) runFlight(fl *flight) {
 	m.mu.Lock()
-	ts := m.tenantLocked(fl.req.City)
+	ts := fl.tenant
 	ts.queued--
 	ts.m.queued.Dec()
 	if fl.cancelled {
@@ -1016,7 +1042,7 @@ func (m *Manager) runFlight(fl *flight) {
 	m.mu.Unlock()
 
 	o := outcome{
-		kind: ranEngine, city: fl.req.City, fp: fl.fp, jobs: jobs, ans: ans, err: err, class: classify(err),
+		kind: ranEngine, tenant: fl.tenant, fp: fl.fp, jobs: jobs, ans: ans, err: err, class: classify(err),
 		probe: fl.probe, wait: wait, elapsed: elapsed, stages: ans.trace.Stages(),
 		deadline: errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded),
 	}
@@ -1072,7 +1098,7 @@ func classify(err error) outcomeClass {
 // engine run. observe feeds every outlet from it.
 type outcome struct {
 	kind     outcomeKind
-	city     string
+	tenant   *tenantState
 	fp       string
 	jobs     []*Job // the jobs it answers
 	ans      answer // result and body on success; for a run, always its trace
@@ -1098,16 +1124,16 @@ func (m *Manager) observe(o *outcome) {
 		}
 	}()
 	run := o.kind == ranEngine
-	m.cfg.Accountant.Bill(o.city, account.Bill{
+	ts := o.tenant
+	ts.cost.Bill(account.Bill{
 		CacheHit: !run, Wall: o.elapsed, QueueWait: o.wait, Stages: o.stages,
 		SPQs: o.spqs, BankDrained: o.bankDrained, Failed: o.class == classFailed,
 	})
 	if o.class != classNeutral {
-		m.cfg.SLO.Record(o.city, o.elapsed, o.class == classFailed)
+		ts.slo.Record(o.elapsed, o.class == classFailed)
 	}
 
 	m.mu.Lock()
-	ts := m.tenantLocked(o.city)
 	switch o.kind {
 	case hitFresh:
 		ts.cacheHits++
@@ -1124,7 +1150,7 @@ func (m *Manager) observe(o *outcome) {
 			ts.completed += n
 			ts.m.completed.Add(n)
 		}
-		m.breakerLocked(ts, o, m.cfg.now())
+		m.breakerLocked(o, m.cfg.now())
 	}
 	m.mu.Unlock()
 	if !run {
@@ -1143,7 +1169,7 @@ func (m *Manager) observe(o *outcome) {
 			ids[i] = j.ID
 		}
 		captureID = m.cfg.Captures.Trigger(capture.Info{
-			JobIDs: ids, City: o.city, Fingerprint: o.fp, Reason: reason,
+			JobIDs: ids, City: ts.name, Fingerprint: o.fp, Reason: reason,
 			Threshold: m.cfg.SlowQueryThreshold, Elapsed: o.elapsed,
 			Err: o.err, Trace: o.ans.trace,
 		})
@@ -1158,9 +1184,7 @@ func (m *Manager) observe(o *outcome) {
 		olog.F("fingerprint", o.fp),
 		olog.F("seconds", o.elapsed.Seconds()),
 		olog.F("threshold_seconds", m.cfg.SlowQueryThreshold.Seconds()),
-	}
-	if o.city != "" {
-		fields = append(fields, olog.F("city", o.city))
+		olog.F("city", ts.name),
 	}
 	if captureID != "" {
 		fields = append(fields, olog.F("capture_id", captureID))

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 
 	"accessquery/internal/obs"
 )
@@ -31,9 +30,10 @@ var (
 )
 
 // cityMetrics is one tenant's slice of the serving series: the
-// tenant-scoped families (admission, breaker, shedding, slow-log
-// suppression), labeled by city so a multi-city server can tell whose
-// traffic is failing or being shed.
+// tenant-scoped families (admission, breaker, shedding), labeled by city so
+// a multi-city server can tell whose traffic is failing or being shed. Each
+// tenant record builds its own once; the registry hands a second record for
+// the same city the same series.
 type cityMetrics struct {
 	submitted    *obs.CounterMetric // aq_serve_submitted_total{city}
 	cacheHits    *obs.CounterMetric // aq_serve_cache_hits_total{city}
@@ -47,36 +47,20 @@ type cityMetrics struct {
 	burnTrips    *obs.CounterMetric // aq_serve_burn_trips_total{city}
 }
 
-var (
-	cityMetricsMu sync.Mutex
-	cityMetricsBy = make(map[string]*cityMetrics)
-)
-
-// metricsFor memoizes the per-city labeled series; the label for requests
-// that predate multi-city routing (empty city) is "default".
-func metricsFor(city string) *cityMetrics {
-	if city == "" {
-		city = "default"
+func newCityMetrics(city string) cityMetrics {
+	label := func(family string) string { return fmt.Sprintf("%s{city=%q}", family, city) }
+	return cityMetrics{
+		submitted:    obs.Counter(label("aq_serve_submitted_total")),
+		cacheHits:    obs.Counter(label("aq_serve_cache_hits_total")),
+		completed:    obs.Counter(label("aq_serve_completed_total")),
+		failed:       obs.Counter(label("aq_serve_failed_total")),
+		staleServed:  obs.Counter(label("aq_serve_stale_served_total")),
+		shedAsync:    obs.Counter(label("aq_serve_shed_async_total")),
+		breakerTrips: obs.Counter(label("aq_serve_breaker_trips_total")),
+		breakerOpen:  obs.Gauge(label("aq_serve_breaker_open")),
+		queued:       obs.Gauge(label("aq_serve_queue_depth")),
+		burnTrips:    obs.Counter(label("aq_serve_burn_trips_total")),
 	}
-	cityMetricsMu.Lock()
-	defer cityMetricsMu.Unlock()
-	if cm, ok := cityMetricsBy[city]; ok {
-		return cm
-	}
-	cm := &cityMetrics{
-		submitted:    obs.Counter(fmt.Sprintf("aq_serve_submitted_total{city=%q}", city)),
-		cacheHits:    obs.Counter(fmt.Sprintf("aq_serve_cache_hits_total{city=%q}", city)),
-		completed:    obs.Counter(fmt.Sprintf("aq_serve_completed_total{city=%q}", city)),
-		failed:       obs.Counter(fmt.Sprintf("aq_serve_failed_total{city=%q}", city)),
-		staleServed:  obs.Counter(fmt.Sprintf("aq_serve_stale_served_total{city=%q}", city)),
-		shedAsync:    obs.Counter(fmt.Sprintf("aq_serve_shed_async_total{city=%q}", city)),
-		breakerTrips: obs.Counter(fmt.Sprintf("aq_serve_breaker_trips_total{city=%q}", city)),
-		breakerOpen:  obs.Gauge(fmt.Sprintf("aq_serve_breaker_open{city=%q}", city)),
-		queued:       obs.Gauge(fmt.Sprintf("aq_serve_queue_depth{city=%q}", city)),
-		burnTrips:    obs.Counter(fmt.Sprintf("aq_serve_burn_trips_total{city=%q}", city)),
-	}
-	cityMetricsBy[city] = cm
-	return cm
 }
 
 func init() {

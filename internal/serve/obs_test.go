@@ -17,6 +17,10 @@ import (
 	"accessquery/internal/obs/slo"
 )
 
+// anyCity is a city resolver that serves every name as its own tenant on
+// epoch 0, so a test can name the tenant a registry-less run bills.
+func anyCity(city string) (string, uint64, bool) { return city, 0, true }
+
 func testSLO(t *testing.T, spec string) *slo.Engine {
 	t.Helper()
 	s, err := slo.ParseSpec(spec)
@@ -89,6 +93,7 @@ func TestSlowQueryCapture(t *testing.T) {
 		SlowQueryThreshold: time.Millisecond,
 		Captures:           store,
 		Accountant:         acct,
+		EpochOf:            anyCity,
 	})
 	req := schoolReq()
 	req.City = "coventry"
@@ -151,7 +156,7 @@ func TestAccountantBillsRunsAndCacheHits(t *testing.T) {
 	acct := account.New()
 	stub := &stubEngine{}
 	m := newTestManager(t, stub, Config{
-		Workers: 1, CacheTTL: time.Minute, Accountant: acct,
+		Workers: 1, CacheTTL: time.Minute, Accountant: acct, EpochOf: anyCity,
 	})
 	ctx := context.Background()
 	req := schoolReq()
@@ -191,6 +196,7 @@ func TestCityFamiliesHaveNoUnlabeledTwin(t *testing.T) {
 		Workers: 1, BreakerThreshold: 1, BreakerCooldown: time.Hour,
 		SlowQueryThreshold: time.Nanosecond,
 		Logger:             olog.New(&bytes.Buffer{}, olog.LevelWarn),
+		EpochOf:            anyCity,
 	})
 	defer m.Shutdown(context.Background())
 	ctx := context.Background()
@@ -255,11 +261,15 @@ func observeAllocs(m *Manager) (run, hit float64) {
 	tr := obs.NewTrace()
 	obs.RecordSpan(obs.WithTrace(context.Background(), tr), "matrix", time.Millisecond)
 	sum := tr.Summary()
+	name, _, _ := m.resolve("coventry")
+	m.mu.Lock()
+	ts := m.tenantLocked(name)
+	m.mu.Unlock()
 	ran := outcome{
-		kind: ranEngine, city: "coventry", fp: "fp", ans: answer{trace: sum},
+		kind: ranEngine, tenant: ts, fp: "fp", ans: answer{trace: sum},
 		elapsed: time.Millisecond, stages: sum.Stages(), spqs: 10, bankDrained: 3,
 	}
-	hitO := outcome{kind: hitFresh, city: "coventry", fp: "fp"}
+	hitO := outcome{kind: hitFresh, tenant: ts, fp: "fp"}
 	run = testing.AllocsPerRun(200, func() { m.observe(&ran) })
 	hit = testing.AllocsPerRun(200, func() { m.observe(&hitO) })
 	return run, hit
@@ -307,7 +317,6 @@ func TestCancelledFlightIsNeutral(t *testing.T) {
 		}}, nil
 	}
 	eng := testSLO(t, "avail=99")
-	eng.Ensure("")
 	m := NewManager(run, Config{Workers: 1, JobTimeout: 10 * time.Millisecond, SLO: eng})
 	job, err := m.Submit(schoolReq())
 	if err != nil {
@@ -323,8 +332,11 @@ func TestCancelledFlightIsNeutral(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, _ := eng.Report("")
-	if total := rep.Windows[0].Total; total != 0 {
+	reps := eng.Snapshot()
+	if len(reps) != 1 {
+		t.Fatalf("SLO tenants = %+v, want the manager's one record", reps)
+	}
+	if total := reps[0].Windows[0].Total; total != 0 {
 		t.Errorf("SLO 5m total = %d, want 0 (a cancelled flight is neutral)", total)
 	}
 	st := m.Stats()

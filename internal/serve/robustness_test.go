@@ -352,7 +352,7 @@ func TestEpochKeysCacheAndFlights(t *testing.T) {
 	}
 	m := NewManager(run, Config{
 		Workers: 2, BreakerThreshold: 1, BreakerCooldown: time.Hour,
-		EpochOf: func(city string) (uint64, bool) { return epoch.Load(), city == "coventry" },
+		EpochOf: func(city string) (string, uint64, bool) { return city, epoch.Load(), city == "coventry" },
 	})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

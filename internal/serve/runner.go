@@ -37,24 +37,21 @@ func (c RunnerConfig) withDefaults() RunnerConfig {
 	return c
 }
 
-// RegistryRunner adapts a city registry to the manager's RunFunc. Each run
-// resolves the request's city (empty means the registry's default tenant)
-// and acquires that tenant's current engine generation, holding a
-// refcounted reference for the duration of the run: a hot-swap installed
-// mid-run retires the old generation only after this run's release, so
-// the engine under our feet can never be torn down. The result is stamped
-// with the {city, epoch} that computed it — the provenance the cache and
-// the HTTP layer surface as epoch staleness after a swap.
+// RegistryRunner adapts a city registry to the manager's RunFunc. Pair it
+// with Config.EpochOf = reg.EpochOf, which resolves every request's city to
+// its tenant's canonical name at Submit; each run then looks that tenant up
+// and acquires its current engine generation, holding a refcounted
+// reference for the duration of the run: a hot-swap installed mid-run
+// retires the old generation only after this run's release, so the engine
+// under our feet can never be torn down. The result is stamped with the
+// {city, epoch} that computed it — the provenance the cache and the HTTP
+// layer surface as epoch staleness after a swap.
 func RegistryRunner(reg *registry.Registry, cfg RunnerConfig) RunFunc {
 	cfg = cfg.withDefaults()
 	return func(ctx context.Context, req Request) (*core.Result, error) {
-		name := req.City
-		if name == "" {
-			name = reg.DefaultName()
-		}
-		tn, ok := reg.Get(name)
+		tn, ok := reg.Get(req.City)
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownCity, name)
+			return nil, fmt.Errorf("%w: %q", ErrUnknownCity, req.City)
 		}
 		engine, epoch, release := tn.Acquire()
 		defer release()

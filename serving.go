@@ -118,9 +118,11 @@ func OpenCityRegistry(specs []CityTenantSpec, opts CityRegistryOptions) (*CityRe
 }
 
 // NewCityServeManager wires a serving layer over a city registry: requests
-// route by their city field, runs acquire the tenant's current engine
-// epoch, and results carry {city, epoch} provenance. It is the multi-city
-// counterpart of NewServeManager and what cmd/aqserver runs on.
+// route by their city field (blank meaning the default tenant, a city the
+// registry does not serve refused by Submit with ErrUnknownCity), runs
+// acquire the tenant's current engine epoch, and results carry {city,
+// epoch} provenance. It is the multi-city counterpart of NewServeManager
+// and what cmd/aqserver runs on.
 func NewCityServeManager(reg *CityRegistry, cfg ServeConfig, rc ServeRunnerConfig) *ServeManager {
 	cfg.Tenants = len(reg.Names())
 	cfg.EpochOf = reg.EpochOf
