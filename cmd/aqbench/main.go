@@ -50,7 +50,7 @@ func main() {
 	}
 	buildinfo.Register()
 	if *debug != "" {
-		dbg, bound, err := obs.StartDebugServer(*debug, nil)
+		dbg, bound, err := obs.StartDebugServer(*debug, nil, nil)
 		if err != nil {
 			log.Fatalf("debug listener: %v", err)
 		}

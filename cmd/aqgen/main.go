@@ -45,7 +45,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *debug != "" {
-		dbg, bound, err := obs.StartDebugServer(*debug, nil)
+		dbg, bound, err := obs.StartDebugServer(*debug, nil, nil)
 		if err != nil {
 			log.Fatalf("debug listener: %v", err)
 		}

@@ -26,7 +26,6 @@ import (
 	"accessquery/internal/bank"
 	"accessquery/internal/obs"
 	"accessquery/internal/obs/account"
-	"accessquery/internal/obs/olog"
 	"accessquery/internal/obs/slo"
 	"accessquery/internal/serve"
 )
@@ -204,7 +203,7 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		olog.Default.Error("encoding response", olog.Err(err))
+		logger.Error("encoding response", "error", err)
 	}
 }
 

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -11,6 +17,7 @@ import (
 	"testing"
 
 	"accessquery/internal/bank"
+	"accessquery/internal/obs/olog"
 )
 
 // TestServerFlags pins aqserver's knob set: every flag name and its
@@ -18,8 +25,7 @@ import (
 // knob must be documented in README.
 func TestServerFlags(t *testing.T) {
 	want := map[string]string{
-		"city":              "coventry",
-		"cities":            "",
+		"cities":            "coventry",
 		"scale":             "0.25",
 		"addr":              "127.0.0.1:8321",
 		"debug-addr":        "",
@@ -44,8 +50,8 @@ func TestServerFlags(t *testing.T) {
 		"log-level":         "info",
 		"version":           "false",
 	}
-	if len(want) != 25 {
-		t.Fatalf("the pinned set has %d flags, want 25", len(want))
+	if len(want) != 24 {
+		t.Fatalf("the pinned set has %d flags, want 24", len(want))
 	}
 	fs := flag.NewFlagSet("aqserver", flag.ContinueOnError)
 	if _, err := parseFlags(fs, nil); err != nil {
@@ -76,10 +82,78 @@ func TestServerFlags(t *testing.T) {
 		}
 	}
 
-	// Nothing logs below info, so a debug level would change nothing.
-	fs = flag.NewFlagSet("aqserver", flag.ContinueOnError)
-	if _, err := parseFlags(fs, []string{"-log-level", "debug"}); err == nil {
-		t.Error("-log-level debug accepted")
+	// Nothing logs below info, so a debug level would change nothing; an
+	// SLO clause for a city no tenant serves would govern nothing.
+	for _, args := range [][]string{
+		{"-log-level", "debug"},
+		{"-cities", "coventry,birmingham", "-slo", "avail=99;leeds:avail=50"},
+	} {
+		fs = flag.NewFlagSet("aqserver", flag.ContinueOnError)
+		if _, err := parseFlags(fs, args); err == nil {
+			t.Errorf("%q accepted", args)
+		}
+	}
+}
+
+// TestBootFailureIsOneFatalLine runs aqserver's main in a child process
+// on flags it must refuse: it exits 1, and its whole stderr is one JSON
+// line at the fatal level naming the cause.
+func TestBootFailureIsOneFatalLine(t *testing.T) {
+	if args := os.Getenv("AQSERVER_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"aqserver"}, strings.Fields(args)...)
+		main()
+		t.Fatal("main returned")
+	}
+	for args, cause := range map[string]string{
+		"-log-level debug": `unknown level "debug"`,
+		"-cities coventry -slo avail=99;leeds:avail=50": `no tenant serves city "leeds"`,
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBootFailureIsOneFatalLine$")
+		cmd.Env = append(os.Environ(), "AQSERVER_TEST_ARGS="+args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+			t.Fatalf("%s: child exited with %v, want status 1; stderr %q", args, err, stderr.String())
+		}
+		var line map[string]any
+		if err := json.Unmarshal(stderr.Bytes(), &line); err != nil {
+			t.Fatalf("%s: stderr is not one JSON line: %q", args, stderr.String())
+		}
+		if line["level"] != "fatal" || line["msg"] != "bad flags" || !strings.Contains(fmt.Sprint(line["error"]), cause) {
+			t.Errorf("%s: fatal line = %v, want bad flags naming %s", args, line, cause)
+		}
+	}
+}
+
+// TestHTTPErrorLogIsJSON checks that what net/http logs itself — here a
+// superfluous WriteHeader — goes through the process logger as one JSON
+// line, as the aqserver listeners' ErrorLog.
+func TestHTTPErrorLogIsJSON(t *testing.T) {
+	var buf bytes.Buffer
+	old := logger
+	logger = olog.New(&buf, olog.LevelInfo).With("component", "aqserver")
+	defer func() { logger = old }()
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusTeapot)
+		w.WriteHeader(http.StatusOK)
+	}))
+	srv.Config.ErrorLog = httpErrorLog()
+	srv.Start()
+	resp, err := http.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	srv.Close() // waits for the handler, so its log line is written
+
+	var line map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
+		t.Fatalf("net/http's error is not one JSON line: %q", buf.String())
+	}
+	if line["level"] != "error" || line["component"] != "aqserver" ||
+		!strings.HasPrefix(fmt.Sprint(line["msg"]), "http: superfluous response.WriteHeader call") {
+		t.Errorf("line = %v", line)
 	}
 }
 
@@ -92,6 +166,7 @@ func TestParseFlagsBinds(t *testing.T) {
 		"-workers", "7", "-job-timeout", "3s", "-slow-query", "1s", "-slo-burn-trip", "2",
 		"-captures", "3", "-capture-dir", "caps", "-bank-capacity", "9",
 		"-scale", "0.5", "-parallelism", "4", "-bank=false",
+		"-cities", "Coventry, birmingham", "-slo", "avail=99; Coventry :avail=50",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,5 +183,8 @@ func TestParseFlagsBinds(t *testing.T) {
 	}
 	if c.registry.Scale != 0.5 || c.registry.Parallelism != 4 {
 		t.Errorf("registry options = %+v", c.registry)
+	}
+	if len(c.tenants) != 2 || c.tenants[0].Name != "coventry" || c.slo.For("coventry").AvailabilityPct != 50 {
+		t.Errorf("tenants = %+v, coventry's SLO = %+v", c.tenants, c.slo.For("coventry"))
 	}
 }

@@ -24,10 +24,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -46,8 +49,20 @@ import (
 )
 
 // logger is the process logger: structured JSON lines on stderr, stamped
-// with the component.
-var logger = olog.Default.With(olog.F("component", "aqserver"))
+// with the component. main rebuilds it at the -log-level minimum before
+// anything else logs.
+var logger = olog.Default.With("component", "aqserver")
+
+// fatal logs a boot failure as the process's last line and exits 1.
+func fatal(msg string, err error) {
+	logger.Log(context.Background(), olog.LevelFatal, msg, "error", err)
+	os.Exit(1)
+}
+
+// httpErrorLog routes what net/http logs itself (a handler panic, a
+// superfluous WriteHeader, a failed accept) through the process logger,
+// so every line aqserver writes is one JSON object.
+func httpErrorLog() *log.Logger { return slog.NewLogLogger(logger.Handler(), slog.LevelError) }
 
 type server struct {
 	reg      *registry.Registry
@@ -63,11 +78,13 @@ type server struct {
 // config is aqserver's command line. parseFlags binds each flag straight
 // onto the field it sets, so main copies nothing.
 type config struct {
-	city, cities, addr, debugAddr             string
+	cities, addr, debugAddr                   string
 	faultSpec, sloSpec, snapshotDir, logLevel string
 	drainTimeout                              time.Duration
 	bankOn, version                           bool
-	level                                     olog.Level // parsed -log-level
+	level                                     olog.Level            // parsed -log-level
+	tenants                                   []registry.TenantSpec // parsed -cities
+	slo                                       *slo.Spec             // parsed -slo; nil when off
 
 	serve    serve.Config
 	capture  capture.Config
@@ -78,8 +95,7 @@ type config struct {
 // parseFlags registers aqserver's flags on fs and parses args.
 func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	c := &config{}
-	fs.StringVar(&c.city, "city", "coventry", "city preset: birmingham or coventry (ignored when -cities is set)")
-	fs.StringVar(&c.cities, "cities", "", "comma-separated city tenants, each a preset name or name=snapshot.snap (e.g. \"coventry,birmingham=bham.snap\"); the first is the default city")
+	fs.StringVar(&c.cities, "cities", "coventry", "comma-separated city tenants, each a preset name or name=snapshot.snap (e.g. \"coventry,birmingham=bham.snap\"); the first is the default city")
 	fs.Float64Var(&c.registry.Scale, "scale", 0.25, "city scale factor")
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:8321", "listen address")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "optional loopback listener for /metrics, /debug/pprof, and /debug/captures (e.g. 127.0.0.1:8322)")
@@ -110,68 +126,68 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	if c.level, err = olog.ParseLevel(c.logLevel); err != nil {
 		return nil, fmt.Errorf("-log-level: %w", err)
 	}
+	if c.tenants, err = registry.ParseSpec(c.cities); err != nil {
+		return nil, fmt.Errorf("-cities: %w", err)
+	}
+	if c.slo, err = slo.ParseSpec(c.sloSpec); err != nil {
+		return nil, fmt.Errorf("-slo: %w", err)
+	}
+	if c.slo != nil {
+		// A clause for a city no tenant serves would govern nothing.
+		for city := range c.slo.PerCity {
+			if !slices.ContainsFunc(c.tenants, func(t registry.TenantSpec) bool { return t.Name == city }) {
+				return nil, fmt.Errorf("-slo: no tenant serves city %q", city)
+			}
+		}
+	}
 	return c, nil
 }
 
 func main() {
 	c, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
-		logger.Fatal("bad flags", olog.Err(err))
+		fatal("bad flags", err)
 	}
 	if c.version {
 		buildinfo.Print(os.Stdout, "aqserver")
 		return
 	}
-	olog.Default.SetLevel(c.level)
+	logger = olog.New(os.Stderr, c.level).With("component", "aqserver")
 	buildinfo.Register()
 	if c.faultSpec != "" {
 		spec, err := fault.ParseSpec(c.faultSpec)
 		if err != nil {
-			logger.Fatal("bad -fault-spec", olog.Err(err))
+			fatal("bad -fault-spec", err)
 		}
 		fault.Enable(fault.New(spec))
-		logger.Warn("fault injection enabled", olog.F("spec", c.faultSpec))
-	}
-	// One -cities spec covers every tenant shape; the single-city flags
-	// remain as the spec for a one-tenant registry.
-	spec := c.cities
-	if spec == "" {
-		spec = strings.ToLower(strings.TrimSpace(c.city))
-	}
-	specs, err := registry.ParseSpec(spec)
-	if err != nil {
-		logger.Fatal("bad -cities", olog.Err(err))
+		logger.Warn("fault injection enabled", "spec", c.faultSpec)
 	}
 	if c.bankOn {
 		c.registry.Bank = bank.New(c.bank)
-		logger.Info("label bank enabled", olog.F("capacity", c.bank.Capacity))
+		logger.Info("label bank enabled", "capacity", c.bank.Capacity)
 	}
 	c.serve.Accountant = account.New()
-	sloParsed, err := slo.ParseSpec(c.sloSpec)
-	if err != nil {
-		logger.Fatal("bad -slo", olog.Err(err))
-	}
-	c.serve.SLO = slo.New(sloParsed)
+	c.serve.SLO = slo.New(c.slo)
 	if c.serve.SLO != nil {
 		logger.Info("slo engine enabled",
-			olog.F("spec", c.sloSpec), olog.F("burn_trip", c.serve.BurnTripThreshold))
+			"spec", c.sloSpec, "burn_trip", c.serve.BurnTripThreshold)
 	}
 	if c.capture.MaxCaptures > 0 {
 		c.serve.Captures, err = capture.NewStore(c.capture)
 		if err != nil {
-			logger.Fatal("bad -capture-dir", olog.Err(err))
+			fatal("bad -capture-dir", err)
 		}
 	}
-	logger.Info("loading cities", olog.F("spec", spec), olog.F("scale", c.registry.Scale))
+	logger.Info("loading cities", "spec", c.cities, "scale", c.registry.Scale)
 	c.registry.Interval = gtfs.Interval{Start: 7 * 3600, End: 9 * 3600, Day: time.Tuesday, Label: "weekday AM peak"}
 	// Warm the feature-extractor caches before accepting traffic (and after
 	// every hot-swap) so the first query doesn't pay the cold-cache cost.
 	c.registry.WarmCaches = true
 	c.registry.Logger = logger
 	c.registry.Accountant = c.serve.Accountant
-	reg, err := registry.Open(specs, c.registry)
+	reg, err := registry.Open(c.tenants, c.registry)
 	if err != nil {
-		logger.Fatal("loading cities", olog.Err(err))
+		fatal("loading cities", err)
 	}
 	// Pre-register every tenant with the SLO engine so /v1/slo and the
 	// burn-rate gauges exist from boot, not from first traffic.
@@ -187,12 +203,12 @@ func main() {
 		if c.serve.Captures != nil {
 			capturesPage = capture.Handler(c.serve.Captures)
 		}
-		dbg, bound, err := obs.StartDebugServer(c.debugAddr, capturesPage)
+		dbg, bound, err := obs.StartDebugServer(c.debugAddr, capturesPage, httpErrorLog())
 		if err != nil {
-			logger.Fatal("debug listener", olog.Err(err))
+			fatal("debug listener", err)
 		}
 		defer dbg.Close()
-		logger.Info("debug endpoints up", olog.F("addr", bound))
+		logger.Info("debug endpoints up", "addr", bound)
 	}
 
 	srv := &http.Server{
@@ -203,13 +219,14 @@ func main() {
 		ReadHeaderTimeout: 5 * time.Second,
 		WriteTimeout:      c.serve.JobTimeout + 15*time.Second,
 		IdleTimeout:       2 * time.Minute,
+		ErrorLog:          httpErrorLog(),
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("ready",
-		olog.F("cities", strings.Join(reg.Names(), ",")),
-		olog.F("default_city", reg.DefaultName()),
-		olog.F("addr", c.addr))
+		"cities", strings.Join(reg.Names(), ","),
+		"default_city", reg.DefaultName(),
+		"addr", c.addr)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -222,7 +239,7 @@ loop:
 	for {
 		select {
 		case err := <-errCh:
-			logger.Fatal("listen", olog.Err(err))
+			fatal("listen", err)
 		case <-hupCh:
 			results := reg.ReloadChanged()
 			if len(results) == 0 {
@@ -231,25 +248,25 @@ loop:
 			for _, res := range results {
 				if res.Err != nil {
 					logger.Warn("reload failed; old epoch keeps serving",
-						olog.F("city", res.City), olog.Err(res.Err))
+						"city", res.City, "error", res.Err)
 				} else {
 					logger.Info("reloaded",
-						olog.F("city", res.City), olog.F("epoch", res.Info.Epoch))
+						"city", res.City, "epoch", res.Info.Epoch)
 				}
 			}
 		case sig := <-sigCh:
 			logger.Info("draining in-flight jobs",
-				olog.F("signal", sig.String()), olog.F("timeout", c.drainTimeout.String()))
+				"signal", sig.String(), "timeout", c.drainTimeout.String())
 			break loop
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		logger.Warn("http shutdown", olog.Err(err))
+		logger.Warn("http shutdown", "error", err)
 	}
 	if err := s.mgr.Shutdown(ctx); err != nil {
-		logger.Warn("job drain", olog.Err(err))
+		logger.Warn("job drain", "error", err)
 	}
 	logger.Info("bye")
 }

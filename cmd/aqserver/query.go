@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"accessquery/internal/core"
-	"accessquery/internal/obs/olog"
 	"accessquery/internal/serve"
 	"accessquery/internal/synth"
 )
@@ -115,7 +114,7 @@ func writeAnswer(w http.ResponseWriter, snap serve.Snapshot, includeZones bool, 
 	for _, bl := range blocks {
 		b, err := json.Marshal(bl.value)
 		if err != nil {
-			olog.Default.Error("encoding response", olog.Err(err))
+			logger.Error("encoding response", "error", err)
 			continue
 		}
 		buf.WriteByte(sep)
@@ -138,7 +137,7 @@ func encodedResult(snap serve.Snapshot, includeZones bool) []byte {
 	return snap.Body.Get(includeZones, func() []byte {
 		b, err := json.Marshal(resultBody(snap.Result, includeZones))
 		if err != nil {
-			olog.Default.Error("encoding result", olog.Err(err))
+			logger.Error("encoding result", "error", err)
 			return []byte("{}")
 		}
 		return b

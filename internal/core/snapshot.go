@@ -2,13 +2,11 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
-	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"accessquery/internal/fault"
@@ -195,17 +193,16 @@ func readSnapshot(path string) (*Snapshot, *SnapshotSource, error) {
 		return nil, nil, &SnapshotError{Path: path, Reason: "unreadable", Err: err}
 	}
 	raw := m.data
-	snap, tableEnd, err := decodeSnapshot(path, raw)
+	snap, checksum, err := decodeSnapshot(path, raw)
 	if err != nil {
 		m.close()
 		return nil, nil, err
 	}
-	sum := sha256.Sum256(raw[:tableEnd])
 	src := &SnapshotSource{
 		Path:        path,
 		Version:     snapshotV2Version,
 		SizeBytes:   int64(len(raw)),
-		Checksum:    hex.EncodeToString(sum[:]),
+		Checksum:    checksum,
 		MmapBytes:   m.residentBytes(),
 		City:        snap.City,
 		Epoch:       snap.Epoch,
@@ -215,35 +212,36 @@ func readSnapshot(path string) (*Snapshot, *SnapshotSource, error) {
 	return snap, src, nil
 }
 
-// decodeSnapshot verifies a snapshot file image and rebuilds the Snapshot
-// over it, returning where the section table ends. Every rejection is a
-// *SnapshotError; no image, however damaged, makes it panic
-// (FuzzSnapshotV2).
-func decodeSnapshot(path string, raw []byte) (*Snapshot, int, error) {
-	if len(raw) < 8 {
-		return nil, 0, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: %d bytes is shorter than the %d-byte header", len(raw), snapV2HeaderLen)}
-	}
-	if string(raw[:6]) != snapshotMagic {
-		return nil, 0, &SnapshotError{Path: path, Reason: "not an accessquery snapshot (bad magic; re-save with a current build)"}
-	}
-	if version := binary.BigEndian.Uint16(raw[6:8]); version != snapshotV2Version {
-		return nil, 0, unsupportedVersion(path, version)
-	}
-	sections, err := parseSnapshotV2(path, raw)
+// decodeSnapshot verifies a snapshot file image — its table, then every
+// section's checksum — and rebuilds the Snapshot over it, returning the
+// file's checksum too. The sections are subslices of raw (no copies).
+// Every rejection is a *SnapshotError; no image, however damaged, makes it
+// panic (FuzzSnapshotV2).
+func decodeSnapshot(path string, raw []byte) (*Snapshot, string, error) {
+	entries, checksum, err := readSnapshotTable(path, bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
-		return nil, 0, err
+		return nil, "", err
+	}
+	sections := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		payload := raw[e.off : e.off+e.length]
+		if err := e.verify(path, payload); err != nil {
+			return nil, "", err
+		}
+		sections[e.name] = payload
 	}
 	snap, err := snapshotFromSections(path, sections)
 	if err != nil {
-		return nil, 0, err
+		return nil, "", err
 	}
-	return snap, snapV2HeaderLen + len(sections)*snapV2EntryLen, nil
+	return snap, checksum, nil
 }
 
 // InspectSnapshot reads just enough of a snapshot file to describe it —
 // header, section table, and the small meta section — without
 // decoding or mapping the numeric payloads. Listing a directory of
-// snapshots stays cheap regardless of their size.
+// snapshots stays cheap regardless of their size. It checks the table as
+// LoadEngine does, but only meta's checksum.
 func InspectSnapshot(path string) (*SnapshotSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -254,54 +252,43 @@ func InspectSnapshot(path string) (*SnapshotSource, error) {
 	if err != nil {
 		return nil, &SnapshotError{Path: path, Reason: "unreadable", Err: err}
 	}
-	header := make([]byte, snapV2HeaderLen)
-	if _, err := f.ReadAt(header, 0); err != nil {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: %d bytes is shorter than the %d-byte header", st.Size(), snapV2HeaderLen)}
+	return inspectSnapshot(path, f, st.Size())
+}
+
+// inspectSnapshot is InspectSnapshot over r, a file of size bytes.
+func inspectSnapshot(path string, r io.ReaderAt, size int64) (*SnapshotSource, error) {
+	entries, checksum, err := readSnapshotTable(path, r, size)
+	if err != nil {
+		return nil, err
 	}
-	if string(header[:6]) != snapshotMagic {
-		return nil, &SnapshotError{Path: path, Reason: "not an accessquery snapshot (bad magic; re-save with a current build)"}
+	i := slices.IndexFunc(entries, func(e snapEntry) bool { return e.name == "meta" })
+	if i < 0 {
+		return nil, &SnapshotError{Path: path, Reason: `missing section "meta"`}
 	}
-	version := binary.BigEndian.Uint16(header[6:8])
-	if version != snapshotV2Version {
-		return nil, unsupportedVersion(path, version)
+	e := entries[i]
+	if e.length > 1<<24 {
+		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("implausible meta section of %d bytes", e.length)}
 	}
-	src := &SnapshotSource{Path: path, Version: version, SizeBytes: st.Size()}
-	count := int(binary.BigEndian.Uint32(header[8:12]))
-	if count <= 0 || count > 1<<10 {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("implausible section count %d", count)}
+	metaRaw := make([]byte, e.length)
+	if _, err := r.ReadAt(metaRaw, int64(e.off)); err != nil {
+		return nil, &SnapshotError{Path: path, Reason: "unreadable", Err: err}
 	}
-	table := make([]byte, snapV2HeaderLen+count*snapV2EntryLen)
-	if _, err := f.ReadAt(table, 0); err != nil {
-		return nil, &SnapshotError{Path: path, Reason: "truncated: section table is incomplete"}
+	if err := e.verify(path, metaRaw); err != nil {
+		return nil, err
 	}
-	sum := sha256.Sum256(table)
-	src.Checksum = hex.EncodeToString(sum[:])
-	for i := 0; i < count; i++ {
-		entry := table[snapV2HeaderLen+i*snapV2EntryLen:]
-		if string(bytes.TrimRight(entry[:16], "\x00")) != "meta" {
-			continue
-		}
-		off := binary.BigEndian.Uint64(entry[16:24])
-		length := binary.BigEndian.Uint64(entry[24:32])
-		if length > 1<<24 || int64(off)+int64(length) > st.Size() {
-			return nil, &SnapshotError{Path: path, Reason: "truncated: meta section is out of bounds"}
-		}
-		metaRaw := make([]byte, length)
-		if _, err := f.ReadAt(metaRaw, int64(off)); err != nil {
-			return nil, &SnapshotError{Path: path, Reason: "truncated: meta section is incomplete"}
-		}
-		if s := sha256.Sum256(metaRaw); !bytes.Equal(s[:], entry[32:64]) {
-			return nil, &SnapshotError{Path: path, Reason: `checksum mismatch in section "meta" (corrupt or partially written)`}
-		}
-		var meta snapMetaV2
-		if err := gob.NewDecoder(bytes.NewReader(metaRaw)).Decode(&meta); err != nil {
-			return nil, &SnapshotError{Path: path, Reason: `malformed section "meta"`, Err: err}
-		}
-		src.City = meta.City
-		src.Epoch = meta.Epoch
-		src.CreatedUnix = meta.CreatedUnix
+	meta, err := decodeMeta(path, metaRaw)
+	if err != nil {
+		return nil, err
 	}
-	return src, nil
+	return &SnapshotSource{
+		Path:        path,
+		Version:     snapshotV2Version,
+		SizeBytes:   size,
+		Checksum:    checksum,
+		City:        meta.City,
+		Epoch:       meta.Epoch,
+		CreatedUnix: meta.CreatedUnix,
+	}, nil
 }
 
 // LoadEngine restores an engine from a snapshot: the header and checksums

@@ -76,7 +76,9 @@ func TestLoadEngineCorruptFile(t *testing.T) {
 
 // Every damaged variant of a valid snapshot must be rejected with a
 // *SnapshotError whose Reason names what went wrong — never a raw gob
-// decode error.
+// decode error. Damage to the header, the table or the meta section must
+// also stop InspectSnapshot, so the snapshot listing never describes a
+// file that activating would refuse.
 func TestLoadEngineRejectsDamagedSnapshots(t *testing.T) {
 	e := engine(t)
 	dir := t.TempDir()
@@ -90,27 +92,33 @@ func TestLoadEngineRejectsDamagedSnapshots(t *testing.T) {
 	}
 
 	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
-		reason string // substring the SnapshotError must carry
+		name    string
+		mutate  func([]byte) []byte
+		reason  string // substring the SnapshotError must carry
+		inspect bool   // InspectSnapshot must refuse it too, for the same reason
 	}{
-		{"truncated_header", func(b []byte) []byte { return b[:10] }, "truncated"},
-		{"truncated_payload", func(b []byte) []byte { return b[:len(b)-100] }, "truncated"},
+		{"truncated_header", func(b []byte) []byte { return b[:10] }, "truncated", true},
+		{"truncated_payload", func(b []byte) []byte { return b[:len(b)-100] }, "truncated", true},
 		{"bad_magic", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			copy(c, "NOTSNP")
 			return c
-		}, "magic"},
+		}, "magic", true},
 		{"future_version", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[6], c[7] = 0xff, 0xff
 			return c
-		}, "version"},
+		}, "version", true},
+		{"flipped_byte_order", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			c[15] ^= snapV2FlagLittleEndian
+			return c
+		}, "byte order", true},
 		{"flipped_payload_byte", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(c)-1] ^= 0x55
 			return c
-		}, "checksum"},
+		}, "checksum", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,7 +137,28 @@ func TestLoadEngineRejectsDamagedSnapshots(t *testing.T) {
 			if !strings.Contains(serr.Reason, tc.reason) {
 				t.Errorf("reason %q does not mention %q", serr.Reason, tc.reason)
 			}
+			checkInspect(t, path, tc.inspect, tc.reason)
 		})
+	}
+}
+
+// checkInspect checks InspectSnapshot on a damaged file: a rejection
+// naming reason when refuse is set, a description otherwise.
+func checkInspect(t *testing.T, path string, refuse bool, reason string) {
+	t.Helper()
+	_, err := InspectSnapshot(path)
+	if !refuse {
+		if err != nil {
+			t.Errorf("InspectSnapshot refused payload damage it does not check: %v", err)
+		}
+		return
+	}
+	var serr *SnapshotError
+	if !errors.As(err, &serr) {
+		t.Fatalf("InspectSnapshot: want *SnapshotError, got %T: %v", err, err)
+	}
+	if !strings.Contains(serr.Reason, reason) {
+		t.Errorf("InspectSnapshot reason %q does not mention %q", serr.Reason, reason)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"unsafe"
 
 	"accessquery/internal/geo"
@@ -275,44 +277,93 @@ func encodeSnapshotV2(sections []snapSection) ([]byte, error) {
 	return out, nil
 }
 
-// parseSnapshotV2 verifies a v2 file image — header sanity, per-section
-// bounds, and every section checksum — and returns the named sections as
-// subslices of data (no copies). All rejections are *SnapshotError.
-func parseSnapshotV2(path string, data []byte) (map[string][]byte, error) {
-	if len(data) < snapV2HeaderLen {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: %d bytes is shorter than the %d-byte header", len(data), snapV2HeaderLen)}
+// snapEntry is one section-table entry of a snapshot file.
+type snapEntry struct {
+	name        string
+	off, length uint64
+	sum         []byte // SHA-256 of the section bytes
+}
+
+// verify checks payload, the entry's section bytes, against its checksum.
+func (e snapEntry) verify(path string, payload []byte) error {
+	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], e.sum) {
+		return &SnapshotError{Path: path, Reason: fmt.Sprintf("checksum mismatch in section %q (corrupt or partially written)", e.name)}
 	}
-	flags := binary.BigEndian.Uint32(data[12:16])
+	return nil
+}
+
+// readSnapshotTable reads the header and section table of a snapshot
+// file of size bytes from r and checks them: magic, format version, byte
+// order, a plausible section count, and entries that are aligned, lie
+// after the table and inside the file, and name no section twice. It
+// reads no payload: LoadEngine verifies every section's checksum,
+// InspectSnapshot only meta's. It also returns the hex SHA-256 of the
+// header and table, the file's identity. Every rejection is a
+// *SnapshotError.
+func readSnapshotTable(path string, r io.ReaderAt, size int64) ([]snapEntry, string, error) {
+	if size < snapV2HeaderLen {
+		return nil, "", &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: %d bytes is shorter than the %d-byte header", size, snapV2HeaderLen)}
+	}
+	header := make([]byte, snapV2HeaderLen)
+	if _, err := r.ReadAt(header, 0); err != nil {
+		return nil, "", &SnapshotError{Path: path, Reason: "unreadable", Err: err}
+	}
+	if string(header[:6]) != snapshotMagic {
+		return nil, "", &SnapshotError{Path: path, Reason: "not an accessquery snapshot (bad magic; re-save with a current build)"}
+	}
+	if version := binary.BigEndian.Uint16(header[6:8]); version != snapshotV2Version {
+		return nil, "", unsupportedVersion(path, version)
+	}
+	flags := binary.BigEndian.Uint32(header[12:16])
 	if (flags&snapV2FlagLittleEndian != 0) != nativeLittleEndian {
-		return nil, &SnapshotError{Path: path, Reason: "byte order mismatch (snapshot written on a machine with different endianness)"}
+		return nil, "", &SnapshotError{Path: path, Reason: "byte order mismatch (snapshot written on a machine with different endianness)"}
 	}
-	count := int(binary.BigEndian.Uint32(data[8:12]))
+	count := int(binary.BigEndian.Uint32(header[8:12]))
 	tableEnd := snapV2HeaderLen + count*snapV2EntryLen
-	if count <= 0 || count > 1<<10 || len(data) < tableEnd {
-		return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: section table declares %d entries but only %d bytes follow the header", count, len(data)-snapV2HeaderLen)}
+	if count <= 0 || count > 1<<10 || size < int64(tableEnd) {
+		return nil, "", &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: section table declares %d entries but only %d bytes follow the header", count, size-snapV2HeaderLen)}
 	}
-	sections := make(map[string][]byte, count)
-	for i := 0; i < count; i++ {
-		entry := data[snapV2HeaderLen+i*snapV2EntryLen:]
-		name := string(bytes.TrimRight(entry[:16], "\x00"))
-		off := binary.BigEndian.Uint64(entry[16:24])
-		length := binary.BigEndian.Uint64(entry[24:32])
-		if off%snapV2Align != 0 || off < uint64(tableEnd) {
-			return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("section %q at misplaced offset %d", name, off)}
-		}
-		if off > uint64(len(data)) || length > uint64(len(data))-off {
-			return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: section %q wants bytes [%d,%d) but the file has %d", name, off, off+length, len(data))}
-		}
-		if _, dup := sections[name]; dup {
-			return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("section %q appears twice in the table", name)}
-		}
-		payload := data[off : off+length]
-		if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], entry[32:64]) {
-			return nil, &SnapshotError{Path: path, Reason: fmt.Sprintf("checksum mismatch in section %q (corrupt or partially written)", name)}
-		}
-		sections[name] = payload
+	head := make([]byte, tableEnd)
+	copy(head, header)
+	if _, err := r.ReadAt(head[snapV2HeaderLen:], snapV2HeaderLen); err != nil {
+		return nil, "", &SnapshotError{Path: path, Reason: "unreadable", Err: err}
 	}
-	return sections, nil
+	entries := make([]snapEntry, count)
+	seen := make(map[string]bool, count)
+	for i := range entries {
+		entry := head[snapV2HeaderLen+i*snapV2EntryLen:]
+		e := snapEntry{
+			name:   string(bytes.TrimRight(entry[:16], "\x00")),
+			off:    binary.BigEndian.Uint64(entry[16:24]),
+			length: binary.BigEndian.Uint64(entry[24:32]),
+			sum:    entry[32:64],
+		}
+		if e.off%snapV2Align != 0 || e.off < uint64(tableEnd) {
+			return nil, "", &SnapshotError{Path: path, Reason: fmt.Sprintf("section %q at misplaced offset %d", e.name, e.off)}
+		}
+		if e.off > uint64(size) || e.length > uint64(size)-e.off {
+			return nil, "", &SnapshotError{Path: path, Reason: fmt.Sprintf("truncated: section %q wants bytes [%d,%d) but the file has %d", e.name, e.off, e.off+e.length, size)}
+		}
+		if seen[e.name] {
+			return nil, "", &SnapshotError{Path: path, Reason: fmt.Sprintf("section %q appears twice in the table", e.name)}
+		}
+		seen[e.name] = true
+		entries[i] = e
+	}
+	sum := sha256.Sum256(head)
+	return entries, hex.EncodeToString(sum[:]), nil
+}
+
+// decodeMeta decodes the gob "meta" section.
+func decodeMeta(path string, raw []byte) (snapMetaV2, error) {
+	// gob sizes a nil map by the entry count the data declares, so one
+	// corrupt count would allocate gigabytes before the first entry fails
+	// to decode; into a non-nil map it inserts only what actually decodes.
+	meta := snapMetaV2{CityConfig: synth.Config{POICounts: map[synth.POICategory]int{}}}
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&meta); err != nil {
+		return meta, &SnapshotError{Path: path, Reason: `malformed section "meta"`, Err: err}
+	}
+	return meta, nil
 }
 
 // snapshotFromSections rebuilds the in-memory Snapshot from verified v2
@@ -337,12 +388,9 @@ func snapshotFromSections(path string, sections map[string][]byte) (*Snapshot, e
 	if err != nil {
 		return nil, err
 	}
-	// gob sizes a nil map by the entry count the data declares, so one
-	// corrupt count would allocate gigabytes before the first entry fails
-	// to decode; into a non-nil map it inserts only what actually decodes.
-	meta := snapMetaV2{CityConfig: synth.Config{POICounts: map[synth.POICategory]int{}}}
-	if err := gob.NewDecoder(bytes.NewReader(metaRaw)).Decode(&meta); err != nil {
-		return nil, bad("meta", err)
+	meta, err := decodeMeta(path, metaRaw)
+	if err != nil {
+		return nil, err
 	}
 
 	var (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"sync"
@@ -76,8 +77,11 @@ func patched(b []byte, at uint32, patch []byte, size uint32) []byte {
 // any other index patches the sealed image itself (header, table,
 // padding). Either way the decoder must return a *SnapshotError or a
 // snapshot whose every CSR row and leaf index is in range — never panic.
+// InspectSnapshot reads the same table through the same parser: it too
+// returns a *SnapshotError or a description, and describes every image the
+// decoder accepts exactly as the decoder does.
 func FuzzSnapshotV2(f *testing.F) {
-	sections, _ := fuzzSections(f)
+	sections, sealed := fuzzSections(f)
 	f.Add(uint8(0), uint32(0), []byte(nil), uint32(0)) // the undamaged image
 	// The four leaf-damage cases of TestSnapshotV2RejectsSectionDamage:
 	// the second leaf of the first outbound tree with two leaves gets a
@@ -112,6 +116,9 @@ func FuzzSnapshotV2(f *testing.F) {
 	image := uint8(len(sections))
 	f.Add(image, uint32(snapV2HeaderLen), []byte("zeta"), uint32(0))
 	f.Add(image, uint32(8), []byte{0, 0, 0, 0}, uint32(0))
+	// The byte-order flag flipped, and the last 4 KB cut off.
+	f.Add(image, uint32(15), []byte{0}, uint32(0))
+	f.Add(image, uint32(0), []byte(nil), uint32(len(sealed)-4096))
 
 	f.Fuzz(func(t *testing.T, sec uint8, at uint32, patch []byte, size uint32) {
 		base, sealed := fuzzSections(t)
@@ -126,16 +133,30 @@ func FuzzSnapshotV2(f *testing.F) {
 		} else {
 			img = patched(sealed, at, patch, size)
 		}
-		snap, _, err := decodeSnapshot("fuzz.snap", img)
+		info, inspectErr := inspectSnapshot("fuzz.snap", bytes.NewReader(img), int64(len(img)))
+		checkRejection(t, inspectErr)
+		snap, checksum, err := decodeSnapshot("fuzz.snap", img)
 		if err != nil {
-			var serr *SnapshotError
-			if !errors.As(err, &serr) {
-				t.Fatalf("rejection is %T, not *SnapshotError: %v", err, err)
-			}
+			checkRejection(t, err)
 			return
 		}
 		checkDecoded(t, snap)
+		if inspectErr != nil {
+			t.Fatalf("the decoder accepts an image InspectSnapshot refuses: %v", inspectErr)
+		}
+		if info.Checksum != checksum || info.City != snap.City || info.Epoch != snap.Epoch || info.CreatedUnix != snap.CreatedUnix {
+			t.Fatalf("InspectSnapshot describes %+v, the decoder %s %q %d %d", info, checksum, snap.City, snap.Epoch, snap.CreatedUnix)
+		}
 	})
+}
+
+// checkRejection fails unless err is nil or a *SnapshotError.
+func checkRejection(t *testing.T, err error) {
+	t.Helper()
+	var serr *SnapshotError
+	if err != nil && !errors.As(err, &serr) {
+		t.Fatalf("rejection is %T, not *SnapshotError: %v", err, err)
+	}
 }
 
 // checkDecoded is FuzzSnapshotV2's property for an accepted image: one

@@ -159,14 +159,15 @@ func TestSnapshotV2RejectsSectionDamage(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
-		reason string
+		name    string
+		mutate  func([]byte) []byte
+		reason  string
+		inspect bool // InspectSnapshot must refuse it too, for the same reason
 	}{
-		{"leaf_zone_past_end", damageLeaf(func(int, []hoptree.Leaf) int32 { return int32(nz + 5) }), "forest.outleaf"},
-		{"leaf_zone_negative", damageLeaf(func(int, []hoptree.Leaf) int32 { return -1 }), "forest.outleaf"},
-		{"leaf_zones_unordered", damageLeaf(func(_ int, l []hoptree.Leaf) int32 { return l[0].Zone }), "forest.outleaf"},
-		{"leaf_zone_is_root", damageLeaf(func(root int, _ []hoptree.Leaf) int32 { return int32(root) }), "forest.outleaf"},
+		{"leaf_zone_past_end", damageLeaf(func(int, []hoptree.Leaf) int32 { return int32(nz + 5) }), "forest.outleaf", false},
+		{"leaf_zone_negative", damageLeaf(func(int, []hoptree.Leaf) int32 { return -1 }), "forest.outleaf", false},
+		{"leaf_zones_unordered", damageLeaf(func(_ int, l []hoptree.Leaf) int32 { return l[0].Zone }), "forest.outleaf", false},
+		{"leaf_zone_is_root", damageLeaf(func(root int, _ []hoptree.Leaf) int32 { return int32(root) }), "forest.outleaf", false},
 		{"flipped_section_byte", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			// Flip the first byte of the first section, located via the
@@ -174,25 +175,25 @@ func TestSnapshotV2RejectsSectionDamage(t *testing.T) {
 			off := binary.BigEndian.Uint64(c[snapV2HeaderLen+16 : snapV2HeaderLen+24])
 			c[off] ^= 0x40
 			return c
-		}, "checksum"},
+		}, "checksum", true},
 		{"renamed_section", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			// Overwrite the first table entry's name ("meta").
 			copy(c[snapV2HeaderLen:], "zeta\x00\x00\x00\x00")
 			return c
-		}, "missing section"},
+		}, "missing section", true},
 		{"zero_sections", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[8], c[9], c[10], c[11] = 0, 0, 0, 0
 			return c
-		}, "section table"},
+		}, "section table", true},
 		{"version_1_header", func(b []byte) []byte {
 			// A well-formed header from the retired v1 format is refused
 			// by version, never decoded.
 			c := append([]byte(nil), b...)
 			binary.BigEndian.PutUint16(c[6:8], 1)
 			return c
-		}, "unsupported format version 1"},
+		}, "unsupported format version 1", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -211,6 +212,7 @@ func TestSnapshotV2RejectsSectionDamage(t *testing.T) {
 			if !strings.Contains(serr.Reason, tc.reason) {
 				t.Errorf("reason %q does not mention %q", serr.Reason, tc.reason)
 			}
+			checkInspect(t, path, tc.inspect, tc.reason)
 		})
 	}
 }

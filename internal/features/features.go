@@ -237,7 +237,7 @@ func (e *Extractor) Warm(workers int) {
 // walkable_direct feature: the crow-flight distance coverable in tau
 // seconds.
 func (e *Extractor) walkRadiusMeters() float64 {
-	return e.isos.Tau / (3.6 / 4.5)
+	return e.isos.Tau / geo.WalkSecondsPerMeter
 }
 
 // PairVector computes the feature vector for (origin zone, destination

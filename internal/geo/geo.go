@@ -16,6 +16,14 @@ import (
 // EarthRadiusMeters is the mean Earth radius.
 const EarthRadiusMeters = 6371000.0
 
+// The walking model the generated street network and every walkshed
+// share: the paper's walking speed ω = 4.5 km/h, over streets
+// StreetDetour times longer than the straight line.
+const (
+	WalkSecondsPerMeter = 3.6 / 4.5
+	StreetDetour        = 1.2
+)
+
 // Point is a geographic location in degrees latitude/longitude.
 type Point struct {
 	Lat float64 `json:"lat"`

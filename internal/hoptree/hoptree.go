@@ -214,14 +214,14 @@ func (b *Builder) walkableStops(dst []stopWalk, zone int) []stopWalk {
 	}
 	// Candidate stops: within the crow-flight walking radius, then filtered
 	// by hull membership.
-	radius := iso.Tau / walkSecondsPerMeter
+	radius := iso.Tau / geo.WalkSecondsPerMeter
 	for _, nb := range b.stopTree.WithinRadius(iso.Origin, radius) {
 		stop := b.feed.Stops[nb.Item.ID]
 		if !iso.Contains(stop.Point) {
 			continue
 		}
-		walk := nb.Meters * walkSecondsPerMeter * detourFactor
-		if walk > b.walkLimit*detourFactor {
+		walk := nb.Meters * geo.WalkSecondsPerMeter * geo.StreetDetour
+		if walk > b.walkLimit*geo.StreetDetour {
 			continue
 		}
 		dst = append(dst, stopWalk{stop: nb.Item.ID, walkSeconds: walk})
@@ -233,13 +233,6 @@ type stopWalk struct {
 	stop        int // index into feed.Stops
 	walkSeconds float64
 }
-
-// Walking constants mirroring the synthetic city's street network: 4.5 km/h
-// with a 20% street detour factor.
-const (
-	walkSecondsPerMeter = 3.6 / 4.5
-	detourFactor        = 1.2
-)
 
 // buildScratch holds one build's dense per-zone accumulators. Zones are
 // reset lazily via the touched list so a build costs O(touched), not

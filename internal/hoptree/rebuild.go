@@ -34,7 +34,7 @@ func ZonesWithinWalkshed(zonePts []geo.Point, isos *isochrone.Set, stops []geo.P
 		items[i] = spatial.Item{ID: i, Point: p}
 	}
 	zoneTree := spatial.NewKDTree(items)
-	radius := isos.Tau / walkSecondsPerMeter
+	radius := isos.Tau / geo.WalkSecondsPerMeter
 	affected := make(map[int]bool)
 	for _, sp := range stops {
 		for _, nb := range zoneTree.WithinRadius(sp, radius) {

@@ -77,15 +77,11 @@ func Compute(g *graph.Graph, origin geo.Point, originNode graph.NodeID, tau floa
 		iso.Hull = geo.Polygon{Ring: hull}
 	} else {
 		// Degenerate walkshed: use the unobstructed walking circle.
-		radius := tau / synthWalkSecondsPerMeter
+		radius := tau / geo.WalkSecondsPerMeter
 		iso.Hull = geo.Circle(origin, radius, 12)
 	}
 	return iso, nil
 }
-
-// synthWalkSecondsPerMeter mirrors synth.WalkSecondsPerMeter without
-// importing the generator; 4.5 km/h walking.
-const synthWalkSecondsPerMeter = 3.6 / 4.5
 
 // Contains reports whether p lies inside the walkshed polygon.
 func (iso *Isochrone) Contains(p geo.Point) bool { return iso.Hull.Contains(p) }

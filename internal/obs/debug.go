@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -18,11 +19,12 @@ func MetricsHandler(r *Registry) http.Handler {
 
 // StartDebugServer binds addr and, in a background goroutine, serves the
 // Default registry at /metrics, the runtime profiler under /debug/pprof/,
-// and captures at /debug/captures when that handler is non-nil. It
+// and captures at /debug/captures when that handler is non-nil. The
+// server's own errors go to errorLog (nil: the log package's default). It
 // returns the bound address (useful with a ":0" addr) and a
 // shutdown-capable server. Debug listeners are opt-in and should bind
 // loopback: pprof and metrics are operator surfaces, not public API.
-func StartDebugServer(addr string, captures http.Handler) (*http.Server, string, error) {
+func StartDebugServer(addr string, captures http.Handler, errorLog *log.Logger) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
@@ -37,7 +39,7 @@ func StartDebugServer(addr string, captures http.Handler) (*http.Server, string,
 	if captures != nil {
 		mux.Handle("/debug/captures", captures)
 	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second, ErrorLog: errorLog}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String(), nil
 }

@@ -2,24 +2,15 @@ package olog
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 )
-
-// Discard swallows everything; useful as an explicit "no logging" value.
-var Discard = New(io.Discard, LevelError+1)
-
-// LevelDebug sits below every level the package logs at, so the filter
-// tests can open the gate one step wider than info.
-const LevelDebug = LevelInfo - 1
-
-// Debug logs at debug level.
-func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fields) }
 
 // decodeLines parses each JSON line the logger wrote.
 func decodeLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
@@ -38,27 +29,83 @@ func decodeLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 	return out
 }
 
+// keysOf returns a JSON object line's keys in the order they were written.
+func keysOf(t *testing.T, line string) []string {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(line))
+	var keys []string
+	if _, err := dec.Token(); err != nil { // the opening brace
+		t.Fatal(err)
+	}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestLineShape pins the line format: keys in order — ts, level, msg,
+// bound fields, call fields — and their values, for an info line, the
+// serving layer's slow-query warn line and a boot-failure fatal line.
 func TestLineShape(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, LevelInfo)
-	l.Info("server listening", F("addr", ":8080"), F("workers", 4))
+	l := New(&buf, LevelInfo).With("component", "aqserver")
+	l.Info("ready", "cities", "coventry,birmingham", "zones", 253, "error", error(nil))
+	l.Warn("slow query", "trace_id", "00000000000000000000000000000abc", "fingerprint", "f1",
+		"seconds", 1.5, "threshold_seconds", 0.25, "city", "coventry",
+		"stage_matrix_seconds", 0.125, "stage_labeling_seconds", 1.25, "error", errors.New("boom"))
+	l.Log(context.Background(), LevelFatal, "bad flags", "error", errors.New(`-log-level: olog: unknown level "debug"`))
 
-	lines := decodeLines(t, &buf)
-	if len(lines) != 1 {
-		t.Fatalf("lines = %d, want 1", len(lines))
+	want := []struct {
+		keys   []string
+		values map[string]any
+	}{
+		{
+			[]string{"ts", "level", "msg", "component", "cities", "zones"},
+			map[string]any{"level": "info", "msg": "ready", "component": "aqserver",
+				"cities": "coventry,birmingham", "zones": 253.0},
+		},
+		{
+			[]string{"ts", "level", "msg", "component", "trace_id", "fingerprint", "seconds",
+				"threshold_seconds", "city", "stage_matrix_seconds", "stage_labeling_seconds", "error"},
+			map[string]any{"level": "warn", "msg": "slow query", "component": "aqserver",
+				"trace_id": "00000000000000000000000000000abc", "fingerprint": "f1", "seconds": 1.5,
+				"threshold_seconds": 0.25, "city": "coventry", "stage_matrix_seconds": 0.125,
+				"stage_labeling_seconds": 1.25, "error": "boom"},
+		},
+		{
+			[]string{"ts", "level", "msg", "component", "error"},
+			map[string]any{"level": "fatal", "msg": "bad flags", "component": "aqserver",
+				"error": `-log-level: olog: unknown level "debug"`},
+		},
 	}
-	m := lines[0]
-	if m["level"] != "info" || m["msg"] != "server listening" {
-		t.Errorf("line = %v, want level=info msg=server listening", m)
+	ts := regexp.MustCompile(`^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z$`)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("%d lines, want %d: %q", len(lines), len(want), buf.String())
 	}
-	if m["addr"] != ":8080" {
-		t.Errorf("addr = %v, want :8080", m["addr"])
-	}
-	if m["workers"] != float64(4) {
-		t.Errorf("workers = %v, want 4", m["workers"])
-	}
-	if _, ok := m["ts"].(string); !ok {
-		t.Errorf("ts missing or not a string: %v", m["ts"])
+	for i, line := range lines {
+		if keys := keysOf(t, line); !reflect.DeepEqual(keys, want[i].keys) {
+			t.Errorf("line %d keys = %q, want %q", i, keys, want[i].keys)
+		}
+		var got map[string]any
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Fatal(err)
+		}
+		if s, _ := got["ts"].(string); !ts.MatchString(s) {
+			t.Errorf("line %d ts = %q, want UTC to the millisecond", i, got["ts"])
+		}
+		delete(got, "ts")
+		if !reflect.DeepEqual(got, want[i].values) {
+			t.Errorf("line %d = %v, want %v", i, got, want[i].values)
+		}
 	}
 }
 
@@ -77,22 +124,12 @@ func TestLevelFiltering(t *testing.T) {
 	if lines[0]["level"] != "warn" || lines[1]["level"] != "error" {
 		t.Errorf("levels = %v, %v; want warn, error", lines[0]["level"], lines[1]["level"])
 	}
-
-	l.SetLevel(LevelDebug)
-	if !l.Enabled(LevelDebug) {
-		t.Error("Enabled(debug) = false after SetLevel(debug)")
-	}
-	buf.Reset()
-	l.Debug("now visible")
-	if len(decodeLines(t, &buf)) != 1 {
-		t.Error("debug line suppressed after SetLevel(debug)")
-	}
 }
 
 func TestWithStampsFields(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, LevelInfo).With(F("component", "serve"))
-	l.Info("slow query", F("seconds", 1.5))
+	l := New(&buf, LevelInfo).With("component", "serve")
+	l.Info("slow query", "seconds", 1.5)
 
 	m := decodeLines(t, &buf)[0]
 	if m["component"] != "serve" {
@@ -104,7 +141,7 @@ func TestWithStampsFields(t *testing.T) {
 
 	// Child loggers must not mutate the parent.
 	buf.Reset()
-	child := l.With(F("job", "j1"))
+	child := l.With("job", "j1")
 	l.Info("parent line")
 	child.Info("child line")
 	lines := decodeLines(t, &buf)
@@ -119,15 +156,19 @@ func TestWithStampsFields(t *testing.T) {
 func TestErrField(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf, LevelInfo)
-	l.Error("query failed", Err(errors.New("boom")))
-	l.Info("fine", Err(nil))
+	var nilErr error
+	l.Error("query failed", "error", errors.New("boom"))
+	l.Info("fine", "error", nilErr)
+	l.With("error", nilErr).Info("fine too")
 
 	lines := decodeLines(t, &buf)
 	if lines[0]["error"] != "boom" {
 		t.Errorf("error field = %v, want boom", lines[0]["error"])
 	}
-	if _, ok := lines[1]["error"]; ok {
-		t.Error("nil error should not emit an error field")
+	for _, m := range lines[1:] {
+		if _, ok := m["error"]; ok {
+			t.Errorf("nil error emitted an error field: %v", m)
+		}
 	}
 }
 
@@ -141,7 +182,7 @@ func TestParseLevel(t *testing.T) {
 			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, in := range []string{"loud", "debug"} {
+	for _, in := range []string{"loud", "debug", "fatal"} {
 		if _, err := ParseLevel(in); err == nil {
 			t.Errorf("ParseLevel(%s) should fail", in)
 		}
@@ -157,7 +198,7 @@ func TestConcurrentLogging(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				l.Info("msg", F("goroutine", i), F("iter", j))
+				l.Info("msg", "goroutine", i, "iter", j)
 			}
 		}(i)
 	}
@@ -166,37 +207,4 @@ func TestConcurrentLogging(t *testing.T) {
 	if got := len(decodeLines(t, &buf)); got != 320 {
 		t.Errorf("lines = %d, want 320", got)
 	}
-}
-
-func TestFatalUsesExit(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(&buf, LevelInfo)
-	var code int
-	old := osExit
-	osExit = func(c int) { code = c }
-	defer func() { osExit = old }()
-
-	l.Fatal("cannot bind", F("addr", ":80"))
-	if code != 1 {
-		t.Errorf("exit code = %d, want 1", code)
-	}
-	if m := decodeLines(t, &buf)[0]; m["level"] != "fatal" || m["msg"] != "cannot bind" {
-		t.Errorf("fatal line = %v", m)
-	}
-}
-
-func TestDiscardAndNilSafety(t *testing.T) {
-	Discard.Info("dropped", F("k", "v")) // must not panic
-	var l *Logger
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("nil logger panicked: %v", r)
-		}
-	}()
-	l.Info("nil receiver")
-	l.With(F("a", 1)).Warn("nil with")
-	if l.Enabled(LevelError) {
-		t.Error("nil logger should report disabled")
-	}
-	_ = fmt.Sprintf("%v", l)
 }

@@ -233,7 +233,7 @@ func TestTraceAndSpans(t *testing.T) {
 
 func TestDebugServer(t *testing.T) {
 	Counter("aq_debug_test_total").Inc()
-	srv, addr, err := StartDebugServer("127.0.0.1:0", nil)
+	srv, addr, err := StartDebugServer("127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestDebugServer(t *testing.T) {
 func TestRegisterDebug(t *testing.T) {
 	called := false
 	captures := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { called = true })
-	srv, addr, err := StartDebugServer("127.0.0.1:0", captures)
+	srv, addr, err := StartDebugServer("127.0.0.1:0", captures, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestRegisterDebug(t *testing.T) {
 		t.Error("captures handler was not invoked")
 	}
 
-	bare, bareAddr, err := StartDebugServer("127.0.0.1:0", nil)
+	bare, bareAddr, err := StartDebugServer("127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,8 @@ func ParseSpec(s string) (*Spec, error) {
 		city := ""
 		body := clause
 		if c, rest, ok := strings.Cut(clause, ":"); ok && !strings.Contains(c, "=") {
-			city, body = strings.TrimSpace(c), rest
+			// The tenant-name rule registry.ParseSpec and Registry.Get apply.
+			city, body = strings.ToLower(strings.TrimSpace(c)), rest
 			if city == "" {
 				return nil, fmt.Errorf("slo: empty city in clause %q", clause)
 			}

@@ -31,6 +31,14 @@ func TestParseSpec(t *testing.T) {
 	if got := spec.For("york"); got != spec.Default {
 		t.Errorf("york = %+v, want default", got)
 	}
+	// A clause names its city as the registry keys tenants: trimmed and
+	// lower-cased.
+	if spec, err = ParseSpec("avail=99; Coventry :avail=50"); err != nil {
+		t.Fatal(err)
+	}
+	if got := spec.For("coventry").AvailabilityPct; got != 50 {
+		t.Errorf("coventry avail = %g, want 50 from the Coventry clause", got)
+	}
 }
 
 func TestParseSpecOffAndErrors(t *testing.T) {

@@ -23,6 +23,7 @@ package registry
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"sort"
 	"strconv"
@@ -98,7 +99,7 @@ type Options struct {
 	// apply seeds the old segment's entries into the new epoch first.
 	Bank *bank.Bank
 	// Logger receives swap and retire events; default olog.Default.
-	Logger *olog.Logger
+	Logger *slog.Logger
 	// Accountant, when non-nil, bills each installed engine's preparation
 	// time to its city, so tenant cost reports cover builds and swaps as
 	// well as queries. Nil disables build billing.
@@ -275,7 +276,7 @@ func (t *Tenant) install(e *core.Engine, source string, seedBank bool) *Retired 
 		old.engine.ReleaseSnapshot()
 		t.metrics.retired.Inc()
 		log.Info("engine retired",
-			olog.F("city", t.Name), olog.F("epoch", old.epoch))
+			"city", t.Name, "epoch", old.epoch)
 	}
 	old := t.cur.Swap(ee)
 	t.metrics.epoch.Set(float64(ee.epoch))
@@ -285,8 +286,8 @@ func (t *Tenant) install(e *core.Engine, source string, seedBank bool) *Retired 
 			seeded := b.CarryForward(t.Name, old.epoch, ee.epoch)
 			if seeded > 0 {
 				log.Info("bank segment seeded forward",
-					olog.F("city", t.Name), olog.F("from_epoch", old.epoch),
-					olog.F("epoch", ee.epoch), olog.F("entries", seeded))
+					"city", t.Name, "from_epoch", old.epoch,
+					"epoch", ee.epoch, "entries", seeded)
 			}
 		}
 		b.RetireBelow(t.Name, ee.epoch)
@@ -297,10 +298,10 @@ func (t *Tenant) install(e *core.Engine, source string, seedBank bool) *Retired 
 	t.swaps.Add(1)
 	t.metrics.swaps.Inc()
 	log.Info("engine swapped",
-		olog.F("city", t.Name),
-		olog.F("old_epoch", old.epoch),
-		olog.F("epoch", ee.epoch),
-		olog.F("source", source))
+		"city", t.Name,
+		"old_epoch", old.epoch,
+		"epoch", ee.epoch,
+		"source", source)
 	retired := &Retired{Epoch: old.epoch, Drained: old.drained}
 	old.release() // drop the install bias; in-flight runs keep it alive
 	return retired
@@ -412,8 +413,8 @@ func Open(specs []TenantSpec, opts Options) (*Registry, error) {
 		}
 		t.install(e, source, false)
 		opts.Logger.Info("city loaded",
-			olog.F("city", name), olog.F("source", source),
-			olog.F("zones", len(e.City.Zones)), olog.F("prep", e.PrepDuration.String()))
+			"city", name, "source", source,
+			"zones", len(e.City.Zones), "prep", e.PrepDuration.String())
 		r.tenants[name] = t
 		r.order = append(r.order, name)
 	}
@@ -536,7 +537,7 @@ func (r *Registry) ReloadChanged() []SwapResult {
 		info, _, err := t.SwapSnapshot("")
 		if err != nil {
 			r.opts.Logger.Warn("snapshot reload refused",
-				olog.F("city", name), olog.Err(err))
+				"city", name, "error", err)
 		}
 		out = append(out, SwapResult{City: name, Info: info, Err: err})
 	}

@@ -9,7 +9,6 @@ import (
 	"accessquery/internal/core"
 	"accessquery/internal/delta"
 	"accessquery/internal/obs"
-	"accessquery/internal/obs/olog"
 )
 
 // Scenario support: a tenant can carry a stack of applied mutation batches
@@ -110,9 +109,9 @@ func (t *Tenant) ApplyScenario(batch []delta.Mutation) (Info, AppliedDelta, *Ret
 	dm.active.Set(float64(len(sc.applied)))
 	mDeltaRebuild.ObserveDuration(time.Duration(radius.RebuildMS) * time.Millisecond)
 	t.reg.opts.Logger.Info("scenario delta applied",
-		olog.F("city", t.Name), olog.F("delta", applied.ID), olog.F("epoch", applied.Epoch),
-		olog.F("mutations", len(batch)), olog.F("zones_touched", radius.ZonesTouched),
-		olog.F("trees_rebuilt", radius.TreesRebuilt), olog.F("rebuild_ms", radius.RebuildMS))
+		"city", t.Name, "delta", applied.ID, "epoch", applied.Epoch,
+		"mutations", len(batch), "zones_touched", radius.ZonesTouched,
+		"trees_rebuilt", radius.TreesRebuilt, "rebuild_ms", radius.RebuildMS)
 	return t.Info(), applied, retired, nil
 }
 
@@ -147,7 +146,7 @@ func (t *Tenant) RevertScenario() (Info, *Retired, error) {
 	dm.reverts.Inc()
 	dm.active.Set(0)
 	t.reg.opts.Logger.Info("scenario reverted",
-		olog.F("city", t.Name), olog.F("epoch", t.Epoch()))
+		"city", t.Name, "epoch", t.Epoch())
 	return t.Info(), retired, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strconv"
 	"sync"
@@ -81,7 +82,7 @@ type Config struct {
 	SlowQueryThreshold time.Duration
 	// Logger receives the manager's structured log lines (currently the
 	// slow-query log); default olog.Default.
-	Logger *olog.Logger
+	Logger *slog.Logger
 	// Accountant, when non-nil, bills every engine run's wall, queue and
 	// stage time (and every cache hit) to the city that incurred it. Nil
 	// disables cost accounting at zero per-query overhead.
@@ -714,10 +715,10 @@ func (m *Manager) breakerLocked(o *outcome, now time.Time) {
 		m.tripLocked(ts, now)
 		ts.m.burnTrips.Inc()
 		m.cfg.Logger.Warn("slo burn trip",
-			olog.F("city", ts.name),
-			olog.F("fast_burn", fb),
-			olog.F("threshold", m.cfg.BurnTripThreshold),
-			olog.F("cooldown_seconds", m.cfg.BreakerCooldown.Seconds()))
+			"city", ts.name,
+			"fast_burn", fb,
+			"threshold", m.cfg.BurnTripThreshold,
+			"cooldown_seconds", m.cfg.BreakerCooldown.Seconds())
 	}
 }
 
@@ -1179,21 +1180,21 @@ func (m *Manager) observe(o *outcome) {
 	}
 	// The slow-query line: trace ID, fingerprint, total time, the capture
 	// (if any) and the per-stage breakdown.
-	fields := []olog.Field{
-		olog.F("trace_id", o.ans.trace.TraceID),
-		olog.F("fingerprint", o.fp),
-		olog.F("seconds", o.elapsed.Seconds()),
-		olog.F("threshold_seconds", m.cfg.SlowQueryThreshold.Seconds()),
-		olog.F("city", ts.name),
+	fields := []any{
+		"trace_id", o.ans.trace.TraceID,
+		"fingerprint", o.fp,
+		"seconds", o.elapsed.Seconds(),
+		"threshold_seconds", m.cfg.SlowQueryThreshold.Seconds(),
+		"city", ts.name,
 	}
 	if captureID != "" {
-		fields = append(fields, olog.F("capture_id", captureID))
+		fields = append(fields, "capture_id", captureID)
 	}
 	for _, st := range o.stages {
-		fields = append(fields, olog.F("stage_"+st.Name+"_seconds", st.Seconds))
+		fields = append(fields, "stage_"+st.Name+"_seconds", st.Seconds)
 	}
 	if o.err != nil {
-		fields = append(fields, olog.Err(o.err))
+		fields = append(fields, "error", o.err)
 	}
 	m.cfg.Logger.Warn("slow query", fields...)
 }

@@ -62,12 +62,6 @@ type POI struct {
 	Weight float64
 }
 
-// WalkSpeedKph is the walking speed ω from the paper's experiments.
-const WalkSpeedKph = 4.5
-
-// WalkSecondsPerMeter converts meters of footpath to seconds at ω.
-const WalkSecondsPerMeter = 3.6 / WalkSpeedKph
-
 // Config controls city generation.
 type Config struct {
 	Name   string
@@ -305,8 +299,7 @@ func (c *City) generateRoads(rng *rand.Rand) {
 	}
 	addEdge := func(a, b graph.NodeID) {
 		meters := geo.DistanceMeters(g.Point(a), g.Point(b))
-		// Street-network detours: inflate straight-line distance ~20%.
-		seconds := meters * 1.2 * WalkSecondsPerMeter
+		seconds := meters * geo.StreetDetour * geo.WalkSecondsPerMeter
 		_ = g.AddEdge(a, b, seconds) // endpoints valid by construction
 	}
 	// Iterate cells in deterministic (row-major) order: ranging over the

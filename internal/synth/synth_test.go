@@ -168,7 +168,7 @@ func TestRoadEdgeWeightsAreWalkingSeconds(t *testing.T) {
 		from := c.Road.Point(id)
 		c.Road.Neighbors(id, func(to graph.NodeID, s float64) {
 			meters := geo.DistanceMeters(from, c.Road.Point(to))
-			want := meters * 1.2 * WalkSecondsPerMeter
+			want := meters * geo.StreetDetour * geo.WalkSecondsPerMeter
 			if s < want*0.99 || s > want*1.01 {
 				t.Fatalf("edge %d-%d weight %f, want ~%f", id, to, s, want)
 			}

@@ -27,7 +27,7 @@ trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
 cd "$(dirname "$0")/.."
 go build -o "$WORKDIR/aqserver" ./cmd/aqserver
 
-"$WORKDIR/aqserver" -city coventry -scale 0.06 -addr "$ADDR" \
+"$WORKDIR/aqserver" -cities coventry -scale 0.06 -addr "$ADDR" \
     -fault-spec "seed=42;spq:fail=$RATE" -workers 2 \
     >"$WORKDIR/server.log" 2>&1 &
 SERVER_PID=$!

@@ -15,7 +15,7 @@ trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
 cd "$(dirname "$0")/.."
 go build -o "$WORKDIR/aqserver" ./cmd/aqserver
 
-"$WORKDIR/aqserver" -city coventry -scale 0.08 -addr "$ADDR" \
+"$WORKDIR/aqserver" -cities coventry -scale 0.08 -addr "$ADDR" \
     -slow-query 1ms >"$WORKDIR/server.log" 2>&1 &
 SERVER_PID=$!
 
@@ -117,11 +117,20 @@ assert rides == j["boardings"], f"{rides} ride legs but {j['boardings']} boardin
 print(f"journey ok: {len(legs)} legs, {rides} rides, {j['depart']} -> {j['arrive']}")
 EOF
 
-# 4. The 1ms slow-query threshold must have produced a structured log line.
-grep -q '"msg":"slow query"' "$WORKDIR/server.log" || {
-    echo "FAIL: no slow-query log line in server output" >&2
-    cat "$WORKDIR/server.log" >&2
-    exit 1
-}
-echo "slow-query log ok"
+# 4. Every line the server wrote is one JSON object, and the 1ms
+# slow-query threshold produced a warn line with the trace ID and the
+# per-stage breakdown.
+python3 - "$WORKDIR/server.log" <<'EOF' || { cat "$WORKDIR/server.log" >&2; exit 1; }
+import json, re, sys
+lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
+slow = [l for l in lines if l.get("msg") == "slow query"]
+assert slow, "no slow-query log line in server output"
+line = slow[0]
+assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z", line.get("ts", "")), f"ts = {line.get('ts')!r}"
+assert line.get("level") == "warn", f"level = {line.get('level')!r}"
+assert line.get("trace_id"), "slow-query line has no trace_id"
+stages = [k for k in line if re.fullmatch(r"stage_\w+_seconds", k)]
+assert stages, f"slow-query line has no stage_*_seconds: {line}"
+print(f"server log ok: {len(lines)} JSON lines, slow query with {len(stages)} stages")
+EOF
 echo "PASS: explain/trace smoke test"
