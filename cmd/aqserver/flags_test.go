@@ -107,6 +107,7 @@ func TestBootFailureIsOneFatalLine(t *testing.T) {
 	for args, cause := range map[string]string{
 		"-log-level debug": `unknown level "debug"`,
 		"-cities coventry -slo avail=99;leeds:avail=50": `no tenant serves city "leeds"`,
+		"-nope": "flag provided but not defined: -nope",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBootFailureIsOneFatalLine$")
 		cmd.Env = append(os.Environ(), "AQSERVER_TEST_ARGS="+args)
@@ -123,6 +124,26 @@ func TestBootFailureIsOneFatalLine(t *testing.T) {
 		if line["level"] != "fatal" || line["msg"] != "bad flags" || !strings.Contains(fmt.Sprint(line["error"]), cause) {
 			t.Errorf("%s: fatal line = %v, want bad flags naming %s", args, line, cause)
 		}
+	}
+}
+
+// TestHelpPrintsUsage runs aqserver's main in a child process with -h: it
+// prints the flag usage on stderr and exits 0 without starting a server.
+func TestHelpPrintsUsage(t *testing.T) {
+	if os.Getenv("AQSERVER_TEST_HELP") != "" {
+		os.Args = []string{"aqserver", "-h"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHelpPrintsUsage$")
+	cmd.Env = append(os.Environ(), "AQSERVER_TEST_HELP=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("child exited with %v, want status 0; stderr %q", err, stderr.String())
+	}
+	if out := stderr.String(); !strings.HasPrefix(out, "Usage of aqserver:") || !strings.Contains(out, "-cities") {
+		t.Errorf("-h printed %q, want the flag usage", out)
 	}
 }
 

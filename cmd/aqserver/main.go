@@ -22,8 +22,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -144,7 +146,16 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 }
 
 func main() {
-	c, err := parseFlags(flag.CommandLine, os.Args[1:])
+	// The flag package's own error output is plain text; a bad flag goes
+	// through fatal like every other boot failure, and only -h prints usage.
+	fs := flag.NewFlagSet("aqserver", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c, err := parseFlags(fs, os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(os.Stderr)
+		fs.Usage()
+		return
+	}
 	if err != nil {
 		fatal("bad flags", err)
 	}

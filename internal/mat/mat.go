@@ -74,6 +74,10 @@ func (m *Dense) Row(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
+// Data returns the matrix's row-major backing slice; mutating it mutates
+// the matrix.
+func (m *Dense) Data() []float64 { return m.data }
+
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
 	out := New(m.rows, m.cols)
@@ -95,14 +99,10 @@ func Mul(a, b *Dense) (*Dense, error) {
 // the same arithmetic: the sum starts at +0, runs over the reduction index
 // in ascending order and skips terms whose left factor is 0. So
 // MulTransAInto and MulTransBInto equal Mul(a.Transpose(), b) and
-// Mul(a, b.Transpose()) bit for bit. dst must not be a or b.
-//
-// MulInto and MulTransAInto test each left factor once and add its scaled
-// row of b to a row of dst, four outputs per step; repeating the zero test
-// for every block of outputs held in registers costs more in mispredicted
-// branches on ReLU-sparse inputs than it saves in stores. MulTransBInto's
-// rows of b are contiguous in the reduction index, so it keeps four dot
-// products in locals instead.
+// Mul(a, b.Transpose()) bit for bit. dst must not be a or b. Each compacts
+// an output row's nonzero left factors and runs the row kernel over them
+// (kernel.go); a reduction longer than one chunk takes several kernel
+// calls, which continue the same running sums in order.
 
 // MulInto sets dst to a*b.
 func MulInto(dst, a, b *Dense) error {
@@ -112,21 +112,21 @@ func MulInto(dst, a, b *Dense) error {
 	if err := checkDst(dst, a, b, a.rows, b.cols); err != nil {
 		return err
 	}
-	q := b.cols
+	p, q := a.cols, b.cols
+	clear(dst.data)
+	var f factors
 	for i := 0; i < a.rows; i++ {
 		orow := dst.data[i*q : (i+1)*q]
-		clear(orow)
-		for k, av := range a.data[i*a.cols : (i+1)*a.cols] {
-			if av == 0 {
-				continue
-			}
-			axpy(orow, b.data[k*q:(k+1)*q], av)
+		for k0 := 0; k0 < p; k0 += chunk {
+			n := f.gather(a.data, i*p+k0, 1, min(chunk, p-k0), k0*q, q)
+			mulRow(orow, f.v[:n], f.off[:n], b.data)
 		}
 	}
 	return nil
 }
 
-// MulTransAInto sets dst to aᵀ*b without building the transpose.
+// MulTransAInto sets dst to aᵀ*b without building the transpose: output
+// row i gathers its factors down column i of a.
 func MulTransAInto(dst, a, b *Dense) error {
 	if a.rows != b.rows {
 		return fmt.Errorf("mat: cannot multiply (%dx%d)ᵀ by %dx%d", a.rows, a.cols, b.rows, b.cols)
@@ -136,35 +136,22 @@ func MulTransAInto(dst, a, b *Dense) error {
 	}
 	p, q := a.cols, b.cols
 	clear(dst.data)
-	for k := 0; k < a.rows; k++ {
-		brow := b.data[k*q : (k+1)*q]
-		for i, av := range a.data[k*p : (k+1)*p] {
-			if av == 0 {
-				continue
-			}
-			axpy(dst.data[i*q:(i+1)*q], brow, av)
+	var f factors
+	for i := 0; i < p; i++ {
+		orow := dst.data[i*q : (i+1)*q]
+		for k0 := 0; k0 < a.rows; k0 += chunk {
+			n := f.gather(a.data, k0*p+i, p, min(chunk, a.rows-k0), k0*q, q)
+			mulRow(orow, f.v[:n], f.off[:n], b.data)
 		}
 	}
 	return nil
 }
 
-// axpy adds av*x to y elementwise; len(y) >= len(x).
-func axpy(y, x []float64, av float64) {
-	y = y[:len(x)]
-	j := 0
-	for ; j+4 <= len(x); j += 4 {
-		yj, xj := y[j:j+4:j+4], x[j:j+4:j+4]
-		yj[0] += av * xj[0]
-		yj[1] += av * xj[1]
-		yj[2] += av * xj[2]
-		yj[3] += av * xj[3]
-	}
-	for ; j < len(x); j++ {
-		y[j] += av * x[j]
-	}
-}
-
-// MulTransBInto sets dst to a*bᵀ without building the transpose.
+// MulTransBInto sets dst to a*bᵀ. The row kernel needs the reduction index
+// on rows, so it copies bᵀ a tile at a time onto the stack — up to chunk
+// reduction rows by as many output columns as fit in tile elements — and
+// runs every row of a over each tile. Tiles advance along the reduction
+// index in ascending order, so each output's sum keeps its order.
 func MulTransBInto(dst, a, b *Dense) error {
 	if a.cols != b.cols {
 		return fmt.Errorf("mat: cannot multiply %dx%d by (%dx%d)ᵀ", a.rows, a.cols, b.rows, b.cols)
@@ -173,37 +160,27 @@ func MulTransBInto(dst, a, b *Dense) error {
 		return err
 	}
 	p, q := a.cols, b.rows
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*p : (i+1)*p]
-		orow := dst.data[i*q : (i+1)*q]
-		j := 0
-		for ; j+4 <= q; j += 4 {
-			b0 := b.data[j*p : (j+1)*p][:len(arow)]
-			b1 := b.data[(j+1)*p : (j+2)*p][:len(arow)]
-			b2 := b.data[(j+2)*p : (j+3)*p][:len(arow)]
-			b3 := b.data[(j+3)*p : (j+4)*p][:len(arow)]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				if av == 0 {
-					continue
+	clear(dst.data)
+	if p == 0 || q == 0 {
+		return nil
+	}
+	var f factors
+	var bt [tile]float64
+	kc := min(p, chunk)
+	jc := min(q, tile/kc)
+	for k0 := 0; k0 < p; k0 += kc {
+		kn := min(kc, p-k0)
+		for j0 := 0; j0 < q; j0 += jc {
+			w := min(jc, q-j0)
+			for j := 0; j < w; j++ {
+				for k, v := range b.data[(j0+j)*p+k0 : (j0+j)*p+k0+kn] {
+					bt[k*w+j] = v
 				}
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
 			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < q; j++ {
-			bj := b.data[j*p : (j+1)*p][:len(arow)]
-			var s float64
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				s += av * bj[k]
+			for i := 0; i < a.rows; i++ {
+				n := f.gather(a.data, i*p+k0, 1, kn, 0, w)
+				mulRow(dst.data[i*q+j0:i*q+j0+w], f.v[:n], f.off[:n], bt[:kn*w])
 			}
-			orow[j] = s
 		}
 	}
 	return nil

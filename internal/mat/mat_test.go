@@ -471,6 +471,48 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestIntoKernelsAcrossChunks repeats the bitwise comparison at shapes
+// whose reduction spans several compaction chunks and whose bᵀ spans
+// several MulTransBInto tiles in both directions, and checks that those
+// shapes allocate nothing either.
+func TestIntoKernelsAcrossChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, s := range []struct{ n, p, q int }{
+		{3, chunk - 1, 5}, {3, chunk, 17}, {2, chunk + 1, 9},
+		{5, 2*chunk + 3, 40}, {300, 19, 2}, {4, 300, 70}, {70, 130, tile/chunk + 3},
+	} {
+		name := func(k string) string { return fmt.Sprintf("%s n=%d p=%d q=%d", k, s.n, s.p, s.q) }
+		a, b := sparseRandom(rng, s.n, s.p), sparseRandom(rng, s.p, s.q)
+		dst := garbage(s.n, s.q)
+		if err := MulInto(dst, a, b); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, name("MulInto"), dst, refMul(a, b))
+
+		bt := sparseRandom(rng, s.n, s.q)
+		dstA := garbage(s.p, s.q)
+		if err := MulTransAInto(dstA, a, bt); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, name("MulTransAInto"), dstA, refMul(a.Transpose(), bt))
+
+		bb := sparseRandom(rng, s.q, s.p)
+		dstB := garbage(s.n, s.q)
+		if err := MulTransBInto(dstB, a, bb); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, name("MulTransBInto"), dstB, refMul(a, bb.Transpose()))
+
+		if n := testing.AllocsPerRun(3, func() {
+			_ = MulInto(dst, a, b)
+			_ = MulTransAInto(dstA, a, bt)
+			_ = MulTransBInto(dstB, a, bb)
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per call set, want 0", name("kernels"), n)
+		}
+	}
+}
+
 func BenchmarkMul64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := New(64, 64)

@@ -110,8 +110,7 @@ func (m *MeanTeacher) Fit(x, y, xu *mat.Dense) error {
 		if err := student.backward(ws); err != nil {
 			return fmt.Errorf("ml/mt: %w", err)
 		}
-		applyWeightDecay(student, &ws.g, m.WeightDecay)
-		opt.step(student, &ws.g)
+		opt.update(student, &ws.g, m.WeightDecay)
 
 		if useU {
 			// Consistency pass: student on noisy inputs chases the teacher

@@ -474,40 +474,59 @@ func servedData(rng *rand.Rand, n, k int) (*mat.Dense, *mat.Dense) {
 
 // TestFitAllocsDoNotGrowWithEpochs is the workspace contract: every buffer
 // an epoch touches is sized once per fit, so a fit allocates the same
-// count at 10 epochs as at 400.
+// count at 10 epochs as at 400. The MLP and the GNN also fit 300 rows
+// (300 nodes), past every stack chunk and tile the product kernels use,
+// and must allocate no more often there: a buffer that moved to the heap
+// only at large shapes would show.
 func TestFitAllocsDoNotGrowWithEpochs(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	x, y := servedData(rng, 13, 2)
-	xu, _ := servedData(rng, 40, 2)
-	adj, labeled, unlabeled := referenceGraph(t, rng, 13+40, 13)
-	fits := map[string]func(epochs int) error{
-		"MLP": func(epochs int) error {
+	type data struct {
+		x, y, xu           *mat.Dense
+		adj                *SparseAdj
+		labeled, unlabeled []int
+	}
+	shape := func(rows, unlabeledRows int) data {
+		x, y := servedData(rng, rows, 2)
+		xu, _ := servedData(rng, unlabeledRows, 2)
+		adj, labeled, unlabeled := referenceGraph(t, rng, rows+unlabeledRows, rows)
+		return data{x, y, xu, adj, labeled, unlabeled}
+	}
+	small, large := shape(13, 40), shape(300, 0)
+	fits := map[string]func(d data, epochs int) error{
+		"MLP": func(d data, epochs int) error {
 			m := NewMLP(1)
 			m.Epochs = epochs
-			return m.Fit(x, y, nil)
+			return m.Fit(d.x, d.y, nil)
 		},
-		"MT": func(epochs int) error {
+		"MT": func(d data, epochs int) error {
 			m := NewMeanTeacher(1)
 			m.Epochs = epochs
-			return m.Fit(x, y, xu)
+			return m.Fit(d.x, d.y, d.xu)
 		},
-		"GNN": func(epochs int) error {
+		"GNN": func(d data, epochs int) error {
 			g := NewGNN(1)
 			g.Epochs = epochs
-			g.SetGraph(adj, labeled, unlabeled)
-			return g.Fit(x, y, xu)
+			g.SetGraph(d.adj, d.labeled, d.unlabeled)
+			return g.Fit(d.x, d.y, d.xu)
 		},
 	}
 	for name, fit := range fits {
-		allocs := func(epochs int) float64 {
+		allocs := func(d data, epochs int) float64 {
 			return testing.AllocsPerRun(2, func() {
-				if err := fit(epochs); err != nil {
+				if err := fit(d, epochs); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
-		if short, long := allocs(10), allocs(400); short != long {
+		short := allocs(small, 10)
+		if long := allocs(small, 400); long != short {
 			t.Errorf("%s: Fit allocates %v times at 10 epochs, %v at 400", name, short, long)
+		}
+		if name == "MT" {
+			continue
+		}
+		if big := allocs(large, 400); big != short {
+			t.Errorf("%s: Fit allocates %v times on 13 rows, %v on 300", name, short, big)
 		}
 	}
 }

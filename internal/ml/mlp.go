@@ -75,8 +75,7 @@ func (m *MLP) Fit(x, y, _ *mat.Dense) error {
 		if err := net.backward(ws); err != nil {
 			return fmt.Errorf("ml/mlp: %w", err)
 		}
-		applyWeightDecay(net, &ws.g, m.WeightDecay)
-		opt.step(net, &ws.g)
+		opt.update(net, &ws.g, m.WeightDecay)
 	}
 	m.net = net
 	m.info = TrainInfo{

@@ -203,29 +203,25 @@ func newAdam(n *network, lr float64) *adam {
 }
 
 // step applies one Adam update to n given gradients g.
-func (a *adam) step(n *network, g *grads) {
+func (a *adam) step(n *network, g *grads) { a.update(n, g, 0) }
+
+// update applies one Adam update to n given gradients g, after adding the
+// L2 penalty gradient wd·w to each weight gradient unless wd ≤ 0. Each
+// layer's weights and biases take one fused pass each (adamStep); g is
+// only read.
+func (a *adam) update(n *network, g *grads, wd float64) {
 	a.t++
-	c1 := 1 - math.Pow(a.beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.beta2, float64(a.t))
+	k := adamCoeffs{
+		wd: wd, beta1: a.beta1, ob1: 1 - a.beta1, beta2: a.beta2, ob2: 1 - a.beta2,
+		lr: a.lr, eps: a.eps,
+		c1: 1 - math.Pow(a.beta1, float64(a.t)),
+		c2: 1 - math.Pow(a.beta2, float64(a.t)),
+	}
 	for l := range n.w {
-		w := n.w[l]
-		for i := 0; i < w.Rows(); i++ {
-			wr := w.Row(i)
-			gr := g.w[l].Row(i)
-			mr := a.mw[l].Row(i)
-			vr := a.vw[l].Row(i)
-			for j := range wr {
-				mr[j] = a.beta1*mr[j] + (1-a.beta1)*gr[j]
-				vr[j] = a.beta2*vr[j] + (1-a.beta2)*gr[j]*gr[j]
-				wr[j] -= a.lr * (mr[j] / c1) / (math.Sqrt(vr[j]/c2) + a.eps)
-			}
-		}
-		for j := range n.b[l] {
-			gb := g.b[l][j]
-			a.mb[l][j] = a.beta1*a.mb[l][j] + (1-a.beta1)*gb
-			a.vb[l][j] = a.beta2*a.vb[l][j] + (1-a.beta2)*gb*gb
-			n.b[l][j] -= a.lr * (a.mb[l][j] / c1) / (math.Sqrt(a.vb[l][j]/c2) + a.eps)
-		}
+		k.decay = !(wd <= 0)
+		adamStep(n.w[l].Data(), g.w[l].Data(), a.mw[l].Data(), a.vw[l].Data(), k)
+		k.decay = false
+		adamStep(n.b[l], g.b[l], a.mb[l], a.vb[l], k)
 	}
 }
 
@@ -253,23 +249,6 @@ func mseDelta(ws *workspace, target *mat.Dense) (float64, error) {
 		loss /= nTot
 	}
 	return loss, nil
-}
-
-// applyWeightDecay adds the L2 penalty gradient wd·w to g in place.
-func applyWeightDecay(n *network, g *grads, wd float64) {
-	if wd <= 0 {
-		return
-	}
-	for l := range n.w {
-		w := n.w[l]
-		for i := 0; i < w.Rows(); i++ {
-			wr := w.Row(i)
-			gr := g.w[l].Row(i)
-			for j := range wr {
-				gr[j] += wd * wr[j]
-			}
-		}
-	}
 }
 
 // emaUpdate moves teacher parameters toward student: θ_t = α·θ_t + (1-α)·θ_s.

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -104,26 +105,56 @@ func TestAddNoiseChangesValues(t *testing.T) {
 	}
 }
 
+// applyWeightDecay adds the L2 penalty gradient wd·w to g in place: the
+// separate pass that adam.update now fuses into the step, kept as the
+// oracle of that fusion.
+func applyWeightDecay(n *network, g *grads, wd float64) {
+	if wd <= 0 {
+		return
+	}
+	for l := range n.w {
+		w := n.w[l]
+		for i := 0; i < w.Rows(); i++ {
+			wr := w.Row(i)
+			gr := g.w[l].Row(i)
+			for j := range wr {
+				gr[j] += wd * wr[j]
+			}
+		}
+	}
+}
+
+// TestApplyWeightDecay checks the fused update against the separate decay
+// pass followed by a plain step, bit for bit, over several steps: with
+// decay, without it, and with a non-positive wd, which decays nothing.
+// The fused update leaves the gradients as it found them.
 func TestApplyWeightDecay(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := newNetwork([]int{2, 2, 1}, rng)
-	g := &grads{
-		w: []*mat.Dense{mat.New(2, 2), mat.New(2, 1)},
-		b: [][]float64{make([]float64, 2), make([]float64, 1)},
-	}
-	w00 := n.w[0].At(0, 0)
-	applyWeightDecay(n, g, 0.1)
-	if math.Abs(g.w[0].At(0, 0)-0.1*w00) > 1e-12 {
-		t.Errorf("decay gradient = %v, want %v", g.w[0].At(0, 0), 0.1*w00)
-	}
-	// Zero decay is a no-op.
-	g2 := &grads{
-		w: []*mat.Dense{mat.New(2, 2), mat.New(2, 1)},
-		b: [][]float64{make([]float64, 2), make([]float64, 1)},
-	}
-	applyWeightDecay(n, g2, 0)
-	if g2.w[0].At(0, 0) != 0 {
-		t.Error("zero decay should not touch gradients")
+	for _, wd := range []float64{0.1, 1e-4, 0, -1} {
+		rng := rand.New(rand.NewSource(5))
+		sizes := []int{3, 5, 2}
+		fused := newNetwork(sizes, rng)
+		split := fused.clone()
+		fusedOpt, splitOpt := newAdam(fused, 0.01), newAdam(split, 0.01)
+		for step := 0; step < 5; step++ {
+			g := &grads{}
+			for l := range fused.w {
+				gw := mat.New(fused.w[l].Rows(), fused.w[l].Cols())
+				for i := range gw.Data() {
+					gw.Data()[i] = rng.NormFloat64()
+				}
+				gb := make([]float64, len(fused.b[l]))
+				for i := range gb {
+					gb[i] = rng.NormFloat64()
+				}
+				g.w, g.b = append(g.w, gw), append(g.b, gb)
+			}
+			before := g.w[0].Clone()
+			fusedOpt.update(fused, g, wd)
+			sameBits(t, fmt.Sprintf("wd=%v step %d: gradient", wd, step), g.w[0], before)
+			applyWeightDecay(split, g, wd)
+			splitOpt.step(split, g)
+			sameNetwork(t, fmt.Sprintf("wd=%v step %d", wd, step), fused, split)
+		}
 	}
 }
 

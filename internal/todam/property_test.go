@@ -1,7 +1,10 @@
 package todam
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -125,7 +128,7 @@ func TestScoresRangeProperty(t *testing.T) {
 			DefaultAttractiveness(),
 			{DecayMeters: 500 + rng.Float64()*3000, Cutoff: rng.Float64() * 0.3},
 		} {
-			s := att.Scores(zone, pois)
+			s := scores(att, zone, pois)
 			if len(s) != np {
 				return false
 			}
@@ -146,5 +149,60 @@ func TestScoresRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKthSmallestMatchesSort checks the in-place selection against the
+// copy-and-sort it replaced, for every k, on inputs with ties, signed
+// infinities and NaNs (which sort.Float64s orders first).
+func TestKthSmallestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	pool := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0, 1, 2}
+	for trial := 0; trial < 300; trial++ {
+		v := make([]float64, 1+rng.Intn(60))
+		for i := range v {
+			if rng.Intn(4) == 0 {
+				v[i] = pool[rng.Intn(len(pool))]
+			} else {
+				v[i] = float64(rng.Intn(20)) * 250.5
+			}
+		}
+		sorted := slices.Clone(v)
+		sort.Float64s(sorted)
+		for k := 1; k <= len(v); k++ {
+			got, want := kthSmallest(slices.Clone(v), k), sorted[k-1]
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("k=%d of %v: got %v, want %v", k, v, got, want)
+			}
+		}
+	}
+}
+
+// TestScorerReuseMatchesFresh checks that one scorer reused across zones
+// and POI sets of different sizes, as Build reuses it, returns exactly
+// what a fresh scorer returns each time.
+func TestScorerReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var reused scorer
+	for trial := 0; trial < 200; trial++ {
+		pois := make([]geo.Point, rng.Intn(40))
+		for j := range pois {
+			pois[j] = geo.Offset(base, rng.Float64()*20000-10000, rng.Float64()*20000-10000)
+		}
+		zone := geo.Offset(base, rng.Float64()*20000-10000, rng.Float64()*20000-10000)
+		att := DefaultAttractiveness()
+		if trial%2 == 1 {
+			att = Attractiveness{DecayMeters: 500 + rng.Float64()*3000, Cutoff: rng.Float64() * 0.3}
+		}
+		got := slices.Clone(reused.scores(att, zone, pois))
+		want := scores(att, zone, pois)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d scores, want %d", trial, len(got), len(want))
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d POI %d: reused scorer gives %v, fresh %v", trial, j, got[j], want[j])
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@
 package todam
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -46,17 +47,27 @@ func DefaultAttractiveness() Attractiveness {
 	return Attractiveness{DecayMeters: 1500, Cutoff: 0.05, AdaptiveK: 18}
 }
 
-// Scores computes the attractiveness row for one zone against all POIs.
+// scorer holds the per-zone buffers of the attractiveness row, so Build
+// reuses them across zones instead of allocating three per zone.
+type scorer struct {
+	dists, sel, raw []float64
+}
+
+// scores computes a's attractiveness row for one zone against all POIs.
 // The returned slice has one entry per POI in [0, 1]; entries below the
-// cutoff are exactly 0.
-func (a Attractiveness) Scores(zone geo.Point, pois []geo.Point) []float64 {
+// cutoff are exactly 0. It is s's buffer, valid until the next call.
+func (s *scorer) scores(a Attractiveness, zone geo.Point, pois []geo.Point) []float64 {
 	if len(pois) == 0 {
 		return nil
 	}
-	dists := make([]float64, len(pois))
+	n := len(pois)
+	s.dists = slices.Grow(s.dists[:0], n)[:n]
+	dists := s.dists
 	for j, p := range pois {
 		dists[j] = geo.DistanceMeters(zone, p)
 	}
+	s.raw = slices.Grow(s.raw[:0], n)[:n]
+	raw := s.raw
 	lambda := a.DecayMeters
 	dmin := 0.0
 	if a.AdaptiveK > 0 {
@@ -68,24 +79,19 @@ func (a Attractiveness) Scores(zone geo.Point, pois []geo.Point) []float64 {
 		const flattenMax = 3
 		dmin = minOf(dists)
 		if len(pois) <= flattenMax {
-			out := make([]float64, len(pois))
-			for j := range out {
-				out[j] = 1
+			for j := range raw {
+				raw[j] = 1
 			}
-			return out
+			return raw
 		}
-		k := a.AdaptiveK
-		if k > len(pois) {
-			k = len(pois)
-		}
-		dk := kthSmallest(dists, k)
+		s.sel = append(s.sel[:0], dists...)
+		dk := kthSmallest(s.sel, min(a.AdaptiveK, n))
 		span := dk - dmin
 		lambda = span / math.Log(1/a.Cutoff)
 		if lambda < a.DecayMeters/10 {
 			lambda = a.DecayMeters / 10
 		}
 	}
-	raw := make([]float64, len(pois))
 	maxRaw := 0.0
 	for j := range raw {
 		raw[j] = math.Exp(-(dists[j] - dmin) / lambda)
@@ -115,16 +121,38 @@ func minOf(v []float64) float64 {
 	return m
 }
 
-// kthSmallest returns the k-th smallest value (1-indexed) without
-// modifying v.
+// kthSmallest returns the k-th smallest value (1-indexed, 1 ≤ k ≤ len(v))
+// of v in the order sort.Float64s uses, reordering v in place: Hoare's
+// FIND, which partitions around the value at position k until that
+// position holds its order statistic. The k-th order statistic is one
+// value whatever the algorithm, so this returns what sorting would.
 func kthSmallest(v []float64, k int) float64 {
-	cp := make([]float64, len(v))
-	copy(cp, v)
-	sort.Float64s(cp)
-	if k > len(cp) {
-		k = len(cp)
+	k--
+	lo, hi := 0, len(v)-1
+	for lo < hi {
+		x := v[k]
+		i, j := lo, hi
+		for i <= j {
+			for cmp.Less(v[i], x) {
+				i++
+			}
+			for cmp.Less(x, v[j]) {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
 	}
-	return cp[k-1]
+	return v[k]
 }
 
 // Spec describes the TODAM to build.
@@ -225,8 +253,9 @@ func Build(spec Spec) (*Matrix, error) {
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 
 	m := &Matrix{Spec: spec, StartTimes: times, Rows: make([][]PairTrips, len(spec.ZonePts))}
+	var sc scorer
 	for zi, zp := range spec.ZonePts {
-		alpha := spec.Attractiveness.Scores(zp, spec.POIPts)
+		alpha := sc.scores(spec.Attractiveness, zp, spec.POIPts)
 		zw := 1.0
 		if spec.ZoneWeights != nil {
 			zw = spec.ZoneWeights[zi]

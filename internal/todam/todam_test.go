@@ -27,6 +27,12 @@ func (m *Matrix) ZoneTripCount(zone int) int {
 // POIs returns |P|.
 func (m *Matrix) POIs() int { return len(m.Spec.POIPts) }
 
+// scores is the attractiveness row Build computes, on a fresh scorer.
+func scores(a Attractiveness, zone geo.Point, pois []geo.Point) []float64 {
+	var s scorer
+	return s.scores(a, zone, pois)
+}
+
 func amPeak() gtfs.Interval {
 	return gtfs.Interval{Start: 7 * 3600, End: 9 * 3600, Day: time.Tuesday}
 }
@@ -38,7 +44,7 @@ func TestAttractivenessScores(t *testing.T) {
 		geo.Offset(base, 3000, 0), // mid
 		geo.Offset(base, 9000, 0), // far
 	}
-	s := a.Scores(base, pois)
+	s := scores(a, base, pois)
 	if len(s) != 3 {
 		t.Fatalf("got %d scores", len(s))
 	}
@@ -60,7 +66,7 @@ func TestAttractivenessMonotoneInDistance(t *testing.T) {
 	for i := range pois {
 		pois[i] = geo.Offset(base, float64(i+1)*400, 0)
 	}
-	s := a.Scores(base, pois)
+	s := scores(a, base, pois)
 	for i := 1; i < len(s); i++ {
 		if s[i] > s[i-1] {
 			t.Errorf("score increased with distance at %d: %f > %f", i, s[i], s[i-1])
@@ -69,7 +75,7 @@ func TestAttractivenessMonotoneInDistance(t *testing.T) {
 }
 
 func TestAttractivenessEmpty(t *testing.T) {
-	if s := DefaultAttractiveness().Scores(base, nil); s != nil {
+	if s := scores(DefaultAttractiveness(), base, nil); s != nil {
 		t.Errorf("empty POI list should give nil, got %v", s)
 	}
 }
